@@ -98,19 +98,14 @@ def _load_config_dict(args) -> dict:
 
 
 def _pipeline_config(args) -> PipelineConfig:
+    """Config file merged with the flags, validated once before any stage runs."""
     data = _load_config_dict(args)
-    config = PipelineConfig.from_dict(data)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out = args.out
-    if args.format is not None:
-        config.format = args.format
-    if getattr(args, "input", None) is not None:
-        config.input = args.input
-    if getattr(args, "header", None) is not None:
-        config.has_header = args.header
     overrides = {
+        "seed": (None, "seed"),
+        "out": (None, "out"),
+        "format": (None, "format"),
+        "input": (None, "input"),
+        "header": (None, "has_header"),
         "min_co_review": ("graph", "min_co_review"),
         "weighting": ("graph", "weighting"),
         "dump_graph": ("graph", "dump"),
@@ -129,8 +124,11 @@ def _pipeline_config(args) -> PipelineConfig:
         value = getattr(args, arg_name, None)
         if value is None:
             continue
-        target = config if section is None else getattr(config, section)
-        setattr(target, key, value)
+        if section is None:
+            data[key] = value
+        else:
+            data[section] = {**data.get(section, {}), key: value}
+    config = PipelineConfig.from_dict(data)
     if not config.input:
         raise StageError("config", ValueError("no input file given (--input or config)"))
     return config

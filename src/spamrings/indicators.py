@@ -12,15 +12,20 @@ abnormal each member's own history is. All indicators live in [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
+import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .graph import PRGraph, cluster_reviewer_support
 from .reviews import ProductStats, ReviewTable
 
 DEFAULT_BURST_THRESHOLD_DAYS = 30
+
+# dense intersection block size in elements (rows x members): 512 KiB of
+# float64, so scoring a 2,000-member group adds a few MiB at most
+PAIR_BLOCK_ELEMENTS = 65_536
 
 # widest possible gap on a 1..5 star scale, used to normalize deviations
 MAX_RATING_SPAN = 4.0
@@ -114,9 +119,16 @@ def product_tightness(group: CandidateGroup) -> float:
     return len(common) / len(union)
 
 
-def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
+def _incidence(members: list[str], group: CandidateGroup) -> sp.csr_matrix:
+    """0/1 members x products matrix, one row per member in the given order."""
+    column: dict[str, int] = {}
+    indices = [
+        column.setdefault(p, len(column)) for m in members for p in group.member_products[m]
+    ]
+    indptr = np.zeros(len(members) + 1, dtype=np.int64)
+    np.cumsum([len(group.member_products[m]) for m in members], out=indptr[1:])
+    data = np.ones(len(indices), dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(members), len(column)))
 
 
 def neighbor_tightness(group: CandidateGroup, literal_denominator: bool = False) -> float:
@@ -125,14 +137,33 @@ def neighbor_tightness(group: CandidateGroup, literal_denominator: bool = False)
     The default divides by the pair count so the average stays in [0, 1];
     literal_denominator reproduces the 2*sum/|R| variant instead. A
     singleton group has no pairs and scores 0.
+
+    Pair intersections come from the sparse incidence product M Mᵀ, a
+    block of rows at a time so memory stays bounded by
+    PAIR_BLOCK_ELEMENTS. The result equals a pair loop over sorted members
+    summing each Jaccard value left to right: the counts are exact in
+    float64, one division rounds like Python's int / int, and np.cumsum
+    adds in sequence, each block starting from the previous running total.
     """
     members = sorted(group.members)
-    if len(members) < 2:
+    n = len(members)
+    if n < 2:
         return 0.0
-    total = sum(
-        _jaccard(group.member_products[a], group.member_products[b])
-        for a, b in combinations(members, 2)
-    )
+    incidence = _incidence(members, group)
+    transposed = incidence.T.tocsr()
+    sizes = np.diff(incidence.indptr).astype(np.float64)
+    block_rows = max(1, PAIR_BLOCK_ELEMENTS // n)
+    cols = np.arange(n)
+    total = 0.0
+    for start in range(0, n - 1, block_rows):
+        stop = min(start + block_rows, n)
+        rows = cols[start:stop]
+        inter = (incidence[start:stop] @ transposed).toarray()
+        upper = cols[None, :] > rows[:, None]  # j > i, row-major: combinations order
+        inter_up = inter[upper]
+        union_up = (sizes[rows, None] + sizes[None, :])[upper] - inter_up
+        running = np.cumsum(np.concatenate(([total], inter_up / union_up)))
+        total = float(running[-1])
     if literal_denominator:
         mean = 2.0 * total / len(members)
     else:
@@ -170,6 +201,8 @@ def burstness(
     1 when first and last review share a day, falling linearly to 0 at a
     span of tau_days; longer spans score 0.
     """
+    if tau_days < 1:
+        raise ValueError(f"tau_days must be >= 1, got {tau_days}")
     reviews = table.by_reviewer.get(reviewer)
     if not reviews:
         raise KeyError(f"unknown reviewer {reviewer!r}")

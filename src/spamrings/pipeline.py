@@ -19,9 +19,16 @@ import numpy as np
 
 from . import __version__
 from .clustering import TrainConfig, save_checkpoint, train, write_assignment
-from .graph import adjacency_sparse, build_graph, node_features, node_id_str, write_graph
+from .graph import (
+    WEIGHTING_MODES,
+    adjacency_sparse,
+    build_graph,
+    node_features,
+    node_id_str,
+    write_graph,
+)
 from .indicators import write_indicators
-from .reviews import ReviewTable, dedupe, parse_reviews
+from .reviews import DEDUPE_POLICIES, ReviewTable, dedupe, parse_reviews
 from .scoring import (
     Ranking,
     ScoredGroup,
@@ -48,17 +55,35 @@ class GraphConfig:
     weighting: str = "co_review_count"
     dump: bool = False
 
+    def __post_init__(self):
+        if self.min_co_review < 1:
+            raise ValueError("graph.min_co_review must be >= 1")
+        if self.weighting not in WEIGHTING_MODES:
+            raise ValueError(
+                f"graph.weighting must be one of {WEIGHTING_MODES}, got {self.weighting!r}"
+            )
+
 
 @dataclass
 class GroupConfig:
     min_support: int = 2
     split_components: bool = True
 
+    def __post_init__(self):
+        if self.min_support < 1:
+            raise ValueError("group.min_support must be >= 1")
+
 
 @dataclass
 class RankConfig:
     size_floor: int = 20
     compactness_weight: float = 3.0
+
+    def __post_init__(self):
+        if self.size_floor < 0:
+            raise ValueError("rank.size_floor must be >= 0")
+        if self.compactness_weight < 0:
+            raise ValueError("rank.compactness_weight must be >= 0")
 
 
 @dataclass
@@ -75,6 +100,14 @@ class PipelineConfig:
     group: GroupConfig = field(default_factory=GroupConfig)
     rank: RankConfig = field(default_factory=RankConfig)
 
+    def __post_init__(self):
+        if self.burst_tau_days < 1:
+            raise ValueError("burst_tau_days must be >= 1")
+        if self.dedupe_policy not in DEDUPE_POLICIES:
+            raise ValueError(
+                f"dedupe_policy must be one of {DEDUPE_POLICIES}, got {self.dedupe_policy!r}"
+            )
+
     def delimiter(self) -> str:
         if self.format not in ("csv", "tsv"):
             raise ValueError(f"unknown input format {self.format!r}")
@@ -85,15 +118,27 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        """Build and validate a config; any bad key or value is a "config" StageError."""
         data = dict(data)
-        graph = GraphConfig(**data.pop("graph", {}))
-        train_section = dict(data.pop("train", {}))
-        train_section.pop("seed", None)  # training seed is derived from the top seed
-        train_cfg = TrainConfig(**train_section)
-        group = GroupConfig(**data.pop("group", {}))
-        rank = RankConfig(**data.pop("rank", {}))
         data.pop("synth", None)  # synth section belongs to the generator command
-        return cls(graph=graph, train=train_cfg, group=group, rank=rank, **data)
+        sections = {
+            "graph": GraphConfig,
+            "train": TrainConfig,
+            "group": GroupConfig,
+            "rank": RankConfig,
+        }
+        try:
+            built = {}
+            for name, section_cls in sections.items():
+                section = dict(data.pop(name, {}))
+                if name == "train":
+                    section.pop("seed", None)  # training seed is derived from the top seed
+                _check_keys(section_cls, section, prefix=f"{name}.")
+                built[name] = section_cls(**section)
+            _check_keys(cls, data)
+            return cls(**built, **data)
+        except (TypeError, ValueError) as err:  # TypeError: a value of the wrong type
+            raise StageError("config", err) from err
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -105,6 +150,13 @@ class PipelineConfig:
         payload.pop("out", None)  # output location does not affect results
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
+
+
+def _check_keys(section_cls, section: dict, prefix: str = "") -> None:
+    known = {f.name for f in dataclasses.fields(section_cls)}
+    unknown = sorted(set(section) - known)
+    if unknown:
+        raise ValueError(f"unknown config key {prefix}{unknown[0]}")
 
 
 def derive_train_seed(seed: int) -> int:

@@ -18,6 +18,7 @@ LABEL_FAKE = "fake"
 LABEL_GENUINE = "genuine"
 LABEL_UNKNOWN = "unknown"
 VALID_LABELS = (LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN)
+DEDUPE_POLICIES = ("keep_latest", "keep_first")
 
 # Yelp metadata uses -1 / 1 label tokens; an empty field means unlabeled.
 DEFAULT_LABEL_MAP = {
@@ -183,7 +184,7 @@ def dedupe(table: ReviewTable, policy: str = "keep_latest") -> ReviewTable:
     which each pair is first seen, so a duplicate-free table passes
     through unchanged.
     """
-    if policy not in ("keep_latest", "keep_first"):
+    if policy not in DEDUPE_POLICIES:
         raise ValueError(f"unknown dedupe policy {policy!r}")
     kept: dict[tuple[str, str], Review] = {}
     for r in table.reviews:

@@ -139,32 +139,28 @@ def test_detect_reports(dataset, tmp_path):
     assert scores == sorted(scores, reverse=True)
 
 
+REPORT_FILES = ("ranked_groups.jsonl", "summary.txt", "indicators.tsv", "assignment.csv")
+
+
+def _detect_in_subprocess(dataset, out, seed, **env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "spamrings.cli", "detect", "--input",
+         str(dataset / "reviews.csv"), "--out", str(out), "--seed", str(seed)]
+        + FAST_DETECT,
+        env=dict(os.environ, **env),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
 def test_detect_byte_identical_across_processes(dataset, tmp_path):
-    outs = []
-    for name, hashseed in (("d1", "1"), ("d2", "4242")):
-        out = tmp_path / name
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "spamrings.cli",
-                "detect",
-                "--input",
-                str(dataset / "reviews.csv"),
-                "--out",
-                str(out),
-                "--seed",
-                "11",
-            ]
-            + FAST_DETECT,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out)
-    for name in ("ranked_groups.jsonl", "summary.txt", "indicators.tsv", "assignment.csv"):
+    outs = [
+        _detect_in_subprocess(dataset, tmp_path / name, 11, PYTHONHASHSEED=hashseed)
+        for name, hashseed in (("d1", "1"), ("d2", "4242"))
+    ]
+    for name in REPORT_FILES:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
@@ -294,7 +290,73 @@ def test_missing_input_is_config_error(capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--n-clusters", "0"], "n_clusters"),
+        (["--min-support", "0"], "min_support"),
+        (["--size-floor", "-1"], "size_floor"),
+        (["--burst-tau-days", "-5"], "burst_tau_days"),
+        (["--burst-tau-days", "0"], "burst_tau_days"),
+        (["--min-co-review", "0"], "min_co_review"),
+    ],
+)
+def test_bad_flag_fails_at_config_before_any_report(dataset, tmp_path, capsys, flags, field):
+    out = tmp_path / "out"
+    rc = main(["detect", "--input", str(dataset / "reviews.csv"), "--out", str(out)] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and field in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, named",
+    [
+        ({"bogus": 1}, "bogus"),
+        ({"train": {"epochs": 60, "bogus": 1}}, "train.bogus"),
+        ({"rank": {"compactness_weight": -1.0}}, "compactness_weight"),
+        ({"graph": {"weighting": "cubic"}}, "weighting"),
+        ({"dedupe_policy": "keep_any"}, "dedupe_policy"),
+        ({"burst_tau_days": 0}, "burst_tau_days"),
+    ],
+)
+def test_bad_config_file_fails_at_config_before_any_report(
+    dataset, tmp_path, capsys, cfg, named
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main(
+        ["detect", "--config", str(cfg_path), "--input", str(dataset / "reviews.csv"),
+         "--out", str(out)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and named in err, err
+    assert not out.exists()
+
+
+def test_reports_identical_across_blas_thread_counts(dataset, tmp_path):
+    outs = [
+        _detect_in_subprocess(
+            dataset, tmp_path / f"t{n}", 3,
+            OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n,
+        )
+        for n in ("1", "2")
+    ]
+    for name in REPORT_FILES:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 # ------------------------------------------------------------ pipeline units
+
+
+def test_unknown_config_key_is_config_stage_error():
+    with pytest.raises(StageError) as exc:
+        PipelineConfig.from_dict({"input": "x.csv", "group": {"min_suport": 2}})
+    assert exc.value.stage == "config"
+    assert "group.min_suport" in str(exc.value)
 
 
 def test_derive_train_seed_deterministic():

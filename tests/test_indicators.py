@@ -1,11 +1,13 @@
 import datetime
 import math
 import random
+from itertools import combinations
 
 import pytest
 
 from spamrings.graph import build_graph
 from spamrings.indicators import (
+    PAIR_BLOCK_ELEMENTS,
     CandidateGroup,
     avg_rating_deviation,
     burstness,
@@ -157,6 +159,78 @@ def test_neighbor_tightness_literal_denominator_variant():
     assert literal == pytest.approx(2 * (1 / 3) / 2 * logistic(2), abs=1e-12)
 
 
+# ------------------------------------------------- pair-loop oracle for nt
+
+
+def _jaccard(a, b):
+    union = len(a | b)
+    return len(a & b) / union if union else 0.0
+
+
+def _neighbor_tightness_pairs(group, literal_denominator=False):
+    """One Jaccard per member pair, summed left to right.
+
+    An explicit loop, not sum(): from Python 3.12 sum() compensates float
+    addition, while neighbor_tightness adds in plain sequence.
+    """
+    members = sorted(group.members)
+    if len(members) < 2:
+        return 0.0
+    total = 0.0
+    for a, b in combinations(members, 2):
+        total += _jaccard(group.member_products[a], group.member_products[b])
+    if literal_denominator:
+        mean = 2.0 * total / len(members)
+    else:
+        mean = total / (len(members) * (len(members) - 1) / 2)
+    return mean * penalty(group)
+
+
+def random_member_group(rng, size, n_products=40, max_products=6):
+    return make_group(
+        {
+            f"u{i:05d}": {f"p{rng.randrange(n_products)}" for _ in range(rng.randint(1, max_products))}
+            for i in range(size)
+        }
+    )
+
+
+def assert_matches_pair_loop(group):
+    for literal in (False, True):
+        assert neighbor_tightness(group, literal_denominator=literal) == _neighbor_tightness_pairs(
+            group, literal_denominator=literal
+        )
+
+
+def test_neighbor_tightness_matches_pair_loop_on_random_groups():
+    rng = random.Random(41)
+    for _ in range(300):
+        assert_matches_pair_loop(random_member_group(rng, rng.randint(1, 30)))
+
+
+def test_neighbor_tightness_matches_pair_loop_on_edge_cases():
+    assert_matches_pair_loop(make_group({"u": {"a", "b"}}))  # singleton
+    assert_matches_pair_loop(make_group({"u": {"a"}, "v": {"b"}}))  # disjoint pair
+    assert_matches_pair_loop(make_group({f"u{i}": {f"p{i}"} for i in range(12)}))
+    assert_matches_pair_loop(make_group({f"u{i}": {"a", "b"} for i in range(12)}))
+
+
+@pytest.mark.parametrize("around", [math.isqrt(PAIR_BLOCK_ELEMENTS), 512])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_neighbor_tightness_matches_pair_loop_at_block_boundaries(around, offset):
+    # sqrt(budget) is the first size that needs a second row block; at 512
+    # the blocks tile the rows exactly, one member less or more leaves a
+    # short last block
+    rng = random.Random(around + offset)
+    assert_matches_pair_loop(random_member_group(rng, around + offset))
+
+
+def test_neighbor_tightness_matches_pair_loop_on_large_group():
+    rng = random.Random(2024)
+    group = random_member_group(rng, 2100, n_products=300, max_products=10)
+    assert neighbor_tightness(group) == _neighbor_tightness_pairs(group)
+
+
 def test_compactness_examples():
     g = make_group({"u": {"a"}, "v": {"b"}})
     assert group_compactness(g) == 0.0
@@ -229,6 +303,13 @@ def test_burstness_boundary_span_equals_tau():
         [Review("edge", "p1", 5, day(0)), Review("edge", "p2", 5, day(30))]
     )
     assert burstness("edge", table, tau_days=30) == 0.0
+
+
+@pytest.mark.parametrize("tau", [0, -5])
+def test_burstness_rejects_tau_below_one(tau):
+    table = ReviewTable([Review("one_day", "p1", 5, day(3)), Review("one_day", "p2", 5, day(3))])
+    with pytest.raises(ValueError, match="tau_days"):
+        burstness("one_day", table, tau_days=tau)
 
 
 # ------------------------------------------------------------- property suite
