@@ -3,13 +3,13 @@
 
 Walks the ingestion path on a tiny handmade dataset: parse, dedupe,
 per-product stats, then the attributed graph whose nodes are
-(product, rating) pairs and whose edges carry co-reviewer sets.
+(product, rating) pairs and whose edges carry co-reviewer counts.
 """
 
 import tempfile
 from pathlib import Path
 
-from spamrings.graph import adjacency, build_graph, node_features, node_id_str
+from spamrings.graph import adjacency_sparse, build_graph, node_features, node_id_str
 from spamrings.reviews import dedupe, parse_reviews, product_stats
 
 rows = """\
@@ -44,9 +44,10 @@ for node in graph.nodes:
     print(f"  node {node_id_str(node)}: reviewers {sorted(node.reviewers)}")
 for edge in graph.edges:
     u, v = graph.nodes[edge.u], graph.nodes[edge.v]
-    print(f"  edge {node_id_str(u)} -- {node_id_str(v)}: co-reviewers {sorted(edge.co_reviewers)}")
+    shared = sorted(u.reviewers & v.reviewers)
+    print(f"  edge {node_id_str(u)} -- {node_id_str(v)}: {edge.n_co_reviewers} co-reviewers {shared}")
 
 print("\nweighted adjacency:")
-print(adjacency(graph))
+print(adjacency_sparse(graph).toarray())
 print("\nnode features (one-hot rating, log reviewer count, log degree):")
 print(node_features(graph).round(3))

@@ -10,8 +10,8 @@ graph is one big connected blob, k is the knob that matters.
 """
 
 from spamrings.clustering import TrainConfig
+from spamrings.pipeline import PipelineConfig, sweep
 from spamrings.reviews import dedupe
-from spamrings.scoring import cluster_sweep
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
 
 synth = SynthConfig(
@@ -25,7 +25,8 @@ table, truth = generate(synth)
 table = dedupe(table)
 print(f"dataset: {len(table)} reviews, planted sizes {[len(g) for g in truth]}")
 
-points = cluster_sweep(table, [4, 8, 16, 32, 64], TrainConfig(seed=3, epochs=300))
+# the run seed derives the training seed, exactly as in a detect run
+points = sweep(table, PipelineConfig(seed=3, train=TrainConfig(epochs=300)), [4, 8, 16, 32, 64])
 print("\nk     groups  mean(top-10 precision)  partial")
 for p in points:
     mean = "n/a" if p.mean_top_precision is None else f"{p.mean_top_precision:.3f}"

@@ -21,7 +21,7 @@ from .reviews import (  # noqa: F401
 )
 from .graph import (  # noqa: F401
     PRGraph,
-    adjacency,
+    adjacency_sparse,
     build_graph,
     node_features,
 )
@@ -48,10 +48,9 @@ from .indicators import (  # noqa: F401
 )
 from .scoring import (  # noqa: F401
     ScoredGroup,
-    cluster_sweep,
     group_precision,
     rank_groups,
     score_groups,
 )
 from .synth import PlantedGroupConfig, SynthConfig, generate  # noqa: F401
-from .pipeline import DetectResult, PipelineConfig, detect  # noqa: F401
+from .pipeline import DetectResult, PipelineConfig, detect, sweep  # noqa: F401

@@ -13,19 +13,23 @@ import json
 import sys
 from pathlib import Path
 
-from .clustering import TrainConfig
+from .graph import WEIGHTING_MODES
+from .indicators import group_from_table
 from .pipeline import (
     PipelineConfig,
     StageError,
-    derive_train_seed,
     detect,
+    format_precision,
+    load_config_file,
     load_table,
+    sweep,
     write_detect_report,
+    write_eval_summary,
+    write_lines,
 )
 from .reviews import write_reviews
-from .scoring import cluster_sweep, group_precision, rank_groups, size_distribution
+from .scoring import group_precision
 from .synth import PlantedGroupConfig, SynthConfig, generate, write_ground_truth
-from .indicators import group_from_table
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -42,7 +46,7 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
 
 def _add_detect_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-co-review", type=int, help="edge threshold on shared reviewers")
-    parser.add_argument("--weighting", choices=("binary", "co_review_count"), help="edge weight mode")
+    parser.add_argument("--weighting", choices=WEIGHTING_MODES, help="edge weight mode")
     parser.add_argument("--dump-graph", action="store_true", default=None, help="write edge/node dump")
     parser.add_argument("--n-clusters", type=int, help="cluster count k")
     parser.add_argument("--hidden-width", type=int)
@@ -91,10 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_dict(args) -> dict:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return {}
+    return load_config_file(args.config) if args.config else {}
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -126,7 +127,7 @@ def _pipeline_config(args) -> PipelineConfig:
             continue
         if section is None:
             data[key] = value
-        else:
+        elif isinstance(data.get(section, {}), dict):  # from_dict rejects any other section
             data[section] = {**data.get(section, {}), key: value}
     config = PipelineConfig.from_dict(data)
     if not config.input:
@@ -162,9 +163,7 @@ def cmd_ingest(args) -> int:
         lines.append("labels: none; evaluation disabled")
     for err in errors[:20]:
         lines.append(f"row_error line {err.line}: {err.message}")
-    text = "\n".join(lines) + "\n"
-    (out / "ingest_summary.txt").write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    sys.stdout.write(write_lines(out / "ingest_summary.txt", lines))
     return 0
 
 
@@ -178,52 +177,46 @@ def cmd_detect(args) -> int:
         f"groups: {len(result.scored)} headline: {len(result.ranking.headline)}\n"
     )
     if top is not None:
-        prec = "n/a" if top.precision is None else f"{top.precision:.4f}"
-        sys.stdout.write(f"top group: size {top.size} score {top.anomaly_score:.4f} precision {prec}\n")
+        sys.stdout.write(
+            f"top group: size {top.size} score {top.anomaly_score:.4f} "
+            f"precision {format_precision(top.precision)}\n"
+        )
     sys.stdout.write(f"report: {paths['summary']}\n")
     return 0
 
 
+def _k_list(config: PipelineConfig, text: str) -> list[int]:
+    """Cluster counts of --k-list, each checked by the training config's own rule."""
+    try:
+        k_list = [int(k) for k in text.split(",") if k.strip()]
+        if not k_list:
+            raise ValueError("no cluster counts given")
+        for k in k_list:
+            dataclasses.replace(config.train, n_clusters=k)
+    except ValueError as err:
+        raise StageError("config", ValueError(f"bad --k-list {text!r}: {err}")) from err
+    return k_list
+
+
 def cmd_sweep(args) -> int:
     config = _pipeline_config(args)
-    try:
-        k_list = [int(k) for k in args.k_list.split(",") if k.strip()]
-    except ValueError as err:
-        raise StageError("sweep", ValueError(f"bad --k-list: {err}")) from err
-    if not k_list:
-        raise StageError("sweep", ValueError("empty --k-list"))
+    k_list = _k_list(config, args.k_list)
     _, _, table = load_table(config)
-    if not table.has_labels():
-        raise StageError("sweep", ValueError("dataset has no labels; sweep needs them"))
-    train_cfg = dataclasses.replace(config.train, seed=derive_train_seed(config.seed))
-    try:
-        points = cluster_sweep(
-            table,
-            k_list,
-            train_cfg,
-            min_co_review=config.graph.min_co_review,
-            weighting=config.graph.weighting,
-            min_support=config.group.min_support,
-        )
-    except Exception as err:
-        raise StageError("sweep", err) from err
-    out = _out_dir(config)
+    points = sweep(table, config, k_list)
     lines = ["k\tmean_top10_precision\tn_groups\tpartial"]
     for p in points:
-        mean = "n/a" if p.mean_top_precision is None else f"{p.mean_top_precision:.4f}"
+        mean = format_precision(p.mean_top_precision)
         lines.append(f"{p.n_clusters}\t{mean}\t{p.n_groups}\t{int(p.partial)}")
-    text = "\n".join(lines) + "\n"
-    (out / "sweep.tsv").write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    sys.stdout.write(write_lines(_out_dir(config) / "sweep.tsv", lines))
     return 0
 
 
 def _synth_config(args) -> SynthConfig:
-    data = _load_config_dict(args).get("synth", {})
-    planted = data.pop("planted", None)
-    kwargs = dict(data)
-    if planted is not None:
-        kwargs["planted"] = [PlantedGroupConfig(**p) for p in planted]
+    kwargs = _load_config_dict(args).get("synth", {})
+    if not isinstance(kwargs, dict):
+        raise ValueError(f"config section synth must be an object, not {type(kwargs).__name__}")
+    if "planted" in kwargs:
+        kwargs["planted"] = [PlantedGroupConfig(**p) for p in kwargs["planted"]]
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if "product_mean_range" in kwargs:
@@ -263,33 +256,11 @@ def cmd_eval(args) -> int:
         raise StageError("eval", err) from err
     if not records:
         raise StageError("eval", ValueError(f"no records in {args.ranked!r}"))
-    floor = args.size_floor if args.size_floor is not None else config.rank.size_floor
     rows = []
     for rec in records:
         group = group_from_table(rec["members"], table, source_cluster=rec.get("cluster", -1))
-        precision = group_precision(group, table)
-        rows.append((rec["rank"], rec["group_id"], group.size, precision))
-    headline = [r for r in rows if r[2] >= floor]
-    out = _out_dir(config)
-    lines = [f"groups: {len(rows)}", f"headline groups (size >= {floor}): {len(headline)}", ""]
-    lines.append("top group")
-    lines.append("Group Size\tPrecision")
-    if headline:
-        top = headline[0]
-        lines.append(f"{top[2]}\t{'n/a' if top[3] is None else f'{top[3]:.4f}'}")
-    else:
-        lines.append("none\tn/a")
-    lines.append("")
-    lines.append("rank\tgroup_id\tsize\tprecision")
-    for rank, gid, size, precision in rows:
-        lines.append(f"{rank}\t{gid}\t{size}\t{'n/a' if precision is None else f'{precision:.4f}'}")
-    lines.append("")
-    lines.append("group size distribution")
-    lines.append("bucket\tcount")
-    for start, count in size_distribution(r[2] for r in rows).items():
-        lines.append(f"{start}-{start + 9}\t{count}")
-    text = "\n".join(lines) + "\n"
-    (out / "eval_summary.txt").write_text(text, encoding="utf-8")
+        rows.append((rec["rank"], rec["group_id"], group.size, group_precision(group, table)))
+    text = write_eval_summary(_out_dir(config) / "eval_summary.txt", rows, config.rank.size_floor)
     sys.stdout.write(text)
     return 0
 

@@ -37,30 +37,21 @@ def _selu_grad(x):
     return np.where(x > 0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
 
 
-def normalized_adjacency(adj, add_self_loops: bool = False):
-    """Symmetric normalization D^{-1/2} A D^{-1/2}.
+def normalized_adjacency(adj, add_self_loops: bool = False) -> sp.csr_array:
+    """Symmetric normalization D^{-1/2} A D^{-1/2}, as a CSR array.
 
     Self-loops are NOT added by default; the skip connection in the
     network carries each node's own signal instead. Zero-degree rows stay
-    zero. Accepts a dense array or a scipy sparse matrix and returns the
-    same kind.
+    zero.
     """
-    if sp.issparse(adj):
-        a = sp.csr_array(adj, dtype=np.float64)
-        if add_self_loops:
-            a = a + sp.eye_array(a.shape[0], format="csr")
-        deg = np.asarray(a.sum(axis=1)).ravel()
-        with np.errstate(divide="ignore"):
-            inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-        scale = sp.diags_array(inv_sqrt, format="csr")
-        return sp.csr_array(scale @ a @ scale)
-    a = np.asarray(adj, dtype=np.float64)
+    a = sp.csr_array(adj, dtype=np.float64)
     if add_self_loops:
-        a = a + np.eye(a.shape[0])
-    deg = a.sum(axis=1)
+        a = a + sp.eye_array(a.shape[0], format="csr")
+    deg = np.asarray(a.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    return inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    scale = sp.diags_array(inv_sqrt, format="csr")
+    return sp.csr_array(scale @ a @ scale)
 
 
 @dataclass
@@ -247,9 +238,12 @@ def _prepare(adj, features, config: TrainConfig):
     return adj_sp, adj_norm, deg, two_m, feats
 
 
-def _init_params(feats, config: TrainConfig, rng) -> GCNParams:
+def _seeded_init(feats, config: TrainConfig) -> tuple[GCNParams, np.random.Generator]:
+    """Initial parameters and the dropout stream, split from the one training seed."""
+    init_seq, drop_seq = np.random.SeedSequence(config.seed).spawn(2)
     sizes = [feats.shape[1], config.hidden_width, config.n_clusters]
-    return GCNParams.init(sizes, rng)
+    params = GCNParams.init(sizes, np.random.Generator(np.random.PCG64(init_seq)))
+    return params, np.random.Generator(np.random.PCG64(drop_seq))
 
 
 def train(adj, features, config: TrainConfig) -> TrainResult:
@@ -262,10 +256,7 @@ def train(adj, features, config: TrainConfig) -> TrainResult:
     """
     adj_sp, adj_norm, deg, two_m, feats = _prepare(adj, features, config)
     n = feats.shape[0]
-    init_seq, drop_seq = np.random.SeedSequence(config.seed).spawn(2)
-    init_rng = np.random.Generator(np.random.PCG64(init_seq))
-    drop_rng = np.random.Generator(np.random.PCG64(drop_seq))
-    params = _init_params(feats, config, init_rng)
+    params, drop_rng = _seeded_init(feats, config)
 
     _, _, assign0, _ = _forward(adj_norm, feats, params)
     initial_loss, _ = _loss_and_assignment_grad(assign0, adj_sp, deg, two_m, config.collapse_weight)
@@ -329,8 +320,7 @@ def gradient_check(adj, features, config: TrainConfig, step: float = 1e-5) -> fl
     error for that entry.
     """
     adj_sp, adj_norm, deg, two_m, feats = _prepare(adj, features, config)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed).spawn(2)[0]))
-    params = _init_params(feats, config, rng)
+    params, _ = _seeded_init(feats, config)
 
     def loss_at() -> float:
         _, _, assignment, _ = _forward(adj_norm, feats, params)

@@ -3,8 +3,8 @@
 Nodes are (product, rating) pairs whose attribute is the set of reviewers
 that gave the product exactly that rating. Two nodes of distinct products
 are linked when enough reviewers sit in both reviewer sets; the edge
-attribute is that intersection. The adjacency can weight an edge either
-binarily or by its co-reviewer count.
+carries the size of that intersection, its co-reviewer count. The
+adjacency weights an edge either binarily or by that count.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ class PRNode:
 
 @dataclass(frozen=True)
 class PREdge:
-    """Undirected edge between node positions u < v with its co-reviewer set."""
+    """Undirected edge between node positions u < v with its co-reviewer count."""
 
     u: int
     v: int
-    co_reviewers: frozenset[str]
+    n_co_reviewers: int
 
 
 @dataclass
@@ -62,7 +62,8 @@ class PRGraph:
         return len(self.nodes)
 
     def edge_weight(self, edge: PREdge) -> float:
-        return 1.0 if self.weighting == "binary" else float(len(edge.co_reviewers))
+        """1 under binary weighting, else the edge's co-reviewer count."""
+        return 1.0 if self.weighting == "binary" else float(edge.n_co_reviewers)
 
 
 def node_id_str(node: PRNode) -> str:
@@ -104,13 +105,7 @@ def build_edges(nodes: list[PRNode], min_co_review: int = 2) -> list[PREdge]:
             if nodes[i].product_id == nodes[j].product_id:
                 continue
             counts[(i, j)] += 1
-    edges = []
-    for (i, j) in sorted(counts):
-        if counts[(i, j)] < min_co_review:
-            continue
-        co = nodes[i].reviewers & nodes[j].reviewers
-        edges.append(PREdge(i, j, frozenset(co)))
-    return edges
+    return [PREdge(i, j, n) for (i, j), n in sorted(counts.items()) if n >= min_co_review]
 
 
 def build_graph(
@@ -123,37 +118,12 @@ def build_graph(
     return PRGraph(nodes=nodes, edges=edges, weighting=weighting)
 
 
-def adjacency(graph: PRGraph, mode: str | None = None) -> np.ndarray:
-    """Dense symmetric adjacency with zero diagonal.
-
-    ``binary`` puts 1 per edge; ``co_review_count`` puts the co-reviewer
-    set size. Defaults to the graph's own weighting mode.
-    """
-    mode = graph.weighting if mode is None else mode
-    if mode not in WEIGHTING_MODES:
-        raise ValueError(f"unknown edge weighting {mode!r}")
-    n = len(graph.nodes)
-    adj = np.zeros((n, n), dtype=np.float64)
-    for e in graph.edges:
-        w = 1.0 if mode == "binary" else float(len(e.co_reviewers))
-        adj[e.u, e.v] = w
-        adj[e.v, e.u] = w
-    return adj
-
-
-def adjacency_sparse(graph: PRGraph, mode: str | None = None) -> sp.csr_array:
-    """CSR adjacency with the same entries as :func:`adjacency`.
-
-    Preferred at scale: the dense form needs n^2 memory while review
-    graphs are sparse.
-    """
-    mode = graph.weighting if mode is None else mode
-    if mode not in WEIGHTING_MODES:
-        raise ValueError(f"unknown edge weighting {mode!r}")
+def adjacency_sparse(graph: PRGraph) -> sp.csr_array:
+    """Symmetric CSR adjacency with zero diagonal, weighted by ``graph.edge_weight``."""
     n = len(graph.nodes)
     rows, cols, vals = [], [], []
     for e in graph.edges:
-        w = 1.0 if mode == "binary" else float(len(e.co_reviewers))
+        w = graph.edge_weight(e)
         rows += [e.u, e.v]
         cols += [e.v, e.u]
         vals += [w, w]

@@ -12,32 +12,46 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
-from .clustering import TrainConfig, save_checkpoint, train, write_assignment
+from .clustering import (
+    TrainConfig,
+    TrainResult,
+    assign_clusters,
+    save_checkpoint,
+    train,
+    write_assignment,
+)
 from .graph import (
     WEIGHTING_MODES,
+    PRGraph,
     adjacency_sparse,
     build_graph,
+    connected_components,
     node_features,
     node_id_str,
     write_graph,
 )
-from .indicators import write_indicators
+from .indicators import CandidateGroup, extract_group, write_indicators
 from .reviews import DEDUPE_POLICIES, ReviewTable, dedupe, parse_reviews
 from .scoring import (
+    SIZE_BUCKET_WIDTH,
     Ranking,
     ScoredGroup,
     attach_precision,
-    extract_candidate_groups,
+    group_precision,
     rank_groups,
     score_groups,
     size_distribution,
 )
+
+SWEEP_TOP_N = 10
 
 
 class StageError(RuntimeError):
@@ -130,7 +144,12 @@ class PipelineConfig:
         try:
             built = {}
             for name, section_cls in sections.items():
-                section = dict(data.pop(name, {}))
+                section = data.pop(name, {})
+                if not isinstance(section, dict):
+                    raise ValueError(
+                        f"config section {name} must be an object, not {type(section).__name__}"
+                    )
+                section = dict(section)
                 if name == "train":
                     section.pop("seed", None)  # training seed is derived from the top seed
                 _check_keys(section_cls, section, prefix=f"{name}.")
@@ -142,14 +161,25 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_config_file(path))
 
     def config_hash(self) -> str:
         payload = self.to_dict()
         payload.pop("out", None)  # output location does not affect results
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
+
+
+def load_config_file(path) -> dict:
+    """The JSON object a config file holds; any other file is a "config" StageError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"top level must be a JSON object, not {type(data).__name__}")
+    except (OSError, ValueError) as err:  # ValueError: malformed JSON or text
+        raise StageError("config", ValueError(f"config file {path}: {err}")) from err
+    return data
 
 
 def _check_keys(section_cls, section: dict, prefix: str = "") -> None:
@@ -181,20 +211,53 @@ def load_table(config: PipelineConfig) -> tuple[ReviewTable, list, ReviewTable]:
     return raw, errors, dedupe(raw, config.dedupe_policy)
 
 
-@dataclass
-class DetectResult:
-    table: ReviewTable
-    graph: object
-    train_result: object
-    scored: list[ScoredGroup]
-    ranking: Ranking
-    config: PipelineConfig
-    train_seed: int
-
-
-def detect(table: ReviewTable, config: PipelineConfig) -> DetectResult:
-    """Graph build, clustering, extraction, scoring, ranking: one run."""
+@contextmanager
+def _stage(name: str):
+    """Report any failure inside the block as a StageError of that stage."""
     try:
+        yield
+    except StageError:
+        raise
+    except Exception as err:
+        raise StageError(name, err) from err
+
+
+def extract_candidate_groups(
+    graph: PRGraph, assignment, table: ReviewTable, config: PipelineConfig
+) -> list[CandidateGroup]:
+    """Clusters -> candidate groups, one per connected cluster piece.
+
+    A cluster that mixes disconnected subgraphs cannot describe one
+    collusive group (no co-review relation crosses the gap, and such a
+    mixture always has zero compactness), so each cluster is split into
+    its connected components before member extraction. Duplicate member
+    sets, which overlapping assignments can produce, keep only their
+    first occurrence. With group.split_components off, a whole cluster
+    yields one group.
+    """
+    clusters = assign_clusters(assignment, threshold=config.train.assign_threshold)
+    groups: list[CandidateGroup] = []
+    seen: set[frozenset[str]] = set()
+    for cluster_id in sorted(clusters):
+        if config.group.split_components:
+            pieces = connected_components(graph, clusters[cluster_id])
+        else:
+            pieces = [clusters[cluster_id]]
+        for piece in pieces:
+            group = extract_group(
+                piece, graph, table, min_support=config.group.min_support, source_cluster=cluster_id
+            )
+            if group is None or group.members in seen:
+                continue
+            seen.add(group.members)
+            group.group_id = len(groups)
+            groups.append(group)
+    return groups
+
+
+def _graph_stage(table: ReviewTable, config: PipelineConfig):
+    """The graph of a table, with the adjacency and node features training reads."""
+    with _stage("graph"):
         graph = build_graph(
             table,
             min_co_review=config.graph.min_co_review,
@@ -204,29 +267,38 @@ def detect(table: ReviewTable, config: PipelineConfig) -> DetectResult:
             raise ValueError(
                 "product-rating graph has no edges; lower min_co_review or check the data"
             )
-    except StageError:
-        raise
-    except Exception as err:
-        raise StageError("graph", err) from err
+    with _stage("train"):
+        return graph, adjacency_sparse(graph), node_features(graph)
 
-    train_seed = derive_train_seed(config.seed)
-    try:
-        adj = adjacency_sparse(graph)
-        feats = node_features(graph)
-        train_cfg = dataclasses.replace(config.train, seed=train_seed)
-        result = train(adj, feats, train_cfg)
-    except Exception as err:
-        raise StageError("train", err) from err
 
-    try:
-        groups = extract_candidate_groups(
-            graph,
-            result.assignment,
-            table,
-            min_support=config.group.min_support,
-            assign_threshold=config.train.assign_threshold,
-            split_components=config.group.split_components,
+def _cluster_stage(
+    graph: PRGraph, adj, feats, table: ReviewTable, config: PipelineConfig, n_clusters: int
+) -> tuple[TrainResult, list[CandidateGroup]]:
+    """Train k = n_clusters from the run's derived seed, then extract candidate groups."""
+    with _stage("train"):
+        train_cfg = dataclasses.replace(
+            config.train, seed=derive_train_seed(config.seed), n_clusters=n_clusters
         )
+        result = train(adj, feats, train_cfg)
+    with _stage("score"):
+        groups = extract_candidate_groups(graph, result.assignment, table, config)
+    return result, groups
+
+
+@dataclass
+class DetectResult:
+    graph: PRGraph
+    train_result: TrainResult
+    scored: list[ScoredGroup]
+    ranking: Ranking
+    config: PipelineConfig
+
+
+def detect(table: ReviewTable, config: PipelineConfig) -> DetectResult:
+    """Graph build, clustering, extraction, scoring, ranking: one run."""
+    graph, adj, feats = _graph_stage(table, config)
+    result, groups = _cluster_stage(graph, adj, feats, table, config, config.train.n_clusters)
+    with _stage("score"):
         if not groups:
             raise ValueError("no candidate groups were extracted from the clusters")
         scored = score_groups(
@@ -237,24 +309,42 @@ def detect(table: ReviewTable, config: PipelineConfig) -> DetectResult:
         )
         scored = attach_precision(scored, table)
         ranking = rank_groups(scored, size_floor=config.rank.size_floor)
-    except StageError:
-        raise
-    except Exception as err:
-        raise StageError("score", err) from err
-
     return DetectResult(
-        table=table,
         graph=graph,
         train_result=result,
         scored=scored,
         ranking=ranking,
         config=config,
-        train_seed=train_seed,
     )
 
 
-def _fmt(x: float | None) -> str:
-    return "n/a" if x is None else f"{x:.4f}"
+class SweepPoint(NamedTuple):
+    n_clusters: int
+    mean_top_precision: float | None
+    n_groups: int
+    partial: bool  # fewer than SWEEP_TOP_N candidate groups backed the mean
+
+
+def sweep(table: ReviewTable, config: PipelineConfig, k_list: Sequence[int]) -> list[SweepPoint]:
+    """Cluster-count sweep: detect's graph, train and extract stages at each k.
+
+    Skips indicator scoring; for each k the precisions of the best
+    SWEEP_TOP_N candidate groups are averaged. Requires labels.
+    """
+    if not table.has_labels():
+        raise StageError("sweep", ValueError("dataset has no labels; sweep needs them"))
+    graph, adj, feats = _graph_stage(table, config)
+    points = []
+    for k in k_list:
+        _, groups = _cluster_stage(graph, adj, feats, table, config, k)
+        precisions = sorted(
+            (p for p in (group_precision(g, table) for g in groups) if p is not None),
+            reverse=True,
+        )
+        best = precisions[:SWEEP_TOP_N]
+        mean = sum(best) / len(best) if best else None
+        points.append(SweepPoint(k, mean, len(groups), len(best) < SWEEP_TOP_N))
+    return points
 
 
 def write_manifest(path, result: DetectResult) -> None:
@@ -263,7 +353,7 @@ def write_manifest(path, result: DetectResult) -> None:
         "config": result.config.to_dict(),
         "config_hash": result.config.config_hash(),
         "seed": result.config.seed,
-        "derived_train_seed": result.train_seed,
+        "derived_train_seed": result.train_result.config.seed,
         "n_nodes": len(result.graph.nodes),
         "n_edges": len(result.graph.edges),
         "n_groups": len(result.scored),
@@ -304,34 +394,67 @@ def write_ranked_groups(path, result: DetectResult) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def format_precision(x: float | None) -> str:
+    """A precision as printed in every report: four decimals, or n/a without labels."""
+    return "n/a" if x is None else f"{x:.4f}"
+
+
+def _headline_lines(floor: int, headline: Sequence[tuple[int, float | None]]) -> list[str]:
+    """Headline count and top-group row; headline holds (size, precision) in rank order."""
+    top = f"{headline[0][0]}\t{format_precision(headline[0][1])}" if headline else "none\tn/a"
+    return [
+        f"headline groups (size >= {floor}): {len(headline)}",
+        "",
+        "top group",
+        "Group Size\tPrecision",
+        top,
+    ]
+
+
+def _histogram_lines(title: str, sizes: Iterable[int]) -> list[str]:
+    lines = [title, "bucket\tcount"]
+    for start, count in size_distribution(sizes).items():
+        lines.append(f"{start}-{start + SIZE_BUCKET_WIDTH - 1}\t{count}")
+    return lines
+
+
+def write_lines(path, lines: list[str]) -> str:
+    """Write lines as one newline-terminated text file; returns the text."""
+    text = "\n".join(lines) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
 def write_summary(path, result: DetectResult) -> None:
     """Plain-text report: top-group table, strongest groups, size histogram."""
     ranking = result.ranking
-    lines = []
-    lines.append(f"candidate groups: {len(ranking.full)}")
-    lines.append(f"headline groups (size >= {result.config.rank.size_floor}): {len(ranking.headline)}")
-    lines.append("")
-    lines.append("top group")
-    lines.append("Group Size\tPrecision")
-    if ranking.headline:
-        top = ranking.headline[0]
-        lines.append(f"{top.size}\t{_fmt(top.precision)}")
-    else:
-        lines.append("none\tn/a")
-    lines.append("")
-    lines.append("top 10 groups")
-    lines.append("rank\tgroup_id\tsize\tanomaly_score\tprecision")
+    lines = [f"candidate groups: {len(ranking.full)}"]
+    lines += _headline_lines(
+        result.config.rank.size_floor, [(sg.size, sg.precision) for sg in ranking.headline]
+    )
+    lines += ["", "top 10 groups", "rank\tgroup_id\tsize\tanomaly_score\tprecision"]
     for rank, sg in enumerate(ranking.headline[:10], start=1):
         lines.append(
-            f"{rank}\t{sg.group.group_id}\t{sg.size}\t{sg.anomaly_score:.4f}\t{_fmt(sg.precision)}"
+            f"{rank}\t{sg.group.group_id}\t{sg.size}\t{sg.anomaly_score:.4f}\t"
+            f"{format_precision(sg.precision)}"
         )
     lines.append("")
-    lines.append("group size distribution (all candidates)")
-    lines.append("bucket\tcount")
-    for start, count in size_distribution(sg.size for sg in ranking.full).items():
-        lines.append(f"{start}-{start + 9}\t{count}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += _histogram_lines(
+        "group size distribution (all candidates)", (sg.size for sg in ranking.full)
+    )
+    write_lines(path, lines)
+
+
+def write_eval_summary(path, rows: Sequence[tuple[int, int, int, float | None]], floor: int) -> str:
+    """Precision report of ranked (rank, group_id, size, precision) rows; returns its text."""
+    lines = [f"groups: {len(rows)}"]
+    lines += _headline_lines(floor, [(size, p) for _, _, size, p in rows if size >= floor])
+    lines += ["", "rank\tgroup_id\tsize\tprecision"]
+    for rank, gid, size, precision in rows:
+        lines.append(f"{rank}\t{gid}\t{size}\t{format_precision(precision)}")
+    lines.append("")
+    lines += _histogram_lines("group size distribution", (size for _, _, size, _ in rows))
+    return write_lines(path, lines)
 
 
 def write_detect_report(result: DetectResult, out_dir) -> dict[str, Path]:

@@ -12,9 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
-from .clustering import TrainConfig, assign_clusters, train
-from .graph import adjacency_sparse, build_graph, connected_components, node_features
-from .indicators import CandidateGroup, IndicatorVector, extract_group, group_indicators
+from .indicators import CandidateGroup, IndicatorVector, group_indicators
 from .reviews import LABEL_FAKE, ReviewTable, product_stats
 
 COMPACTNESS_WEIGHT = 3.0
@@ -157,90 +155,6 @@ def evaluate(
         top_precision=top.precision if top else None,
         histogram=size_distribution(sg.size for sg in ranking.full),
     )
-
-
-def extract_candidate_groups(
-    graph,
-    assignment,
-    table: ReviewTable,
-    min_support: int = 2,
-    assign_threshold: float = 0.2,
-    split_components: bool = True,
-) -> list[CandidateGroup]:
-    """Clusters -> candidate groups, one per connected cluster piece.
-
-    A cluster that mixes disconnected subgraphs cannot describe one
-    collusive group (no co-review relation crosses the gap, and such a
-    mixture always has zero compactness), so each cluster is split into
-    its connected components before member extraction. Duplicate member
-    sets, which overlapping assignments can produce, keep only their
-    first occurrence.
-    """
-    clusters = assign_clusters(assignment, threshold=assign_threshold)
-    groups: list[CandidateGroup] = []
-    seen: set[frozenset[str]] = set()
-    for cluster_id in sorted(clusters):
-        if split_components:
-            pieces = connected_components(graph, clusters[cluster_id])
-        else:
-            pieces = [clusters[cluster_id]]
-        for piece in pieces:
-            group = extract_group(
-                piece, graph, table, min_support=min_support, source_cluster=cluster_id
-            )
-            if group is None or group.members in seen:
-                continue
-            seen.add(group.members)
-            group.group_id = len(groups)
-            groups.append(group)
-    return groups
-
-
-class SweepPoint(NamedTuple):
-    n_clusters: int
-    mean_top_precision: float | None
-    n_groups: int
-    partial: bool  # fewer than 10 candidate groups backed the mean
-
-
-def cluster_sweep(
-    table: ReviewTable,
-    k_list: Sequence[int],
-    config: TrainConfig,
-    min_co_review: int = 2,
-    weighting: str = "co_review_count",
-    min_support: int = 2,
-    top_n: int = 10,
-) -> list[SweepPoint]:
-    """Cluster-count sweep: mean precision of the top groups per k.
-
-    Skips indicator ranking entirely; for each k the candidate groups'
-    precisions are computed and the best top_n averaged. Requires labels.
-    """
-    if not table.has_labels():
-        raise ValueError("cluster sweep needs labeled reviews")
-    graph = build_graph(table, min_co_review=min_co_review, weighting=weighting)
-    adj = adjacency_sparse(graph)
-    feats = node_features(graph)
-    points = []
-    for k in k_list:
-        cfg = replace(config, n_clusters=k)
-        result = train(adj, feats, cfg)
-        groups = extract_candidate_groups(
-            graph,
-            result.assignment,
-            table,
-            min_support=min_support,
-            assign_threshold=cfg.assign_threshold,
-        )
-        precisions = sorted(
-            (p for p in (group_precision(g, table) for g in groups) if p is not None),
-            reverse=True,
-        )
-        best = precisions[:top_n]
-        mean = sum(best) / len(best) if best else None
-        points.append(SweepPoint(k, mean, len(groups), len(best) < top_n))
-    return points
 
 
 def score_groups(

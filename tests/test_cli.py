@@ -215,6 +215,33 @@ def test_sweep_single_k_single_row(dataset, tmp_path):
     assert len((out / "sweep.tsv").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("split", [True, False])
+def test_sweep_and_detect_agree_on_group_count(dataset, tmp_path, split):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"group": {"split_components": split}}))
+    common = ["--input", str(dataset / "reviews.csv"), "--config", str(cfg_path), "--seed", "4"]
+    assert main(["detect", *common, "--out", str(tmp_path / "det")] + FAST_DETECT) == 0
+    # sweep at k = the detect run's --n-clusters
+    assert main(["sweep", *common, "--out", str(tmp_path / "sw"), "--k-list", "20"]
+                + FAST_DETECT) == 0
+    manifest = json.loads((tmp_path / "det" / "manifest.json").read_text())
+    assert manifest["config"]["train"]["n_clusters"] == 20
+    (row,) = (tmp_path / "sw" / "sweep.tsv").read_text().splitlines()[1:]
+    assert int(row.split("\t")[2]) == manifest["n_groups"]
+
+
+@pytest.mark.parametrize("k_list", ["8,1", "8,x", ","])
+def test_bad_k_list_fails_before_loading_the_table(tmp_path, capsys, k_list):
+    out = tmp_path / "out"
+    # the input does not exist, so reaching load_table would fail at "ingest"
+    rc = main(["sweep", "--input", str(tmp_path / "absent.csv"), "--out", str(out),
+               "--k-list", k_list])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "k-list" in err, err
+    assert not (out / "sweep.tsv").exists()
+
+
 def test_sweep_refuses_unlabeled(tmp_path, capsys):
     src = tmp_path / "r.csv"
     src.write_text("u1,p1,5,2014-01-01\nu2,p1,4,2014-01-02\n")
@@ -246,6 +273,13 @@ def test_eval_command(dataset, tmp_path):
     text = (out / "eval_summary.txt").read_text()
     assert "Group Size\tPrecision" in text
     assert "group size distribution" in text
+    # eval and detect share the headline/top-group block and the histogram rows
+    evaluated = text.splitlines()
+    summary = (det / "summary.txt").read_text().splitlines()
+    assert summary[3] == "top group"
+    assert evaluated[1:6] == summary[1:6]
+    histogram = summary[summary.index("bucket\tcount"):]
+    assert evaluated[evaluated.index("bucket\tcount"):] == histogram
 
 
 def test_eval_refuses_unlabeled(dataset, tmp_path, capsys):
@@ -334,6 +368,44 @@ def test_bad_config_file_fails_at_config_before_any_report(
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and named in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, flags, named",
+    [
+        (None, [], "absent.json"),
+        ('{"seed": 1,', [], "cfg.json"),
+        ("[1, 2]", [], "cfg.json"),
+        ('{"graph": null}', [], "section graph"),
+        ('{"graph": null}', ["--weighting", "binary"], "section graph"),
+    ],
+)
+def test_malformed_config_file_fails_at_config_before_any_report(
+    dataset, tmp_path, capsys, text, flags, named
+):
+    cfg_path = tmp_path / ("absent.json" if text is None else "cfg.json")
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out"
+    rc = main(
+        ["detect", "--config", str(cfg_path), "--input", str(dataset / "reviews.csv"),
+         "--out", str(out)] + flags
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and named in err, err
+    assert not out.exists()
+
+
+def test_synth_malformed_config_file_fails_at_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"synth": {"n_reviewers": 60,')
+    out = tmp_path / "out"
+    rc = main(["synth", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "cfg.json" in err, err
     assert not out.exists()
 
 

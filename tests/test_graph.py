@@ -7,7 +7,6 @@ import pytest
 
 from spamrings.graph import (
     PRGraph,
-    adjacency,
     adjacency_sparse,
     build_edges,
     build_graph,
@@ -24,6 +23,23 @@ D = datetime.date(2014, 1, 1)
 
 def table_from(rows):
     return ReviewTable([Review(u, p, r, D) for (u, p, r) in rows])
+
+
+def co_reviewers(graph, edge):
+    return graph.nodes[edge.u].reviewers & graph.nodes[edge.v].reviewers
+
+
+def dense_adjacency(graph):
+    """Oracle: dense adjacency straight from the node reviewer sets."""
+    adj = np.zeros((len(graph.nodes), len(graph.nodes)))
+    for e in graph.edges:
+        w = 1.0 if graph.weighting == "binary" else float(len(co_reviewers(graph, e)))
+        adj[e.u, e.v] = adj[e.v, e.u] = w
+    return adj
+
+
+def adjacency(graph):
+    return adjacency_sparse(graph).toarray()
 
 
 def test_build_nodes_definition():
@@ -52,7 +68,8 @@ def test_build_edges_threshold_and_attribute():
     nodes = build_nodes(table)
     edges = build_edges(nodes, min_co_review=1)
     assert len(edges) == 1
-    assert edges[0].co_reviewers == {"u1", "u2"}
+    assert edges[0].n_co_reviewers == 2
+    assert nodes[edges[0].u].reviewers & nodes[edges[0].v].reviewers == {"u1", "u2"}
     assert build_edges(nodes, min_co_review=3) == []
 
 
@@ -71,7 +88,8 @@ def test_co_rating_pair_lands_on_edge():
     (edge,) = graph.edges
     endpoints = {graph.nodes[edge.u].key, graph.nodes[edge.v].key}
     assert endpoints == {("p1", 4), ("p2", 2)}
-    assert edge.co_reviewers == {"alice", "bob"}
+    assert co_reviewers(graph, edge) == {"alice", "bob"}
+    assert edge.n_co_reviewers == 2
 
 
 def test_no_edge_within_same_product():
@@ -87,11 +105,12 @@ def test_adjacency_weighted_and_binary():
         [(u, p, 5) for u in ("a", "b", "c", "d") for p in ("p1", "p2")]
     )
     graph = build_graph(table, min_co_review=1)
-    adj = adjacency(graph, "co_review_count")
+    adj = adjacency(graph)
     assert adj.shape == (2, 2)
     assert adj[0, 1] == adj[1, 0] == 4.0
     assert adj[0, 0] == adj[1, 1] == 0.0
-    assert adjacency(graph, "binary")[0, 1] == 1.0
+    binary = build_graph(table, min_co_review=1, weighting="binary")
+    assert adjacency(binary)[0, 1] == 1.0
 
 
 def test_adjacency_edgeless_graph_is_zero():
@@ -105,8 +124,8 @@ def test_adjacency_binary_triangle_row_sums():
     for a, b in (("p1", "p2"), ("p2", "p3"), ("p1", "p3")):
         u = f"u_{a}_{b}"
         rows += [(u, a, 5), (u, b, 5)]
-    graph = build_graph(ReviewTable([Review(u, p, r, D) for u, p, r in rows]), min_co_review=1)
-    adj = adjacency(graph, "binary")
+    table = ReviewTable([Review(u, p, r, D) for u, p, r in rows])
+    adj = adjacency(build_graph(table, min_co_review=1, weighting="binary"))
     assert adj.shape == (3, 3)
     assert np.array_equal(adj.sum(axis=1), np.array([2.0, 2.0, 2.0]))
 
@@ -143,8 +162,8 @@ def test_shuffle_invariance():
     g1 = build_graph(ReviewTable(reviews), min_co_review=1)
     g2 = build_graph(ReviewTable(shuffled), min_co_review=1)
     assert [n.key for n in g1.nodes] == [n.key for n in g2.nodes]
-    assert [(e.u, e.v, e.co_reviewers) for e in g1.edges] == [
-        (e.u, e.v, e.co_reviewers) for e in g2.edges
+    assert [(e.u, e.v, e.n_co_reviewers) for e in g1.edges] == [
+        (e.u, e.v, e.n_co_reviewers) for e in g2.edges
     ]
     np.testing.assert_array_equal(adjacency(g1), adjacency(g2))
     np.testing.assert_array_equal(node_features(g1), node_features(g2))
@@ -156,14 +175,12 @@ def test_co_reviewers_subset_of_both_endpoints_and_exact():
     table = ReviewTable([Review(u, p, r, D) for (u, p), r in rows.items()])
     graph = build_graph(table, min_co_review=1)
     assert graph.edges, "instance should produce some edges"
-    adj = adjacency(graph, "co_review_count")
+    adj = adjacency(graph)
     for e in graph.edges:
         nu, nv = graph.nodes[e.u], graph.nodes[e.v]
-        assert e.co_reviewers <= nu.reviewers
-        assert e.co_reviewers <= nv.reviewers
-        assert e.co_reviewers == nu.reviewers & nv.reviewers
-        assert adj[e.u, e.v] == len(e.co_reviewers)
-    bin_adj = adjacency(graph, "binary")
+        assert e.n_co_reviewers == len(nu.reviewers & nv.reviewers)
+        assert adj[e.u, e.v] == e.n_co_reviewers
+    bin_adj = adjacency(build_graph(table, min_co_review=1, weighting="binary"))
     assert set(np.unique(bin_adj)) <= {0.0, 1.0}
 
 
@@ -171,9 +188,11 @@ def test_sparse_adjacency_matches_dense():
     rng = random.Random(31)
     rows = {(f"u{rng.randrange(20)}", f"p{rng.randrange(6)}"): rng.randrange(1, 6) for _ in range(150)}
     table = ReviewTable([Review(u, p, r, D) for (u, p), r in rows.items()])
-    graph = build_graph(table, min_co_review=1)
     for mode in ("binary", "co_review_count"):
-        np.testing.assert_array_equal(adjacency_sparse(graph, mode).toarray(), adjacency(graph, mode))
+        graph = build_graph(table, min_co_review=1, weighting=mode)
+        sparse = adjacency_sparse(graph)
+        assert sparse.format == "csr"
+        np.testing.assert_array_equal(sparse.toarray(), dense_adjacency(graph))
 
 
 def test_connected_components_of_subset():
@@ -196,7 +215,7 @@ def test_bad_weighting_mode_rejected():
         PRGraph(nodes=[], edges=[], weighting="huh")
     table = table_from([("u1", "p1", 5)])
     with pytest.raises(ValueError):
-        adjacency(build_graph(table), "huh")
+        build_graph(table, weighting="huh")
 
 
 def test_min_co_review_must_be_positive():

@@ -6,6 +6,7 @@ import pytest
 from spamrings.clustering import TrainConfig
 from spamrings.graph import build_graph
 from spamrings.indicators import IndicatorVector, group_from_table, group_indicators
+from spamrings.pipeline import GroupConfig, PipelineConfig, StageError, sweep
 from spamrings.reviews import (
     LABEL_FAKE,
     LABEL_GENUINE,
@@ -18,7 +19,6 @@ from spamrings.scoring import (
     EvalReport,
     anomaly_score,
     attach_precision,
-    cluster_sweep,
     evaluate,
     group_precision,
     normalize_scores,
@@ -245,26 +245,32 @@ def sweep_table():
 
 def test_cluster_sweep_shape_and_determinism():
     table = sweep_table()
-    cfg = TrainConfig(n_clusters=8, seed=2, epochs=120)
-    points = cluster_sweep(table, [4, 8], cfg)
+    cfg = PipelineConfig(seed=2, train=TrainConfig(n_clusters=8, epochs=120))
+    points = sweep(table, cfg, [4, 8])
     assert [p.n_clusters for p in points] == [4, 8]
     for p in points:
         assert p.mean_top_precision is None or 0.0 <= p.mean_top_precision <= 1.0
         assert (p.n_groups < 10) == p.partial or p.n_groups >= 10
-    again = cluster_sweep(table, [4, 8], cfg)
+    again = sweep(table, cfg, [4, 8])
     assert points == again
 
 
 def test_cluster_sweep_flags_partial_mean():
+    # unsplit clusters give at most k = 3 groups, fewer than the top 10 the mean needs
     table = sweep_table()
-    points = cluster_sweep(table, [3], TrainConfig(n_clusters=3, seed=1, epochs=80), top_n=1000)
-    assert points[0].partial
+    cfg = PipelineConfig(
+        seed=1, train=TrainConfig(epochs=80), group=GroupConfig(split_components=False)
+    )
+    (point,) = sweep(table, cfg, [3])
+    assert point.n_groups <= 3
+    assert point.partial
 
 
 def test_cluster_sweep_requires_labels():
     reviews = [Review("a", "p", 5, day(0)), Review("b", "p", 4, day(1))]
-    with pytest.raises(ValueError):
-        cluster_sweep(ReviewTable(reviews), [2], TrainConfig(n_clusters=2))
+    with pytest.raises(StageError) as exc:
+        sweep(ReviewTable(reviews), PipelineConfig(), [2])
+    assert exc.value.stage == "sweep"
 
 
 # ------------------------------------------------- planted vs background Π
