@@ -16,6 +16,7 @@ from pathlib import Path
 from .graph import WEIGHTING_MODES
 from .indicators import group_from_table
 from .pipeline import (
+    INPUT_DELIMITERS,
     PipelineConfig,
     StageError,
     detect,
@@ -36,7 +37,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="top-level seed (stage seeds derive from it)")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--format", choices=("csv", "tsv"), help="input delimiter family")
+    parser.add_argument("--format", choices=tuple(INPUT_DELIMITERS), help="input delimiter family")
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:

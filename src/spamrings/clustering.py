@@ -5,9 +5,11 @@ features to k cluster logits; row-softmax gives a soft assignment C. The
 training objective is negative modularity, -(1/2m) Tr(Cᵀ B C), plus a
 collapse regularizer (sqrt(k)/n) * ||column sums of C||₂ - 1 that is zero
 at the uniform assignment and sqrt(k) - 1 when everything lands in one
-cluster. Everything is plain numpy with hand-written gradients so runs
-are bit-reproducible for a fixed seed; a finite-difference check guards
-the backward pass.
+cluster. Training runs on the active subgraph, the nodes with at least
+one edge, so n counts active nodes; one forward pass of the trained
+network then assigns every node. Everything is plain numpy with
+hand-written gradients so runs are bit-reproducible for a fixed seed; a
+finite-difference check guards the backward pass.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -217,15 +219,36 @@ def _loss_and_assignment_grad(assignment, adj, deg, two_m, collapse_weight):
 
 @dataclass
 class TrainResult:
-    assignment: np.ndarray
-    loss_trace: list[float]
+    assignment: np.ndarray  # every node of the graph, active or isolated
+    loss_trace: list[float]  # loss on the active subgraph, as are the two below
     params: GCNParams
     config: TrainConfig
     initial_loss: float
     final_loss: float
+    n_train_nodes: int  # active nodes, the ones the epochs ran on
 
 
-def _prepare(adj, features, config: TrainConfig):
+class _Problem(NamedTuple):
+    """The loss on the active subgraph, and the full graph the final pass assigns."""
+
+    adj: sp.csr_array  # loss adjacency among active nodes
+    deg: np.ndarray
+    two_m: float
+    adj_norm: sp.csr_array  # propagation matrix among active nodes
+    feats: np.ndarray  # feature rows of the active nodes
+    full_adj_norm: sp.csr_array
+    full_feats: np.ndarray
+
+
+def _prepare(adj, features, config: TrainConfig) -> _Problem:
+    """Restrict the loss and the propagation to the active nodes.
+
+    A node is active when its degree in adj is positive; the self-loops
+    that add_self_loops puts into the propagation matrix do not count. An
+    isolated node has no modularity gradient and feeds no other node's
+    forward pass, so leaving it out changes only the collapse term, whose
+    n and column sums then count active nodes.
+    """
     adj_sp = sp.csr_array(adj).astype(np.float64)
     deg = np.asarray(adj_sp.sum(axis=1)).ravel()
     two_m = float(deg.sum())
@@ -234,8 +257,17 @@ def _prepare(adj, features, config: TrainConfig):
     feats = np.asarray(features, dtype=np.float64)
     if feats.shape[0] != adj_sp.shape[0]:
         raise ValueError("features and adjacency disagree on node count")
-    adj_norm = normalized_adjacency(adj_sp, add_self_loops=config.add_self_loops)
-    return adj_sp, adj_norm, deg, two_m, feats
+    active = np.flatnonzero(deg > 0)
+    sub = adj_sp[active][:, active]
+    return _Problem(
+        adj=sub,
+        deg=deg[active],
+        two_m=two_m,
+        adj_norm=normalized_adjacency(sub, add_self_loops=config.add_self_loops),
+        feats=feats[active],
+        full_adj_norm=normalized_adjacency(adj_sp, add_self_loops=config.add_self_loops),
+        full_feats=feats,
+    )
 
 
 def _seeded_init(feats, config: TrainConfig) -> tuple[GCNParams, np.random.Generator]:
@@ -246,20 +278,28 @@ def _seeded_init(feats, config: TrainConfig) -> tuple[GCNParams, np.random.Gener
     return params, np.random.Generator(np.random.PCG64(drop_seq))
 
 
+def _loss_at(prob: _Problem, params: GCNParams, config: TrainConfig) -> float:
+    """Dropout-free loss of the active subgraph."""
+    _, _, assignment, _ = _forward(prob.adj_norm, prob.feats, params)
+    loss, _ = _loss_and_assignment_grad(
+        assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
+    )
+    return loss
+
+
 def train(adj, features, config: TrainConfig) -> TrainResult:
     """Full-batch Adam on the clustering loss; deterministic per seed.
 
-    Dropout masks are drawn each epoch from a dedicated stream during
-    training; the returned assignment is a dropout-free forward pass of
-    the final parameters. Raises RuntimeError if the loss stops being
-    finite.
+    Every epoch runs on the active subgraph (see _prepare). Dropout masks
+    are drawn each epoch from a dedicated stream; the returned assignment
+    is a dropout-free forward pass of the final parameters over the full
+    graph, where an isolated node's row comes from the skip path alone.
+    Raises RuntimeError if the loss stops being finite.
     """
-    adj_sp, adj_norm, deg, two_m, feats = _prepare(adj, features, config)
-    n = feats.shape[0]
-    params, drop_rng = _seeded_init(feats, config)
-
-    _, _, assign0, _ = _forward(adj_norm, feats, params)
-    initial_loss, _ = _loss_and_assignment_grad(assign0, adj_sp, deg, two_m, config.collapse_weight)
+    prob = _prepare(adj, features, config)
+    n = prob.feats.shape[0]
+    params, drop_rng = _seeded_init(prob.feats, config)
+    initial_loss = _loss_at(prob, params, config)
 
     flat = params.weights + params.skip_weights
     m_state = [np.zeros_like(p) for p in flat]
@@ -276,15 +316,15 @@ def train(adj, features, config: TrainConfig) -> TrainResult:
                 (drop_rng.random(size=(n, width)) < keep).astype(np.float64) / keep
                 for width in hidden_sizes
             ]
-        _, _, assignment, cache = _forward(adj_norm, feats, params, masks)
+        _, _, assignment, cache = _forward(prob.adj_norm, prob.feats, params, masks)
         loss, d_assign = _loss_and_assignment_grad(
-            assignment, adj_sp, deg, two_m, config.collapse_weight
+            assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
         )
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={loss!r}")
         loss_trace.append(float(loss))
         d_logits = _softmax_backward(assignment, d_assign)
-        grads_w, grads_ws = _backward(adj_norm, params, cache, d_logits, masks)
+        grads_w, grads_ws = _backward(prob.adj_norm, params, cache, d_logits, masks)
         step = epoch + 1
         for p, g, m, v in zip(flat, grads_w + grads_ws, m_state, v_state):
             m *= beta1
@@ -295,41 +335,39 @@ def train(adj, features, config: TrainConfig) -> TrainResult:
             v_hat = v / (1 - beta2**step)
             p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    _, _, final_assignment, _ = _forward(adj_norm, feats, params)
-    final_loss, _ = _loss_and_assignment_grad(
-        final_assignment, adj_sp, deg, two_m, config.collapse_weight
-    )
+    _, _, final_assignment, _ = _forward(prob.full_adj_norm, prob.full_feats, params)
     return TrainResult(
         assignment=final_assignment,
         loss_trace=loss_trace,
         params=params,
         config=config,
         initial_loss=float(initial_loss),
-        final_loss=float(final_loss),
+        final_loss=float(_loss_at(prob, params, config)),
+        n_train_nodes=n,
     )
 
 
 def gradient_check(adj, features, config: TrainConfig, step: float = 1e-5) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
-    Runs the dropout-free loss at the seeded initial parameters and
-    perturbs every entry of every weight block. Intended for small
-    instances; cost is two forward passes per parameter. Note the SeLU
+    Runs the dropout-free loss that train optimizes, on the same active
+    subgraph, at the seeded initial parameters and perturbs every entry
+    of every weight block. Intended for small instances; cost is two
+    forward passes per parameter. Note the SeLU
     kink: an instance with a pre-activation within ~step of zero makes
     the central difference straddle two branches, inflating the reported
     error for that entry.
     """
-    adj_sp, adj_norm, deg, two_m, feats = _prepare(adj, features, config)
-    params, _ = _seeded_init(feats, config)
+    prob = _prepare(adj, features, config)
+    params, _ = _seeded_init(prob.feats, config)
 
-    def loss_at() -> float:
-        _, _, assignment, _ = _forward(adj_norm, feats, params)
-        loss, _ = _loss_and_assignment_grad(assignment, adj_sp, deg, two_m, config.collapse_weight)
-        return loss
-
-    _, _, assignment, cache = _forward(adj_norm, feats, params)
-    _, d_assign = _loss_and_assignment_grad(assignment, adj_sp, deg, two_m, config.collapse_weight)
-    grads_w, grads_ws = _backward(adj_norm, params, cache, _softmax_backward(assignment, d_assign))
+    _, _, assignment, cache = _forward(prob.adj_norm, prob.feats, params)
+    _, d_assign = _loss_and_assignment_grad(
+        assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
+    )
+    grads_w, grads_ws = _backward(
+        prob.adj_norm, params, cache, _softmax_backward(assignment, d_assign)
+    )
 
     worst = 0.0
     for block, grad in zip(params.weights + params.skip_weights, grads_w + grads_ws):
@@ -338,9 +376,9 @@ def gradient_check(adj, features, config: TrainConfig, step: float = 1e-5) -> fl
             idx = it.multi_index
             orig = block[idx]
             block[idx] = orig + step
-            up = loss_at()
+            up = _loss_at(prob, params, config)
             block[idx] = orig - step
-            down = loss_at()
+            down = _loss_at(prob, params, config)
             block[idx] = orig
             fd = (up - down) / (2 * step)
             a = grad[idx]

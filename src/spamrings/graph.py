@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from .reviews import ReviewTable
 
 WEIGHTING_MODES = ("binary", "co_review_count")
+DEFAULT_WEIGHTING = "co_review_count"
 
 NUM_RATING_LEVELS = 5
 FEATURE_DIM = NUM_RATING_LEVELS + 2
@@ -50,7 +51,7 @@ class PREdge:
 class PRGraph:
     nodes: list[PRNode]
     edges: list[PREdge]
-    weighting: str = "co_review_count"
+    weighting: str = DEFAULT_WEIGHTING
     index: dict[tuple[str, int], int] = field(init=False)
 
     def __post_init__(self):
@@ -111,7 +112,7 @@ def build_edges(nodes: list[PRNode], min_co_review: int = 2) -> list[PREdge]:
 def build_graph(
     table: ReviewTable,
     min_co_review: int = 2,
-    weighting: str = "co_review_count",
+    weighting: str = DEFAULT_WEIGHTING,
 ) -> PRGraph:
     nodes = build_nodes(table)
     edges = build_edges(nodes, min_co_review=min_co_review)

@@ -29,6 +29,7 @@ from .clustering import (
     write_assignment,
 )
 from .graph import (
+    DEFAULT_WEIGHTING,
     WEIGHTING_MODES,
     PRGraph,
     adjacency_sparse,
@@ -38,9 +39,16 @@ from .graph import (
     node_id_str,
     write_graph,
 )
-from .indicators import CandidateGroup, extract_group, write_indicators
+from .indicators import (
+    DEFAULT_BURST_THRESHOLD_DAYS,
+    CandidateGroup,
+    extract_group,
+    write_indicators,
+)
 from .reviews import DEDUPE_POLICIES, ReviewTable, dedupe, parse_reviews
 from .scoring import (
+    COMPACTNESS_WEIGHT,
+    DEFAULT_SIZE_FLOOR,
     SIZE_BUCKET_WIDTH,
     Ranking,
     ScoredGroup,
@@ -52,6 +60,7 @@ from .scoring import (
 )
 
 SWEEP_TOP_N = 10
+INPUT_DELIMITERS = {"csv": ",", "tsv": "\t"}  # input format -> field delimiter
 
 
 class StageError(RuntimeError):
@@ -66,7 +75,7 @@ class StageError(RuntimeError):
 @dataclass
 class GraphConfig:
     min_co_review: int = 2
-    weighting: str = "co_review_count"
+    weighting: str = DEFAULT_WEIGHTING
     dump: bool = False
 
     def __post_init__(self):
@@ -90,8 +99,8 @@ class GroupConfig:
 
 @dataclass
 class RankConfig:
-    size_floor: int = 20
-    compactness_weight: float = 3.0
+    size_floor: int = DEFAULT_SIZE_FLOOR
+    compactness_weight: float = COMPACTNESS_WEIGHT
 
     def __post_init__(self):
         if self.size_floor < 0:
@@ -108,13 +117,17 @@ class PipelineConfig:
     dedupe_policy: str = "keep_latest"
     seed: int = 0
     out: str = "out"
-    burst_tau_days: int = 30
+    burst_tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS
     graph: GraphConfig = field(default_factory=GraphConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     group: GroupConfig = field(default_factory=GroupConfig)
     rank: RankConfig = field(default_factory=RankConfig)
 
     def __post_init__(self):
+        if self.format not in INPUT_DELIMITERS:
+            raise ValueError(
+                f"format must be one of {tuple(INPUT_DELIMITERS)}, got {self.format!r}"
+            )
         if self.burst_tau_days < 1:
             raise ValueError("burst_tau_days must be >= 1")
         if self.dedupe_policy not in DEDUPE_POLICIES:
@@ -123,9 +136,7 @@ class PipelineConfig:
             )
 
     def delimiter(self) -> str:
-        if self.format not in ("csv", "tsv"):
-            raise ValueError(f"unknown input format {self.format!r}")
-        return "," if self.format == "csv" else "\t"
+        return INPUT_DELIMITERS[self.format]
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -356,6 +367,8 @@ def write_manifest(path, result: DetectResult) -> None:
         "derived_train_seed": result.train_result.config.seed,
         "n_nodes": len(result.graph.nodes),
         "n_edges": len(result.graph.edges),
+        "n_train_nodes": result.train_result.n_train_nodes,
+        "n_isolated_nodes": len(result.graph.nodes) - result.train_result.n_train_nodes,
         "n_groups": len(result.scored),
         "initial_loss": result.train_result.initial_loss,
         "final_loss": result.train_result.final_loss,

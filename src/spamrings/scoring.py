@@ -1,4 +1,4 @@
-"""Score normalization, anomaly ranking, and label-based evaluation.
+"""Score normalization, anomaly ranking, and label-based precision.
 
 Compactness, rating deviation, and burstness are min-max scaled across
 the whole candidate population of a run, then combined into the anomaly
@@ -12,7 +12,12 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
-from .indicators import CandidateGroup, IndicatorVector, group_indicators
+from .indicators import (
+    DEFAULT_BURST_THRESHOLD_DAYS,
+    CandidateGroup,
+    IndicatorVector,
+    group_indicators,
+)
 from .reviews import LABEL_FAKE, ReviewTable, product_stats
 
 COMPACTNESS_WEIGHT = 3.0
@@ -123,44 +128,16 @@ def attach_precision(scored: Sequence[ScoredGroup], table: ReviewTable) -> list[
     return [replace(sg, precision=group_precision(sg.group, table)) for sg in scored]
 
 
-def size_distribution(sizes: Iterable[int], top_n: int | None = None) -> dict[int, int]:
-    """Counts of group sizes in fixed-width buckets keyed by bucket start.
-
-    Pass ranked sizes with top_n to restrict to the strongest groups.
-    """
-    values = list(sizes)
-    if top_n is not None:
-        values = values[:top_n]
-    counts = Counter((s // SIZE_BUCKET_WIDTH) * SIZE_BUCKET_WIDTH for s in values)
+def size_distribution(sizes: Iterable[int]) -> dict[int, int]:
+    """Counts of group sizes in fixed-width buckets keyed by bucket start."""
+    counts = Counter((s // SIZE_BUCKET_WIDTH) * SIZE_BUCKET_WIDTH for s in sizes)
     return dict(sorted(counts.items()))
-
-
-@dataclass
-class EvalReport:
-    ranked: list[ScoredGroup]
-    top_size: int | None
-    top_precision: float | None
-    histogram: dict[int, int]
-
-
-def evaluate(
-    scored: Sequence[ScoredGroup], table: ReviewTable, size_floor: int = DEFAULT_SIZE_FLOOR
-) -> EvalReport:
-    """Precision-annotated ranking plus the headline top-group row."""
-    ranking = rank_groups(attach_precision(scored, table), size_floor)
-    top = ranking.headline[0] if ranking.headline else None
-    return EvalReport(
-        ranked=ranking.full,
-        top_size=top.size if top else None,
-        top_precision=top.precision if top else None,
-        histogram=size_distribution(sg.size for sg in ranking.full),
-    )
 
 
 def score_groups(
     groups: Sequence[CandidateGroup],
     table: ReviewTable,
-    tau_days: int = 30,
+    tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS,
     compactness_weight: float = COMPACTNESS_WEIGHT,
 ) -> list[ScoredGroup]:
     """Indicators + normalization + anomaly scores for a set of candidates."""

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spamrings.cli import main
+from spamrings.graph import adjacency_sparse, build_graph
 from spamrings.pipeline import PipelineConfig, StageError, derive_train_seed, detect, load_table
 from spamrings.reviews import parse_reviews
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate, write_ground_truth
@@ -137,6 +139,21 @@ def test_detect_reports(dataset, tmp_path):
     assert [r["rank"] for r in records] == list(range(1, len(records) + 1))
     scores = [r["anomaly_score"] for r in records]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_manifest_counts_isolated_and_train_nodes(dataset, tmp_path):
+    out = tmp_path / "det"
+    rc = main(
+        ["detect", "--input", str(dataset / "reviews.csv"), "--out", str(out), "--seed", "5"]
+        + FAST_DETECT
+    )
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    _, _, table = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
+    degree = np.asarray(adjacency_sparse(build_graph(table)).sum(axis=1)).ravel()
+    assert manifest["n_nodes"] == len(degree)
+    assert manifest["n_isolated_nodes"] + manifest["n_train_nodes"] == manifest["n_nodes"]
+    assert manifest["n_isolated_nodes"] == np.count_nonzero(degree == 0) > 0
 
 
 REPORT_FILES = ("ranked_groups.jsonl", "summary.txt", "indicators.tsv", "assignment.csv")
@@ -353,6 +370,7 @@ def test_bad_flag_fails_at_config_before_any_report(dataset, tmp_path, capsys, f
         ({"graph": {"weighting": "cubic"}}, "weighting"),
         ({"dedupe_policy": "keep_any"}, "dedupe_policy"),
         ({"burst_tau_days": 0}, "burst_tau_days"),
+        ({"format": "xml"}, "format"),
     ],
 )
 def test_bad_config_file_fails_at_config_before_any_report(

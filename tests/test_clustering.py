@@ -16,7 +16,11 @@ from spamrings.clustering import (
     train,
     write_assignment,
 )
+from spamrings.graph import adjacency_sparse
 from spamrings.modularity import modularity, modularity_matrix, one_hot
+from spamrings.pipeline import PipelineConfig, detect
+from spamrings.reviews import dedupe
+from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
 
 
 def random_adjacency(rng, n, p=0.5, weighted=False):
@@ -275,6 +279,98 @@ def test_train_config_validation():
         TrainConfig(dropout_rate=1.0)
     with pytest.raises(ValueError):
         TrainConfig(assign_threshold=0.0)
+
+
+# ------------------------------------------------- training on active nodes
+
+
+def pad_with_isolated(adj, feats, rng, positions):
+    """The graph with an isolated node inserted before each given original index."""
+    n = adj.shape[0] + len(positions)
+    keep = np.delete(np.arange(n), [p + i for i, p in enumerate(sorted(positions))])
+    padded = np.zeros((n, n))
+    padded[np.ix_(keep, keep)] = adj
+    padded_feats = rng.normal(scale=3.0, size=(n, feats.shape[1]))
+    padded_feats[keep] = feats
+    return padded, padded_feats, keep
+
+
+def connected_random_graph(rng, n):
+    adj = random_adjacency(rng, n, p=0.3, weighted=True)
+    for i in range(n):  # a ring keeps every node's degree positive
+        j = (i + 1) % n
+        adj[i, j] = adj[j, i] = max(adj[i, j], 1.0)
+    return adj
+
+
+def test_isolated_nodes_leave_training_unchanged():
+    rng = np.random.default_rng(21)
+    adj = connected_random_graph(rng, 12)
+    feats = rng.normal(size=(12, 5))
+    padded, padded_feats, keep = pad_with_isolated(adj, feats, rng, [0, 5, 5, 12])
+    cfg = TrainConfig(n_clusters=3, hidden_width=8, epochs=40, seed=6)
+    base = train(adj, feats, cfg)
+    result = train(padded, padded_feats, cfg)
+    assert result.loss_trace == base.loss_trace
+    assert result.initial_loss == base.initial_loss
+    assert result.final_loss == base.final_loss
+    assert (result.n_train_nodes, base.n_train_nodes) == (12, 12)
+    for a, b in zip(
+        result.params.weights + result.params.skip_weights,
+        base.params.weights + base.params.skip_weights,
+    ):
+        np.testing.assert_array_equal(a, b)
+    assert result.assignment.shape == (16, 3)
+    np.testing.assert_allclose(result.assignment[keep], base.assignment, rtol=0, atol=1e-12)
+
+
+def test_isolated_rows_come_from_a_full_forward_pass():
+    rng = np.random.default_rng(22)
+    adj = connected_random_graph(rng, 10)
+    padded, feats, keep = pad_with_isolated(adj, rng.normal(size=(10, 4)), rng, [3, 10])
+    result = train(padded, feats, TrainConfig(n_clusters=3, hidden_width=6, epochs=30, seed=2))
+    _, _, full = gcn_forward(normalized_adjacency(padded), feats, result.params)
+    isolated = np.setdiff1d(np.arange(12), keep)
+    np.testing.assert_array_equal(result.assignment[isolated], full[isolated])
+    # no neighbours: an isolated row is the skip path alone
+    ws = result.params.skip_weights
+    skip_only = selu(feats[isolated] @ ws[0]) @ ws[1]
+    skip_only = np.exp(skip_only - skip_only.max(axis=1, keepdims=True))
+    skip_only /= skip_only.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(result.assignment[isolated], skip_only, rtol=0, atol=1e-12)
+
+
+def test_gradient_check_with_isolated_nodes():
+    rng = np.random.default_rng(23)
+    adj = connected_random_graph(rng, 8)
+    padded, feats, _ = pad_with_isolated(adj, rng.normal(size=(8, 5)), rng, [0, 4, 8])
+    cfg = TrainConfig(n_clusters=3, hidden_width=7, seed=3)
+    assert gradient_check(padded, feats, cfg) <= 1e-4
+
+
+def test_min_support_one_keeps_a_group_per_isolated_reviewer_set():
+    table, _ = generate(
+        SynthConfig(
+            n_reviewers=300,
+            n_products=80,
+            reviews_per_reviewer=4,
+            horizon_days=360,
+            planted=[PlantedGroupConfig(size=22, n_targets=4)],
+            seed=9,
+        )
+    )
+    config = PipelineConfig(input="synthetic", seed=5)
+    config.train.epochs = 60
+    config.train.n_clusters = 20
+    config.group.min_support = 1
+    result = detect(dedupe(table), config)
+    degree = np.asarray(adjacency_sparse(result.graph).sum(axis=1)).ravel()
+    isolated_sets = {result.graph.nodes[i].reviewers for i in np.flatnonzero(degree == 0)}
+    assert result.train_result.n_train_nodes == np.count_nonzero(degree)
+    assert len(isolated_sets) > 100
+    members = [sg.group.members for sg in result.scored]
+    assert len(members) == len(set(members))
+    assert isolated_sets <= set(members)
 
 
 # ------------------------------------------------------------ gradient check

@@ -6,7 +6,7 @@ import pytest
 from spamrings.clustering import TrainConfig
 from spamrings.graph import build_graph
 from spamrings.indicators import IndicatorVector, group_from_table, group_indicators
-from spamrings.pipeline import GroupConfig, PipelineConfig, StageError, sweep
+from spamrings.pipeline import GroupConfig, PipelineConfig, StageError, sweep, write_eval_summary
 from spamrings.reviews import (
     LABEL_FAKE,
     LABEL_GENUINE,
@@ -16,10 +16,8 @@ from spamrings.reviews import (
     product_stats,
 )
 from spamrings.scoring import (
-    EvalReport,
     anomaly_score,
     attach_precision,
-    evaluate,
     group_precision,
     normalize_scores,
     rank_groups,
@@ -195,25 +193,28 @@ def test_size_distribution_buckets():
 
 
 def test_size_distribution_top_n_and_conservation():
+    # ranked sizes, cut to the strongest group by the caller
     sizes = [25, 25, 60, 31, 44]
-    assert size_distribution(sizes, top_n=1) == {20: 1}
+    assert size_distribution(sizes[:1]) == {20: 1}
     assert sum(size_distribution(sizes).values()) == len(sizes)
 
 
 # ------------------------------------------------------------------ evaluate
 
 
-def test_evaluate_report_top_row():
+def test_evaluate_report_top_row(tmp_path):
     table = precision_table()
     items = [
         (group_from_table([f"m{i:02d}" for i in range(25)], table), vec(1.0, 0.5, 0.5)),
         (group_from_table(["m00", "m01"], table), vec(0.2)),
     ]
-    report = evaluate(normalize_scores(items), table, size_floor=20)
-    assert isinstance(report, EvalReport)
-    assert report.top_size == 25
-    assert report.top_precision == pytest.approx(0.76)
-    assert sum(report.histogram.values()) == 2
+    ranking = rank_groups(attach_precision(normalize_scores(items), table), size_floor=20)
+    rows = [(r, sg.group.group_id, sg.size, sg.precision) for r, sg in enumerate(ranking.full, 1)]
+    lines = write_eval_summary(tmp_path / "eval_summary.txt", rows, floor=20).splitlines()
+    top = lines.index("Group Size\tPrecision") + 1
+    assert lines[top] == "25\t0.7600"
+    histogram = lines[lines.index("bucket\tcount") + 1 :]
+    assert sum(int(line.split("\t")[1]) for line in histogram) == 2
 
 
 def test_attach_precision_preserves_order():
