@@ -21,6 +21,7 @@ from .pipeline import (
     StageError,
     detect,
     format_precision,
+    ingest_counts,
     load_config_file,
     load_table,
     sweep,
@@ -170,9 +171,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_detect(args) -> int:
     config = _pipeline_config(args)
-    _, _, table = load_table(config)
+    raw, errors, table = load_table(config)
     result = detect(table, config)
-    paths = write_detect_report(result, config.out)
+    paths = write_detect_report(result, config.out, ingest_counts(raw, errors, table))
     top = result.ranking.headline[0] if result.ranking.headline else None
     sys.stdout.write(
         f"groups: {len(result.scored)} headline: {len(result.ranking.headline)}\n"

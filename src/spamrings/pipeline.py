@@ -358,8 +358,18 @@ def sweep(table: ReviewTable, config: PipelineConfig, k_list: Sequence[int]) -> 
     return points
 
 
-def write_manifest(path, result: DetectResult) -> None:
+def ingest_counts(raw: ReviewTable, errors: list, table: ReviewTable) -> dict[str, int]:
+    """The manifest's ingest counts, from the result of :func:`load_table`."""
+    return {
+        "n_rows_parsed": len(raw),
+        "n_row_errors": len(errors),
+        "n_duplicates_removed": len(raw) - len(table),
+    }
+
+
+def write_manifest(path, result: DetectResult, ingest: dict[str, int]) -> None:
     manifest = {
+        **ingest,
         "package_version": __version__,
         "config": result.config.to_dict(),
         "config_hash": result.config.config_hash(),
@@ -470,8 +480,11 @@ def write_eval_summary(path, rows: Sequence[tuple[int, int, int, float | None]],
     return write_lines(path, lines)
 
 
-def write_detect_report(result: DetectResult, out_dir) -> dict[str, Path]:
-    """All artifacts of a detection run; returns the path of each."""
+def write_detect_report(result: DetectResult, out_dir, ingest: dict[str, int]) -> dict[str, Path]:
+    """All artifacts of a detection run; returns the path of each.
+
+    ``ingest`` holds the :func:`ingest_counts` of the table the run read.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -482,7 +495,7 @@ def write_detect_report(result: DetectResult, out_dir) -> dict[str, Path]:
         "assignment": out / "assignment.csv",
         "checkpoint": out / "checkpoint.npz",
     }
-    write_manifest(paths["manifest"], result)
+    write_manifest(paths["manifest"], result, ingest)
     write_ranked_groups(paths["ranked"], result)
     write_summary(paths["summary"], result)
     write_indicators(

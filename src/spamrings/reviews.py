@@ -12,7 +12,9 @@ import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date as _date
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple
 
 LABEL_FAKE = "fake"
 LABEL_GENUINE = "genuine"
@@ -33,8 +35,7 @@ DEFAULT_LABEL_MAP = {
 DEFAULT_LABEL_TOKENS = {LABEL_FAKE: "-1", LABEL_GENUINE: "1", LABEL_UNKNOWN: ""}
 
 
-@dataclass(frozen=True)
-class Review:
+class Review(NamedTuple):
     """One reviewer's rating of one product."""
 
     reviewer_id: str
@@ -49,22 +50,31 @@ class RowError(NamedTuple):
     message: str
 
 
+def _index(reviews: list[Review], key: Callable[[Review], str]) -> dict[str, list[Review]]:
+    index: dict[str, list[Review]] = defaultdict(list)
+    for r in reviews:
+        index[key(r)].append(r)
+    return dict(index)
+
+
 class ReviewTable:
     """A sequence of reviews indexed by reviewer and by product.
 
     Treated as immutable once built; indexes are plain dicts of lists in
-    input order.
+    input order, each built on first use (a table that is only counted or
+    deduped never builds them).
     """
 
     def __init__(self, reviews: Iterable[Review]):
         self.reviews: list[Review] = list(reviews)
-        by_reviewer: dict[str, list[Review]] = defaultdict(list)
-        by_product: dict[str, list[Review]] = defaultdict(list)
-        for r in self.reviews:
-            by_reviewer[r.reviewer_id].append(r)
-            by_product[r.product_id].append(r)
-        self.by_reviewer = dict(by_reviewer)
-        self.by_product = dict(by_product)
+
+    @cached_property
+    def by_reviewer(self) -> dict[str, list[Review]]:
+        return _index(self.reviews, attrgetter("reviewer_id"))
+
+    @cached_property
+    def by_product(self) -> dict[str, list[Review]]:
+        return _index(self.reviews, attrgetter("product_id"))
 
     def __len__(self) -> int:
         return len(self.reviews)
@@ -105,28 +115,11 @@ def _parse_rating(text: str) -> int:
     return rating
 
 
-def _parse_row(fields: list[str], label_map: dict[str, str]) -> Review:
-    if len(fields) == 4:
-        reviewer, product, rating_s, date_s = fields
-        label_s = ""
-    elif len(fields) == 5:
-        reviewer, product, rating_s, label_s, date_s = fields
-    else:
-        raise ValueError(f"expected 4 or 5 columns, got {len(fields)}")
-    reviewer = reviewer.strip()
-    product = product.strip()
-    if not reviewer or not product:
-        raise ValueError("empty reviewer or product id")
-    rating = _parse_rating(rating_s)
+def _parse_date(text: str) -> _date:
     try:
-        day = _date.fromisoformat(date_s.strip())
+        return _date.fromisoformat(text.strip())
     except ValueError:
-        raise ValueError(f"unparseable date {date_s.strip()!r}") from None
-    label_s = label_s.strip()
-    label = label_map.get(label_s)
-    if label is None:
-        raise ValueError(f"unmapped label token {label_s!r}")
-    return Review(reviewer, product, rating, day, label)
+        raise ValueError(f"unparseable date {text.strip()!r}") from None
 
 
 def parse_reviews(
@@ -138,25 +131,52 @@ def parse_reviews(
     """Read a review metadata file.
 
     Malformed rows are collected as :class:`RowError` with their 1-based
-    line number; they never silently disappear.
+    line number; they never silently disappear. Blank rows are skipped and
+    a leading UTF-8 byte-order mark is ignored. Each distinct rating and
+    date token is converted once per call; only tokens that convert are
+    remembered, so every bad row is still reported.
 
     Returns:
         (table of valid reviews, list of row errors)
     """
     label_map = DEFAULT_LABEL_MAP if label_map is None else label_map
+    ratings: dict[str, int] = {}
+    days: dict[str, _date] = {}
     reviews: list[Review] = []
     errors: list[RowError] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for lineno, fields in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
-            if not fields or all(not f.strip() for f in fields):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        rows = enumerate(csv.reader(fh, delimiter=delimiter), start=1)
+        if has_header:
+            next(rows, None)
+        for lineno, fields in rows:
+            if not "".join(fields).strip():
                 continue
             try:
-                reviews.append(_parse_row(fields, label_map))
+                if len(fields) == 5:
+                    reviewer, product, rating_s, label_s, date_s = fields
+                elif len(fields) == 4:
+                    reviewer, product, rating_s, date_s = fields
+                    label_s = ""
+                else:
+                    raise ValueError(f"expected 4 or 5 columns, got {len(fields)}")
+                reviewer = reviewer.strip()
+                product = product.strip()
+                if not reviewer or not product:
+                    raise ValueError("empty reviewer or product id")
+                rating = ratings.get(rating_s)
+                if rating is None:
+                    rating = ratings[rating_s] = _parse_rating(rating_s)
+                day = days.get(date_s)
+                if day is None:
+                    day = days[date_s] = _parse_date(date_s)
+                label_s = label_s.strip()
+                label = label_map.get(label_s)
+                if label is None:
+                    raise ValueError(f"unmapped label token {label_s!r}")
             except ValueError as err:
                 errors.append(RowError(lineno, str(err)))
+                continue
+            reviews.append(Review(reviewer, product, rating, day, label))
     return ReviewTable(reviews), errors
 
 
@@ -168,12 +188,13 @@ def write_reviews(
 ) -> None:
     """Serialize a table back to the 5-column delimited layout."""
     tokens = DEFAULT_LABEL_TOKENS if label_tokens is None else label_tokens
+    # date.isoformat costs more than a dict lookup, and days repeat across rows.
+    iso = {day: day.isoformat() for day in {r.date for r in table.reviews}}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        for r in table.reviews:
-            writer.writerow(
-                [r.reviewer_id, r.product_id, r.rating, tokens[r.label], r.date.isoformat()]
-            )
+        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(
+            (r.reviewer_id, r.product_id, r.rating, tokens[r.label], iso[r.date])
+            for r in table.reviews
+        )
 
 
 def dedupe(table: ReviewTable, policy: str = "keep_latest") -> ReviewTable:

@@ -156,6 +156,21 @@ def test_manifest_counts_isolated_and_train_nodes(dataset, tmp_path):
     assert manifest["n_isolated_nodes"] == np.count_nonzero(degree == 0) > 0
 
 
+def test_manifest_counts_ingest_rows_errors_and_duplicates(dataset, tmp_path):
+    rows = (dataset / "reviews.csv").read_text().splitlines()
+    reviewer, product, rating, label, _ = rows[0].split(",")
+    rerated = f"{reviewer},{product},{rating},{label},2099-01-01"
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text("\n".join([*rows, rerated, "u1,p1,six,,2014-01-01", "", "u2,p2"]) + "\n")
+    out = tmp_path / "det"
+    rc = main(["detect", "--input", str(dirty), "--out", str(out), "--seed", "5"] + FAST_DETECT)
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["n_rows_parsed"] == len(rows) + 1
+    assert manifest["n_row_errors"] == 2
+    assert manifest["n_duplicates_removed"] == 1
+
+
 REPORT_FILES = ("ranked_groups.jsonl", "summary.txt", "indicators.tsv", "assignment.csv")
 
 
