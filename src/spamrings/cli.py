@@ -29,7 +29,7 @@ from .pipeline import (
     write_eval_summary,
     write_lines,
 )
-from .reviews import write_reviews
+from .reviews import ReviewTable, write_reviews
 from .scoring import group_precision
 from .synth import PlantedGroupConfig, SynthConfig, generate, write_ground_truth
 
@@ -154,8 +154,8 @@ def cmd_ingest(args) -> int:
         f"row_errors: {len(errors)}",
         f"reviews_after_dedupe: {len(table)}",
         f"duplicates_removed: {len(raw) - len(table)}",
-        f"reviewers: {len(table.by_reviewer)}",
-        f"products: {len(table.by_product)}",
+        f"reviewers: {len({r.reviewer_id for r in table.reviews})}",
+        f"products: {len({r.product_id for r in table.reviews})}",
     ]
     if table.has_labels():
         lines.append(
@@ -243,25 +243,43 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _ranked_rows(path, table: ReviewTable) -> list[tuple[int, int, int, float | None]]:
+    """(rank, group_id, size, precision) of each record in a ranked-groups file.
+
+    A line that is not a JSON object with rank, group_id and members, or
+    that names a member with no review in the table, is an "eval"
+    StageError naming the file and the 1-based line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as err:
+        raise StageError("eval", err) from err
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+            group = group_from_table(rec["members"], table)
+            rows.append((rec["rank"], rec["group_id"], group.size, group_precision(group, table)))
+        except KeyError as err:
+            raise StageError("eval", ValueError(f"{path} line {lineno}: no {err} key")) from err
+        except (TypeError, ValueError) as err:
+            raise StageError("eval", ValueError(f"{path} line {lineno}: {err}")) from err
+    if not rows:
+        raise StageError("eval", ValueError(f"no records in {path!r}"))
+    return rows
+
+
 def cmd_eval(args) -> int:
     config = _pipeline_config(args)
     _, _, table = load_table(config)
     if not table.has_labels():
         raise StageError("eval", ValueError("dataset has no labels; evaluation needs them"))
-    records = []
-    try:
-        with open(args.ranked, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    records.append(json.loads(line))
-    except OSError as err:
-        raise StageError("eval", err) from err
-    if not records:
-        raise StageError("eval", ValueError(f"no records in {args.ranked!r}"))
-    rows = []
-    for rec in records:
-        group = group_from_table(rec["members"], table, source_cluster=rec.get("cluster", -1))
-        rows.append((rec["rank"], rec["group_id"], group.size, group_precision(group, table)))
+    rows = _ranked_rows(args.ranked, table)
     text = write_eval_summary(_out_dir(config) / "eval_summary.txt", rows, config.rank.size_floor)
     sys.stdout.write(text)
     return 0

@@ -39,16 +39,13 @@ def _selu_grad(x):
     return np.where(x > 0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
 
 
-def normalized_adjacency(adj, add_self_loops: bool = False) -> sp.csr_array:
+def normalized_adjacency(adj) -> sp.csr_array:
     """Symmetric normalization D^{-1/2} A D^{-1/2}, as a CSR array.
 
-    Self-loops are NOT added by default; the skip connection in the
-    network carries each node's own signal instead. Zero-degree rows stay
-    zero.
+    No self-loops are added; the skip connection in the network carries
+    each node's own signal instead. Zero-degree rows stay zero.
     """
     a = sp.csr_array(adj, dtype=np.float64)
-    if add_self_loops:
-        a = a + sp.eye_array(a.shape[0], format="csr")
     deg = np.asarray(a.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
@@ -91,9 +88,6 @@ class GCNParams:
             skips.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         return cls(weights, skips)
 
-    def copy(self) -> "GCNParams":
-        return GCNParams([w.copy() for w in self.weights], [w.copy() for w in self.skip_weights])
-
 
 @dataclass
 class TrainConfig:
@@ -105,7 +99,6 @@ class TrainConfig:
     collapse_weight: float = 0.5
     seed: int = 0
     assign_threshold: float = 0.2
-    add_self_loops: bool = False
 
     def __post_init__(self):
         if self.n_clusters < 2:
@@ -186,22 +179,6 @@ def _backward(adj_norm, params: GCNParams, cache, d_logits, dropout_masks=None):
     return grads_w, grads_ws
 
 
-def clustering_loss(assignment, mod_matrix, total_weight, collapse_weight: float = 0.5) -> float:
-    """Negative modularity of a soft assignment plus weighted collapse term.
-
-    total_weight is 2m. For a hard one-hot assignment the first term is
-    exactly -Q of that partition.
-    """
-    if total_weight <= 0:
-        raise ValueError("loss undefined for edgeless graph (2m = 0)")
-    c = np.asarray(assignment, dtype=np.float64)
-    b = np.asarray(mod_matrix, dtype=np.float64)
-    n, k = c.shape
-    mod_term = -np.trace(c.T @ b @ c) / total_weight
-    collapse = (np.sqrt(k) / n) * np.linalg.norm(c.sum(axis=0)) - 1.0
-    return float(mod_term + collapse_weight * collapse)
-
-
 def _loss_and_assignment_grad(assignment, adj, deg, two_m, collapse_weight):
     """Loss and dLoss/dC without materializing B: BC = AC - d (dᵀC) / 2m."""
     ac = adj @ assignment
@@ -240,14 +217,13 @@ class _Problem(NamedTuple):
     full_feats: np.ndarray
 
 
-def _prepare(adj, features, config: TrainConfig) -> _Problem:
+def _prepare(adj, features) -> _Problem:
     """Restrict the loss and the propagation to the active nodes.
 
-    A node is active when its degree in adj is positive; the self-loops
-    that add_self_loops puts into the propagation matrix do not count. An
-    isolated node has no modularity gradient and feeds no other node's
-    forward pass, so leaving it out changes only the collapse term, whose
-    n and column sums then count active nodes.
+    A node is active when its degree in adj is positive. An isolated node
+    has no modularity gradient and feeds no other node's forward pass, so
+    leaving it out changes only the collapse term, whose n and column sums
+    then count active nodes.
     """
     adj_sp = sp.csr_array(adj).astype(np.float64)
     deg = np.asarray(adj_sp.sum(axis=1)).ravel()
@@ -263,9 +239,9 @@ def _prepare(adj, features, config: TrainConfig) -> _Problem:
         adj=sub,
         deg=deg[active],
         two_m=two_m,
-        adj_norm=normalized_adjacency(sub, add_self_loops=config.add_self_loops),
+        adj_norm=normalized_adjacency(sub),
         feats=feats[active],
-        full_adj_norm=normalized_adjacency(adj_sp, add_self_loops=config.add_self_loops),
+        full_adj_norm=normalized_adjacency(adj_sp),
         full_feats=feats,
     )
 
@@ -296,7 +272,7 @@ def train(adj, features, config: TrainConfig) -> TrainResult:
     graph, where an isolated node's row comes from the skip path alone.
     Raises RuntimeError if the loss stops being finite.
     """
-    prob = _prepare(adj, features, config)
+    prob = _prepare(adj, features)
     n = prob.feats.shape[0]
     params, drop_rng = _seeded_init(prob.feats, config)
     initial_loss = _loss_at(prob, params, config)
@@ -358,7 +334,7 @@ def gradient_check(adj, features, config: TrainConfig, step: float = 1e-5) -> fl
     the central difference straddle two branches, inflating the reported
     error for that entry.
     """
-    prob = _prepare(adj, features, config)
+    prob = _prepare(adj, features)
     params, _ = _seeded_init(prob.feats, config)
 
     _, _, assignment, cache = _forward(prob.adj_norm, prob.feats, params)

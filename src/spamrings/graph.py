@@ -59,9 +59,6 @@ class PRGraph:
             raise ValueError(f"unknown edge weighting {self.weighting!r}")
         self.index = {node.key: i for i, node in enumerate(self.nodes)}
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def edge_weight(self, edge: PREdge) -> float:
         """1 under binary weighting, else the edge's co-reviewer count."""
         return 1.0 if self.weighting == "binary" else float(edge.n_co_reviewers)

@@ -11,12 +11,12 @@ abnormal each member's own history is. All indicators live in [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .graph import PRGraph, cluster_reviewer_support
 from .reviews import ProductStats, ReviewTable
@@ -45,8 +45,9 @@ class CandidateGroup:
             raise ValueError("candidate group must have members")
         if set(self.member_products) != set(self.members):
             raise ValueError("member_products keys must equal members")
-        if any(not ps for ps in self.member_products.values()):
-            raise ValueError("every member needs at least one reviewed product")
+        empty = [m for m, ps in self.member_products.items() if not ps]
+        if empty:
+            raise ValueError(f"member {min(empty)!r} has no reviewed product")
 
     @property
     def products(self) -> frozenset[str]:
@@ -93,7 +94,7 @@ def extract_group(
 
 def penalty(group: CandidateGroup) -> float:
     """Logistic down-weighting of small groups: tiny overlaps happen by chance."""
-    return float(expit(len(group.members) + len(group.products) - 3))
+    return 1.0 / (1.0 + math.exp(3 - len(group.members) - len(group.products)))
 
 
 def review_tightness(group: CandidateGroup) -> float:
@@ -131,12 +132,11 @@ def _incidence(members: list[str], group: CandidateGroup) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(len(members), len(column)))
 
 
-def neighbor_tightness(group: CandidateGroup, literal_denominator: bool = False) -> float:
+def neighbor_tightness(group: CandidateGroup) -> float:
     """Penalized average Jaccard similarity over member pairs.
 
-    The default divides by the pair count so the average stays in [0, 1];
-    literal_denominator reproduces the 2*sum/|R| variant instead. A
-    singleton group has no pairs and scores 0.
+    The sum is divided by the pair count, so the average stays in [0, 1].
+    A singleton group has no pairs and scores 0.
 
     Pair intersections come from the sparse incidence product M Mᵀ, a
     block of rows at a time so memory stays bounded by
@@ -164,21 +164,7 @@ def neighbor_tightness(group: CandidateGroup, literal_denominator: bool = False)
         union_up = (sizes[rows, None] + sizes[None, :])[upper] - inter_up
         running = np.cumsum(np.concatenate(([total], inter_up / union_up)))
         total = float(running[-1])
-    if literal_denominator:
-        mean = 2.0 * total / len(members)
-    else:
-        mean = total / (len(members) * (len(members) - 1) / 2)
-    return mean * penalty(group)
-
-
-def group_compactness(group: CandidateGroup, literal_denominator: bool = False) -> float:
-    """Product of the three tightness scores; one shared-nothing pair or an
-    empty common-product set drives it to zero."""
-    return (
-        review_tightness(group)
-        * product_tightness(group)
-        * neighbor_tightness(group, literal_denominator=literal_denominator)
-    )
+    return total / (n * (n - 1) / 2) * penalty(group)
 
 
 def avg_rating_deviation(
@@ -228,12 +214,11 @@ def group_indicators(
     table: ReviewTable,
     stats: Mapping[str, ProductStats],
     tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS,
-    literal_denominator: bool = False,
 ) -> IndicatorVector:
     """All six indicator values for one candidate group (unnormalized)."""
     rt = review_tightness(group)
     pt = product_tightness(group)
-    nt = neighbor_tightness(group, literal_denominator=literal_denominator)
+    nt = neighbor_tightness(group)
     members = sorted(group.members)
     avd = sum(avg_rating_deviation(m, table, stats) for m in members) / len(members)
     bst = sum(burstness(m, table, tau_days) for m in members) / len(members)

@@ -45,6 +45,7 @@ from .indicators import (
     extract_group,
     write_indicators,
 )
+from .modularity import modularity
 from .reviews import DEDUPE_POLICIES, ReviewTable, dedupe, parse_reviews
 from .scoring import (
     COMPACTNESS_WEIGHT,
@@ -303,6 +304,7 @@ class DetectResult:
     scored: list[ScoredGroup]
     ranking: Ranking
     config: PipelineConfig
+    modularity_q: float  # Q of the trained assignment's argmax partition
 
 
 def detect(table: ReviewTable, config: PipelineConfig) -> DetectResult:
@@ -326,6 +328,7 @@ def detect(table: ReviewTable, config: PipelineConfig) -> DetectResult:
         scored=scored,
         ranking=ranking,
         config=config,
+        modularity_q=modularity(adj, result.assignment.argmax(axis=1)),
     )
 
 
@@ -380,6 +383,7 @@ def write_manifest(path, result: DetectResult, ingest: dict[str, int]) -> None:
         "n_train_nodes": result.train_result.n_train_nodes,
         "n_isolated_nodes": len(result.graph.nodes) - result.train_result.n_train_nodes,
         "n_groups": len(result.scored),
+        "modularity_q": result.modularity_q,
         "initial_loss": result.train_result.initial_loss,
         "final_loss": result.train_result.final_loss,
         "loss_trace": result.train_result.loss_trace,

@@ -1,0 +1,153 @@
+"""Dense reference implementations the tests compare production code against.
+
+Exact modularity of a hard partition, plus a brute-force oracle.
+
+Conventions: the sum runs over ordered node pairs including i == j, which
+makes the pairwise form agree exactly with the trace form
+(1/2m) Tr(Cᵀ B C) where B = A - d dᵀ / 2m. Weighted graphs are handled by
+reading d as weighted degree and 2m as total weight.
+
+``clustering_loss`` is the training objective written with the dense B;
+training itself computes it sparsely.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
+
+BRUTE_FORCE_MAX_NODES = 12
+
+
+@dataclass(frozen=True)
+class DegreeVector:
+    d: np.ndarray
+    total_weight: float  # = 2m
+
+    @property
+    def is_edgeless(self) -> bool:
+        return self.total_weight <= 0.0
+
+
+def _check_adjacency(adj: np.ndarray) -> np.ndarray:
+    adj = np.asarray(adj, dtype=np.float64)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError("adjacency must be a square matrix")
+    if not np.allclose(adj, adj.T):
+        raise ValueError("adjacency must be symmetric")
+    if (adj < 0).any():
+        raise ValueError("adjacency must be nonnegative")
+    return adj
+
+
+def degree_vector(adj: np.ndarray) -> DegreeVector:
+    """Row sums and total weight 2m; an all-zero matrix is flagged edgeless."""
+    adj = _check_adjacency(adj)
+    d = adj.sum(axis=1)
+    return DegreeVector(d=d, total_weight=float(d.sum()))
+
+
+def _as_labels(assignment, n: int) -> np.ndarray:
+    labels = np.asarray(assignment)
+    if labels.shape != (n,):
+        raise ValueError(f"expected {n} cluster labels, got shape {labels.shape}")
+    return labels.astype(np.int64)
+
+
+def modularity(adj: np.ndarray, assignment) -> float:
+    """Modularity Q of a hard cluster assignment.
+
+    Q = (1/2m) sum_ij (A_ij - d_i d_j / 2m) over same-cluster ordered
+    pairs. Raises ValueError on an edgeless graph, where Q is undefined.
+    """
+    adj = _check_adjacency(adj)
+    deg = degree_vector(adj)
+    if deg.is_edgeless:
+        raise ValueError("modularity undefined for edgeless graph (2m = 0)")
+    labels = _as_labels(assignment, adj.shape[0])
+    two_m = deg.total_weight
+    q = 0.0
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        within = adj[np.ix_(members, members)].sum()
+        dsum = deg.d[members].sum()
+        q += within - dsum * dsum / two_m
+    return float(q / two_m)
+
+
+def modularity_matrix(adj: np.ndarray) -> np.ndarray:
+    """Dense B = A - d dᵀ / 2m. Every row (and the grand total) sums to zero."""
+    adj = _check_adjacency(adj)
+    deg = degree_vector(adj)
+    if deg.is_edgeless:
+        raise ValueError("modularity matrix undefined for edgeless graph (2m = 0)")
+    return adj - np.outer(deg.d, deg.d) / deg.total_weight
+
+
+def one_hot(assignment, n_clusters: int) -> np.ndarray:
+    labels = np.asarray(assignment, dtype=np.int64)
+    out = np.zeros((labels.shape[0], n_clusters), dtype=np.float64)
+    out[np.arange(labels.shape[0]), labels] = 1.0
+    return out
+
+
+def _partitions_up_to(n: int, max_clusters: int) -> Iterator[np.ndarray]:
+    """All set partitions of n items into at most max_clusters blocks.
+
+    Restricted-growth encoding: item 0 is always block 0 and a new block
+    label is one past the current maximum, so relabelings appear once.
+    """
+    labels = np.zeros(n, dtype=np.int64)
+
+    def grow(i: int, used: int) -> Iterator[np.ndarray]:
+        if i == n:
+            yield labels.copy()
+            return
+        for c in range(min(used + 1, max_clusters)):
+            labels[i] = c
+            yield from grow(i + 1, max(used, c + 1))
+
+    yield from grow(1, 1) if n > 0 else iter([labels])
+
+
+def brute_force_best_partition(adj: np.ndarray, max_clusters: int) -> tuple[np.ndarray, float]:
+    """Exhaustive maximum-modularity partition for small graphs.
+
+    Enumerates every assignment into at most max_clusters unlabeled
+    clusters; intended as the test oracle, hence the hard node cap.
+    An edgeless graph has a single trivial answer with Q fixed at 0.
+    """
+    adj = _check_adjacency(adj)
+    n = adj.shape[0]
+    if n > BRUTE_FORCE_MAX_NODES:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes, got {n}")
+    if max_clusters < 1:
+        raise ValueError("max_clusters must be >= 1")
+    if degree_vector(adj).is_edgeless:
+        return np.zeros(n, dtype=np.int64), 0.0
+    best_labels = None
+    best_q = -np.inf
+    for labels in _partitions_up_to(n, max_clusters):
+        q = modularity(adj, labels)
+        if q > best_q:
+            best_q = q
+            best_labels = labels
+    return best_labels, float(best_q)
+
+
+def clustering_loss(assignment, mod_matrix, total_weight, collapse_weight: float = 0.5) -> float:
+    """Negative modularity of a soft assignment plus weighted collapse term.
+
+    total_weight is 2m. For a hard one-hot assignment the first term is
+    exactly -Q of that partition.
+    """
+    if total_weight <= 0:
+        raise ValueError("loss undefined for edgeless graph (2m = 0)")
+    c = np.asarray(assignment, dtype=np.float64)
+    b = np.asarray(mod_matrix, dtype=np.float64)
+    n, k = c.shape
+    mod_term = -np.trace(c.T @ b @ c) / total_weight
+    collapse = (np.sqrt(k) / n) * np.linalg.norm(c.sum(axis=0)) - 1.0
+    return float(mod_term + collapse_weight * collapse)

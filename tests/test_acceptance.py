@@ -14,10 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from spamrings.clustering import TrainConfig, clustering_loss, gradient_check, train
+from oracles import brute_force_best_partition, clustering_loss, modularity_matrix, one_hot
+from oracles import modularity as dense_modularity
+from spamrings.clustering import TrainConfig, _loss_and_assignment_grad, gradient_check, train
 from spamrings.indicators import burstness, group_from_table, group_indicators, penalty, product_tightness
-from spamrings.modularity import brute_force_best_partition, modularity, modularity_matrix, one_hot
+from spamrings.modularity import modularity
 from spamrings.pipeline import PipelineConfig, detect, load_table
 from spamrings.reviews import Review, ReviewTable, dedupe, product_stats
 from spamrings.synth import SynthConfig, generate
@@ -64,12 +67,16 @@ def test_criterion_1_modularity_oracle():
             continue
         k = int(rng.integers(1, n + 1))
         labels = rng.integers(0, k, size=n)
-        q = modularity(adj, labels)
-        worst_naive = max(worst_naive, abs(q - naive_pairwise_modularity(adj, labels)))
         b = modularity_matrix(adj)
         c = one_hot(labels, k)
         q_trace = float(np.trace(c.T @ b @ c) / adj.sum())
-        worst_trace = max(worst_trace, abs(q - q_trace))
+        for q in (modularity(adj, labels), modularity(sp.csr_array(adj), labels)):
+            worst_naive = max(
+                worst_naive,
+                abs(q - naive_pairwise_modularity(adj, labels)),
+                abs(q - dense_modularity(adj, labels)),
+            )
+            worst_trace = max(worst_trace, abs(q - q_trace))
         checked += 1
 
     triangles = np.zeros((6, 6))
@@ -85,6 +92,16 @@ def test_criterion_1_modularity_oracle():
     )
 
 
+def loss_error(adj, assignment, lam, expected):
+    """Worst gap to expected of the sparse training loss and the dense oracle loss."""
+    two_m = adj.sum()
+    sparse_loss, _ = _loss_and_assignment_grad(
+        assignment, sp.csr_array(adj), adj.sum(axis=1), two_m, lam
+    )
+    dense_loss = clustering_loss(assignment, modularity_matrix(adj), two_m, lam)
+    return max(abs(sparse_loss - expected), abs(dense_loss - expected))
+
+
 def test_criterion_2_loss_endpoints():
     rng = np.random.default_rng(202)
     worst_uniform = 0.0
@@ -96,15 +113,12 @@ def test_criterion_2_loss_endpoints():
             adj = random_graph(rng, n, weighted=True)
             if adj.sum() == 0:
                 continue
-            b = modularity_matrix(adj)
             uniform = np.full((n, k), 1.0 / k)
-            worst_uniform = max(worst_uniform, abs(clustering_loss(uniform, b, adj.sum(), lam)))
+            worst_uniform = max(worst_uniform, loss_error(adj, uniform, lam, 0.0))
             single = np.zeros((n, k))
             single[:, 0] = 1.0
             expected = lam * (np.sqrt(k) - 1.0)
-            worst_single = max(
-                worst_single, abs(clustering_loss(single, b, adj.sum(), lam) - expected)
-            )
+            worst_single = max(worst_single, loss_error(adj, single, lam, expected))
     report(
         "2 loss endpoints",
         worst_uniform <= 1e-9 and worst_single <= 1e-9,

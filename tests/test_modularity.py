@@ -1,13 +1,12 @@
+"""The sparse production modularity, checked against the dense oracles in oracles.py."""
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from spamrings.modularity import (
-    brute_force_best_partition,
-    degree_vector,
-    modularity,
-    modularity_matrix,
-    one_hot,
-)
+from oracles import brute_force_best_partition, degree_vector, modularity_matrix, one_hot
+from oracles import modularity as dense_modularity
+from spamrings.modularity import modularity
 
 
 def naive_modularity(adj, labels):
@@ -64,7 +63,16 @@ def test_modularity_rejects_edgeless():
     with pytest.raises(ValueError):
         modularity(np.zeros((3, 3)), [0, 1, 2])
     with pytest.raises(ValueError):
+        modularity(sp.csr_array((3, 3)), [0, 1, 2])
+    with pytest.raises(ValueError):
+        dense_modularity(np.zeros((3, 3)), [0, 1, 2])
+    with pytest.raises(ValueError):
         modularity_matrix(np.zeros((2, 2)))
+
+
+def test_modularity_rejects_label_count_mismatch():
+    with pytest.raises(ValueError):
+        modularity(triangle_pair(), [0, 0, 1])
 
 
 def test_single_cluster_is_zero():
@@ -91,6 +99,8 @@ def test_matches_naive_loop_and_trace_form():
             continue
         labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
         q = modularity(adj, labels)
+        assert modularity(sp.csr_array(adj), labels) == q
+        assert q == pytest.approx(dense_modularity(adj, labels), abs=1e-12)
         assert q == pytest.approx(naive_modularity(adj, labels), abs=1e-12)
         assert q == pytest.approx(trace_modularity(adj, labels), abs=1e-10)
         checked += 1
