@@ -19,6 +19,7 @@ from .pipeline import (
     INPUT_DELIMITERS,
     PipelineConfig,
     StageError,
+    check_config_section,
     detect,
     format_precision,
     ingest_counts,
@@ -217,10 +218,13 @@ def _synth_config(args) -> SynthConfig:
     kwargs = _load_config_dict(args).get("synth", {})
     if not isinstance(kwargs, dict):
         raise ValueError(f"config section synth must be an object, not {type(kwargs).__name__}")
-    if "planted" in kwargs:
-        kwargs["planted"] = [PlantedGroupConfig(**p) for p in kwargs["planted"]]
     if args.seed is not None:
         kwargs["seed"] = args.seed
+    check_config_section(SynthConfig, kwargs, prefix="synth.")
+    if "planted" in kwargs:
+        for p in kwargs["planted"]:
+            check_config_section(PlantedGroupConfig, p, prefix="synth.planted.")
+        kwargs["planted"] = [PlantedGroupConfig(**p) for p in kwargs["planted"]]
     if "product_mean_range" in kwargs:
         kwargs["product_mean_range"] = tuple(kwargs["product_mean_range"])
     return SynthConfig(**kwargs)

@@ -17,10 +17,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-import numpy as np
-import scipy.sparse as sp
+from ._lazy import lazy_import
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+np = lazy_import("numpy")
 
 # Self-normalizing activation constants (Klambauer et al.).
 SELU_SCALE = 1.0507009873554805
@@ -45,6 +49,8 @@ def normalized_adjacency(adj) -> sp.csr_array:
     No self-loops are added; the skip connection in the network carries
     each node's own signal instead. Zero-degree rows stay zero.
     """
+    import scipy.sparse as sp
+
     a = sp.csr_array(adj, dtype=np.float64)
     deg = np.asarray(a.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
@@ -225,6 +231,8 @@ def _prepare(adj, features) -> _Problem:
     leaving it out changes only the collapse term, whose n and column sums
     then count active nodes.
     """
+    import scipy.sparse as sp
+
     adj_sp = sp.csr_array(adj).astype(np.float64)
     deg = np.asarray(adj_sp.sum(axis=1)).ravel()
     two_m = float(deg.sum())

@@ -13,12 +13,15 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-import scipy.sparse as sp
-
+from ._lazy import lazy_import
 from .reviews import ReviewTable
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+np = lazy_import("numpy")
 
 WEIGHTING_MODES = ("binary", "co_review_count")
 DEFAULT_WEIGHTING = "co_review_count"
@@ -118,6 +121,8 @@ def build_graph(
 
 def adjacency_sparse(graph: PRGraph) -> sp.csr_array:
     """Symmetric CSR adjacency with zero diagonal, weighted by ``graph.edge_weight``."""
+    import scipy.sparse as sp
+
     n = len(graph.nodes)
     rows, cols, vals = [], [], []
     for e in graph.edges:

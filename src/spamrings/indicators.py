@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import numpy as np
-import scipy.sparse as sp
-
+from ._lazy import lazy_import
 from .graph import PRGraph, cluster_reviewer_support
 from .reviews import ProductStats, ReviewTable
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+np = lazy_import("numpy")
 
 DEFAULT_BURST_THRESHOLD_DAYS = 30
 
@@ -122,6 +125,8 @@ def product_tightness(group: CandidateGroup) -> float:
 
 def _incidence(members: list[str], group: CandidateGroup) -> sp.csr_matrix:
     """0/1 members x products matrix, one row per member in the given order."""
+    import scipy.sparse as sp
+
     column: dict[str, int] = {}
     indices = [
         column.setdefault(p, len(column)) for m in members for p in group.member_products[m]

@@ -8,8 +8,9 @@ clusters of (cluster degree)² / 2m) / 2m, so no n x n matrix is needed.
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
+from ._lazy import lazy_import
+
+np = lazy_import("numpy")
 
 
 def modularity(adj, labels) -> float:
@@ -19,6 +20,8 @@ def modularity(adj, labels) -> float:
     nonnegative cluster id per node. Raises ValueError on an edgeless
     graph, where Q is undefined.
     """
+    import scipy.sparse as sp
+
     coo = sp.coo_array(adj)
     labels = np.asarray(labels)
     if coo.shape[0] != coo.shape[1] or labels.shape != (coo.shape[0],):

@@ -12,14 +12,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import Iterable, NamedTuple, Sequence, get_type_hints
 
 from . import __version__
+from ._lazy import lazy_import
 from .clustering import (
     TrainConfig,
     TrainResult,
@@ -59,6 +59,8 @@ from .scoring import (
     score_groups,
     size_distribution,
 )
+
+np = lazy_import("numpy")
 
 SWEEP_TOP_N = 10
 INPUT_DELIMITERS = {"csv": ",", "tsv": "\t"}  # input format -> field delimiter
@@ -129,6 +131,8 @@ class PipelineConfig:
             raise ValueError(
                 f"format must be one of {tuple(INPUT_DELIMITERS)}, got {self.format!r}"
             )
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.burst_tau_days < 1:
             raise ValueError("burst_tau_days must be >= 1")
         if self.dedupe_policy not in DEDUPE_POLICIES:
@@ -164,9 +168,9 @@ class PipelineConfig:
                 section = dict(section)
                 if name == "train":
                     section.pop("seed", None)  # training seed is derived from the top seed
-                _check_keys(section_cls, section, prefix=f"{name}.")
+                check_config_section(section_cls, section, prefix=f"{name}.")
                 built[name] = section_cls(**section)
-            _check_keys(cls, data)
+            check_config_section(cls, data)
             return cls(**built, **data)
         except (TypeError, ValueError) as err:  # TypeError: a value of the wrong type
             raise StageError("config", err) from err
@@ -194,11 +198,26 @@ def load_config_file(path) -> dict:
     return data
 
 
-def _check_keys(section_cls, section: dict, prefix: str = "") -> None:
-    known = {f.name for f in dataclasses.fields(section_cls)}
-    unknown = sorted(set(section) - known)
+# accepted value types of a scalar config field; a bool is neither an int nor a float here
+_FIELD_TYPES = {int: int, float: (int, float), bool: bool, str: str}
+
+
+def check_config_section(section_cls, section: dict, prefix: str = "") -> None:
+    """Reject an unknown key of a config dataclass, a value of the wrong type, or a NaN or inf."""
+    types = get_type_hints(section_cls)  # one per dataclass field
+    unknown = sorted(set(section) - set(types))
     if unknown:
         raise ValueError(f"unknown config key {prefix}{unknown[0]}")
+    for key, value in section.items():
+        accepted = _FIELD_TYPES.get(types[key])
+        if accepted is None:
+            continue
+        if not isinstance(value, accepted) or (isinstance(value, bool) and types[key] is not bool):
+            raise ValueError(
+                f"{prefix}{key} must be {types[key].__name__}, not {type(value).__name__} {value!r}"
+            )
+        if types[key] is float and not math.isfinite(value):
+            raise ValueError(f"{prefix}{key} must be finite, not {value!r}")
 
 
 def derive_train_seed(seed: int) -> int:

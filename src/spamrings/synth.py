@@ -13,9 +13,10 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .reviews import LABEL_FAKE, LABEL_GENUINE, Review, ReviewTable
+
+np = lazy_import("numpy")
 
 BASE_DATE = datetime.date(2014, 1, 1)
 
@@ -62,6 +63,8 @@ class SynthConfig:
             raise ValueError("reviews_per_reviewer must be in 1..n_products")
         if self.horizon_days < 1:
             raise ValueError("horizon must be at least one day")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         wanted = sum(g.n_targets for g in self.planted)
         if wanted > self.n_products:
             raise ValueError(

@@ -187,7 +187,30 @@ def test_manifest_modularity_q_matches_dense_oracle(dataset, tmp_path):
     assert manifest["modularity_q"] == pytest.approx(dense_modularity(adj, labels), abs=1e-12)
 
 
-def test_imports_load_no_unneeded_modules():
+def _loaded_after(commands):
+    """In a fresh process: whether numpy has run and scipy is imported, after each step.
+
+    The steps are ``import spamrings.cli`` and then each command through
+    ``cli.main``. ``numpy._core`` (``numpy.core`` before numpy 2) marks that
+    numpy's code has run: the lazy placeholder sits in sys.modules under
+    ``numpy`` before that.
+    """
+    code = (
+        "import sys\n"
+        "def ran(): return 'numpy._core' in sys.modules or 'numpy.core' in sys.modules\n"
+        "def loaded(): print('loaded', ran(), 'scipy' in sys.modules)\n"
+        "import spamrings.cli\n"
+        "loaded()\n"
+        f"for argv in {commands!r}:\n"
+        "    assert spamrings.cli.main(argv) == 0, argv\n"
+        "    loaded()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("loaded ")]
+
+
+def test_imports_load_no_unneeded_modules(dataset, tmp_path):
     code = (
         "import sys, spamrings; print('numpy' in sys.modules); "
         "import spamrings.cli; print('scipy.special' in sys.modules)"
@@ -195,6 +218,23 @@ def test_imports_load_no_unneeded_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+    reviews = str(dataset / "reviews.csv")
+    member = (dataset / "reviews.csv").read_text(encoding="utf-8").split(",", 1)[0]
+    ranked = tmp_path / "ranked.jsonl"
+    ranked.write_text(json.dumps({"rank": 1, "group_id": 0, "members": [member]}) + "\n")
+    commands = [
+        ["ingest", "--input", reviews, "--out", str(tmp_path / "ing")],
+        ["eval", "--input", reviews, "--ranked", str(ranked), "--out", str(tmp_path / "ev")],
+        ["detect", "--input", reviews, "--out", str(tmp_path / "det"), "--epochs", "5"],
+    ]
+    light, heavy = ["False", "False"], ["True", "True"]
+    assert _loaded_after(commands) == [light, light, light, heavy]
+
+    code = "import numpy, spamrings.graph; print(spamrings.graph.np is numpy)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 REPORT_FILES = ("ranked_groups.jsonl", "summary.txt", "indicators.tsv", "assignment.csv")
@@ -454,6 +494,67 @@ def test_bad_config_file_fails_at_config_before_any_report(
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and named in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, flags, named",
+    [
+        ({"seed": -1}, [], "seed must be >= 0"),
+        ({}, ["--seed", "-1"], "seed must be >= 0"),
+        ({"seed": 1.5}, [], "seed must be int"),
+        ({"seed": True}, [], "seed must be int"),
+        ({"train": {"n_clusters": 5.0}}, [], "train.n_clusters must be int"),
+        ({"train": {"hidden_width": 8.5}}, [], "train.hidden_width must be int"),
+        ({"train": {"learning_rate": True}}, [], "train.learning_rate must be float"),
+        ({"has_header": "no"}, [], "has_header must be bool"),
+        ({"graph": {"dump": 1}}, [], "graph.dump must be bool"),
+        ({"group": {"min_support": 1.5}}, [], "group.min_support must be int"),
+        ({"graph": {"min_co_review": 2.5}}, [], "graph.min_co_review must be int"),
+        ({"rank": {"compactness_weight": float("nan")}}, [], "compactness_weight must be finite"),
+        ({"train": {"collapse_weight": float("inf")}}, [], "train.collapse_weight must be finite"),
+    ],
+)
+def test_config_value_of_wrong_type_or_range_fails_at_config(
+    dataset, tmp_path, capsys, cfg, flags, named
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main(
+        ["detect", "--config", str(cfg_path), "--input", str(dataset / "reviews.csv"),
+         "--out", str(out)] + flags
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and named in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, flags, named",
+    [
+        ({}, ["--seed", "-1"], "seed must be >= 0"),
+        ({"synth": {"n_reviewers": 50.5}}, [], "synth.n_reviewers must be int"),
+        ({"synth": {"planted": [{"size": 2.5}]}}, [], "synth.planted.size must be int"),
+        ({"synth": {"bogus": 1}}, [], "unknown config key synth.bogus"),
+    ],
+)
+def test_synth_config_value_of_wrong_type_or_range_fails_before_generating(
+    tmp_path, capsys, cfg, flags, named
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main(["synth", "--config", str(cfg_path), "--out", str(out)] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: synth:") and named in err, err
+    assert not out.exists()
+
+
+def test_float_config_fields_accept_ints():
+    config = PipelineConfig.from_dict({"input": "x.csv", "train": {"learning_rate": 1}})
+    assert config.train.learning_rate == 1
 
 
 @pytest.mark.parametrize(
