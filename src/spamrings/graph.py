@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable
 
@@ -61,6 +62,15 @@ class PRGraph:
         if self.weighting not in WEIGHTING_MODES:
             raise ValueError(f"unknown edge weighting {self.weighting!r}")
         self.index = {node.key: i for i, node in enumerate(self.nodes)}
+
+    @cached_property
+    def neighbors(self) -> list[list[int]]:
+        """Each node's adjacent node positions, in edge order."""
+        out: list[list[int]] = [[] for _ in self.nodes]
+        for e in self.edges:
+            out[e.u].append(e.v)
+            out[e.v].append(e.u)
+        return out
 
     def edge_weight(self, edge: PREdge) -> float:
         """1 under binary weighting, else the edge's co-reviewer count."""
@@ -183,23 +193,23 @@ def connected_components(graph: PRGraph, node_subset: Iterable[int]) -> list[set
     """Connected components of the subgraph induced by a node subset.
 
     Components come back ordered by their smallest node index; isolated
-    nodes form singleton components.
+    nodes form singleton components. The search visits only the edges of
+    the subset's nodes, through the graph's cached neighbour lists.
     """
     subset = set(node_subset)
-    parent = {i: i for i in subset}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in graph.edges:
-        if e.u in subset and e.v in subset:
-            ru, rv = find(e.u), find(e.v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-    comps: dict[int, set[int]] = {}
-    for i in subset:
-        comps.setdefault(find(i), set()).add(i)
-    return [comps[root] for root in sorted(comps)]
+    neighbors = graph.neighbors
+    seen: set[int] = set()
+    comps: list[set[int]] = []
+    for root in sorted(subset):  # every smaller node is seen, so root is its component's minimum
+        if root in seen:
+            continue
+        comp = {root}
+        stack = [root]
+        while stack:
+            for v in neighbors[stack.pop()]:
+                if v in subset and v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        comps.append(comp)
+    return comps

@@ -12,7 +12,9 @@ abnormal each member's own history is. All indicators live in [0, 1].
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ._lazy import lazy_import
@@ -26,8 +28,8 @@ np = lazy_import("numpy")
 
 DEFAULT_BURST_THRESHOLD_DAYS = 30
 
-# dense intersection block size in elements (rows x members): 512 KiB of
-# float64, so scoring a 2,000-member group adds a few MiB at most
+# dense intersection block size in elements (rows x distinct product sets):
+# 512 KiB of float64, so scoring a 2,000-member group adds a few MiB at most
 PAIR_BLOCK_ELEMENTS = 65_536
 
 # widest possible gap on a 1..5 star scale, used to normalize deviations
@@ -52,12 +54,9 @@ class CandidateGroup:
         if empty:
             raise ValueError(f"member {min(empty)!r} has no reviewed product")
 
-    @property
+    @cached_property
     def products(self) -> frozenset[str]:
-        out: set[str] = set()
-        for ps in self.member_products.values():
-            out |= ps
-        return frozenset(out)
+        return frozenset().union(*self.member_products.values())
 
     @property
     def size(self) -> int:
@@ -103,12 +102,11 @@ def penalty(group: CandidateGroup) -> float:
 def review_tightness(group: CandidateGroup) -> float:
     """Fraction of the members x products grid actually reviewed, penalized.
 
-    Each member's product set is capped to the group's products, so the
-    raw ratio stays in (0, 1].
+    The group's products are the union of the member sets, so the raw
+    ratio stays in (0, 1].
     """
-    products = group.products
-    filled = sum(len(ps & products) for ps in group.member_products.values())
-    raw = filled / (len(group.members) * len(products))
+    filled = sum(len(ps) for ps in group.member_products.values())
+    raw = filled / (len(group.members) * len(group.products))
     return raw * penalty(group)
 
 
@@ -123,18 +121,16 @@ def product_tightness(group: CandidateGroup) -> float:
     return len(common) / len(union)
 
 
-def _incidence(members: list[str], group: CandidateGroup) -> sp.csr_matrix:
-    """0/1 members x products matrix, one row per member in the given order."""
+def _incidence(sets: list[frozenset[str]]) -> sp.csr_matrix:
+    """0/1 sets x products matrix, one row per set in the given order."""
     import scipy.sparse as sp
 
     column: dict[str, int] = {}
-    indices = [
-        column.setdefault(p, len(column)) for m in members for p in group.member_products[m]
-    ]
-    indptr = np.zeros(len(members) + 1, dtype=np.int64)
-    np.cumsum([len(group.member_products[m]) for m in members], out=indptr[1:])
+    indices = [column.setdefault(p, len(column)) for ps in sets for p in ps]
+    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([len(ps) for ps in sets], out=indptr[1:])
     data = np.ones(len(indices), dtype=np.float64)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(members), len(column)))
+    return sp.csr_matrix((data, indices, indptr), shape=(len(sets), len(column)))
 
 
 def neighbor_tightness(group: CandidateGroup) -> float:
@@ -143,32 +139,49 @@ def neighbor_tightness(group: CandidateGroup) -> float:
     The sum is divided by the pair count, so the average stays in [0, 1].
     A singleton group has no pairs and scores 0.
 
-    Pair intersections come from the sparse incidence product M Mᵀ, a
-    block of rows at a time so memory stays bounded by
-    PAIR_BLOCK_ELEMENTS. The result equals a pair loop over sorted members
-    summing each Jaccard value left to right: the counts are exact in
-    float64, one division rounds like Python's int / int, and np.cumsum
-    adds in sequence, each block starting from the previous running total.
+    Members who reviewed the same product set are counted once: walking
+    the members in sorted order, each distinct set gets a weight w, the
+    number of members holding it. A pair of distinct sets c < d adds
+    w_c w_d J(c, d), and the pairs inside one set add w_c (w_c - 1) / 2,
+    since their Jaccard is 1. Intersections come from the sparse incidence
+    product K Kᵀ of the distinct sets, a block of rows at a time so memory
+    stays bounded by PAIR_BLOCK_ELEMENTS; each block keeps only the
+    columns from its first row on.
+
+    np.cumsum adds the upper-triangle terms in sequence, row-major, a
+    set's own term before its pairs with later sets; each block's first
+    term takes the previous running total, and its lower corner is zeroed,
+    which leaves a sequential sum unchanged. When every set is distinct
+    the result equals a pair loop over sorted members summing each Jaccard
+    value left to right: the counts are exact in float64, one division
+    rounds like Python's int / int, and the own terms are 0. Repeated sets
+    change only the summation order.
     """
-    members = sorted(group.members)
-    n = len(members)
+    n = len(group.members)
     if n < 2:
         return 0.0
-    incidence = _incidence(members, group)
+    weight = Counter(group.member_products[m] for m in sorted(group.members))  # first-appearance order
+    incidence = _incidence(list(weight))
     transposed = incidence.T.tocsr()
+    w = np.fromiter(weight.values(), dtype=np.float64, count=len(weight))
+    own_pairs = w * (w - 1) / 2
     sizes = np.diff(incidence.indptr).astype(np.float64)
-    block_rows = max(1, PAIR_BLOCK_ELEMENTS // n)
-    cols = np.arange(n)
+    n_sets = len(w)
+    block_rows = max(1, PAIR_BLOCK_ELEMENTS // n_sets)
+    lower = np.tri(min(block_rows, n_sets), k=-1, dtype=bool)
     total = 0.0
-    for start in range(0, n - 1, block_rows):
-        stop = min(start + block_rows, n)
-        rows = cols[start:stop]
-        inter = (incidence[start:stop] @ transposed).toarray()
-        upper = cols[None, :] > rows[:, None]  # j > i, row-major: combinations order
-        inter_up = inter[upper]
-        union_up = (sizes[rows, None] + sizes[None, :])[upper] - inter_up
-        running = np.cumsum(np.concatenate(([total], inter_up / union_up)))
-        total = float(running[-1])
+    for start in range(0, n_sets, block_rows):
+        stop = min(start + block_rows, n_sets)
+        r = stop - start
+        inter = (incidence[start:stop] @ transposed).toarray()[:, start:]
+        terms = sizes[start:stop, None] + sizes[None, start:]
+        terms -= inter  # union
+        np.divide(inter, terms, out=terms)
+        terms *= np.multiply.outer(w[start:stop], w[start:])
+        np.copyto(terms[:, :r], 0.0, where=lower[:r, :r])
+        np.fill_diagonal(terms, own_pairs[start:stop])
+        terms[0, 0] += total
+        total = float(np.cumsum(terms)[-1])
     return total / (n * (n - 1) / 2) * penalty(group)
 
 

@@ -9,6 +9,9 @@ reading d as weighted degree and 2m as total weight.
 
 ``clustering_loss`` is the training objective written with the dense B;
 training itself computes it sparsely.
+
+``connected_components_edge_scan`` is the union-find over every edge of
+the graph that ``graph.connected_components`` replaced.
 """
 
 from __future__ import annotations
@@ -151,3 +154,26 @@ def clustering_loss(assignment, mod_matrix, total_weight, collapse_weight: float
     mod_term = -np.trace(c.T @ b @ c) / total_weight
     collapse = (np.sqrt(k) / n) * np.linalg.norm(c.sum(axis=0)) - 1.0
     return float(mod_term + collapse_weight * collapse)
+
+
+def connected_components_edge_scan(graph, node_subset) -> list[set[int]]:
+    """Components of the subgraph induced by a node subset, by union-find
+    over all of the graph's edges; ordered by smallest node index."""
+    subset = set(node_subset)
+    parent = {i: i for i in subset}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in graph.edges:
+        if e.u in subset and e.v in subset:
+            ru, rv = find(e.u), find(e.v)
+            if ru != rv:
+                parent[max(ru, rv)] = min(ru, rv)
+    comps: dict[int, set[int]] = {}
+    for i in subset:
+        comps.setdefault(find(i), set()).add(i)
+    return [comps[root] for root in sorted(comps)]

@@ -5,8 +5,11 @@ import random
 import numpy as np
 import pytest
 
+from oracles import connected_components_edge_scan
 from spamrings.graph import (
+    PREdge,
     PRGraph,
+    PRNode,
     adjacency_sparse,
     build_edges,
     build_graph,
@@ -208,6 +211,21 @@ def test_connected_components_of_subset():
     # restricting the subset restricts the components
     sub = connected_components(graph, [graph.index[("p1", 5)]])
     assert sub == [{graph.index[("p1", 5)]}]
+
+
+def test_connected_components_match_edge_scan_oracle():
+    rng = random.Random(8)
+    for _ in range(200):
+        n = rng.randint(2, 40)
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2 * n))}
+        graph = PRGraph(
+            nodes=[PRNode(f"p{i}", 5, frozenset({f"u{i}"})) for i in range(n)],
+            edges=[PREdge(u, v, 2) for u, v in sorted(pairs)],
+        )
+        for subset in (range(n), rng.sample(range(n), rng.randint(0, n))):
+            got = connected_components(graph, subset)
+            assert got == connected_components_edge_scan(graph, subset)
+            assert [min(c) for c in got] == sorted(min(c) for c in got)
 
 
 def test_bad_weighting_mode_rejected():

@@ -148,6 +148,18 @@ def test_review_tightness_sparse_grid():
     assert review_tightness(g) == pytest.approx(0.1 * logistic(17), abs=1e-12)
 
 
+def test_review_tightness_counts_match_capped_counts():
+    # the group's products are the union of the member sets, so capping
+    # each set to them (the earlier formula) removes nothing
+    rng = random.Random(12)
+    for _ in range(200):
+        g = random_member_group(rng, rng.randint(1, 30))
+        union = frozenset().union(*g.member_products.values())
+        assert g.products == union and g.products is g.products
+        capped = sum(len(ps & union) for ps in g.member_products.values())
+        assert review_tightness(g) == capped / (len(g.members) * len(union)) * penalty(g)
+
+
 def test_product_tightness_examples():
     assert product_tightness(make_group({"a": {"p1", "p2"}, "b": {"p1", "p2"}})) == 1.0
     assert product_tightness(make_group({"u": {"a", "b"}, "v": {"b", "c"}})) == pytest.approx(1 / 3)
@@ -203,37 +215,97 @@ def random_member_group(rng, size, n_products=40, max_products=6):
     )
 
 
+def distinct_set_group(rng, size, n_products=300, max_products=10):
+    """A group of `size` members whose product sets are pairwise distinct."""
+    sets = set()
+    while len(sets) < size:
+        sets.add(frozenset(f"p{rng.randrange(n_products)}" for _ in range(rng.randint(1, max_products))))
+    return make_group({f"u{i:05d}": ps for i, ps in enumerate(sorted(sets, key=sorted))})
+
+
+def n_distinct_sets(group):
+    return len(set(group.member_products.values()))
+
+
 def assert_matches_pair_loop(group):
+    assert n_distinct_sets(group) == group.size
     assert neighbor_tightness(group) == _neighbor_tightness_pairs(group)
 
 
+def test_neighbor_tightness_one_set_is_penalty():
+    for k in (2, 3, 12, 2100):
+        g = make_group({f"u{i}": {"a", "b", "c", "d", "e"} for i in range(k)})
+        assert neighbor_tightness(g) == penalty(g)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 4), (3, 2), (40, 7)])
+@pytest.mark.parametrize(
+    "first, second, jaccard",
+    [({"x", "y"}, {"y", "z"}, 1 / 3), ({"x"}, {"y"}, 0.0), ({"x"}, {"x", "y", "z", "w"}, 1 / 4)],
+)
+def test_neighbor_tightness_two_sets_match_weighted_formula(a, b, first, second, jaccard):
+    # members "a*" sort before "b*", so the first set is the first distinct
+    # set: its own pairs, then the cross pairs, then the second set's own
+    g = make_group({**{f"a{i:03d}": first for i in range(a)}, **{f"b{i:03d}": second for i in range(b)}})
+    n = a + b
+    total = a * (a - 1) / 2 + a * b * jaccard + b * (b - 1) / 2
+    assert neighbor_tightness(g) == total / (n * (n - 1) / 2) * penalty(g)
+
+
 def test_neighbor_tightness_matches_pair_loop_on_random_groups():
+    # exact where every set is distinct; repeated sets are checked by
+    # test_neighbor_tightness_close_to_pair_loop_when_sets_repeat
     rng = random.Random(41)
     for _ in range(300):
-        assert_matches_pair_loop(random_member_group(rng, rng.randint(1, 30)))
+        assert_matches_pair_loop(distinct_set_group(rng, rng.randint(1, 30), n_products=40, max_products=6))
 
 
 def test_neighbor_tightness_matches_pair_loop_on_edge_cases():
     assert_matches_pair_loop(make_group({"u": {"a", "b"}}))  # singleton
     assert_matches_pair_loop(make_group({"u": {"a"}, "v": {"b"}}))  # disjoint pair
     assert_matches_pair_loop(make_group({f"u{i}": {f"p{i}"} for i in range(12)}))
-    assert_matches_pair_loop(make_group({f"u{i}": {"a", "b"} for i in range(12)}))
+    # one repeated set: every Jaccard is 1, so both sums are exact
+    g = make_group({f"u{i}": {"a", "b"} for i in range(12)})
+    assert neighbor_tightness(g) == _neighbor_tightness_pairs(g)
 
 
 @pytest.mark.parametrize("around", [math.isqrt(PAIR_BLOCK_ELEMENTS), 512])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_neighbor_tightness_matches_pair_loop_at_block_boundaries(around, offset):
-    # sqrt(budget) is the first size that needs a second row block; at 512
-    # the blocks tile the rows exactly, one member less or more leaves a
-    # short last block
+    # blocks run over distinct sets: sqrt(budget) sets is the last count
+    # one row block holds; at 512 the blocks tile the rows exactly, one set
+    # less or more leaves a short last block
     rng = random.Random(around + offset)
-    assert_matches_pair_loop(random_member_group(rng, around + offset))
+    assert_matches_pair_loop(distinct_set_group(rng, around + offset))
 
 
 def test_neighbor_tightness_matches_pair_loop_on_large_group():
-    rng = random.Random(2024)
-    group = random_member_group(rng, 2100, n_products=300, max_products=10)
-    assert neighbor_tightness(group) == _neighbor_tightness_pairs(group)
+    assert_matches_pair_loop(distinct_set_group(random.Random(2024), 2100))
+
+
+def test_neighbor_tightness_close_to_pair_loop_when_sets_repeat():
+    # repeated sets are summed once with a weight, which changes only the
+    # summation order: ROADMAP item 6 allows 1e-12 relative. The first 300
+    # groups are the ones the random-group test compared with == before.
+    rng = random.Random(41)
+    groups = [random_member_group(rng, rng.randint(1, 30)) for _ in range(300)]
+    groups += [random_member_group(rng, rng.randint(2, 30), n_products=6, max_products=3) for _ in range(300)]
+    groups.append(random_member_group(rng, 700, n_products=12, max_products=4))  # > 256 sets: two blocks
+    assert n_distinct_sets(groups[-1]) > math.isqrt(PAIR_BLOCK_ELEMENTS)
+    repeated = [g for g in groups if n_distinct_sets(g) < g.size]
+    assert len(repeated) > 250
+    for g in repeated:
+        assert neighbor_tightness(g) == pytest.approx(_neighbor_tightness_pairs(g), rel=1e-12, abs=0)
+
+
+def test_neighbor_tightness_ignores_member_products_order():
+    rng = random.Random(7)
+    for _ in range(50):
+        g = random_member_group(rng, rng.randint(2, 40), n_products=8, max_products=4)
+        items = list(g.member_products.items())
+        rng.shuffle(items)
+        shuffled = {m: frozenset(rng.sample(sorted(ps), len(ps))) for m, ps in items}
+        assert neighbor_tightness(make_group(shuffled)) == neighbor_tightness(g)
 
 
 def test_compactness_examples():
