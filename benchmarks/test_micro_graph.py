@@ -1,26 +1,57 @@
-"""Microbenchmark of graph edge construction (pytest-benchmark).
+"""Microbenchmark of the graph's co-reviewer count matrix (pytest-benchmark).
 
 Outside ``testpaths``, so the default test run skips it. Run with
 
     PYTHONPATH=src python -m pytest benchmarks/test_micro_graph.py
 
-The input is the graph of the ``detect-big-groups`` benchmark workload at
-seed 0: 1,176 nodes, 532 edges, co-reviewer counts up to 2,100.
+Two inputs:
+
+- the graph of the ``detect-big-groups`` benchmark workload at seed 0:
+  1,176 nodes, 532 edges, co-reviewer counts up to 2,100;
+- a heavy-tailed table, a tenth of the reviewers of the YelpNYC-sized
+  shape on the ROADMAP: 16,000 reviewers and 923 products, reviewer
+  activity Zipf(2.2) capped at 400 and product choice Zipf(1.0). A few
+  hyperactive reviewers link most node pairs, which uniform ``synth``
+  data never shows.
 """
 
+import datetime
+
+import numpy as np
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from spamrings.graph import build_edges, build_nodes
+from spamrings.graph import build_nodes, co_review_matrix
+from spamrings.reviews import Review, ReviewTable
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
 
 
-def test_build_edges_big_groups(benchmark):
+def test_co_review_matrix_big_groups(benchmark):
     table, _ = generate(
         SynthConfig(seed=0, planted=[PlantedGroupConfig(size=s) for s in (1500, 1800, 2100)])
     )
     nodes = build_nodes(table)
-    edges = benchmark(build_edges, nodes)
-    assert (len(nodes), len(edges)) == (1176, 532)
-    assert max(e.n_co_reviewers for e in edges) == 2100
+    matrix = benchmark(co_review_matrix, nodes)
+    assert (len(nodes), matrix.nnz // 2) == (1176, 532)
+    assert matrix.data.max() == 2100
+
+
+def heavy_tailed_table(n_reviewers, n_products, cap, seed=0) -> ReviewTable:
+    rng = np.random.default_rng(seed)
+    popularity = 1.0 / np.arange(1, n_products + 1)
+    popularity /= popularity.sum()
+    day = datetime.date(2014, 1, 1)
+    reviews = []
+    for i in range(n_reviewers):
+        k = min(int(rng.zipf(2.2)), cap)
+        for p in rng.choice(n_products, size=k, replace=False, p=popularity):
+            reviews.append(Review(f"u{i}", f"p{p}", int(rng.integers(1, 6)), day))
+    return ReviewTable(reviews)
+
+
+def test_co_review_matrix_heavy_tailed(benchmark):
+    nodes = build_nodes(heavy_tailed_table(16_000, 923, cap=400))
+    matrix = benchmark(co_review_matrix, nodes)
+    assert matrix.has_canonical_format
+    assert (len(nodes), matrix.nnz // 2) == (4450, 171073)

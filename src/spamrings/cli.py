@@ -1,8 +1,9 @@
 """Command-line front end: ingest, detect, sweep, synth, eval.
 
-Flags mirror the JSON config keys one-to-one; a flag given on the command
-line overrides the config file, which overrides the defaults. Exit status
-is nonzero exactly when a stage failed.
+Flags mirror the JSON config keys one-to-one: a config flag's dest is its
+key, dotted under a section (``train.n_clusters``). A flag given on the
+command line overrides the config file, which overrides the defaults.
+Exit status is nonzero exactly when a stage failed.
 """
 
 from __future__ import annotations
@@ -39,27 +40,45 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="top-level seed (stage seeds derive from it)")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--format", choices=tuple(INPUT_DELIMITERS), help="input delimiter family")
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="review metadata file")
-    parser.add_argument("--header", action="store_true", default=None, help="skip a header row")
+    parser.add_argument("--format", choices=tuple(INPUT_DELIMITERS), help="input delimiter family")
+    parser.add_argument(
+        "--header", dest="has_header", action="store_true", default=None, help="skip a header row"
+    )
 
 
 def _add_detect_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-co-review", type=int, help="edge threshold on shared reviewers")
-    parser.add_argument("--weighting", choices=WEIGHTING_MODES, help="edge weight mode")
-    parser.add_argument("--dump-graph", action="store_true", default=None, help="write edge/node dump")
-    parser.add_argument("--n-clusters", type=int, help="cluster count k")
-    parser.add_argument("--hidden-width", type=int)
-    parser.add_argument("--learning-rate", type=float)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--dropout-rate", type=float)
-    parser.add_argument("--collapse-weight", type=float)
-    parser.add_argument("--assign-threshold", type=float, help="extra-membership probability cutoff")
-    parser.add_argument("--min-support", type=int, help="cluster nodes a member must appear in")
-    parser.add_argument("--size-floor", type=int, help="smallest headline group size")
+    parser.add_argument(
+        "--min-co-review", dest="graph.min_co_review", type=int,
+        help="edge threshold on shared reviewers",
+    )
+    parser.add_argument(
+        "--weighting", dest="graph.weighting", choices=WEIGHTING_MODES, help="edge weight mode"
+    )
+    parser.add_argument(
+        "--dump-graph", dest="graph.dump", action="store_true", default=None,
+        help="write edge/node dump",
+    )
+    parser.add_argument("--n-clusters", dest="train.n_clusters", type=int, help="cluster count k")
+    parser.add_argument("--hidden-width", dest="train.hidden_width", type=int)
+    parser.add_argument("--learning-rate", dest="train.learning_rate", type=float)
+    parser.add_argument("--epochs", dest="train.epochs", type=int)
+    parser.add_argument("--dropout-rate", dest="train.dropout_rate", type=float)
+    parser.add_argument("--collapse-weight", dest="train.collapse_weight", type=float)
+    parser.add_argument(
+        "--assign-threshold", dest="train.assign_threshold", type=float,
+        help="extra-membership probability cutoff",
+    )
+    parser.add_argument(
+        "--min-support", dest="group.min_support", type=int,
+        help="cluster nodes a member must appear in",
+    )
+    parser.add_argument(
+        "--size-floor", dest="rank.size_floor", type=int, help="smallest headline group size"
+    )
     parser.add_argument("--burst-tau-days", type=int)
 
 
@@ -92,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_input(p)
     p.add_argument("--ranked", required=True, help="ranked_groups.jsonl from a detect run")
-    p.add_argument("--size-floor", type=int)
+    p.add_argument("--size-floor", dest="rank.size_floor", type=int)
 
     return parser
 
@@ -104,31 +123,12 @@ def _load_config_dict(args) -> dict:
 def _pipeline_config(args) -> PipelineConfig:
     """Config file merged with the flags, validated once before any stage runs."""
     data = _load_config_dict(args)
-    overrides = {
-        "seed": (None, "seed"),
-        "out": (None, "out"),
-        "format": (None, "format"),
-        "input": (None, "input"),
-        "header": (None, "has_header"),
-        "min_co_review": ("graph", "min_co_review"),
-        "weighting": ("graph", "weighting"),
-        "dump_graph": ("graph", "dump"),
-        "n_clusters": ("train", "n_clusters"),
-        "hidden_width": ("train", "hidden_width"),
-        "learning_rate": ("train", "learning_rate"),
-        "epochs": ("train", "epochs"),
-        "dropout_rate": ("train", "dropout_rate"),
-        "collapse_weight": ("train", "collapse_weight"),
-        "assign_threshold": ("train", "assign_threshold"),
-        "min_support": ("group", "min_support"),
-        "size_floor": ("rank", "size_floor"),
-        "burst_tau_days": (None, "burst_tau_days"),
-    }
-    for arg_name, (section, key) in overrides.items():
-        value = getattr(args, arg_name, None)
-        if value is None:
+    top_level = {f.name for f in dataclasses.fields(PipelineConfig)}
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if value is None or (not section and key not in top_level):
             continue
-        if section is None:
+        if not section:
             data[key] = value
         elif isinstance(data.get(section, {}), dict):  # from_dict rejects any other section
             data[section] = {**data.get(section, {}), key: value}
@@ -222,11 +222,12 @@ def _synth_config(args) -> SynthConfig:
         kwargs["seed"] = args.seed
     check_config_section(SynthConfig, kwargs, prefix="synth.")
     if "planted" in kwargs:
-        for p in kwargs["planted"]:
+        planted = kwargs["planted"]
+        if not isinstance(planted, list) or not all(isinstance(p, dict) for p in planted):
+            raise ValueError(f"synth.planted must be a list of objects, not {planted!r}")
+        for p in planted:
             check_config_section(PlantedGroupConfig, p, prefix="synth.planted.")
-        kwargs["planted"] = [PlantedGroupConfig(**p) for p in kwargs["planted"]]
-    if "product_mean_range" in kwargs:
-        kwargs["product_mean_range"] = tuple(kwargs["product_mean_range"])
+        kwargs["planted"] = [PlantedGroupConfig(**p) for p in planted]
     return SynthConfig(**kwargs)
 
 

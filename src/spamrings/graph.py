@@ -3,17 +3,17 @@
 Nodes are (product, rating) pairs whose attribute is the set of reviewers
 that gave the product exactly that rating. Two nodes of distinct products
 are linked when enough reviewers sit in both reviewer sets; the edge
-carries the size of that intersection, its co-reviewer count. The
-adjacency weights an edge either binarily or by that count.
+carries the size of that intersection, its co-reviewer count. One
+symmetric sparse matrix of those counts holds every edge; the adjacency
+weights an edge either binarily or by its count.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import TYPE_CHECKING, Iterable
 
 from ._lazy import lazy_import
@@ -37,10 +37,6 @@ class PRNode:
     rating: int
     reviewers: frozenset[str]
 
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.product_id, self.rating)
-
 
 @dataclass(frozen=True)
 class PREdge:
@@ -51,30 +47,22 @@ class PREdge:
     n_co_reviewers: int
 
 
-@dataclass
+@dataclass(eq=False)
 class PRGraph:
+    """Nodes and their symmetric co-reviewer count matrix, the graph's one edge store."""
+
     nodes: list[PRNode]
-    edges: list[PREdge]
+    co_review: sp.csr_array  # as co_review_matrix returns it
     weighting: str = DEFAULT_WEIGHTING
-    index: dict[tuple[str, int], int] = field(init=False)
 
     def __post_init__(self):
         if self.weighting not in WEIGHTING_MODES:
             raise ValueError(f"unknown edge weighting {self.weighting!r}")
-        self.index = {node.key: i for i, node in enumerate(self.nodes)}
 
     @cached_property
-    def neighbors(self) -> list[list[int]]:
-        """Each node's adjacent node positions, in edge order."""
-        out: list[list[int]] = [[] for _ in self.nodes]
-        for e in self.edges:
-            out[e.u].append(e.v)
-            out[e.v].append(e.u)
-        return out
-
-    def edge_weight(self, edge: PREdge) -> float:
-        """1 under binary weighting, else the edge's co-reviewer count."""
-        return 1.0 if self.weighting == "binary" else float(edge.n_co_reviewers)
+    def edges(self) -> list[PREdge]:
+        """The upper triangle as edges, ordered by (u, v); built on first use."""
+        return [PREdge(*e) for e in zip(*_upper_triangle(self.co_review))]
 
 
 def node_id_str(node: PRNode) -> str:
@@ -96,27 +84,41 @@ def build_nodes(table: ReviewTable) -> list[PRNode]:
     ]
 
 
-def build_edges(nodes: list[PRNode], min_co_review: int = 2) -> list[PREdge]:
-    """Link node pairs (distinct products) sharing >= min_co_review reviewers.
+def co_review_matrix(nodes: list[PRNode], min_co_review: int = 2) -> sp.csr_array:
+    """Co-reviewer counts of node pairs (distinct products) sharing >= min_co_review reviewers.
 
-    Uses a reviewer -> nodes inverted index: each reviewer contributes one
-    count to every node pair it belongs to, so a pair's count equals the
-    exact reviewer-set intersection size. This avoids the all-pairs scan.
+    The counts are ``BᵀB`` of the reviewer × node 0/1 incidence ``B``,
+    with the diagonal, pairs of one product (a table that is not deduped
+    can put a reviewer in two ratings of a product) and counts below the
+    threshold dropped. The result is symmetric canonical CSR: sorted
+    indices, no duplicates and no explicit zeros.
     """
+    import scipy.sparse as sp
+
     if min_co_review < 1:
         raise ValueError("min_co_review must be >= 1")
-    incident: dict[str, list[int]] = defaultdict(list)
-    for i, node in enumerate(nodes):
-        for reviewer in node.reviewers:
-            incident[reviewer].append(i)
-    counts: dict[tuple[int, int], int] = defaultdict(int)
-    for reviewer in sorted(incident):
-        members = sorted(incident[reviewer])
-        for i, j in combinations(members, 2):
-            if nodes[i].product_id == nodes[j].product_id:
-                continue
-            counts[(i, j)] += 1
-    return [PREdge(i, j, n) for (i, j), n in sorted(counts.items()) if n >= min_co_review]
+    reviewer_ids: dict[str, int] = {}
+    rows = [reviewer_ids.setdefault(r, len(reviewer_ids)) for node in nodes for r in node.reviewers]
+    starts = np.cumsum([0] + [len(node.reviewers) for node in nodes])
+    # int32 counts and product ids: BᵀB and its masks are the memory peak, and a count is
+    # at most the number of reviewers
+    incidence = sp.csc_array(
+        (np.ones(len(rows), dtype=np.int32), rows, starts), shape=(len(reviewer_ids), len(nodes))
+    )
+    counts = incidence.T @ incidence
+    product = np.unique([n.product_id for n in nodes], return_inverse=True)[1].astype(np.int32)
+    same_product = product[counts.indices] == np.repeat(product, np.diff(counts.indptr))
+    counts.data[same_product | (counts.data < min_co_review)] = 0
+    counts.eliminate_zeros()
+    counts.sort_indices()
+    return counts
+
+
+def _upper_triangle(matrix: sp.csr_array) -> tuple[list[int], list, list]:
+    """Row, column and value of each entry above the diagonal of a canonical CSR, row by row."""
+    row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    above = matrix.indices > row
+    return row[above].tolist(), matrix.indices[above].tolist(), matrix.data[above].tolist()
 
 
 def build_graph(
@@ -125,24 +127,21 @@ def build_graph(
     weighting: str = DEFAULT_WEIGHTING,
 ) -> PRGraph:
     nodes = build_nodes(table)
-    edges = build_edges(nodes, min_co_review=min_co_review)
-    return PRGraph(nodes=nodes, edges=edges, weighting=weighting)
+    return PRGraph(nodes, co_review_matrix(nodes, min_co_review), weighting)
 
 
 def adjacency_sparse(graph: PRGraph) -> sp.csr_array:
-    """Symmetric CSR adjacency with zero diagonal, weighted by ``graph.edge_weight``."""
+    """Symmetric CSR adjacency with zero diagonal.
+
+    An edge weighs 1 under binary weighting, else its co-reviewer count.
+    The adjacency has the sparsity pattern of ``graph.co_review``.
+    """
     import scipy.sparse as sp
 
-    n = len(graph.nodes)
-    rows, cols, vals = [], [], []
-    for e in graph.edges:
-        w = graph.edge_weight(e)
-        rows += [e.u, e.v]
-        cols += [e.v, e.u]
-        vals += [w, w]
-    return sp.csr_array(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
-    )
+    counts = graph.co_review
+    binary = graph.weighting == "binary"
+    weights = np.ones(counts.nnz) if binary else counts.data.astype(np.float64)
+    return sp.csr_array((weights, counts.indices, counts.indptr), shape=counts.shape)
 
 
 def node_features(graph: PRGraph) -> np.ndarray:
@@ -152,13 +151,8 @@ def node_features(graph: PRGraph) -> np.ndarray:
     the rating level, column 5 is log(1 + |reviewers|) and column 6 is
     log(1 + weighted degree) under the graph's weighting mode.
     """
-    n = len(graph.nodes)
-    feats = np.zeros((n, FEATURE_DIM), dtype=np.float64)
-    degree = np.zeros(n, dtype=np.float64)
-    for e in graph.edges:
-        w = graph.edge_weight(e)
-        degree[e.u] += w
-        degree[e.v] += w
+    feats = np.zeros((len(graph.nodes), FEATURE_DIM), dtype=np.float64)
+    degree = adjacency_sparse(graph).sum(axis=1)
     for i, node in enumerate(graph.nodes):
         feats[i, node.rating - 1] = 1.0
         feats[i, NUM_RATING_LEVELS] = math.log1p(len(node.reviewers))
@@ -167,12 +161,10 @@ def node_features(graph: PRGraph) -> np.ndarray:
 
 
 def write_graph(graph: PRGraph, edges_path, nodes_path) -> None:
-    """Dump edge list and node attributes as tab-separated text."""
+    """Dump the edge list (ordered by node pair) and node attributes as tab-separated text."""
     with open(edges_path, "w", encoding="utf-8") as fh:
-        for e in graph.edges:
-            u = node_id_str(graph.nodes[e.u])
-            v = node_id_str(graph.nodes[e.v])
-            fh.write(f"{u}\t{v}\t{graph.edge_weight(e):g}\n")
+        for u, v, weight in zip(*_upper_triangle(adjacency_sparse(graph))):
+            fh.write(f"{node_id_str(graph.nodes[u])}\t{node_id_str(graph.nodes[v])}\t{weight:g}\n")
     with open(nodes_path, "w", encoding="utf-8") as fh:
         for node in graph.nodes:
             fh.write(f"{node.product_id}\t{node.rating}\t{len(node.reviewers)}\n")
@@ -194,10 +186,10 @@ def connected_components(graph: PRGraph, node_subset: Iterable[int]) -> list[set
 
     Components come back ordered by their smallest node index; isolated
     nodes form singleton components. The search visits only the edges of
-    the subset's nodes, through the graph's cached neighbour lists.
+    the subset's nodes, read from the rows of ``graph.co_review``.
     """
     subset = set(node_subset)
-    neighbors = graph.neighbors
+    indptr, indices = graph.co_review.indptr, graph.co_review.indices
     seen: set[int] = set()
     comps: list[set[int]] = []
     for root in sorted(subset):  # every smaller node is seen, so root is its component's minimum
@@ -206,7 +198,8 @@ def connected_components(graph: PRGraph, node_subset: Iterable[int]) -> list[set
         comp = {root}
         stack = [root]
         while stack:
-            for v in neighbors[stack.pop()]:
+            u = stack.pop()
+            for v in indices[indptr[u] : indptr[u + 1]].tolist():
                 if v in subset and v not in comp:
                     comp.add(v)
                     stack.append(v)

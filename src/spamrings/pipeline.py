@@ -294,7 +294,7 @@ def _graph_stage(table: ReviewTable, config: PipelineConfig):
             min_co_review=config.graph.min_co_review,
             weighting=config.graph.weighting,
         )
-        if not graph.edges:
+        if graph.co_review.nnz == 0:
             raise ValueError(
                 "product-rating graph has no edges; lower min_co_review or check the data"
             )
@@ -398,7 +398,7 @@ def write_manifest(path, result: DetectResult, ingest: dict[str, int]) -> None:
         "seed": result.config.seed,
         "derived_train_seed": result.train_result.config.seed,
         "n_nodes": len(result.graph.nodes),
-        "n_edges": len(result.graph.edges),
+        "n_edges": result.graph.co_review.nnz // 2,
         "n_train_nodes": result.train_result.n_train_nodes,
         "n_isolated_nodes": len(result.graph.nodes) - result.train_result.n_train_nodes,
         "n_groups": len(result.scored),

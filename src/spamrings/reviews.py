@@ -123,10 +123,7 @@ def _parse_date(text: str) -> _date:
 
 
 def parse_reviews(
-    path,
-    delimiter: str = ",",
-    has_header: bool = False,
-    label_map: dict[str, str] | None = None,
+    path, delimiter: str = ",", has_header: bool = False
 ) -> tuple[ReviewTable, list[RowError]]:
     """Read a review metadata file.
 
@@ -139,7 +136,6 @@ def parse_reviews(
     Returns:
         (table of valid reviews, list of row errors)
     """
-    label_map = DEFAULT_LABEL_MAP if label_map is None else label_map
     ratings: dict[str, int] = {}
     days: dict[str, _date] = {}
     reviews: list[Review] = []
@@ -170,7 +166,7 @@ def parse_reviews(
                 if day is None:
                     day = days[date_s] = _parse_date(date_s)
                 label_s = label_s.strip()
-                label = label_map.get(label_s)
+                label = DEFAULT_LABEL_MAP.get(label_s)
                 if label is None:
                     raise ValueError(f"unmapped label token {label_s!r}")
             except ValueError as err:
@@ -180,19 +176,13 @@ def parse_reviews(
     return ReviewTable(reviews), errors
 
 
-def write_reviews(
-    table: ReviewTable,
-    path,
-    delimiter: str = ",",
-    label_tokens: dict[str, str] | None = None,
-) -> None:
+def write_reviews(table: ReviewTable, path, delimiter: str = ",") -> None:
     """Serialize a table back to the 5-column delimited layout."""
-    tokens = DEFAULT_LABEL_TOKENS if label_tokens is None else label_tokens
     # date.isoformat costs more than a dict lookup, and days repeat across rows.
     iso = {day: day.isoformat() for day in {r.date for r in table.reviews}}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(
-            (r.reviewer_id, r.product_id, r.rating, tokens[r.label], iso[r.date])
+            (r.reviewer_id, r.product_id, r.rating, DEFAULT_LABEL_TOKENS[r.label], iso[r.date])
             for r in table.reviews
         )
 

@@ -11,6 +11,7 @@ the table so end-to-end detection can be checked exactly.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass, field
 
 from ._lazy import lazy_import
@@ -65,6 +66,20 @@ class SynthConfig:
             raise ValueError("horizon must be at least one day")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        bounds = self.product_mean_range
+        if not (
+            isinstance(bounds, (list, tuple))
+            and len(bounds) == 2
+            and all(type(x) in (int, float) and math.isfinite(x) for x in bounds)
+            and bounds[0] <= bounds[1]
+        ):
+            raise ValueError(
+                "product_mean_range must be a [low, high] pair of finite numbers with "
+                f"low <= high, not {bounds!r}"
+            )
+        self.product_mean_range = tuple(bounds)
+        if self.rating_noise_sd < 0:
+            raise ValueError("rating_noise_sd must be >= 0")
         wanted = sum(g.n_targets for g in self.planted)
         if wanted > self.n_products:
             raise ValueError(

@@ -12,11 +12,16 @@ training itself computes it sparsely.
 
 ``connected_components_edge_scan`` is the union-find over every edge of
 the graph that ``graph.connected_components`` replaced.
+
+``build_edges_pair_count`` is the reviewer-by-reviewer pair count that
+``graph.co_review_matrix`` replaced.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -177,3 +182,24 @@ def connected_components_edge_scan(graph, node_subset) -> list[set[int]]:
     for i in subset:
         comps.setdefault(find(i), set()).add(i)
     return [comps[root] for root in sorted(comps)]
+
+
+def build_edges_pair_count(nodes, min_co_review: int = 2) -> list[tuple[int, int, int]]:
+    """(u, v, co-reviewer count) of node pairs u < v of distinct products
+    sharing >= min_co_review reviewers, ordered by (u, v).
+
+    Each reviewer adds one count to every pair of the nodes it sits in,
+    so a pair's count is the exact reviewer-set intersection size.
+    """
+    if min_co_review < 1:
+        raise ValueError("min_co_review must be >= 1")
+    incident: dict[str, list[int]] = defaultdict(list)
+    for i, node in enumerate(nodes):
+        for reviewer in node.reviewers:
+            incident[reviewer].append(i)
+    counts: dict[tuple[int, int], int] = defaultdict(int)
+    for reviewer in sorted(incident):
+        for i, j in combinations(sorted(incident[reviewer]), 2):
+            if nodes[i].product_id != nodes[j].product_id:
+                counts[(i, j)] += 1
+    return [(i, j, n) for (i, j), n in sorted(counts.items()) if n >= min_co_review]

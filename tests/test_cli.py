@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,9 +8,17 @@ import numpy as np
 import pytest
 
 from oracles import modularity as dense_modularity
-from spamrings.cli import main
+from spamrings.cli import _pipeline_config, build_parser, main
 from spamrings.graph import adjacency_sparse, build_graph
-from spamrings.pipeline import PipelineConfig, StageError, derive_train_seed, detect, load_table
+from spamrings.pipeline import (
+    PipelineConfig,
+    StageError,
+    derive_train_seed,
+    detect,
+    ingest_counts,
+    load_table,
+    write_detect_report,
+)
 from spamrings.reviews import parse_reviews
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate, write_ground_truth
 from spamrings.reviews import write_reviews
@@ -140,6 +149,23 @@ def test_detect_reports(dataset, tmp_path):
     assert [r["rank"] for r in records] == list(range(1, len(records) + 1))
     scores = [r["anomaly_score"] for r in records]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_detect_never_builds_the_edge_list(dataset, tmp_path):
+    config = PipelineConfig.from_dict(
+        {"input": str(dataset / "reviews.csv"), "out": str(tmp_path / "o"),
+         "graph": {"dump": True}, "train": {"epochs": 20, "n_clusters": 20}}
+    )
+    raw, errors, table = load_table(config)
+    result = detect(table, config)
+    paths = write_detect_report(result, config.out, ingest_counts(raw, errors, table))
+    assert "edges" not in vars(result.graph)  # the lazy upper-triangle view
+    manifest = json.loads(paths["manifest"].read_text())
+    assert manifest["n_edges"] == len(result.graph.edges) > 0
+    dumped = paths["graph_edges"].read_text().splitlines()
+    assert [line.split("\t")[2] for line in dumped] == [
+        str(e.n_co_reviewers) for e in result.graph.edges
+    ]
 
 
 def test_manifest_counts_isolated_and_train_nodes(dataset, tmp_path):
@@ -537,6 +563,13 @@ def test_config_value_of_wrong_type_or_range_fails_at_config(
         ({"synth": {"n_reviewers": 50.5}}, [], "synth.n_reviewers must be int"),
         ({"synth": {"planted": [{"size": 2.5}]}}, [], "synth.planted.size must be int"),
         ({"synth": {"bogus": 1}}, [], "unknown config key synth.bogus"),
+        ({"synth": {"planted": [5]}}, [], "synth.planted must be a list of objects"),
+        ({"synth": {"planted": 5}}, [], "synth.planted must be a list of objects"),
+        ({"synth": {"product_mean_range": 5}}, [], "product_mean_range must be a [low, high]"),
+        ({"synth": {"product_mean_range": [1, "a"]}}, [], "product_mean_range must be a [low, high]"),
+        ({"synth": {"product_mean_range": [1, 2, 3]}}, [], "product_mean_range must be a [low,"),
+        ({"synth": {"product_mean_range": [4, 1]}}, [], "product_mean_range must be a [low, high]"),
+        ({"synth": {"rating_noise_sd": -1}}, [], "rating_noise_sd must be >= 0"),
     ],
 )
 def test_synth_config_value_of_wrong_type_or_range_fails_before_generating(
@@ -550,6 +583,52 @@ def test_synth_config_value_of_wrong_type_or_range_fails_before_generating(
     err = capsys.readouterr().err
     assert err.startswith("error: synth:") and named in err, err
     assert not out.exists()
+
+
+def test_synth_rejects_format_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(tmp_path / "o"), "--format", "tsv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _config_field(config, key):
+    for part in key.split("."):
+        config = getattr(config, part)
+    return config
+
+
+@pytest.mark.parametrize(
+    "command, required",
+    [("detect", []), ("sweep", ["--k-list", "10"]), ("eval", ["--ranked", "r.jsonl"])],
+)
+def test_every_config_flag_reaches_its_config_field(command, required):
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    defaults = PipelineConfig()
+    reached = []
+    for action in subparsers.choices[command]._actions:
+        if not action.option_strings or action.dest in ("help", "config", "k_list", "ranked"):
+            continue
+        default = _config_field(defaults, action.dest)
+        if action.nargs == 0:
+            value, flag = True, [action.option_strings[0]]
+        else:
+            if action.choices:
+                value = next(c for c in action.choices if c != default)
+            elif isinstance(default, str):
+                value = "flagged.csv"
+            elif action.type is int:
+                value = default + 1
+            else:
+                value = default / 2
+            flag = [action.option_strings[0], str(value)]
+        args = build_parser().parse_args([command, "--input", "x.csv", *required, *flag])
+        assert _config_field(_pipeline_config(args), action.dest) == value != default
+        reached.append(action.option_strings[0])
+    assert len(reached) == {"detect": 18, "sweep": 18, "eval": 6}[command], reached
 
 
 def test_float_config_fields_accept_ints():

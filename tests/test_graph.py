@@ -5,15 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from oracles import connected_components_edge_scan
+from oracles import build_edges_pair_count, connected_components_edge_scan
 from spamrings.graph import (
-    PREdge,
     PRGraph,
     PRNode,
     adjacency_sparse,
-    build_edges,
     build_graph,
     build_nodes,
+    co_review_matrix,
     connected_components,
     node_features,
     node_id_str,
@@ -45,10 +44,18 @@ def adjacency(graph):
     return adjacency_sparse(graph).toarray()
 
 
+def key(node):
+    return (node.product_id, node.rating)
+
+
+def node_index(graph):
+    return {key(node): i for i, node in enumerate(graph.nodes)}
+
+
 def test_build_nodes_definition():
     table = table_from([("u1", "p1", 5), ("u2", "p1", 5), ("u1", "p2", 3)])
     nodes = build_nodes(table)
-    as_dict = {n.key: n.reviewers for n in nodes}
+    as_dict = {key(n): n.reviewers for n in nodes}
     assert as_dict == {("p1", 5): {"u1", "u2"}, ("p2", 3): {"u1"}}
 
 
@@ -69,11 +76,11 @@ def test_build_edges_threshold_and_attribute():
         [("u1", "p1", 5), ("u2", "p1", 5), ("u1", "p2", 5), ("u2", "p2", 5), ("u3", "p2", 5)]
     )
     nodes = build_nodes(table)
-    edges = build_edges(nodes, min_co_review=1)
+    edges = PRGraph(nodes, co_review_matrix(nodes, min_co_review=1)).edges
     assert len(edges) == 1
     assert edges[0].n_co_reviewers == 2
     assert nodes[edges[0].u].reviewers & nodes[edges[0].v].reviewers == {"u1", "u2"}
-    assert build_edges(nodes, min_co_review=3) == []
+    assert co_review_matrix(nodes, min_co_review=3).nnz == 0
 
 
 def test_co_rating_pair_lands_on_edge():
@@ -89,7 +96,7 @@ def test_co_rating_pair_lands_on_edge():
     )
     graph = build_graph(table, min_co_review=2)
     (edge,) = graph.edges
-    endpoints = {graph.nodes[edge.u].key, graph.nodes[edge.v].key}
+    endpoints = {key(graph.nodes[edge.u]), key(graph.nodes[edge.v])}
     assert endpoints == {("p1", 4), ("p2", 2)}
     assert co_reviewers(graph, edge) == {"alice", "bob"}
     assert edge.n_co_reviewers == 2
@@ -100,7 +107,30 @@ def test_no_edge_within_same_product():
     # u1 rated p1 twice at different levels; dedupe normally forbids this,
     # but edges must never join two ratings of the same product anyway.
     nodes = build_nodes(table)
-    assert build_edges(nodes, min_co_review=1) == []
+    assert co_review_matrix(nodes, min_co_review=1).nnz == 0
+
+
+def test_co_review_matrix_matches_pair_count_oracle():
+    rng = random.Random(17)
+    for _ in range(40):
+        n_users, n_products = rng.randint(1, 40), rng.randint(1, 8)
+        rows = {
+            (f"u{rng.randrange(n_users)}", f"p{rng.randrange(n_products)}"): rng.randrange(1, 6)
+            for _ in range(rng.randint(0, 150))
+        }
+        reviews = [Review(u, p, r, D) for (u, p), r in rows.items()]
+        # rows a table that is not deduped keeps: a second rating of a product already rated
+        rerated = rng.sample(sorted(rows), len(rows) // 5)
+        reviews += [Review(u, p, rng.randrange(1, 6), D) for u, p in rerated]
+        nodes = build_nodes(ReviewTable(reviews))
+        for min_co_review in (1, 2, 3):
+            matrix = co_review_matrix(nodes, min_co_review)
+            assert matrix.has_canonical_format
+            assert (matrix != matrix.T).nnz == 0
+            graph = PRGraph(nodes, matrix)
+            got = [(e.u, e.v, e.n_co_reviewers) for e in graph.edges]
+            assert got == build_edges_pair_count(nodes, min_co_review)
+            assert matrix.nnz == 2 * len(got)
 
 
 def test_adjacency_weighted_and_binary():
@@ -164,7 +194,7 @@ def test_shuffle_invariance():
     rng.shuffle(shuffled)
     g1 = build_graph(ReviewTable(reviews), min_co_review=1)
     g2 = build_graph(ReviewTable(shuffled), min_co_review=1)
-    assert [n.key for n in g1.nodes] == [n.key for n in g2.nodes]
+    assert [key(n) for n in g1.nodes] == [key(n) for n in g2.nodes]
     assert [(e.u, e.v, e.n_co_reviewers) for e in g1.edges] == [
         (e.u, e.v, e.n_co_reviewers) for e in g2.edges
     ]
@@ -209,8 +239,9 @@ def test_connected_components_of_subset():
     sizes = sorted(len(c) for c in comps)
     assert sizes == [1, 2, 2]
     # restricting the subset restricts the components
-    sub = connected_components(graph, [graph.index[("p1", 5)]])
-    assert sub == [{graph.index[("p1", 5)]}]
+    index = node_index(graph)
+    sub = connected_components(graph, [index[("p1", 5)]])
+    assert sub == [{index[("p1", 5)]}]
 
 
 def test_connected_components_match_edge_scan_oracle():
@@ -218,10 +249,14 @@ def test_connected_components_match_edge_scan_oracle():
     for _ in range(200):
         n = rng.randint(2, 40)
         pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2 * n))}
-        graph = PRGraph(
-            nodes=[PRNode(f"p{i}", 5, frozenset({f"u{i}"})) for i in range(n)],
-            edges=[PREdge(u, v, 2) for u, v in sorted(pairs)],
-        )
+        reviewers = [{f"u{i}"} for i in range(n)]
+        for u, v in pairs:  # two shared reviewers per pair: an edge at min_co_review=2
+            for r in (f"r{u}_{v}a", f"r{u}_{v}b"):
+                reviewers[u].add(r)
+                reviewers[v].add(r)
+        nodes = [PRNode(f"p{i}", 5, frozenset(reviewers[i])) for i in range(n)]
+        graph = PRGraph(nodes, co_review_matrix(nodes))
+        assert [(e.u, e.v) for e in graph.edges] == sorted(pairs)
         for subset in (range(n), rng.sample(range(n), rng.randint(0, n))):
             got = connected_components(graph, subset)
             assert got == connected_components_edge_scan(graph, subset)
@@ -230,7 +265,7 @@ def test_connected_components_match_edge_scan_oracle():
 
 def test_bad_weighting_mode_rejected():
     with pytest.raises(ValueError):
-        PRGraph(nodes=[], edges=[], weighting="huh")
+        PRGraph(nodes=[], co_review=co_review_matrix([]), weighting="huh")
     table = table_from([("u1", "p1", 5)])
     with pytest.raises(ValueError):
         build_graph(table, weighting="huh")
@@ -238,7 +273,7 @@ def test_bad_weighting_mode_rejected():
 
 def test_min_co_review_must_be_positive():
     with pytest.raises(ValueError):
-        build_edges([], min_co_review=0)
+        co_review_matrix([], min_co_review=0)
 
 
 def test_graph_dump_format(tmp_path):

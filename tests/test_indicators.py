@@ -66,7 +66,8 @@ def extraction_fixture():
     ]
     table = ReviewTable([Review(u, p, r, day(i)) for i, (u, p, r) in enumerate(rows)])
     graph = build_graph(table, min_co_review=1)
-    cluster = [graph.index[("p1", 5)], graph.index[("p2", 5)]]
+    index = {(node.product_id, node.rating): i for i, node in enumerate(graph.nodes)}
+    cluster = [index[("p1", 5)], index[("p2", 5)]]
     return table, graph, cluster
 
 
