@@ -11,6 +11,7 @@ epoch count is fixed at 50 (a detect run trains 500) to keep a round short.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 pytest.importorskip("pytest_benchmark")
@@ -28,9 +29,13 @@ def test_train_big_groups(benchmark):
         SynthConfig(seed=0, planted=[PlantedGroupConfig(size=s) for s in (1500, 1800, 2100)])
     )
     graph = build_graph(table)
-    adj, feats = adjacency_sparse(graph), node_features(graph)
+    adj = adjacency_sparse(graph)
+    feats = node_features(graph, adj)
     defaults = PipelineConfig().train
     config = dataclasses.replace(defaults, seed=derive_train_seed(0), epochs=EPOCHS)
     result = benchmark(train, adj, feats, config)
     assert (len(graph.nodes), result.n_train_nodes) == (1176, 511)
     assert len(result.loss_trace) == EPOCHS
+    # the float32 path a detect run trains on
+    blocks = result.params.weights + result.params.skip_weights
+    assert {w.dtype for w in blocks} == {np.dtype(np.float32)}

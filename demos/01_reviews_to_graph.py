@@ -47,7 +47,8 @@ for edge in graph.edges:
     shared = sorted(u.reviewers & v.reviewers)
     print(f"  edge {node_id_str(u)} -- {node_id_str(v)}: {edge.n_co_reviewers} co-reviewers {shared}")
 
+adj = adjacency_sparse(graph)
 print("\nweighted adjacency:")
-print(adjacency_sparse(graph).toarray())
+print(adj.toarray())
 print("\nnode features (one-hot rating, log reviewer count, log degree):")
-print(node_features(graph).round(3))
+print(node_features(graph, adj).round(3))

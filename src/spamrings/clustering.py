@@ -10,12 +10,19 @@ one edge, so n counts active nodes; one forward pass of the trained
 network then assigns every node. Everything is plain numpy with
 hand-written gradients so runs are bit-reproducible for a fixed seed; a
 finite-difference check guards the backward pass.
+
+Training computes in the floating dtype of the features: float32 features
+(what ``graph.node_features`` returns, as in DMoN and the GCN paper) train
+in float32, anything else in float64. The two weight gradients, the only
+products that sum over the nodes, add fixed row blocks in block order, so
+the result does not depend on how many threads BLAS uses.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -32,14 +39,23 @@ SELU_ALPHA = 1.6732632423543772
 
 CHECKPOINT_VERSION = 1
 
+# Rows per block of the weight-gradient sums; see _blocked_gram.
+GRAD_BLOCK_ROWS = 256
+
+
+def _float_array(x):
+    """x as an array of float32 if it is one, else of float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
 
 def selu(x):
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     return np.where(x > 0, SELU_SCALE * x, SELU_SCALE * SELU_ALPHA * np.expm1(x))
 
 
 def _selu_grad(x):
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     return np.where(x > 0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
 
 
@@ -152,7 +168,7 @@ def _forward(adj_norm, feats, params: GCNParams, dropout_masks=None):
 def gcn_forward(adj_norm, feats, params: GCNParams, dropout_masks=None):
     """Run the network: hidden layers SeLU(Ã H W + H W_s), linear output,
     row-softmax into the soft assignment."""
-    feats = np.asarray(feats, dtype=np.float64)
+    feats = _float_array(feats)
     if feats.shape[1] != params.weights[0].shape[0]:
         raise ValueError(
             f"feature width {feats.shape[1]} does not match first layer "
@@ -167,6 +183,20 @@ def _softmax_backward(assignment, d_assign):
     return assignment * (d_assign - inner)
 
 
+def _blocked_gram(a, b):
+    """aᵀ b as a sum of GRAD_BLOCK_ROWS-row block products, added in block order.
+
+    OpenBLAS splits a long inner dimension across its threads, so a plain
+    aᵀ b over some 400 rows or more sums in an order, and rounds to bits,
+    that depend on the thread count. A block stays below that length, and
+    the blocks are added in one fixed order.
+    """
+    out = a[:GRAD_BLOCK_ROWS].T @ b[:GRAD_BLOCK_ROWS]
+    for start in range(GRAD_BLOCK_ROWS, a.shape[0], GRAD_BLOCK_ROWS):
+        out += a[start : start + GRAD_BLOCK_ROWS].T @ b[start : start + GRAD_BLOCK_ROWS]
+    return out
+
+
 def _backward(adj_norm, params: GCNParams, cache, d_logits, dropout_masks=None):
     grads_w = [None] * params.n_layers
     grads_ws = [None] * params.n_layers
@@ -177,8 +207,8 @@ def _backward(adj_norm, params: GCNParams, cache, d_logits, dropout_masks=None):
             if dropout_masks is not None:
                 dh = dh * dropout_masks[t]
             dh = dh * _selu_grad(z)
-        grads_w[t] = agg.T @ dh
-        grads_ws[t] = h_in.T @ dh
+        grads_w[t] = _blocked_gram(agg, dh)
+        grads_ws[t] = _blocked_gram(h_in, dh)
         if t > 0:
             # adjacency is symmetric, so Ãᵀ = Ã
             dh = adj_norm @ (dh @ params.weights[t].T) + dh @ params.skip_weights[t].T
@@ -193,10 +223,12 @@ def _loss_and_assignment_grad(assignment, adj, deg, two_m, collapse_weight):
     col = assignment.sum(axis=0)
     col_norm = float(np.linalg.norm(col))
     n, k = assignment.shape
-    collapse = (np.sqrt(k) / n) * col_norm - 1.0
+    # a Python float scale keeps float32 arrays float32; np.sqrt would give a float64 scalar
+    scale = math.sqrt(k) / n
+    collapse = scale * col_norm - 1.0
     loss = -trace / two_m + collapse_weight * collapse
     d_assign = (-2.0 / two_m) * (ac - np.outer(deg, dc) / two_m)
-    d_assign += collapse_weight * (np.sqrt(k) / n) * (col / col_norm)
+    d_assign += collapse_weight * scale * (col / col_norm)
     return loss, d_assign
 
 
@@ -229,36 +261,45 @@ def _prepare(adj, features) -> _Problem:
     A node is active when its degree in adj is positive. An isolated node
     has no modularity gradient and feeds no other node's forward pass, so
     leaving it out changes only the collapse term, whose n and column sums
-    then count active nodes.
+    then count active nodes. Degrees, 2m and the normalization are computed
+    in float64; the matrices, degrees and features are then cast to the
+    features' dtype (see _float_array).
     """
     import scipy.sparse as sp
 
-    adj_sp = sp.csr_array(adj).astype(np.float64)
-    deg = np.asarray(adj_sp.sum(axis=1)).ravel()
+    adj_sp = sp.csr_array(adj)
+    deg = np.asarray(adj_sp.sum(axis=1), dtype=np.float64).ravel()
     two_m = float(deg.sum())
     if two_m <= 0:
         raise ValueError("graph has no edges (2m = 0); modularity loss undefined")
-    feats = np.asarray(features, dtype=np.float64)
+    feats = _float_array(features)
     if feats.shape[0] != adj_sp.shape[0]:
         raise ValueError("features and adjacency disagree on node count")
+    dtype = feats.dtype
     active = np.flatnonzero(deg > 0)
     sub = adj_sp[active][:, active]
     return _Problem(
-        adj=sub,
-        deg=deg[active],
+        adj=sub.astype(dtype, copy=False),
+        deg=deg[active].astype(dtype, copy=False),
         two_m=two_m,
-        adj_norm=normalized_adjacency(sub),
+        adj_norm=normalized_adjacency(sub).astype(dtype, copy=False),
         feats=feats[active],
-        full_adj_norm=normalized_adjacency(adj_sp),
+        full_adj_norm=normalized_adjacency(adj_sp).astype(dtype, copy=False),
         full_feats=feats,
     )
 
 
 def _seeded_init(feats, config: TrainConfig) -> tuple[GCNParams, np.random.Generator]:
-    """Initial parameters and the dropout stream, split from the one training seed."""
+    """Initial parameters in the features' dtype and the dropout stream, split
+    from the one training seed. The weights are drawn in float64 whatever
+    that dtype, so one seed starts both dtypes from the same values."""
     init_seq, drop_seq = np.random.SeedSequence(config.seed).spawn(2)
     sizes = [feats.shape[1], config.hidden_width, config.n_clusters]
-    params = GCNParams.init(sizes, np.random.Generator(np.random.PCG64(init_seq)))
+    drawn = GCNParams.init(sizes, np.random.Generator(np.random.PCG64(init_seq)))
+    params = GCNParams(
+        [w.astype(feats.dtype, copy=False) for w in drawn.weights],
+        [w.astype(feats.dtype, copy=False) for w in drawn.skip_weights],
+    )
     return params, np.random.Generator(np.random.PCG64(drop_seq))
 
 
@@ -274,6 +315,7 @@ def _loss_at(prob: _Problem, params: GCNParams, config: TrainConfig) -> float:
 def train(adj, features, config: TrainConfig) -> TrainResult:
     """Full-batch Adam on the clustering loss; deterministic per seed.
 
+    Computes in float32 if the features are float32, else in float64.
     Every epoch runs on the active subgraph (see _prepare). Dropout masks
     are drawn each epoch from a dedicated stream; the returned assignment
     is a dropout-free forward pass of the final parameters over the full
@@ -297,7 +339,7 @@ def train(adj, features, config: TrainConfig) -> TrainResult:
         if config.dropout_rate > 0:
             keep = 1.0 - config.dropout_rate
             masks = [
-                (drop_rng.random(size=(n, width)) < keep).astype(np.float64) / keep
+                (drop_rng.random(size=(n, width)) < keep).astype(prob.feats.dtype) / keep
                 for width in hidden_sizes
             ]
         _, _, assignment, cache = _forward(prob.adj_norm, prob.feats, params, masks)
@@ -336,13 +378,15 @@ def gradient_check(adj, features, config: TrainConfig, step: float = 1e-5) -> fl
 
     Runs the dropout-free loss that train optimizes, on the same active
     subgraph, at the seeded initial parameters and perturbs every entry
-    of every weight block. Intended for small instances; cost is two
+    of every weight block. It always runs in float64, whatever the
+    features' dtype: a central difference at step 1e-5 needs that
+    precision. Intended for small instances; cost is two
     forward passes per parameter. Note the SeLU
     kink: an instance with a pre-activation within ~step of zero makes
     the central difference straddle two branches, inflating the reported
     error for that entry.
     """
-    prob = _prepare(adj, features)
+    prob = _prepare(adj, np.asarray(features, dtype=np.float64))
     params, _ = _seeded_init(prob.feats, config)
 
     _, _, assignment, cache = _forward(prob.adj_norm, prob.feats, params)

@@ -144,15 +144,16 @@ def adjacency_sparse(graph: PRGraph) -> sp.csr_array:
     return sp.csr_array((weights, counts.indices, counts.indptr), shape=counts.shape)
 
 
-def node_features(graph: PRGraph) -> np.ndarray:
-    """Per-node feature rows: one-hot rating, log reviewer count, log degree.
+def node_features(graph: PRGraph, adj: sp.csr_array) -> np.ndarray:
+    """Per-node float32 feature rows: one-hot rating, log reviewer count, log degree.
 
-    Deterministic function of the graph alone: columns 0..4 one-hot encode
-    the rating level, column 5 is log(1 + |reviewers|) and column 6 is
-    log(1 + weighted degree) under the graph's weighting mode.
+    ``adj`` is the graph's :func:`adjacency_sparse`. Columns 0..4 one-hot
+    encode the rating level, column 5 is log(1 + |reviewers|) and column 6
+    is log(1 + weighted degree) under the graph's weighting mode. float32
+    is the precision training runs in (see ``clustering``).
     """
-    feats = np.zeros((len(graph.nodes), FEATURE_DIM), dtype=np.float64)
-    degree = adjacency_sparse(graph).sum(axis=1)
+    feats = np.zeros((len(graph.nodes), FEATURE_DIM), dtype=np.float32)
+    degree = adj.sum(axis=1)
     for i, node in enumerate(graph.nodes):
         feats[i, node.rating - 1] = 1.0
         feats[i, NUM_RATING_LEVELS] = math.log1p(len(node.reviewers))

@@ -299,7 +299,8 @@ def _graph_stage(table: ReviewTable, config: PipelineConfig):
                 "product-rating graph has no edges; lower min_co_review or check the data"
             )
     with _stage("train"):
-        return graph, adjacency_sparse(graph), node_features(graph)
+        adj = adjacency_sparse(graph)
+        return graph, adj, node_features(graph, adj)
 
 
 def _cluster_stage(
