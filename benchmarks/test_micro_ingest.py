@@ -2,7 +2,10 @@
 
 Outside ``testpaths``, so the default test run skips it. Run with
 
-    PYTHONPATH=src python -m pytest benchmarks/test_micro_ingest.py
+    PYTHONPATH=src python -m pytest benchmarks/test_micro_ingest.py --benchmark-disable-gc
+
+The cyclic garbage collector is off while a round runs, as it is for a
+command of the CLI.
 
 The input has the shape of the ``ingest-dirty-16x`` benchmark workload,
 built here from fixed seeds: ``synth`` data at 16x the default scale

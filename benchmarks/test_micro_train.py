@@ -2,7 +2,11 @@
 
 Outside ``testpaths``, so the default test run skips it. Run with
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest benchmarks/test_micro_train.py
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest benchmarks/test_micro_train.py \
+        --benchmark-disable-gc
+
+The cyclic garbage collector is off while a round runs, as it is for a
+command of the CLI.
 
 The input is the graph of the ``detect-big-groups`` benchmark workload at
 seed 0: 1,176 nodes, 665 of them isolated, so training runs on 511. The

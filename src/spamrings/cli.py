@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 from pathlib import Path
@@ -301,6 +302,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The stages make no reference cycles, so reference counting frees all
+    # they allocate, and the cyclic collector would only walk the review
+    # table over and over. It is off for the command and restored after.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return COMMANDS[args.command](args)
     except StageError as err:
@@ -309,6 +315,9 @@ def main(argv=None) -> int:
     except Exception as err:  # surface unexpected failures with the command name
         print(f"error: {args.command}: {err}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

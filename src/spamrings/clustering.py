@@ -7,15 +7,23 @@ collapse regularizer (sqrt(k)/n) * ||column sums of C||₂ - 1 that is zero
 at the uniform assignment and sqrt(k) - 1 when everything lands in one
 cluster. Training runs on the active subgraph, the nodes with at least
 one edge, so n counts active nodes; one forward pass of the trained
-network then assigns every node. Everything is plain numpy with
-hand-written gradients so runs are bit-reproducible for a fixed seed; a
-finite-difference check guards the backward pass.
+network then assigns every node, an isolated one from the skip path
+alone. Everything is plain numpy with hand-written gradients so runs are
+bit-reproducible for a fixed seed; a finite-difference check guards the
+backward pass.
 
 Training computes in the floating dtype of the features: float32 features
 (what ``graph.node_features`` returns, as in DMoN and the GCN paper) train
 in float32, anything else in float64. The two weight gradients, the only
 products that sum over the nodes, add fixed row blocks in block order, so
 the result does not depend on how many threads BLAS uses.
+
+An epoch of ``train`` evaluates the same math in fewer array passes than
+the plain forward and backward passes: Â X is computed once, the weight
+blocks and their gradients are views into one flat array that Adam
+updates in one pass per step, and SeLU and its derivative need no
+``np.where``. Each step gives the same bits as the plain form, which
+``tests/oracles.py`` keeps as ``train_reference``.
 """
 
 from __future__ import annotations
@@ -50,13 +58,29 @@ def _float_array(x):
 
 
 def selu(x):
+    """λ·max(x, 0) + λα·expm1(min(x, 0)).
+
+    Bit-equal to choosing λx or λα·expm1(x) by the sign of x, except that
+    -0.0 maps to +0.0, and it needs no branch select.
+    """
     x = _float_array(x)
-    return np.where(x > 0, SELU_SCALE * x, SELU_SCALE * SELU_ALPHA * np.expm1(x))
+    out = np.maximum(x, 0)
+    out *= SELU_SCALE
+    neg = np.expm1(np.minimum(x, 0))
+    neg *= SELU_SCALE * SELU_ALPHA
+    out += neg
+    return out
 
 
 def _selu_grad(x):
+    """λ where x > 0, else λα·exp(x), as pos·λ + (not pos)·λα·exp(min(x, 0))."""
     x = _float_array(x)
-    return np.where(x > 0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
+    pos = x > 0
+    out = np.exp(np.minimum(x, 0))
+    out *= SELU_SCALE * SELU_ALPHA
+    out *= ~pos
+    out += pos * x.dtype.type(SELU_SCALE)
+    return out
 
 
 def normalized_adjacency(adj) -> sp.csr_array:
@@ -143,15 +167,16 @@ def _row_softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(adj_norm, feats, params: GCNParams, dropout_masks=None):
+def _forward(adj_norm, feats, params: GCNParams, dropout_masks=None, agg0=None):
     """Returns (hiddens, logits, assignment, cache) with per-layer cache
-    (layer input, propagated input, pre-activation)."""
+    (layer input, propagated input, pre-activation). agg0, if given, is
+    adj_norm @ feats, computed once by the caller."""
     h = feats
     cache = []
     hiddens = []
     last = params.n_layers - 1
     for t, (w, ws) in enumerate(zip(params.weights, params.skip_weights)):
-        agg = adj_norm @ h
+        agg = agg0 if t == 0 and agg0 is not None else adj_norm @ h
         z = agg @ w + h @ ws
         cache.append((h, agg, z))
         if t == last:
@@ -183,23 +208,25 @@ def _softmax_backward(assignment, d_assign):
     return assignment * (d_assign - inner)
 
 
-def _blocked_gram(a, b):
-    """aᵀ b as a sum of GRAD_BLOCK_ROWS-row block products, added in block order.
+def _blocked_gram(a, b, out=None):
+    """aᵀ b as a sum of GRAD_BLOCK_ROWS-row block products, added in block order,
+    written into out if given.
 
     OpenBLAS splits a long inner dimension across its threads, so a plain
     aᵀ b over some 400 rows or more sums in an order, and rounds to bits,
     that depend on the thread count. A block stays below that length, and
     the blocks are added in one fixed order.
     """
-    out = a[:GRAD_BLOCK_ROWS].T @ b[:GRAD_BLOCK_ROWS]
+    out = np.matmul(a[:GRAD_BLOCK_ROWS].T, b[:GRAD_BLOCK_ROWS], out=out)
     for start in range(GRAD_BLOCK_ROWS, a.shape[0], GRAD_BLOCK_ROWS):
         out += a[start : start + GRAD_BLOCK_ROWS].T @ b[start : start + GRAD_BLOCK_ROWS]
     return out
 
 
-def _backward(adj_norm, params: GCNParams, cache, d_logits, dropout_masks=None):
-    grads_w = [None] * params.n_layers
-    grads_ws = [None] * params.n_layers
+def _backward(adj_norm, params: GCNParams, cache, d_logits, dropout_masks=None, out=None):
+    """(weight gradients, skip-weight gradients), written into the two lists
+    of arrays in out if given."""
+    grads_w, grads_ws = out or ([None] * params.n_layers, [None] * params.n_layers)
     dh = d_logits
     for t in reversed(range(params.n_layers)):
         h_in, agg, z = cache[t]
@@ -207,8 +234,8 @@ def _backward(adj_norm, params: GCNParams, cache, d_logits, dropout_masks=None):
             if dropout_masks is not None:
                 dh = dh * dropout_masks[t]
             dh = dh * _selu_grad(z)
-        grads_w[t] = _blocked_gram(agg, dh)
-        grads_ws[t] = _blocked_gram(h_in, dh)
+        grads_w[t] = _blocked_gram(agg, dh, grads_w[t])
+        grads_ws[t] = _blocked_gram(h_in, dh, grads_ws[t])
         if t > 0:
             # adjacency is symmetric, so Ãᵀ = Ã
             dh = adj_norm @ (dh @ params.weights[t].T) + dh @ params.skip_weights[t].T
@@ -244,15 +271,14 @@ class TrainResult:
 
 
 class _Problem(NamedTuple):
-    """The loss on the active subgraph, and the full graph the final pass assigns."""
+    """The loss and the propagation on the active subgraph."""
 
     adj: sp.csr_array  # loss adjacency among active nodes
     deg: np.ndarray
     two_m: float
     adj_norm: sp.csr_array  # propagation matrix among active nodes
     feats: np.ndarray  # feature rows of the active nodes
-    full_adj_norm: sp.csr_array
-    full_feats: np.ndarray
+    active: np.ndarray  # indices of the active nodes in the full graph
 
 
 def _prepare(adj, features) -> _Problem:
@@ -284,9 +310,28 @@ def _prepare(adj, features) -> _Problem:
         two_m=two_m,
         adj_norm=normalized_adjacency(sub).astype(dtype, copy=False),
         feats=feats[active],
-        full_adj_norm=normalized_adjacency(adj_sp).astype(dtype, copy=False),
-        full_feats=feats,
+        active=active,
     )
+
+
+def _assign_all(prob: _Problem, feats, params: GCNParams) -> np.ndarray:
+    """Dropout-free soft assignment of every node of the graph.
+
+    Only the active rows are propagated. An isolated node has no
+    neighbours, so its propagated row is zero and its logits come from the
+    skip path alone: softmax(selu(x W_s0) W_s1). The dense products still
+    run over all rows, as in a forward pass over the full graph, because
+    BLAS can round a product of a few rows differently from the same rows
+    inside a taller one.
+    """
+    h = feats
+    last = params.n_layers - 1
+    for t, (w, ws) in enumerate(zip(params.weights, params.skip_weights)):
+        agg = np.zeros_like(h)
+        agg[prob.active] = prob.adj_norm @ h[prob.active]
+        z = agg @ w + h @ ws
+        h = z if t == last else selu(z)
+    return _row_softmax(h)
 
 
 def _seeded_init(feats, config: TrainConfig) -> tuple[GCNParams, np.random.Generator]:
@@ -312,37 +357,53 @@ def _loss_at(prob: _Problem, params: GCNParams, config: TrainConfig) -> float:
     return loss
 
 
+def _views(flat, like) -> list[np.ndarray]:
+    """The 1-D array flat as consecutive blocks shaped like the arrays in like."""
+    parts = np.split(flat, np.cumsum([a.size for a in like])[:-1])
+    return [part.reshape(a.shape) for part, a in zip(parts, like)]
+
+
 def train(adj, features, config: TrainConfig) -> TrainResult:
     """Full-batch Adam on the clustering loss; deterministic per seed.
 
     Computes in float32 if the features are float32, else in float64.
     Every epoch runs on the active subgraph (see _prepare). Dropout masks
     are drawn each epoch from a dedicated stream; the returned assignment
-    is a dropout-free forward pass of the final parameters over the full
-    graph, where an isolated node's row comes from the skip path alone.
-    Raises RuntimeError if the loss stops being finite.
+    is a dropout-free forward pass of the final parameters over every
+    node (see _assign_all). Raises RuntimeError if the loss stops being
+    finite.
     """
     prob = _prepare(adj, features)
     n = prob.feats.shape[0]
-    params, drop_rng = _seeded_init(prob.feats, config)
-    initial_loss = _loss_at(prob, params, config)
+    dtype = prob.feats.dtype
+    drawn, drop_rng = _seeded_init(prob.feats, config)
+    initial_loss = _loss_at(prob, drawn, config)
 
-    flat = params.weights + params.skip_weights
-    m_state = [np.zeros_like(p) for p in flat]
-    v_state = [np.zeros_like(p) for p in flat]
+    # The weight blocks, and their gradients, are views into one flat array
+    # each, so an Adam step is one pass over all parameters.
+    blocks = drawn.weights + drawn.skip_weights
+    flat = np.concatenate([b.ravel() for b in blocks])
+    grad = np.empty_like(flat)
+    views, grad_views = _views(flat, blocks), _views(grad, blocks)
+    layers = drawn.n_layers
+    params = GCNParams(views[:layers], views[layers:])
+    grads = (grad_views[:layers], grad_views[layers:])
+    m_state = np.zeros_like(flat)
+    v_state = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     hidden_sizes = params.layer_sizes[1:-1]
+    keep = 1.0 - config.dropout_rate
+    mask_scale = dtype.type(1) / dtype.type(keep)
+    agg0 = prob.adj_norm @ prob.feats
 
     loss_trace: list[float] = []
     for epoch in range(config.epochs):
         masks = None
         if config.dropout_rate > 0:
-            keep = 1.0 - config.dropout_rate
             masks = [
-                (drop_rng.random(size=(n, width)) < keep).astype(prob.feats.dtype) / keep
-                for width in hidden_sizes
+                (drop_rng.random(size=(n, width)) < keep) * mask_scale for width in hidden_sizes
             ]
-        _, _, assignment, cache = _forward(prob.adj_norm, prob.feats, params, masks)
+        _, _, assignment, cache = _forward(prob.adj_norm, prob.feats, params, masks, agg0)
         loss, d_assign = _loss_and_assignment_grad(
             assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
         )
@@ -350,20 +411,18 @@ def train(adj, features, config: TrainConfig) -> TrainResult:
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={loss!r}")
         loss_trace.append(float(loss))
         d_logits = _softmax_backward(assignment, d_assign)
-        grads_w, grads_ws = _backward(prob.adj_norm, params, cache, d_logits, masks)
+        _backward(prob.adj_norm, params, cache, d_logits, masks, out=grads)
         step = epoch + 1
-        for p, g, m, v in zip(flat, grads_w + grads_ws, m_state, v_state):
-            m *= beta1
-            m += (1 - beta1) * g
-            v *= beta2
-            v += (1 - beta2) * g * g
-            m_hat = m / (1 - beta1**step)
-            v_hat = v / (1 - beta2**step)
-            p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        m_state *= beta1
+        m_state += (1 - beta1) * grad
+        v_state *= beta2
+        v_state += (1 - beta2) * grad * grad
+        m_hat = m_state / (1 - beta1**step)
+        v_hat = v_state / (1 - beta2**step)
+        flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    _, _, final_assignment, _ = _forward(prob.full_adj_norm, prob.full_feats, params)
     return TrainResult(
-        assignment=final_assignment,
+        assignment=_assign_all(prob, _float_array(features), params),
         loss_trace=loss_trace,
         params=params,
         config=config,

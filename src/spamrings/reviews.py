@@ -122,6 +122,10 @@ def _parse_date(text: str) -> _date:
         raise ValueError(f"unparseable date {text.strip()!r}") from None
 
 
+def _is_blank(fields: list[str]) -> bool:
+    return not "".join(fields).strip()
+
+
 def parse_reviews(
     path, delimiter: str = ",", has_header: bool = False
 ) -> tuple[ReviewTable, list[RowError]]:
@@ -145,19 +149,23 @@ def parse_reviews(
         if has_header:
             next(rows, None)
         for lineno, fields in rows:
-            if not "".join(fields).strip():
-                continue
+            # A blank row fails the column or the id check, so only such a
+            # row is tested for blankness.
             try:
                 if len(fields) == 5:
                     reviewer, product, rating_s, label_s, date_s = fields
                 elif len(fields) == 4:
                     reviewer, product, rating_s, date_s = fields
                     label_s = ""
+                elif _is_blank(fields):
+                    continue
                 else:
                     raise ValueError(f"expected 4 or 5 columns, got {len(fields)}")
                 reviewer = reviewer.strip()
                 product = product.strip()
                 if not reviewer or not product:
+                    if _is_blank(fields):
+                        continue
                     raise ValueError("empty reviewer or product id")
                 rating = ratings.get(rating_s)
                 if rating is None:

@@ -15,6 +15,11 @@ the graph that ``graph.connected_components`` replaced.
 
 ``build_edges_pair_count`` is the reviewer-by-reviewer pair count that
 ``graph.co_review_matrix`` replaced.
+
+``train_reference`` is the training epoch that ``clustering.train``
+replaced: SeLU and its derivative by ``np.where``, one Adam update per
+weight block, Â X recomputed every epoch, and a final forward pass over
+the full graph.
 """
 
 from __future__ import annotations
@@ -25,6 +30,22 @@ from itertools import combinations
 from typing import Iterator
 
 import numpy as np
+import scipy.sparse as sp
+
+from spamrings.clustering import (
+    SELU_ALPHA,
+    SELU_SCALE,
+    GCNParams,
+    TrainConfig,
+    TrainResult,
+    _blocked_gram,
+    _float_array,
+    _loss_and_assignment_grad,
+    _row_softmax,
+    _seeded_init,
+    _softmax_backward,
+    normalized_adjacency,
+)
 
 BRUTE_FORCE_MAX_NODES = 12
 
@@ -203,3 +224,117 @@ def build_edges_pair_count(nodes, min_co_review: int = 2) -> list[tuple[int, int
             if nodes[i].product_id != nodes[j].product_id:
                 counts[(i, j)] += 1
     return [(i, j, n) for (i, j), n in sorted(counts.items()) if n >= min_co_review]
+
+
+def selu_where(x):
+    return np.where(x > 0, SELU_SCALE * x, SELU_SCALE * SELU_ALPHA * np.expm1(x))
+
+
+def selu_grad_where(x):
+    return np.where(x > 0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
+
+
+def _forward_reference(adj_norm, feats, params: GCNParams, masks=None):
+    """(assignment, per-layer cache of (input, propagated input, pre-activation))."""
+    h = feats
+    cache = []
+    last = params.n_layers - 1
+    for t, (w, ws) in enumerate(zip(params.weights, params.skip_weights)):
+        agg = adj_norm @ h
+        z = agg @ w + h @ ws
+        cache.append((h, agg, z))
+        if t == last:
+            h = z
+        else:
+            h = selu_where(z)
+            if masks is not None:
+                h = h * masks[t]
+    return _row_softmax(h), cache
+
+
+def _backward_reference(adj_norm, params: GCNParams, cache, d_logits, masks=None):
+    grads_w = [None] * params.n_layers
+    grads_ws = [None] * params.n_layers
+    dh = d_logits
+    for t in reversed(range(params.n_layers)):
+        h_in, agg, z = cache[t]
+        if t != params.n_layers - 1:
+            if masks is not None:
+                dh = dh * masks[t]
+            dh = dh * selu_grad_where(z)
+        grads_w[t] = _blocked_gram(agg, dh)
+        grads_ws[t] = _blocked_gram(h_in, dh)
+        if t > 0:
+            dh = adj_norm @ (dh @ params.weights[t].T) + dh @ params.skip_weights[t].T
+    return grads_w, grads_ws
+
+
+def train_reference(adj, features, config: TrainConfig) -> TrainResult:
+    """clustering.train, one plain array operation at a time.
+
+    Trains on the active subgraph (the nodes with an edge) with the same
+    seeded initial weights, dropout stream and loss, and assigns every
+    node by a dropout-free forward pass over the full graph.
+    """
+    adj_sp = sp.csr_array(adj)
+    deg_all = np.asarray(adj_sp.sum(axis=1), dtype=np.float64).ravel()
+    two_m = float(deg_all.sum())
+    feats_all = _float_array(features)
+    dtype = feats_all.dtype
+    active = np.flatnonzero(deg_all > 0)
+    sub = adj_sp[active][:, active]
+    loss_adj = sub.astype(dtype, copy=False)
+    deg = deg_all[active].astype(dtype, copy=False)
+    adj_norm = normalized_adjacency(sub).astype(dtype, copy=False)
+    feats = feats_all[active]
+    n = feats.shape[0]
+    params, drop_rng = _seeded_init(feats, config)
+
+    def loss_at():
+        assignment, _ = _forward_reference(adj_norm, feats, params)
+        return _loss_and_assignment_grad(
+            assignment, loss_adj, deg, two_m, config.collapse_weight
+        )[0]
+
+    initial_loss = loss_at()
+    flat = params.weights + params.skip_weights
+    m_state = [np.zeros_like(p) for p in flat]
+    v_state = [np.zeros_like(p) for p in flat]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    loss_trace = []
+    for epoch in range(config.epochs):
+        masks = None
+        if config.dropout_rate > 0:
+            keep = 1.0 - config.dropout_rate
+            masks = [
+                (drop_rng.random(size=(n, width)) < keep).astype(dtype) / keep
+                for width in params.layer_sizes[1:-1]
+            ]
+        assignment, cache = _forward_reference(adj_norm, feats, params, masks)
+        loss, d_assign = _loss_and_assignment_grad(
+            assignment, loss_adj, deg, two_m, config.collapse_weight
+        )
+        loss_trace.append(float(loss))
+        d_logits = _softmax_backward(assignment, d_assign)
+        grads_w, grads_ws = _backward_reference(adj_norm, params, cache, d_logits, masks)
+        step = epoch + 1
+        for p, g, m, v in zip(flat, grads_w + grads_ws, m_state, v_state):
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            m_hat = m / (1 - beta1**step)
+            v_hat = v / (1 - beta2**step)
+            p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+    full_adj_norm = normalized_adjacency(adj_sp).astype(dtype, copy=False)
+    final_assignment, _ = _forward_reference(full_adj_norm, feats_all, params)
+    return TrainResult(
+        assignment=final_assignment,
+        loss_trace=loss_trace,
+        params=params,
+        config=config,
+        initial_loss=float(initial_loss),
+        final_loss=float(loss_at()),
+        n_train_nodes=n,
+    )

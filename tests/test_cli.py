@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import modularity as dense_modularity
+from spamrings import cli
 from spamrings.cli import _pipeline_config, build_parser, main
 from spamrings.graph import adjacency_sparse, build_graph
 from spamrings.pipeline import (
@@ -465,6 +467,61 @@ def test_config_file_with_flag_override(dataset, tmp_path):
     assert manifest["seed"] == 8  # flag beats config file
     assert manifest["config"]["train"]["epochs"] == 60
     assert manifest["config"]["rank"]["size_floor"] == 15
+
+
+@pytest.fixture(scope="module")
+def default_and_4x_synth(tmp_path_factory):
+    """Review files of synth data at the default scale and at 4x, seed 0."""
+    root = tmp_path_factory.mktemp("scaled")
+    paths = []
+    for scale in (1, 4):
+        table, _ = generate(SynthConfig(n_reviewers=2000 * scale, n_products=300 * scale, seed=0))
+        paths.append(root / f"reviews_{scale}x.csv")
+        write_reviews(table, paths[-1])
+    return paths
+
+
+@pytest.mark.parametrize("command, extra", [("ingest", []), ("detect", ["--epochs", "5"])])
+def test_run_leaves_cyclic_garbage_independent_of_input_size(
+    default_and_4x_synth, tmp_path, command, extra
+):
+    """The cyclic collector is off during a command, so a stage that made
+    reference cycles would leave garbage growing with the input."""
+
+    def garbage_after(path, out):
+        gc.collect()
+        assert main([command, "--input", str(path), "--out", str(tmp_path / out)] + extra) == 0
+        return gc.collect()
+
+    small, large = default_and_4x_synth
+    gc.disable()  # no automatic collection between a run and the count after it
+    try:
+        garbage_after(small, "warm-up")  # a first run imports modules, which makes cycles
+        counts = [garbage_after(small, "1x"), garbage_after(large, "4x")]
+    finally:
+        gc.enable()
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_without_cyclic_gc_and_restores_it(dataset, tmp_path, monkeypatch, enabled):
+    seen = []
+    real_ingest = cli.COMMANDS["ingest"]
+    monkeypatch.setitem(
+        cli.COMMANDS, "ingest", lambda args: seen.append(gc.isenabled()) or real_ingest(args)
+    )
+    ingest = lambda path, out: main(["ingest", "--input", str(path), "--out", str(tmp_path / out)])
+    (gc.enable if enabled else gc.disable)()
+    try:
+        ok = ingest(dataset / "reviews.csv", "a")
+        after_ok = gc.isenabled()
+        missing = ingest(tmp_path / "nope.csv", "b")
+        after_missing = gc.isenabled()
+    finally:
+        gc.enable()
+    assert (ok, missing) == (0, 1)
+    assert seen == [False, False]
+    assert (after_ok, after_missing) == (enabled, enabled)
 
 
 def test_missing_input_is_config_error(capsys):

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import clustering_loss, modularity_matrix, one_hot
+from oracles import (
+    clustering_loss,
+    modularity_matrix,
+    one_hot,
+    selu_grad_where,
+    selu_where,
+    train_reference,
+)
 from spamrings.clustering import (
     GRAD_BLOCK_ROWS,
     GCNParams,
@@ -18,6 +25,7 @@ from spamrings.clustering import (
     _loss_and_assignment_grad,
     _prepare,
     _seeded_init,
+    _selu_grad,
     _softmax_backward,
     assign_clusters,
     gcn_forward,
@@ -69,6 +77,33 @@ def test_selu_vectorized_monotone():
     x = np.linspace(-6, 6, 201)
     y = selu(x)
     assert (np.diff(y) > 0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_selu_and_grad_bit_equal_to_branch_select(dtype):
+    info = np.finfo(dtype)
+    special = [
+        0.0, np.inf, -np.inf, np.nan, info.tiny, -info.tiny,
+        info.smallest_subnormal, -info.smallest_subnormal, 3 * info.smallest_subnormal,
+        -3 * info.smallest_subnormal, info.max, -info.max, info.eps, -info.eps,
+        -20.0, -87.0, -88.7, -104.0, -745.0, -1e4, -1e30, 1e-30, 88.7, 709.0, 1e4,
+    ]
+    rng = np.random.default_rng(31)
+    grid = np.concatenate([
+        special,
+        np.linspace(-30, 30, 20001),
+        rng.normal(scale=4.0, size=200_000),
+        -np.logspace(-40, 3, 2000),
+        np.logspace(-40, 3, 2000),
+    ]).astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [(selu(grid), selu_where(grid)), (_selu_grad(grid), selu_grad_where(grid))]
+    for got, want in pairs:
+        assert got.dtype == want.dtype == dtype
+        # assert_array_equal treats the NaNs as equal and -0.0 == +0.0, the one
+        # input whose sign the branch-free form does not keep
+        np.testing.assert_array_equal(got, want)
+    assert not np.signbit(selu(dtype(-0.0)))
 
 
 # ------------------------------------------------------------- normalization
@@ -394,6 +429,39 @@ def test_min_support_one_keeps_a_group_per_isolated_reviewer_set():
 # ------------------------------------------------------------ float32 path
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_bit_equal_to_reference_epoch(dtype):
+    """More active nodes than one gradient block, isolated nodes among them."""
+    rng = np.random.default_rng(43)
+    n = GRAD_BLOCK_ROWS + 80
+    u, v = rng.integers(0, n, size=(2, 4 * n))
+    adj = np.zeros((n, n))
+    adj[u, v] = adj[v, u] = rng.integers(1, 4, size=u.size)
+    np.fill_diagonal(adj, 0.0)
+    ring = np.arange(n)
+    adj[ring, (ring + 1) % n] = adj[(ring + 1) % n, ring] = 1.0
+    positions = sorted(rng.choice(n, size=25, replace=False).tolist())
+    padded, feats, _ = pad_with_isolated(adj, rng.normal(size=(n, 7)), rng, positions)
+    feats = feats.astype(dtype)
+    cfg = TrainConfig(epochs=15, dropout_rate=0.5, seed=8)
+    got, want = train(sp.csr_array(padded), feats, cfg), train_reference(padded, feats, cfg)
+    assert got.n_train_nodes == want.n_train_nodes == n
+    assert got.loss_trace == want.loss_trace
+    assert (got.initial_loss, got.final_loss) == (want.initial_loss, want.final_loss)
+    pairs = [("assignment", got.assignment, want.assignment)] + [
+        (f"weight_{i}", a, b)
+        for i, (a, b) in enumerate(
+            zip(
+                got.params.weights + got.params.skip_weights,
+                want.params.weights + want.params.skip_weights,
+            )
+        )
+    ]
+    for name, a, b in pairs:
+        assert a.dtype == b.dtype == dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def test_float32_training_arrays_stay_float32():
     rng = np.random.default_rng(24)
     adj = connected_random_graph(rng, 12)
@@ -410,7 +478,6 @@ def test_float32_training_arrays_stay_float32():
     grads_w, grads_ws = _backward(prob.adj_norm, params, cache, d_logits, masks)
     arrays = {
         "adj": prob.adj, "deg": prob.deg, "adj_norm": prob.adj_norm, "feats": prob.feats,
-        "full_adj_norm": prob.full_adj_norm, "full_feats": prob.full_feats,
         "logits": logits, "assignment": assignment, "d_assign": d_assign, "d_logits": d_logits,
     }
     for name, group in (
