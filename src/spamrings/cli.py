@@ -13,6 +13,7 @@ import dataclasses
 import gc
 import json
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from .graph import WEIGHTING_MODES
@@ -156,8 +157,8 @@ def cmd_ingest(args) -> int:
         f"row_errors: {len(errors)}",
         f"reviews_after_dedupe: {len(table)}",
         f"duplicates_removed: {len(raw) - len(table)}",
-        f"reviewers: {len({r.reviewer_id for r in table.reviews})}",
-        f"products: {len({r.product_id for r in table.reviews})}",
+        f"reviewers: {len(set(map(itemgetter(0), table.reviews)))}",
+        f"products: {len(set(map(itemgetter(1), table.reviews)))}",
     ]
     if table.has_labels():
         lines.append(

@@ -12,8 +12,8 @@ import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date as _date
-from functools import cached_property
-from operator import attrgetter
+from functools import cached_property, partial
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 LABEL_FAKE = "fake"
@@ -43,6 +43,11 @@ class Review(NamedTuple):
     rating: int
     date: _date
     label: str = LABEL_UNKNOWN
+
+
+# tuple.__new__ builds a Review in C; the NamedTuple's generated __new__
+# runs a Python frame per row.
+_new_review = partial(tuple.__new__, Review)
 
 
 class RowError(NamedTuple):
@@ -122,6 +127,13 @@ def _parse_date(text: str) -> _date:
         raise ValueError(f"unparseable date {text.strip()!r}") from None
 
 
+def _parse_label(text: str) -> str:
+    label = DEFAULT_LABEL_MAP.get(text.strip())
+    if label is None:
+        raise ValueError(f"unmapped label token {text.strip()!r}")
+    return label
+
+
 def _is_blank(fields: list[str]) -> bool:
     return not "".join(fields).strip()
 
@@ -133,15 +145,16 @@ def parse_reviews(
 
     Malformed rows are collected as :class:`RowError` with their 1-based
     line number; they never silently disappear. Blank rows are skipped and
-    a leading UTF-8 byte-order mark is ignored. Each distinct rating and
-    date token is converted once per call; only tokens that convert are
-    remembered, so every bad row is still reported.
+    a leading UTF-8 byte-order mark is ignored. Each distinct rating,
+    date and label token is converted once per call; only tokens that
+    convert are remembered, so every bad row is still reported.
 
     Returns:
         (table of valid reviews, list of row errors)
     """
     ratings: dict[str, int] = {}
     days: dict[str, _date] = {}
+    labels: dict[str, str] = {}
     reviews: list[Review] = []
     errors: list[RowError] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -167,27 +180,29 @@ def parse_reviews(
                     if _is_blank(fields):
                         continue
                     raise ValueError("empty reviewer or product id")
-                rating = ratings.get(rating_s)
-                if rating is None:
+                try:
+                    rating = ratings[rating_s]
+                except KeyError:
                     rating = ratings[rating_s] = _parse_rating(rating_s)
-                day = days.get(date_s)
-                if day is None:
+                try:
+                    day = days[date_s]
+                except KeyError:
                     day = days[date_s] = _parse_date(date_s)
-                label_s = label_s.strip()
-                label = DEFAULT_LABEL_MAP.get(label_s)
-                if label is None:
-                    raise ValueError(f"unmapped label token {label_s!r}")
+                try:
+                    label = labels[label_s]
+                except KeyError:
+                    label = labels[label_s] = _parse_label(label_s)
             except ValueError as err:
                 errors.append(RowError(lineno, str(err)))
                 continue
-            reviews.append(Review(reviewer, product, rating, day, label))
+            reviews.append(_new_review((reviewer, product, rating, day, label)))
     return ReviewTable(reviews), errors
 
 
 def write_reviews(table: ReviewTable, path, delimiter: str = ",") -> None:
     """Serialize a table back to the 5-column delimited layout."""
     # date.isoformat costs more than a dict lookup, and days repeat across rows.
-    iso = {day: day.isoformat() for day in {r.date for r in table.reviews}}
+    iso = {day: day.isoformat() for day in set(map(itemgetter(3), table.reviews))}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(
             (r.reviewer_id, r.product_id, r.rating, DEFAULT_LABEL_TOKENS[r.label], iso[r.date])
@@ -205,16 +220,13 @@ def dedupe(table: ReviewTable, policy: str = "keep_latest") -> ReviewTable:
     """
     if policy not in DEDUPE_POLICIES:
         raise ValueError(f"unknown dedupe policy {policy!r}")
+    latest = policy == "keep_latest"
     kept: dict[tuple[str, str], Review] = {}
     for r in table.reviews:
-        key = (r.reviewer_id, r.product_id)
-        cur = kept.get(key)
-        if cur is None:
-            kept[key] = r
-        elif policy == "keep_latest" and r.date >= cur.date:
-            kept[key] = r
-        elif policy == "keep_first" and r.date < cur.date:
-            kept[key] = r
+        # r[:2] is the (reviewer_id, product_id) key.
+        cur = kept.setdefault(r[:2], r)
+        if cur is not r and (r.date >= cur.date if latest else r.date < cur.date):
+            kept[r[:2]] = r
     return ReviewTable(kept.values())
 
 

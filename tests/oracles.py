@@ -20,6 +20,9 @@ the graph that ``graph.connected_components`` replaced.
 replaced: SeLU and its derivative by ``np.where``, one Adam update per
 weight block, Â X recomputed every epoch, and a final forward pass over
 the full graph.
+
+``dedupe_reference`` is the per-row ``get``-then-set loop that
+``reviews.dedupe`` replaced.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from spamrings.clustering import (
     _softmax_backward,
     normalized_adjacency,
 )
+from spamrings.reviews import ReviewTable
 
 BRUTE_FORCE_MAX_NODES = 12
 
@@ -338,3 +342,17 @@ def train_reference(adj, features, config: TrainConfig) -> TrainResult:
         final_loss=float(loss_at()),
         n_train_nodes=n,
     )
+
+
+def dedupe_reference(table: ReviewTable, policy: str = "keep_latest") -> ReviewTable:
+    kept = {}
+    for r in table.reviews:
+        key = (r.reviewer_id, r.product_id)
+        cur = kept.get(key)
+        if cur is None:
+            kept[key] = r
+        elif policy == "keep_latest" and r.date >= cur.date:
+            kept[key] = r
+        elif policy == "keep_first" and r.date < cur.date:
+            kept[key] = r
+    return ReviewTable(kept.values())
