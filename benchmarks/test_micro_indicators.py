@@ -1,4 +1,4 @@
-"""Microbenchmarks of the group indicators (pytest-benchmark).
+"""Microbenchmarks of group extraction and the group indicators (pytest-benchmark).
 
 Outside ``testpaths``, so the default test run skips them. Run with
 
@@ -7,32 +7,50 @@ Outside ``testpaths``, so the default test run skips them. Run with
 The end-to-end benchmark is ``perfbench/run.py``; these time one layer alone.
 """
 
+import dataclasses
+import datetime
 import random
 
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+from spamrings.clustering import train
+from spamrings.graph import adjacency_sparse, build_graph, node_features
 from spamrings.indicators import (
-    CandidateGroup,
-    group_from_table,
+    ScoringIndex,
     group_indicators,
     neighbor_tightness,
     penalty,
 )
-from spamrings.reviews import product_stats
-from spamrings.synth import SynthConfig, generate
+from spamrings.pipeline import PipelineConfig, derive_train_seed, extract_candidate_groups
+from spamrings.reviews import Review, ReviewTable
+from spamrings.scoring import attach_precision, score_groups
+from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
+
+
+def member_group(member_products):
+    """The group of every member of a {member: product set} table."""
+    table = ReviewTable(
+        [
+            Review(m, p, 5, datetime.date(2014, 1, 1))
+            for m, ps in member_products.items()
+            for p in sorted(ps)
+        ]
+    )
+    return ScoringIndex(table).group(member_products)
 
 
 def test_neighbor_tightness_2000_members(benchmark):
     # mostly distinct product sets: the pair sum over sets is close to the
     # full member pair count
     rng = random.Random(0)
-    member_products = {
-        f"u{i:05d}": frozenset(f"p{rng.randrange(300)}" for _ in range(rng.randint(3, 10)))
-        for i in range(2000)
-    }
-    group = CandidateGroup(members=frozenset(member_products), member_products=member_products)
+    group = member_group(
+        {
+            f"u{i:05d}": {f"p{rng.randrange(300)}" for _ in range(rng.randint(3, 10))}
+            for i in range(2000)
+        }
+    )
     value = benchmark(neighbor_tightness, group)
     assert 0.0 < value <= 1.0
 
@@ -40,20 +58,43 @@ def test_neighbor_tightness_2000_members(benchmark):
 def test_neighbor_tightness_2000_members_lockstep(benchmark):
     # the planted shape: every member reviewed the same 5 products, so the
     # sum collapses to one distinct set
-    products = frozenset(f"p{j}" for j in range(5))
-    member_products = {f"u{i:05d}": products for i in range(2000)}
-    group = CandidateGroup(members=frozenset(member_products), member_products=member_products)
+    products = {f"p{j}" for j in range(5)}
+    group = member_group({f"u{i:05d}": products for i in range(2000)})
     value = benchmark(neighbor_tightness, group)
     assert value == penalty(group)
 
 
 def test_group_indicators_50_groups(benchmark):
     table, _ = generate(SynthConfig(seed=0))
-    stats = product_stats(table)
+    index = ScoringIndex(table)
     rng = random.Random(1)
     reviewers = table.reviewers()
-    groups = [
-        group_from_table(rng.sample(reviewers, rng.randint(2, 200)), table) for _ in range(50)
-    ]
-    vectors = benchmark(lambda: [group_indicators(g, table, stats) for g in groups])
+    groups = [index.group(rng.sample(reviewers, rng.randint(2, 200))) for _ in range(50)]
+    vectors = benchmark(lambda: [group_indicators(g) for g in groups])
     assert len(vectors) == 50
+
+
+@pytest.fixture(scope="module")
+def big_groups_run():
+    """The ``detect-big-groups`` seed-0 input, its graph and its trained assignment."""
+    table, _ = generate(
+        SynthConfig(seed=0, planted=[PlantedGroupConfig(size=s) for s in (1500, 1800, 2100)])
+    )
+    config = PipelineConfig(input="synthetic", seed=0)
+    graph = build_graph(table)
+    adj = adjacency_sparse(graph)
+    train_cfg = dataclasses.replace(config.train, seed=derive_train_seed(config.seed))
+    return table, graph, train(adj, node_features(graph, adj), train_cfg).assignment, config
+
+
+def test_extract_and_score_big_groups(benchmark, big_groups_run):
+    # what detect runs between training and ranking: index, extraction,
+    # indicators and precision
+    table, graph, assignment, config = big_groups_run
+
+    def extract_and_score():
+        groups = extract_candidate_groups(graph, assignment, ScoringIndex(table), config)
+        return attach_precision(score_groups(groups))
+
+    scored = benchmark(extract_and_score)
+    assert (len(scored), max(sg.size for sg in scored)) == (35, 2100)

@@ -17,7 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .graph import WEIGHTING_MODES
-from .indicators import group_from_table
+from .indicators import ReviewerIndex
 from .pipeline import (
     INPUT_DELIMITERS,
     PipelineConfig,
@@ -34,7 +34,6 @@ from .pipeline import (
     write_lines,
 )
 from .reviews import ReviewTable, write_reviews
-from .scoring import group_precision
 from .synth import PlantedGroupConfig, SynthConfig, generate, write_ground_truth
 
 
@@ -262,6 +261,7 @@ def _ranked_rows(path, table: ReviewTable) -> list[tuple[int, int, int, float | 
             lines = fh.readlines()
     except OSError as err:
         raise StageError("eval", err) from err
+    index = ReviewerIndex(table)
     rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -270,8 +270,8 @@ def _ranked_rows(path, table: ReviewTable) -> list[tuple[int, int, int, float | 
             rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
-            group = group_from_table(rec["members"], table)
-            rows.append((rec["rank"], rec["group_id"], group.size, group_precision(group, table)))
+            members = index.rows(rec["members"])
+            rows.append((rec["rank"], rec["group_id"], len(members), index.precision(members)))
         except KeyError as err:
             raise StageError("eval", ValueError(f"{path} line {lineno}: no {err} key")) from err
         except (TypeError, ValueError) as err:

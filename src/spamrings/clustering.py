@@ -475,21 +475,27 @@ def gradient_check(adj, features, config: TrainConfig, step: float = 1e-5) -> fl
     return worst
 
 
+def _memberships(assignment, threshold: float) -> np.ndarray:
+    """Node × cluster mask: each node's argmax cluster and every cluster
+    whose probability (compared in float64) reaches the threshold."""
+    c = np.asarray(assignment, dtype=np.float64)
+    mask = c >= threshold
+    mask[np.arange(c.shape[0]), c.argmax(axis=1)] = True
+    return mask
+
+
 def assign_clusters(assignment, threshold: float = 0.2) -> dict[int, set[int]]:
     """Overlapping hard clusters from a soft assignment.
 
     Each node joins its argmax cluster plus every cluster whose
     probability reaches the threshold; clusters that attract nobody are
-    dropped.
+    dropped. Keys ascend.
     """
-    c = np.asarray(assignment, dtype=np.float64)
-    members: dict[int, set[int]] = {}
-    argmax = c.argmax(axis=1)
-    for i in range(c.shape[0]):
-        targets = {int(argmax[i])} | {int(j) for j in np.flatnonzero(c[i] >= threshold)}
-        for j in targets:
-            members.setdefault(j, set()).add(i)
-    return {j: members[j] for j in sorted(members)}
+    clusters, nodes = np.nonzero(_memberships(assignment, threshold).T)
+    ids, starts = np.unique(clusters, return_index=True)
+    return {
+        j: set(part.tolist()) for j, part in zip(ids.tolist(), np.split(nodes, starts[1:]))
+    }
 
 
 def save_checkpoint(path, result: TrainResult) -> None:
@@ -523,13 +529,13 @@ def load_checkpoint(path) -> tuple[GCNParams, TrainConfig, float]:
 def write_assignment(path, node_ids, assignment, threshold: float = 0.2) -> None:
     """Per-node export: id, argmax cluster, all memberships, max probability."""
     c = np.asarray(assignment, dtype=np.float64)
-    clusters = assign_clusters(c, threshold)
-    memberships: dict[int, list[int]] = {i: [] for i in range(c.shape[0])}
-    for j, nodes in clusters.items():
-        for i in nodes:
-            memberships[i].append(j)
+    mask = _memberships(c, threshold)
+    clusters = np.nonzero(mask)[1].tolist()  # row-major: each node's clusters ascending
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("node_id,argmax_cluster,memberships,max_prob\n")
-        for i, node_id in enumerate(node_ids):
-            joined = "|".join(str(j) for j in sorted(memberships[i]))
-            fh.write(f"{node_id},{int(c[i].argmax())},{joined},{c[i].max():.6f}\n")
+        for node_id, j, start, end, top in zip(
+            node_ids, c.argmax(axis=1).tolist(), [0] + ends, ends, c.max(axis=1).tolist()
+        ):
+            joined = "|".join(map(str, clusters[start:end]))
+            fh.write(f"{node_id},{j},{joined},{top:.6f}\n")

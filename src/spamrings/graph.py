@@ -14,6 +14,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from ._lazy import lazy_import
@@ -49,10 +50,14 @@ class PREdge:
 
 @dataclass(eq=False)
 class PRGraph:
-    """Nodes and their symmetric co-reviewer count matrix, the graph's one edge store."""
+    """Nodes, the reviewer × node incidence B (row i is ``reviewers[i]``)
+    and the symmetric co-reviewer count matrix BᵀB yields, the graph's one
+    edge store."""
 
     nodes: list[PRNode]
-    co_review: sp.csr_array  # as co_review_matrix returns it
+    reviewers: list[str]
+    incidence: sp.csc_array  # reviewer_incidence(nodes, reviewers)
+    co_review: sp.csr_array  # co_review_matrix(nodes, incidence, ...)
     weighting: str = DEFAULT_WEIGHTING
 
     def __post_init__(self):
@@ -84,27 +89,41 @@ def build_nodes(table: ReviewTable) -> list[PRNode]:
     ]
 
 
-def co_review_matrix(nodes: list[PRNode], min_co_review: int = 2) -> sp.csr_array:
+def reviewer_incidence(nodes: list[PRNode], reviewers: list[str]) -> sp.csc_array:
+    """The reviewer × node 0/1 matrix B, CSC, whose row i is ``reviewers[i]``.
+
+    ``reviewers`` lists every reviewer of the nodes once, in the row order
+    the caller's other reviewer matrices use (``ReviewTable.reviewer_ids``).
+    int32 entries: ``BᵀB`` and its masks are the graph's memory peak, and
+    a count is at most the number of reviewers.
+    """
+    import scipy.sparse as sp
+
+    row = {r: i for i, r in enumerate(reviewers)}
+    starts = np.cumsum([0] + [len(node.reviewers) for node in nodes])
+    rows = np.fromiter(
+        map(row.__getitem__, chain.from_iterable(node.reviewers for node in nodes)),
+        dtype=np.int32,
+        count=starts[-1],
+    )
+    return sp.csc_array(
+        (np.ones(len(rows), dtype=np.int32), rows, starts), shape=(len(row), len(nodes))
+    )
+
+
+def co_review_matrix(
+    nodes: list[PRNode], incidence: sp.csc_array, min_co_review: int = 2
+) -> sp.csr_array:
     """Co-reviewer counts of node pairs (distinct products) sharing >= min_co_review reviewers.
 
-    The counts are ``BᵀB`` of the reviewer × node 0/1 incidence ``B``,
+    The counts are ``BᵀB`` of the nodes' :func:`reviewer_incidence` ``B``,
     with the diagonal, pairs of one product (a table that is not deduped
     can put a reviewer in two ratings of a product) and counts below the
     threshold dropped. The result is symmetric canonical CSR: sorted
     indices, no duplicates and no explicit zeros.
     """
-    import scipy.sparse as sp
-
     if min_co_review < 1:
         raise ValueError("min_co_review must be >= 1")
-    reviewer_ids: dict[str, int] = {}
-    rows = [reviewer_ids.setdefault(r, len(reviewer_ids)) for node in nodes for r in node.reviewers]
-    starts = np.cumsum([0] + [len(node.reviewers) for node in nodes])
-    # int32 counts and product ids: BᵀB and its masks are the memory peak, and a count is
-    # at most the number of reviewers
-    incidence = sp.csc_array(
-        (np.ones(len(rows), dtype=np.int32), rows, starts), shape=(len(reviewer_ids), len(nodes))
-    )
     counts = incidence.T @ incidence
     product = np.unique([n.product_id for n in nodes], return_inverse=True)[1].astype(np.int32)
     same_product = product[counts.indices] == np.repeat(product, np.diff(counts.indptr))
@@ -127,7 +146,9 @@ def build_graph(
     weighting: str = DEFAULT_WEIGHTING,
 ) -> PRGraph:
     nodes = build_nodes(table)
-    return PRGraph(nodes, co_review_matrix(nodes, min_co_review), weighting)
+    incidence = reviewer_incidence(nodes, table.reviewer_ids)
+    counts = co_review_matrix(nodes, incidence, min_co_review)
+    return PRGraph(nodes, table.reviewer_ids, incidence, counts, weighting)
 
 
 def adjacency_sparse(graph: PRGraph) -> sp.csr_array:
@@ -169,17 +190,6 @@ def write_graph(graph: PRGraph, edges_path, nodes_path) -> None:
     with open(nodes_path, "w", encoding="utf-8") as fh:
         for node in graph.nodes:
             fh.write(f"{node.product_id}\t{node.rating}\t{len(node.reviewers)}\n")
-
-
-def cluster_reviewer_support(
-    graph: PRGraph, cluster_nodes: Iterable[int]
-) -> dict[str, int]:
-    """How many distinct cluster nodes each reviewer appears in."""
-    support: dict[str, int] = defaultdict(int)
-    for i in cluster_nodes:
-        for reviewer in graph.nodes[i].reviewers:
-            support[reviewer] += 1
-    return dict(support)
 
 
 def connected_components(graph: PRGraph, node_subset: Iterable[int]) -> list[set[int]]:

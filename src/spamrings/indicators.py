@@ -7,6 +7,11 @@ product tightness, neighbor tightness and their product, the group
 compactness) measure how coordinated the members' product sets look;
 individual-level indicators (rating deviation, burstness) measure how
 abnormal each member's own history is. All indicators live in [0, 1].
+
+Extraction and scoring read one :class:`ScoringIndex` of the review
+table, built once per run: a reviewer is a row number, its product set a
+row of one sparse reviewer × product matrix, and its individual
+indicators entries of per-reviewer arrays.
 """
 
 from __future__ import annotations
@@ -15,11 +20,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from itertools import chain
+from operator import itemgetter
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from ._lazy import lazy_import
-from .graph import PRGraph, cluster_reviewer_support
-from .reviews import ProductStats, ReviewTable
+from .graph import PRGraph
+from .reviews import LABEL_FAKE, LABEL_UNKNOWN, ReviewTable
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -36,67 +43,181 @@ PAIR_BLOCK_ELEMENTS = 65_536
 MAX_RATING_SPAN = 4.0
 
 
-@dataclass
-class CandidateGroup:
-    """Reviewers pulled from one cluster, with their full product sets."""
+class ReviewerIndex:
+    """A table's reviewer ids in row order, and which of them carry labels.
 
-    members: frozenset[str]
-    member_products: Mapping[str, frozenset[str]]
+    Row i is ``reviewers[i]``, the table's ``reviewer_ids``, as in the
+    incidence of the table's graph; ``fake[i]`` and ``labeled[i]`` are 1
+    when that reviewer has a fake-labeled review, or any labeled review.
+    Pure Python, so ``eval`` reads it without loading numpy.
+    """
+
+    def __init__(self, table: ReviewTable):
+        self.reviewers: list[str] = table.reviewer_ids
+        self.row: dict[str, int] = {r: i for i, r in enumerate(self.reviewers)}
+        self.fake = bytearray(len(self.reviewers))
+        self.labeled = bytearray(len(self.reviewers))
+        for reviewer in {r[0] for r in table.reviews if r[4] != LABEL_UNKNOWN}:
+            self.labeled[self.row[reviewer]] = 1
+        for reviewer in {r[0] for r in table.reviews if r[4] == LABEL_FAKE}:
+            self.fake[self.row[reviewer]] = 1
+
+    def rows(self, names: Iterable[str]) -> list[int]:
+        """Rows of the distinct names, ascending; ValueError for none, or one with no review."""
+        names = set(names)
+        unknown = names - self.row.keys()
+        if unknown:
+            raise ValueError(f"member {min(unknown)!r} has no reviewed product")
+        if not names:
+            raise ValueError("candidate group must have members")
+        return sorted(map(self.row.__getitem__, names))
+
+    def precision(self, rows: Sequence[int]) -> float | None:
+        """Share of the (distinct) rows' reviewers having at least one fake-labeled review.
+
+        None when no member has any labeled review at all, which makes the
+        metric meaningless.
+        """
+        if not any(map(self.labeled.__getitem__, rows)):
+            return None
+        return sum(map(self.fake.__getitem__, rows)) / len(rows)
+
+
+class ScoringIndex(ReviewerIndex):
+    """Per-reviewer arrays of a table, built in one pass over its reviews.
+
+    ``products`` is the reviewer × product 0/1 matrix R: canonical CSR
+    whose column j is ``product_ids[j]``, the product ids in sorted order.
+    A table that was not deduped can hold a reviewer twice on one product,
+    which still counts once.
+    ``deviation`` is each reviewer's mean |rating - product mean rating|
+    over their reviews, scaled by the widest possible gap (4 stars) into
+    [0, 1]; the terms are added in review order, as a per-review Python
+    loop adds them. ``span_days`` is the days from a reviewer's first
+    review to their last.
+    """
+
+    def __init__(self, table: ReviewTable):
+        import scipy.sparse as sp
+
+        super().__init__(table)
+        reviews = table.reviews
+        n, n_rows = len(reviews), len(self.reviewers)
+        self.product_ids: list[str] = sorted(set(map(itemgetter(1), reviews)))
+        column = {p: j for j, p in enumerate(self.product_ids)}
+        days = {d: d.toordinal() for d in set(map(itemgetter(3), reviews))}
+        rows = np.fromiter(map(self.row.__getitem__, map(itemgetter(0), reviews)), np.intp, n)
+        cols = np.fromiter(map(column.__getitem__, map(itemgetter(1), reviews)), np.intp, n)
+        ratings = np.fromiter(map(itemgetter(2), reviews), np.float64, n)
+        day = np.fromiter(map(days.__getitem__, map(itemgetter(3), reviews)), np.int64, n)
+
+        mean = np.bincount(cols, weights=ratings) / np.bincount(cols)  # exact sums: ratings are whole
+        # bincount adds each reviewer's terms one at a time in input order
+        self.deviation = np.bincount(rows, weights=np.abs(ratings - mean[cols]), minlength=n_rows)
+        self.deviation /= np.bincount(rows, minlength=n_rows) * MAX_RATING_SPAN
+        first = np.full(n_rows, np.iinfo(np.int64).max)
+        last = np.full(n_rows, np.iinfo(np.int64).min)
+        np.minimum.at(first, rows, day)
+        np.maximum.at(last, rows, day)
+        self.span_days = last - first
+        self.products = sp.csr_array(
+            (np.ones(n, dtype=np.int8), (rows, cols)), shape=(n_rows, len(column))
+        )
+        self.products.sum_duplicates()
+        self.products.data[:] = 1
+
+    def burstness(self, tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS, rows=slice(None)):
+        """How compressed each reviewer's activity window is, for the given rows.
+
+        1 when first and last review share a day, falling linearly to 0 at
+        a span of tau_days; longer spans score 0.
+        """
+        if tau_days < 1:
+            raise ValueError(f"tau_days must be >= 1, got {tau_days}")
+        span = self.span_days[rows]
+        return np.where(span > tau_days, 0.0, 1.0 - span / tau_days)
+
+    def product_columns(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The product columns of the given rows of R, concatenated, and each row's end offset."""
+        starts = self.products.indptr[rows]
+        lengths = self.products.indptr[rows + 1] - starts
+        ends = np.cumsum(lengths)
+        gather = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+        return self.products.indices[gather], ends
+
+    def group(self, members: Iterable[str], source_cluster: int = -1) -> CandidateGroup:
+        """The candidate group of the named reviewers (see :meth:`ReviewerIndex.rows`)."""
+        return CandidateGroup(self, np.array(self.rows(members), dtype=np.intp), source_cluster)
+
+
+@dataclass(eq=False)
+class CandidateGroup:
+    """Reviewers pulled from one cluster, as rows of a scoring index."""
+
+    index: ScoringIndex
+    member_products: np.ndarray  # the members' rows of index.products, ascending
     source_cluster: int = -1
     group_id: int = -1
 
     def __post_init__(self):
-        if not self.members:
-            raise ValueError("candidate group must have members")
-        if set(self.member_products) != set(self.members):
-            raise ValueError("member_products keys must equal members")
-        empty = [m for m, ps in self.member_products.items() if not ps]
-        if empty:
-            raise ValueError(f"member {min(empty)!r} has no reviewed product")
-
-    @cached_property
-    def products(self) -> frozenset[str]:
-        return frozenset().union(*self.member_products.values())
+        if not len(self.member_products) or (np.diff(self.member_products) <= 0).any():
+            raise ValueError("a candidate group needs member rows, distinct and ascending")
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.member_products)
+
+    @property
+    def members(self) -> frozenset[str]:
+        return frozenset(map(self.index.reviewers.__getitem__, self.member_products.tolist()))
+
+    @cached_property
+    def product_counts(self) -> np.ndarray:
+        """How many members reviewed each product that any member reviewed."""
+        reviewed, _ = self.index.product_columns(self.member_products)
+        return np.unique(reviewed, return_counts=True)[1]
+
+    @property
+    def n_products(self) -> int:
+        return len(self.product_counts)
 
 
-def group_from_table(members: Iterable[str], table: ReviewTable, source_cluster: int = -1) -> CandidateGroup:
-    members = frozenset(members)
-    products = {
-        m: frozenset(r.product_id for r in table.by_reviewer.get(m, ())) for m in members
-    }
-    return CandidateGroup(members=members, member_products=products, source_cluster=source_cluster)
-
-
-def extract_group(
-    cluster_nodes: Iterable[int],
-    graph: PRGraph,
-    table: ReviewTable,
-    min_support: int = 2,
-    source_cluster: int = -1,
-) -> CandidateGroup | None:
-    """Members = reviewers present in >= min_support distinct cluster nodes.
+def extract_groups(
+    pieces: Sequence[Collection[int]], graph: PRGraph, index: ScoringIndex, min_support: int = 2
+) -> list[CandidateGroup | None]:
+    """Per node set, the group of reviewers present in >= min_support of its nodes.
 
     min_support generalizes intersecting all the node reviewer sets
-    (pass the cluster size for the strict intersection). Product sets
-    come from the full review table, not just the cluster. Returns None
-    when nobody qualifies.
+    (pass a piece's size for the strict intersection). Product sets come
+    from the full review table, not just the piece. One sparse product of
+    the piece × node 0/1 matrix with the graph's incidence Bᵀ counts every
+    piece's support at once. A piece where nobody qualifies gives None.
     """
+    import scipy.sparse as sp
+
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
-    support = cluster_reviewer_support(graph, cluster_nodes)
-    members = {r for r, count in support.items() if count >= min_support}
-    if not members:
-        return None
-    return group_from_table(members, table, source_cluster=source_cluster)
+    if graph.reviewers != index.reviewers:
+        raise ValueError("graph and scoring index come from different tables")
+    indptr = np.cumsum([0] + [len(p) for p in pieces])
+    nodes = np.fromiter(chain.from_iterable(pieces), np.int32, indptr[-1])
+    in_piece = sp.csr_array(
+        (np.ones(len(nodes), dtype=np.int32), nodes, indptr), shape=(len(pieces), len(graph.nodes))
+    )
+    support = in_piece @ graph.incidence.T
+    support.data[support.data < min_support] = 0
+    support.eliminate_zeros()
+    support.sort_indices()
+    bounds = support.indptr.tolist()
+    return [
+        CandidateGroup(index, support.indices[a:b]) if b > a else None
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def penalty(group: CandidateGroup) -> float:
     """Logistic down-weighting of small groups: tiny overlaps happen by chance."""
-    return 1.0 / (1.0 + math.exp(3 - len(group.members) - len(group.products)))
+    return 1.0 / (1.0 + math.exp(3 - group.size - group.n_products))
 
 
 def review_tightness(group: CandidateGroup) -> float:
@@ -105,32 +226,13 @@ def review_tightness(group: CandidateGroup) -> float:
     The group's products are the union of the member sets, so the raw
     ratio stays in (0, 1].
     """
-    filled = sum(len(ps) for ps in group.member_products.values())
-    raw = filled / (len(group.members) * len(group.products))
-    return raw * penalty(group)
+    filled = int(group.product_counts.sum())
+    return filled / (group.size * group.n_products) * penalty(group)
 
 
 def product_tightness(group: CandidateGroup) -> float:
     """Products everyone rated over products anyone rated (full product sets)."""
-    sets = list(group.member_products.values())
-    common = set(sets[0])
-    union = set(sets[0])
-    for ps in sets[1:]:
-        common &= ps
-        union |= ps
-    return len(common) / len(union)
-
-
-def _incidence(sets: list[frozenset[str]]) -> sp.csr_matrix:
-    """0/1 sets x products matrix, one row per set in the given order."""
-    import scipy.sparse as sp
-
-    column: dict[str, int] = {}
-    indices = [column.setdefault(p, len(column)) for ps in sets for p in ps]
-    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
-    np.cumsum([len(ps) for ps in sets], out=indptr[1:])
-    data = np.ones(len(indices), dtype=np.float64)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(sets), len(column)))
+    return int(np.count_nonzero(group.product_counts == group.size)) / group.n_products
 
 
 def neighbor_tightness(group: CandidateGroup) -> float:
@@ -143,10 +245,11 @@ def neighbor_tightness(group: CandidateGroup) -> float:
     the members in sorted order, each distinct set gets a weight w, the
     number of members holding it. A pair of distinct sets c < d adds
     w_c w_d J(c, d), and the pairs inside one set add w_c (w_c - 1) / 2,
-    since their Jaccard is 1. Intersections come from the sparse incidence
-    product K Kᵀ of the distinct sets, a block of rows at a time so memory
-    stays bounded by PAIR_BLOCK_ELEMENTS; each block keeps only the
-    columns from its first row on.
+    since their Jaccard is 1. Intersections come from the sparse product
+    K Kᵀ of the distinct sets' 0/1 rows K, gathered from the index's R
+    over the group's products, a block of rows at a time so memory stays
+    bounded by PAIR_BLOCK_ELEMENTS; each block keeps only the columns from
+    its first row on.
 
     np.cumsum adds the upper-triangle terms in sequence, row-major, a
     set's own term before its pairs with later sets; each block's first
@@ -157,16 +260,24 @@ def neighbor_tightness(group: CandidateGroup) -> float:
     rounds like Python's int / int, and the own terms are 0. Repeated sets
     change only the summation order.
     """
-    n = len(group.members)
+    import scipy.sparse as sp
+
+    n = group.size
     if n < 2:
         return 0.0
-    weight = Counter(group.member_products[m] for m in sorted(group.members))  # first-appearance order
-    incidence = _incidence(list(weight))
+    cols, ends = group.index.product_columns(group.member_products)
+    cols, bounds = cols.tolist(), [0] + ends.tolist()
+    weight = Counter(tuple(cols[a:b]) for a, b in zip(bounds, bounds[1:]))  # first-appearance order
+    n_sets = len(weight)
+    lengths = np.fromiter(map(len, weight), dtype=np.int64, count=n_sets)
+    flat = np.fromiter(chain.from_iterable(weight), dtype=np.intp, count=lengths.sum())
+    products, column = np.unique(flat, return_inverse=True)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    incidence = sp.csr_array((np.ones(len(flat)), column, indptr), shape=(n_sets, len(products)))
     transposed = incidence.T.tocsr()
-    w = np.fromiter(weight.values(), dtype=np.float64, count=len(weight))
+    sizes = lengths.astype(np.float64)
+    w = np.fromiter(weight.values(), dtype=np.float64, count=n_sets)
     own_pairs = w * (w - 1) / 2
-    sizes = np.diff(incidence.indptr).astype(np.float64)
-    n_sets = len(w)
     block_rows = max(1, PAIR_BLOCK_ELEMENTS // n_sets)
     lower = np.tri(min(block_rows, n_sets), k=-1, dtype=bool)
     total = 0.0
@@ -185,38 +296,6 @@ def neighbor_tightness(group: CandidateGroup) -> float:
     return total / (n * (n - 1) / 2) * penalty(group)
 
 
-def avg_rating_deviation(
-    reviewer: str, table: ReviewTable, stats: Mapping[str, ProductStats]
-) -> float:
-    """Mean |rating - product average| over the reviewer's reviews, scaled
-    by the widest possible gap (4 stars) into [0, 1]."""
-    reviews = table.by_reviewer.get(reviewer)
-    if not reviews:
-        raise KeyError(f"unknown reviewer {reviewer!r}")
-    total = sum(abs(r.rating - stats[r.product_id].avg_rating) for r in reviews)
-    return total / (len(reviews) * MAX_RATING_SPAN)
-
-
-def burstness(
-    reviewer: str, table: ReviewTable, tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS
-) -> float:
-    """How compressed the reviewer's activity window is.
-
-    1 when first and last review share a day, falling linearly to 0 at a
-    span of tau_days; longer spans score 0.
-    """
-    if tau_days < 1:
-        raise ValueError(f"tau_days must be >= 1, got {tau_days}")
-    reviews = table.by_reviewer.get(reviewer)
-    if not reviews:
-        raise KeyError(f"unknown reviewer {reviewer!r}")
-    days = [r.date for r in reviews]
-    span = (max(days) - min(days)).days
-    if span > tau_days:
-        return 0.0
-    return 1.0 - span / tau_days
-
-
 @dataclass(frozen=True)
 class IndicatorVector:
     review_tightness: float
@@ -228,18 +307,18 @@ class IndicatorVector:
 
 
 def group_indicators(
-    group: CandidateGroup,
-    table: ReviewTable,
-    stats: Mapping[str, ProductStats],
-    tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS,
+    group: CandidateGroup, tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS
 ) -> IndicatorVector:
-    """All six indicator values for one candidate group (unnormalized)."""
+    """All six indicator values for one candidate group (unnormalized).
+
+    The member means add the members' values in sorted member order.
+    """
     rt = review_tightness(group)
     pt = product_tightness(group)
     nt = neighbor_tightness(group)
-    members = sorted(group.members)
-    avd = sum(avg_rating_deviation(m, table, stats) for m in members) / len(members)
-    bst = sum(burstness(m, table, tau_days) for m in members) / len(members)
+    rows = group.member_products
+    avd = sum(group.index.deviation[rows].tolist()) / group.size
+    bst = sum(group.index.burstness(tau_days, rows).tolist()) / group.size
     return IndicatorVector(
         review_tightness=rt,
         product_tightness=pt,
@@ -259,7 +338,7 @@ def write_indicators(path, rows: Iterable[tuple[CandidateGroup, IndicatorVector]
         )
         for group, vec in rows:
             fh.write(
-                f"{group.group_id}\t{group.source_cluster}\t{group.size}\t{len(group.products)}"
+                f"{group.group_id}\t{group.source_cluster}\t{group.size}\t{group.n_products}"
                 f"\t{vec.review_tightness:.6f}\t{vec.product_tightness:.6f}"
                 f"\t{vec.neighbor_tightness:.6f}\t{vec.compactness:.6f}"
                 f"\t{vec.avg_rating_deviation:.6f}\t{vec.avg_burstness:.6f}\n"

@@ -42,7 +42,8 @@ from .graph import (
 from .indicators import (
     DEFAULT_BURST_THRESHOLD_DAYS,
     CandidateGroup,
-    extract_group,
+    ScoringIndex,
+    extract_groups,
     write_indicators,
 )
 from .modularity import modularity
@@ -254,7 +255,7 @@ def _stage(name: str):
 
 
 def extract_candidate_groups(
-    graph: PRGraph, assignment, table: ReviewTable, config: PipelineConfig
+    graph: PRGraph, assignment, index: ScoringIndex, config: PipelineConfig
 ) -> list[CandidateGroup]:
     """Clusters -> candidate groups, one per connected cluster piece.
 
@@ -264,25 +265,24 @@ def extract_candidate_groups(
     its connected components before member extraction. Duplicate member
     sets, which overlapping assignments can produce, keep only their
     first occurrence. With group.split_components off, a whole cluster
-    yields one group.
+    yields one group. Every piece of every cluster is extracted at once.
     """
+    pieces: list[set[int]] = []
+    sources: list[int] = []
     clusters = assign_clusters(assignment, threshold=config.train.assign_threshold)
+    for cluster_id, nodes in clusters.items():
+        split = connected_components(graph, nodes) if config.group.split_components else [nodes]
+        pieces += split
+        sources += [cluster_id] * len(split)
+    extracted = extract_groups(pieces, graph, index, config.group.min_support)
     groups: list[CandidateGroup] = []
-    seen: set[frozenset[str]] = set()
-    for cluster_id in sorted(clusters):
-        if config.group.split_components:
-            pieces = connected_components(graph, clusters[cluster_id])
-        else:
-            pieces = [clusters[cluster_id]]
-        for piece in pieces:
-            group = extract_group(
-                piece, graph, table, min_support=config.group.min_support, source_cluster=cluster_id
-            )
-            if group is None or group.members in seen:
-                continue
-            seen.add(group.members)
-            group.group_id = len(groups)
-            groups.append(group)
+    seen: set[bytes] = set()  # member rows
+    for cluster_id, group in zip(sources, extracted):
+        if group is None or group.member_products.tobytes() in seen:
+            continue
+        seen.add(group.member_products.tobytes())
+        group.source_cluster, group.group_id = cluster_id, len(groups)
+        groups.append(group)
     return groups
 
 
@@ -303,18 +303,13 @@ def _graph_stage(table: ReviewTable, config: PipelineConfig):
         return graph, adj, node_features(graph, adj)
 
 
-def _cluster_stage(
-    graph: PRGraph, adj, feats, table: ReviewTable, config: PipelineConfig, n_clusters: int
-) -> tuple[TrainResult, list[CandidateGroup]]:
-    """Train k = n_clusters from the run's derived seed, then extract candidate groups."""
+def _train_stage(adj, feats, config: PipelineConfig, n_clusters: int) -> TrainResult:
+    """Train k = n_clusters from the run's derived seed."""
     with _stage("train"):
         train_cfg = dataclasses.replace(
             config.train, seed=derive_train_seed(config.seed), n_clusters=n_clusters
         )
-        result = train(adj, feats, train_cfg)
-    with _stage("score"):
-        groups = extract_candidate_groups(graph, result.assignment, table, config)
-    return result, groups
+        return train(adj, feats, train_cfg)
 
 
 @dataclass
@@ -330,17 +325,18 @@ class DetectResult:
 def detect(table: ReviewTable, config: PipelineConfig) -> DetectResult:
     """Graph build, clustering, extraction, scoring, ranking: one run."""
     graph, adj, feats = _graph_stage(table, config)
-    result, groups = _cluster_stage(graph, adj, feats, table, config, config.train.n_clusters)
+    result = _train_stage(adj, feats, config, config.train.n_clusters)
     with _stage("score"):
+        index = ScoringIndex(table)  # after training, into the memory training freed
+        groups = extract_candidate_groups(graph, result.assignment, index, config)
         if not groups:
             raise ValueError("no candidate groups were extracted from the clusters")
         scored = score_groups(
             groups,
-            table,
             tau_days=config.burst_tau_days,
             compactness_weight=config.rank.compactness_weight,
         )
-        scored = attach_precision(scored, table)
+        scored = attach_precision(scored)
         ranking = rank_groups(scored, size_floor=config.rank.size_floor)
     return DetectResult(
         graph=graph,
@@ -368,12 +364,15 @@ def sweep(table: ReviewTable, config: PipelineConfig, k_list: Sequence[int]) -> 
     if not table.has_labels():
         raise StageError("sweep", ValueError("dataset has no labels; sweep needs them"))
     graph, adj, feats = _graph_stage(table, config)
+    with _stage("score"):
+        index = ScoringIndex(table)
     points = []
     for k in k_list:
-        _, groups = _cluster_stage(graph, adj, feats, table, config, k)
+        result = _train_stage(adj, feats, config, k)
+        with _stage("score"):
+            groups = extract_candidate_groups(graph, result.assignment, index, config)
         precisions = sorted(
-            (p for p in (group_precision(g, table) for g in groups) if p is not None),
-            reverse=True,
+            (p for p in map(group_precision, groups) if p is not None), reverse=True
         )
         best = precisions[:SWEEP_TOP_N]
         mean = sum(best) / len(best) if best else None
@@ -423,7 +422,7 @@ def write_ranked_groups(path, result: DetectResult) -> None:
                 "group_id": sg.group.group_id,
                 "cluster": sg.group.source_cluster,
                 "size": sg.size,
-                "n_products": len(sg.group.products),
+                "n_products": sg.group.n_products,
                 "anomaly_score": sg.anomaly_score,
                 "compactness_norm": sg.compactness_norm,
                 "deviation_norm": sg.deviation_norm,

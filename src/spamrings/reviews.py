@@ -89,8 +89,17 @@ class ReviewTable:
             return NotImplemented
         return self.reviews == other.reviews
 
+    @cached_property
+    def reviewer_ids(self) -> list[str]:
+        """The distinct reviewer ids in sorted order.
+
+        Row i of every reviewer matrix of the table (a graph's incidence,
+        a scoring index) is the i-th id, so the matrices share their rows.
+        """
+        return sorted(set(map(attrgetter("reviewer_id"), self.reviews)))
+
     def reviewers(self) -> list[str]:
-        return sorted(self.by_reviewer)
+        return list(self.reviewer_ids)
 
     def products(self) -> list[str]:
         return sorted(self.by_product)

@@ -18,7 +18,6 @@ from .indicators import (
     IndicatorVector,
     group_indicators,
 )
-from .reviews import LABEL_FAKE, ReviewTable, product_stats
 
 COMPACTNESS_WEIGHT = 3.0
 DEFAULT_SIZE_FLOOR = 20
@@ -105,27 +104,14 @@ def rank_groups(scored: Iterable[ScoredGroup], size_floor: int = DEFAULT_SIZE_FL
     )
 
 
-def group_precision(group: CandidateGroup, table: ReviewTable) -> float | None:
-    """Share of members having at least one fake-labeled review.
-
-    None when no member has any labeled review at all, which makes the
-    metric meaningless.
-    """
-    any_label = False
-    fake = 0
-    for member in group.members:
-        labels = {r.label for r in table.by_reviewer.get(member, ())}
-        if labels - {"unknown"}:
-            any_label = True
-        if LABEL_FAKE in labels:
-            fake += 1
-    if not any_label:
-        return None
-    return fake / len(group.members)
+def group_precision(group: CandidateGroup) -> float | None:
+    """Share of members having at least one fake-labeled review; None
+    when no member has any labeled review (see ``ReviewerIndex.precision``)."""
+    return group.index.precision(group.member_products.tolist())
 
 
-def attach_precision(scored: Sequence[ScoredGroup], table: ReviewTable) -> list[ScoredGroup]:
-    return [replace(sg, precision=group_precision(sg.group, table)) for sg in scored]
+def attach_precision(scored: Sequence[ScoredGroup]) -> list[ScoredGroup]:
+    return [replace(sg, precision=group_precision(sg.group)) for sg in scored]
 
 
 def size_distribution(sizes: Iterable[int]) -> dict[int, int]:
@@ -136,11 +122,9 @@ def size_distribution(sizes: Iterable[int]) -> dict[int, int]:
 
 def score_groups(
     groups: Sequence[CandidateGroup],
-    table: ReviewTable,
     tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS,
     compactness_weight: float = COMPACTNESS_WEIGHT,
 ) -> list[ScoredGroup]:
     """Indicators + normalization + anomaly scores for a set of candidates."""
-    stats = product_stats(table)
-    items = [(g, group_indicators(g, table, stats, tau_days=tau_days)) for g in groups]
+    items = [(g, group_indicators(g, tau_days=tau_days)) for g in groups]
     return normalize_scores(items, compactness_weight=compactness_weight)

@@ -23,14 +23,25 @@ the full graph.
 
 ``dedupe_reference`` is the per-row ``get``-then-set loop that
 ``reviews.dedupe`` replaced.
+
+``SetGroup`` and the functions after it are the group extraction and
+scoring that ``indicators.ScoringIndex`` replaced: each member's product
+set a frozenset taken from ``ReviewTable.by_reviewer``, reviewer support
+counted per cluster piece, one sparse incidence built per group, and
+per-member loops for rating deviation, burstness and precision.
+``assign_clusters_loop`` and ``write_assignment_loop`` are the per-node
+loops that ``clustering.assign_clusters`` and ``write_assignment``
+replaced.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +60,14 @@ from spamrings.clustering import (
     _softmax_backward,
     normalized_adjacency,
 )
-from spamrings.reviews import ReviewTable
+from spamrings.graph import connected_components
+from spamrings.indicators import (
+    DEFAULT_BURST_THRESHOLD_DAYS,
+    MAX_RATING_SPAN,
+    PAIR_BLOCK_ELEMENTS,
+    IndicatorVector,
+)
+from spamrings.reviews import LABEL_FAKE, ProductStats, ReviewTable
 
 BRUTE_FORCE_MAX_NODES = 12
 
@@ -356,3 +374,231 @@ def dedupe_reference(table: ReviewTable, policy: str = "keep_latest") -> ReviewT
         elif policy == "keep_first" and r.date < cur.date:
             kept[key] = r
     return ReviewTable(kept.values())
+
+
+# ------------------------------------------------- extraction and scoring
+
+
+@dataclass
+class SetGroup:
+    """Reviewers pulled from one cluster, with their full product sets."""
+
+    members: frozenset[str]
+    member_products: Mapping[str, frozenset[str]]
+    source_cluster: int = -1
+    group_id: int = -1
+
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("candidate group must have members")
+        if set(self.member_products) != set(self.members):
+            raise ValueError("member_products keys must equal members")
+        empty = [m for m, ps in self.member_products.items() if not ps]
+        if empty:
+            raise ValueError(f"member {min(empty)!r} has no reviewed product")
+
+    @cached_property
+    def products(self) -> frozenset[str]:
+        return frozenset().union(*self.member_products.values())
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    @property
+    def n_products(self) -> int:
+        return len(self.products)
+
+
+def group_from_table(members: Iterable[str], table: ReviewTable, source_cluster: int = -1) -> SetGroup:
+    members = frozenset(members)
+    products = {
+        m: frozenset(r.product_id for r in table.by_reviewer.get(m, ())) for m in members
+    }
+    return SetGroup(members=members, member_products=products, source_cluster=source_cluster)
+
+
+def cluster_reviewer_support(graph, cluster_nodes: Iterable[int]) -> dict[str, int]:
+    """How many distinct cluster nodes each reviewer appears in."""
+    support: dict[str, int] = defaultdict(int)
+    for i in cluster_nodes:
+        for reviewer in graph.nodes[i].reviewers:
+            support[reviewer] += 1
+    return dict(support)
+
+
+def extract_group(cluster_nodes, graph, table, min_support=2, source_cluster=-1):
+    """Members = reviewers present in >= min_support distinct cluster nodes; None if nobody."""
+    if min_support < 1:
+        raise ValueError("min_support must be >= 1")
+    support = cluster_reviewer_support(graph, cluster_nodes)
+    members = {r for r, count in support.items() if count >= min_support}
+    if not members:
+        return None
+    return group_from_table(members, table, source_cluster=source_cluster)
+
+
+def extract_candidate_groups_reference(graph, assignment, table, config) -> list[SetGroup]:
+    """pipeline.extract_candidate_groups, one piece and one group at a time."""
+    clusters = assign_clusters_loop(assignment, threshold=config.train.assign_threshold)
+    groups: list[SetGroup] = []
+    seen: set[frozenset[str]] = set()
+    for cluster_id in sorted(clusters):
+        if config.group.split_components:
+            pieces = connected_components(graph, clusters[cluster_id])
+        else:
+            pieces = [clusters[cluster_id]]
+        for piece in pieces:
+            group = extract_group(
+                piece, graph, table, min_support=config.group.min_support, source_cluster=cluster_id
+            )
+            if group is None or group.members in seen:
+                continue
+            seen.add(group.members)
+            group.group_id = len(groups)
+            groups.append(group)
+    return groups
+
+
+def penalty(group) -> float:
+    return 1.0 / (1.0 + math.exp(3 - len(group.members) - len(group.products)))
+
+
+def review_tightness(group: SetGroup) -> float:
+    filled = sum(len(ps) for ps in group.member_products.values())
+    raw = filled / (len(group.members) * len(group.products))
+    return raw * penalty(group)
+
+
+def product_tightness(group: SetGroup) -> float:
+    sets = list(group.member_products.values())
+    common = set(sets[0])
+    union = set(sets[0])
+    for ps in sets[1:]:
+        common &= ps
+        union |= ps
+    return len(common) / len(union)
+
+
+def _incidence(sets: list[frozenset[str]]) -> sp.csr_matrix:
+    """0/1 sets x products matrix, one row per set in the given order."""
+    column: dict[str, int] = {}
+    indices = [column.setdefault(p, len(column)) for ps in sets for p in ps]
+    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([len(ps) for ps in sets], out=indptr[1:])
+    data = np.ones(len(indices), dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(sets), len(column)))
+
+
+def neighbor_tightness(group: SetGroup) -> float:
+    """Weighted distinct-set Jaccard sum over a per-group incidence (see indicators)."""
+    n = len(group.members)
+    if n < 2:
+        return 0.0
+    weight = Counter(group.member_products[m] for m in sorted(group.members))
+    incidence = _incidence(list(weight))
+    transposed = incidence.T.tocsr()
+    w = np.fromiter(weight.values(), dtype=np.float64, count=len(weight))
+    own_pairs = w * (w - 1) / 2
+    sizes = np.diff(incidence.indptr).astype(np.float64)
+    n_sets = len(w)
+    block_rows = max(1, PAIR_BLOCK_ELEMENTS // n_sets)
+    lower = np.tri(min(block_rows, n_sets), k=-1, dtype=bool)
+    total = 0.0
+    for start in range(0, n_sets, block_rows):
+        stop = min(start + block_rows, n_sets)
+        r = stop - start
+        inter = (incidence[start:stop] @ transposed).toarray()[:, start:]
+        terms = sizes[start:stop, None] + sizes[None, start:]
+        terms -= inter
+        np.divide(inter, terms, out=terms)
+        terms *= np.multiply.outer(w[start:stop], w[start:])
+        np.copyto(terms[:, :r], 0.0, where=lower[:r, :r])
+        np.fill_diagonal(terms, own_pairs[start:stop])
+        terms[0, 0] += total
+        total = float(np.cumsum(terms)[-1])
+    return total / (n * (n - 1) / 2) * penalty(group)
+
+
+def avg_rating_deviation(reviewer: str, table: ReviewTable, stats: Mapping[str, ProductStats]) -> float:
+    reviews = table.by_reviewer.get(reviewer)
+    if not reviews:
+        raise KeyError(f"unknown reviewer {reviewer!r}")
+    total = 0.0  # an explicit loop, not sum(): from Python 3.12 sum() compensates float error
+    for r in reviews:
+        total += abs(r.rating - stats[r.product_id].avg_rating)
+    return total / (len(reviews) * MAX_RATING_SPAN)
+
+
+def burstness(reviewer: str, table: ReviewTable, tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS) -> float:
+    if tau_days < 1:
+        raise ValueError(f"tau_days must be >= 1, got {tau_days}")
+    reviews = table.by_reviewer.get(reviewer)
+    if not reviews:
+        raise KeyError(f"unknown reviewer {reviewer!r}")
+    days = [r.date for r in reviews]
+    span = (max(days) - min(days)).days
+    if span > tau_days:
+        return 0.0
+    return 1.0 - span / tau_days
+
+
+def group_indicators(
+    group: SetGroup,
+    table: ReviewTable,
+    stats: Mapping[str, ProductStats],
+    tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS,
+) -> IndicatorVector:
+    rt = review_tightness(group)
+    pt = product_tightness(group)
+    nt = neighbor_tightness(group)
+    members = sorted(group.members)
+    avd = sum(avg_rating_deviation(m, table, stats) for m in members) / len(members)
+    bst = sum(burstness(m, table, tau_days) for m in members) / len(members)
+    return IndicatorVector(
+        review_tightness=rt,
+        product_tightness=pt,
+        neighbor_tightness=nt,
+        compactness=rt * pt * nt,
+        avg_rating_deviation=avd,
+        avg_burstness=bst,
+    )
+
+
+def group_precision(group: SetGroup, table: ReviewTable) -> float | None:
+    any_label = False
+    fake = 0
+    for member in group.members:
+        labels = {r.label for r in table.by_reviewer.get(member, ())}
+        if labels - {"unknown"}:
+            any_label = True
+        if LABEL_FAKE in labels:
+            fake += 1
+    if not any_label:
+        return None
+    return fake / len(group.members)
+
+
+def assign_clusters_loop(assignment, threshold: float = 0.2) -> dict[int, set[int]]:
+    c = np.asarray(assignment, dtype=np.float64)
+    members: dict[int, set[int]] = {}
+    argmax = c.argmax(axis=1)
+    for i in range(c.shape[0]):
+        targets = {int(argmax[i])} | {int(j) for j in np.flatnonzero(c[i] >= threshold)}
+        for j in targets:
+            members.setdefault(j, set()).add(i)
+    return {j: members[j] for j in sorted(members)}
+
+
+def write_assignment_loop(path, node_ids, assignment, threshold: float = 0.2) -> None:
+    c = np.asarray(assignment, dtype=np.float64)
+    clusters = assign_clusters_loop(c, threshold)
+    memberships: dict[int, list[int]] = {i: [] for i in range(c.shape[0])}
+    for j, nodes in clusters.items():
+        for i in nodes:
+            memberships[i].append(j)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("node_id,argmax_cluster,memberships,max_prob\n")
+        for i, node_id in enumerate(node_ids):
+            joined = "|".join(str(j) for j in sorted(memberships[i]))
+            fh.write(f"{node_id},{int(c[i].argmax())},{joined},{c[i].max():.6f}\n")

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import brute_force_best_partition, clustering_loss, modularity_matrix, one_hot
+from oracles import brute_force_best_partition, burstness, clustering_loss, group_from_table
+from oracles import group_indicators, modularity_matrix, one_hot, product_tightness
 from oracles import modularity as dense_modularity
 from spamrings.clustering import TrainConfig, _loss_and_assignment_grad, gradient_check, train
-from spamrings.indicators import burstness, group_from_table, group_indicators, penalty, product_tightness
+from spamrings.indicators import penalty
 from spamrings.modularity import modularity
 from spamrings.pipeline import PipelineConfig, detect, load_table
 from spamrings.reviews import Review, ReviewTable, dedupe, product_stats

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -290,6 +291,36 @@ def test_detect_byte_identical_across_processes(dataset, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+# SHA-256 of the detect reports on the criterion-7 input: synth seed 0, detect
+# seed 21, one BLAS thread. A change that alters report bytes on purpose
+# updates these and says why in CHANGES.md.
+GOLDEN_REPORT_DIGESTS = {
+    "ranked_groups.jsonl": "afa64f6be539831a020df4d704c5c14c10964e0677d1a9671a5fca78f24f2864",
+    "summary.txt": "0825eb52e6b8e32407124e9b4d8d6a1a6643467508a638389ac7cc44d20dc698",
+    "indicators.tsv": "78c5c6629447e2de6fba209b155ad82dea1eaaa57dc9f07ea86ec7a8180151b7",
+    "assignment.csv": "2903f6bde3cb19e422c687038998b4484530ed88ab86156a4b073589b2507bc0",
+}
+
+
+def test_detect_reports_match_golden_digests(tmp_path):
+    table, _ = generate(SynthConfig(seed=0))
+    write_reviews(table, tmp_path / "reviews.csv")
+    one_thread = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spamrings.cli", "detect", "--input", str(tmp_path / "reviews.csv"),
+         "--out", str(tmp_path / "out"), "--seed", "21"],
+        env=dict(os.environ, **one_thread),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in GOLDEN_REPORT_DIGESTS
+    }
+    assert digests == GOLDEN_REPORT_DIGESTS
+
+
 def test_detect_unreachable_graph_is_graph_stage_error(dataset, tmp_path, capsys):
     rc = main(
         [
@@ -431,6 +462,19 @@ def test_eval_malformed_ranked_line_names_file_and_line(
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: eval: {ranked} {named}"), err
+
+
+def test_eval_unknown_member_is_eval_stage_error_naming_the_line(dataset, tmp_path):
+    _, _, table = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
+    known = table.reviews[0].reviewer_id
+    ranked = tmp_path / "ranked.jsonl"
+    records = [{"rank": 1, "group_id": 0, "members": [known]},
+               {"rank": 2, "group_id": 1, "members": [known, "nobody"]}]
+    ranked.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(StageError) as exc:
+        cli._ranked_rows(ranked, table)
+    assert exc.value.stage == "eval"
+    assert str(exc.value) == f"eval: {ranked} line 2: member 'nobody' has no reviewed product"
 
 
 def test_eval_refuses_unlabeled(dataset, tmp_path, capsys):

@@ -8,12 +8,14 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import (
+    assign_clusters_loop,
     clustering_loss,
     modularity_matrix,
     one_hot,
     selu_grad_where,
     selu_where,
     train_reference,
+    write_assignment_loop,
 )
 from spamrings.clustering import (
     GRAD_BLOCK_ROWS,
@@ -643,6 +645,34 @@ def test_assign_clusters_drops_empty_clusters():
     c = np.array([[0.9, 0.05, 0.05], [0.85, 0.1, 0.05]])
     clusters = assign_clusters(c, threshold=0.2)
     assert set(clusters) == {0}
+
+
+def random_assignments(rng):
+    """Soft assignments of float32 and float64 rows, with values on the threshold and ties."""
+    for n, k in ((0, 3), (1, 1), (7, 4), (300, 12), (1176, 50)):
+        logits = rng.normal(scale=rng.uniform(0.5, 4.0), size=(n, k))
+        c = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        if n > 1:
+            c[0, :] = 1.0 / k  # a tie everywhere
+            c[1, 0] = 0.2  # exactly the threshold
+        for dtype in (np.float32, np.float64):
+            yield c.astype(dtype)
+
+
+def test_assign_clusters_equals_per_node_loop():
+    for c in random_assignments(np.random.default_rng(12)):
+        for threshold in (0.05, 0.2, 0.5):
+            got = assign_clusters(c, threshold)
+            expected = assign_clusters_loop(c, threshold)
+            assert got == expected and list(got) == list(expected)
+
+
+def test_write_assignment_bytes_equal_per_node_loop(tmp_path):
+    for i, c in enumerate(random_assignments(np.random.default_rng(13))):
+        node_ids = [f"p{j}#5" for j in range(c.shape[0])]
+        write_assignment(tmp_path / "fast.csv", node_ids, c, threshold=0.2)
+        write_assignment_loop(tmp_path / "loop.csv", node_ids, c, threshold=0.2)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes(), i
 
 
 # ----------------------------------------------------------------- artifacts

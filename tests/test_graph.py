@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import math
 import random
@@ -14,6 +15,7 @@ from spamrings.graph import (
     build_nodes,
     co_review_matrix,
     connected_components,
+    reviewer_incidence,
     node_features,
     node_id_str,
     write_graph,
@@ -25,6 +27,13 @@ D = datetime.date(2014, 1, 1)
 
 def table_from(rows):
     return ReviewTable([Review(u, p, r, D) for (u, p, r) in rows])
+
+
+def graph_of(nodes, min_co_review=2):
+    """A graph straight from nodes, its reviewer rows in sorted order as build_graph puts them."""
+    reviewers = sorted({r for node in nodes for r in node.reviewers})
+    incidence = reviewer_incidence(nodes, reviewers)
+    return PRGraph(nodes, reviewers, incidence, co_review_matrix(nodes, incidence, min_co_review))
 
 
 def co_reviewers(graph, edge):
@@ -80,11 +89,11 @@ def test_build_edges_threshold_and_attribute():
         [("u1", "p1", 5), ("u2", "p1", 5), ("u1", "p2", 5), ("u2", "p2", 5), ("u3", "p2", 5)]
     )
     nodes = build_nodes(table)
-    edges = PRGraph(nodes, co_review_matrix(nodes, min_co_review=1)).edges
+    edges = graph_of(nodes, min_co_review=1).edges
     assert len(edges) == 1
     assert edges[0].n_co_reviewers == 2
     assert nodes[edges[0].u].reviewers & nodes[edges[0].v].reviewers == {"u1", "u2"}
-    assert co_review_matrix(nodes, min_co_review=3).nnz == 0
+    assert graph_of(nodes, min_co_review=3).co_review.nnz == 0
 
 
 def test_co_rating_pair_lands_on_edge():
@@ -111,7 +120,7 @@ def test_no_edge_within_same_product():
     # u1 rated p1 twice at different levels; dedupe normally forbids this,
     # but edges must never join two ratings of the same product anyway.
     nodes = build_nodes(table)
-    assert co_review_matrix(nodes, min_co_review=1).nnz == 0
+    assert graph_of(nodes, min_co_review=1).co_review.nnz == 0
 
 
 def test_co_review_matrix_matches_pair_count_oracle():
@@ -128,13 +137,35 @@ def test_co_review_matrix_matches_pair_count_oracle():
         reviews += [Review(u, p, rng.randrange(1, 6), D) for u, p in rerated]
         nodes = build_nodes(ReviewTable(reviews))
         for min_co_review in (1, 2, 3):
-            matrix = co_review_matrix(nodes, min_co_review)
+            graph = graph_of(nodes, min_co_review)
+            matrix = graph.co_review
             assert matrix.has_canonical_format
             assert (matrix != matrix.T).nnz == 0
-            graph = PRGraph(nodes, matrix)
             got = [(e.u, e.v, e.n_co_reviewers) for e in graph.edges]
             assert got == build_edges_pair_count(nodes, min_co_review)
             assert matrix.nnz == 2 * len(got)
+
+
+def test_graph_keeps_the_incidence_its_counts_come_from():
+    rng = random.Random(29)
+    for _ in range(20):
+        reviews = [
+            Review(f"u{rng.randrange(30)}", f"p{rng.randrange(6)}", rng.randrange(1, 6), D)
+            for _ in range(rng.randint(1, 120))
+        ]  # not deduped: a reviewer can sit in two ratings of one product
+        table = ReviewTable(reviews)
+        graph = build_graph(table, min_co_review=1)
+        incidence = graph.incidence
+        assert incidence.shape == (len(table.reviewers()), len(graph.nodes))
+        reviewers = table.reviewers()  # row order: sorted reviewer ids
+        assert graph.reviewers == reviewers
+        for i, node in enumerate(graph.nodes):
+            column = incidence[:, [i]].tocoo()
+            assert set(column.data.tolist()) <= {1}
+            assert {reviewers[r] for r in column.coords[0].tolist()} == node.reviewers
+        expected = co_review_matrix(graph.nodes, incidence, min_co_review=1)
+        assert (graph.co_review != expected).nnz == 0
+        assert (reviewer_incidence(graph.nodes, reviewers) != incidence).nnz == 0
 
 
 def test_adjacency_weighted_and_binary():
@@ -259,7 +290,7 @@ def test_connected_components_match_edge_scan_oracle():
                 reviewers[u].add(r)
                 reviewers[v].add(r)
         nodes = [PRNode(f"p{i}", 5, frozenset(reviewers[i])) for i in range(n)]
-        graph = PRGraph(nodes, co_review_matrix(nodes))
+        graph = graph_of(nodes)
         assert [(e.u, e.v) for e in graph.edges] == sorted(pairs)
         for subset in (range(n), rng.sample(range(n), rng.randint(0, n))):
             got = connected_components(graph, subset)
@@ -269,7 +300,7 @@ def test_connected_components_match_edge_scan_oracle():
 
 def test_bad_weighting_mode_rejected():
     with pytest.raises(ValueError):
-        PRGraph(nodes=[], co_review=co_review_matrix([]), weighting="huh")
+        dataclasses.replace(graph_of([]), weighting="huh")
     table = table_from([("u1", "p1", 5)])
     with pytest.raises(ValueError):
         build_graph(table, weighting="huh")
@@ -277,7 +308,7 @@ def test_bad_weighting_mode_rejected():
 
 def test_min_co_review_must_be_positive():
     with pytest.raises(ValueError):
-        co_review_matrix([], min_co_review=0)
+        co_review_matrix([], reviewer_incidence([], []), min_co_review=0)
 
 
 def test_graph_dump_format(tmp_path):

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import oracles
 from spamrings.graph import build_graph
 from spamrings.indicators import (
     PAIR_BLOCK_ELEMENTS,
     CandidateGroup,
-    avg_rating_deviation,
-    burstness,
-    extract_group,
-    group_from_table,
+    ScoringIndex,
+    extract_groups,
     group_indicators,
     neighbor_tightness,
     penalty,
@@ -23,7 +22,8 @@ from spamrings.indicators import (
     review_tightness,
     write_indicators,
 )
-from spamrings.reviews import Review, ReviewTable, product_stats
+from spamrings.reviews import LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN, Review, ReviewTable, product_stats
+from spamrings.scoring import group_precision
 
 D0 = datetime.date(2014, 1, 1)
 
@@ -37,19 +37,27 @@ def logistic(x):
 
 
 def compactness(group):
-    """group_indicators' compactness, on a table of just the group's reviews."""
-    table = ReviewTable(
-        [Review(m, p, 5, D0) for m in sorted(group.members) for p in sorted(group.member_products[m])]
+    return group_indicators(group).compactness
+
+
+def table_of(member_products):
+    """One 5-star review per member and product."""
+    return ReviewTable(
+        [Review(m, p, 5, D0) for m in sorted(member_products) for p in sorted(member_products[m])]
     )
-    return group_indicators(group, table, product_stats(table)).compactness
 
 
 def make_group(member_products, cluster=-1):
-    return CandidateGroup(
-        members=frozenset(member_products),
-        member_products={m: frozenset(ps) for m, ps in member_products.items()},
-        source_cluster=cluster,
-    )
+    """The group of every member of a {member: product set} table."""
+    return ScoringIndex(table_of(member_products)).group(member_products, source_cluster=cluster)
+
+
+def products_of(index, reviewer):
+    return {index.product_ids[j] for j in index.products[[index.row[reviewer]]].indices}
+
+
+def value_of(index, values, reviewer):
+    return values[index.row[reviewer]]
 
 
 # ----------------------------------------------------------------- extraction
@@ -66,21 +74,22 @@ def extraction_fixture():
     ]
     table = ReviewTable([Review(u, p, r, day(i)) for i, (u, p, r) in enumerate(rows)])
     graph = build_graph(table, min_co_review=1)
-    index = {(node.product_id, node.rating): i for i, node in enumerate(graph.nodes)}
-    cluster = [index[("p1", 5)], index[("p2", 5)]]
-    return table, graph, cluster
+    node = {(node.product_id, node.rating): i for i, node in enumerate(graph.nodes)}
+    cluster = [node[("p1", 5)], node[("p2", 5)]]
+    return ScoringIndex(table), graph, cluster
 
 
 def test_extract_group_min_support_two():
-    table, graph, cluster = extraction_fixture()
-    group = extract_group(cluster, graph, table, min_support=2)
+    index, graph, cluster = extraction_fixture()
+    (group,) = extract_groups([cluster], graph, index, min_support=2)
     assert group.members == {"a", "b"}
-    assert group.member_products["a"] == {"p1", "p2", "p9"}
+    assert products_of(index, "a") == {"p1", "p2", "p9"}
+    assert group.n_products == 3
 
 
 def test_extract_group_min_support_one():
-    table, graph, cluster = extraction_fixture()
-    group = extract_group(cluster, graph, table, min_support=1)
+    index, graph, cluster = extraction_fixture()
+    (group,) = extract_groups([cluster], graph, index, min_support=1)
     assert group.members == {"a", "b", "c"}
 
 
@@ -89,20 +98,35 @@ def test_extract_group_disjoint_sets_give_none():
     table = ReviewTable([Review(u, p, r, D0) for (u, p, r) in rows])
     graph = build_graph(table)
     cluster = list(range(len(graph.nodes)))
-    assert extract_group(cluster, graph, table, min_support=2) is None
+    assert extract_groups([cluster], graph, ScoringIndex(table), min_support=2) == [None]
 
 
 def test_extract_group_strict_intersection_mode():
-    table, graph, cluster = extraction_fixture()
-    group = extract_group(cluster, graph, table, min_support=len(cluster))
+    index, graph, cluster = extraction_fixture()
+    (group,) = extract_groups([cluster], graph, index, min_support=len(cluster))
     assert group.members == {"a", "b"}
 
 
+def test_extract_groups_refuses_an_index_of_other_reviewers():
+    _, graph, cluster = extraction_fixture()
+    other = ScoringIndex(table_of({"x": {"p1"}, "y": {"p2"}, "z": {"p9"}}))
+    assert len(other.reviewers) == graph.incidence.shape[0]  # a count check would pass
+    with pytest.raises(ValueError, match="different tables"):
+        extract_groups([cluster], graph, other)
+
+
 def test_candidate_group_validation():
+    index = ScoringIndex(table_of({"a": {"p1"}, "b": {"p1"}}))
     with pytest.raises(ValueError):
-        CandidateGroup(members=frozenset(), member_products={})
+        CandidateGroup(index, np.array([], dtype=np.intp))
     with pytest.raises(ValueError):
-        CandidateGroup(members=frozenset({"a"}), member_products={"a": frozenset()})
+        CandidateGroup(index, np.array([1, 0]))
+    with pytest.raises(ValueError):
+        CandidateGroup(index, np.array([1, 1]))
+    with pytest.raises(ValueError, match="must have members"):
+        index.group([])
+    with pytest.raises(ValueError, match="'ghost' has no reviewed product"):
+        index.group(["a", "ghost"])
 
 
 # ------------------------------------------------------------------- penalty
@@ -132,7 +156,7 @@ def test_penalty_strictly_increasing_in_size():
 def test_penalty_is_bit_identical_to_expit():
     # every integer argument |R| + |P| - 3 up to a 200,000-element group
     arguments = range(-1, 200_000)
-    got = [penalty(SimpleNamespace(members=range(1), products=range(x + 2))) for x in arguments]
+    got = [penalty(SimpleNamespace(size=1, n_products=x + 2)) for x in arguments]
     assert np.array_equal(got, expit(np.array(arguments, dtype=np.float64)))
 
 
@@ -154,11 +178,12 @@ def test_review_tightness_counts_match_capped_counts():
     # each set to them (the earlier formula) removes nothing
     rng = random.Random(12)
     for _ in range(200):
-        g = random_member_group(rng, rng.randint(1, 30))
-        union = frozenset().union(*g.member_products.values())
-        assert g.products == union and g.products is g.products
-        capped = sum(len(ps & union) for ps in g.member_products.values())
-        assert review_tightness(g) == capped / (len(g.members) * len(union)) * penalty(g)
+        sets = random_member_sets(rng, rng.randint(1, 30))
+        g = make_group(sets)
+        union = frozenset().union(*sets.values())
+        assert g.n_products == len(union) and g.product_counts is g.product_counts
+        capped = sum(len(ps & union) for ps in sets.values())
+        assert review_tightness(g) == capped / (g.size * len(union)) * penalty(g)
 
 
 def test_product_tightness_examples():
@@ -191,46 +216,46 @@ def _jaccard(a, b):
     return len(a & b) / union if union else 0.0
 
 
-def _neighbor_tightness_pairs(group):
-    """One Jaccard per member pair, summed left to right.
+def _neighbor_tightness_pairs(sets):
+    """One Jaccard per member pair of a {member: product set} group, summed left to right.
 
     An explicit loop, not sum(): from Python 3.12 sum() compensates float
     addition, while neighbor_tightness adds in plain sequence.
     """
-    members = sorted(group.members)
+    members = sorted(sets)
     if len(members) < 2:
         return 0.0
     total = 0.0
     for a, b in combinations(members, 2):
-        total += _jaccard(group.member_products[a], group.member_products[b])
+        total += _jaccard(sets[a], sets[b])
     mean = total / (len(members) * (len(members) - 1) / 2)
-    return mean * penalty(group)
+    return mean * penalty(make_group(sets))
 
 
-def random_member_group(rng, size, n_products=40, max_products=6):
-    return make_group(
-        {
-            f"u{i:05d}": {f"p{rng.randrange(n_products)}" for _ in range(rng.randint(1, max_products))}
-            for i in range(size)
-        }
-    )
+def random_member_sets(rng, size, n_products=40, max_products=6):
+    return {
+        f"u{i:05d}": frozenset(
+            f"p{rng.randrange(n_products)}" for _ in range(rng.randint(1, max_products))
+        )
+        for i in range(size)
+    }
 
 
-def distinct_set_group(rng, size, n_products=300, max_products=10):
-    """A group of `size` members whose product sets are pairwise distinct."""
+def distinct_sets(rng, size, n_products=300, max_products=10):
+    """`size` members whose product sets are pairwise distinct."""
     sets = set()
     while len(sets) < size:
         sets.add(frozenset(f"p{rng.randrange(n_products)}" for _ in range(rng.randint(1, max_products))))
-    return make_group({f"u{i:05d}": ps for i, ps in enumerate(sorted(sets, key=sorted))})
+    return {f"u{i:05d}": ps for i, ps in enumerate(sorted(sets, key=sorted))}
 
 
-def n_distinct_sets(group):
-    return len(set(group.member_products.values()))
+def n_distinct_sets(sets):
+    return len(set(map(frozenset, sets.values())))
 
 
-def assert_matches_pair_loop(group):
-    assert n_distinct_sets(group) == group.size
-    assert neighbor_tightness(group) == _neighbor_tightness_pairs(group)
+def assert_matches_pair_loop(sets):
+    assert n_distinct_sets(sets) == len(sets)
+    assert neighbor_tightness(make_group(sets)) == _neighbor_tightness_pairs(sets)
 
 
 def test_neighbor_tightness_one_set_is_penalty():
@@ -258,16 +283,16 @@ def test_neighbor_tightness_matches_pair_loop_on_random_groups():
     # test_neighbor_tightness_close_to_pair_loop_when_sets_repeat
     rng = random.Random(41)
     for _ in range(300):
-        assert_matches_pair_loop(distinct_set_group(rng, rng.randint(1, 30), n_products=40, max_products=6))
+        assert_matches_pair_loop(distinct_sets(rng, rng.randint(1, 30), n_products=40, max_products=6))
 
 
 def test_neighbor_tightness_matches_pair_loop_on_edge_cases():
-    assert_matches_pair_loop(make_group({"u": {"a", "b"}}))  # singleton
-    assert_matches_pair_loop(make_group({"u": {"a"}, "v": {"b"}}))  # disjoint pair
-    assert_matches_pair_loop(make_group({f"u{i}": {f"p{i}"} for i in range(12)}))
+    assert_matches_pair_loop({"u": {"a", "b"}})  # singleton
+    assert_matches_pair_loop({"u": {"a"}, "v": {"b"}})  # disjoint pair
+    assert_matches_pair_loop({f"u{i}": {f"p{i}"} for i in range(12)})
     # one repeated set: every Jaccard is 1, so both sums are exact
-    g = make_group({f"u{i}": {"a", "b"} for i in range(12)})
-    assert neighbor_tightness(g) == _neighbor_tightness_pairs(g)
+    sets = {f"u{i}": {"a", "b"} for i in range(12)}
+    assert neighbor_tightness(make_group(sets)) == _neighbor_tightness_pairs(sets)
 
 
 @pytest.mark.parametrize("around", [math.isqrt(PAIR_BLOCK_ELEMENTS), 512])
@@ -277,11 +302,11 @@ def test_neighbor_tightness_matches_pair_loop_at_block_boundaries(around, offset
     # one row block holds; at 512 the blocks tile the rows exactly, one set
     # less or more leaves a short last block
     rng = random.Random(around + offset)
-    assert_matches_pair_loop(distinct_set_group(rng, around + offset))
+    assert_matches_pair_loop(distinct_sets(rng, around + offset))
 
 
 def test_neighbor_tightness_matches_pair_loop_on_large_group():
-    assert_matches_pair_loop(distinct_set_group(random.Random(2024), 2100))
+    assert_matches_pair_loop(distinct_sets(random.Random(2024), 2100))
 
 
 def test_neighbor_tightness_close_to_pair_loop_when_sets_repeat():
@@ -289,24 +314,27 @@ def test_neighbor_tightness_close_to_pair_loop_when_sets_repeat():
     # summation order: ROADMAP item 6 allows 1e-12 relative. The first 300
     # groups are the ones the random-group test compared with == before.
     rng = random.Random(41)
-    groups = [random_member_group(rng, rng.randint(1, 30)) for _ in range(300)]
-    groups += [random_member_group(rng, rng.randint(2, 30), n_products=6, max_products=3) for _ in range(300)]
-    groups.append(random_member_group(rng, 700, n_products=12, max_products=4))  # > 256 sets: two blocks
+    groups = [random_member_sets(rng, rng.randint(1, 30)) for _ in range(300)]
+    groups += [random_member_sets(rng, rng.randint(2, 30), n_products=6, max_products=3) for _ in range(300)]
+    groups.append(random_member_sets(rng, 700, n_products=12, max_products=4))  # > 256 sets: two blocks
     assert n_distinct_sets(groups[-1]) > math.isqrt(PAIR_BLOCK_ELEMENTS)
-    repeated = [g for g in groups if n_distinct_sets(g) < g.size]
+    repeated = [sets for sets in groups if n_distinct_sets(sets) < len(sets)]
     assert len(repeated) > 250
-    for g in repeated:
-        assert neighbor_tightness(g) == pytest.approx(_neighbor_tightness_pairs(g), rel=1e-12, abs=0)
+    for sets in repeated:
+        assert neighbor_tightness(make_group(sets)) == pytest.approx(
+            _neighbor_tightness_pairs(sets), rel=1e-12, abs=0
+        )
 
 
 def test_neighbor_tightness_ignores_member_products_order():
+    # the table's review order, which sets the order products and reviews are seen in
     rng = random.Random(7)
     for _ in range(50):
-        g = random_member_group(rng, rng.randint(2, 40), n_products=8, max_products=4)
-        items = list(g.member_products.items())
-        rng.shuffle(items)
-        shuffled = {m: frozenset(rng.sample(sorted(ps), len(ps))) for m, ps in items}
-        assert neighbor_tightness(make_group(shuffled)) == neighbor_tightness(g)
+        sets = random_member_sets(rng, rng.randint(2, 40), n_products=8, max_products=4)
+        reviews = table_of(sets).reviews
+        rng.shuffle(reviews)
+        shuffled = ScoringIndex(ReviewTable(reviews)).group(sets)
+        assert neighbor_tightness(shuffled) == neighbor_tightness(make_group(sets))
 
 
 def test_compactness_examples():
@@ -337,57 +365,67 @@ def test_avg_rating_deviation_examples():
         Review("mix", "p4", 1, day(1)),
         Review("z", "p4", 5, day(2)),  # avg 3, dev 2
     ]
-    table = ReviewTable(reviews)
-    stats = product_stats(table)
-    assert avg_rating_deviation("bal", table, stats) == pytest.approx(0.0)
-    single = ReviewTable(
-        [Review("solo", "p", 1, day(0))]
-        + [Review(f"o{i}", "p", 5, day(i)) for i in range(1, 1000)]
+    index = ScoringIndex(ReviewTable(reviews))
+    assert value_of(index, index.deviation, "bal") == pytest.approx(0.0)
+    single = ScoringIndex(
+        ReviewTable(
+            [Review("solo", "p", 1, day(0))]
+            + [Review(f"o{i}", "p", 5, day(i)) for i in range(1, 1000)]
+        )
     )
-    lone_stats = product_stats(single)
     # avg -> 5 as crowd grows; solo deviation -> 4/4
-    assert avg_rating_deviation("solo", single, lone_stats) == pytest.approx(
+    assert value_of(single, single.deviation, "solo") == pytest.approx(
         (5 - 1 - 4 / 1000) / 4, abs=1e-12
     )
-    assert avg_rating_deviation("mix", table, stats) == pytest.approx((0 + 2) / 2 / 4)
+    assert value_of(index, index.deviation, "mix") == pytest.approx((0 + 2) / 2 / 4)
 
 
 def test_avg_rating_deviation_unknown_reviewer():
-    table = ReviewTable([Review("a", "p", 3, day(0))])
+    index = ScoringIndex(ReviewTable([Review("a", "p", 3, day(0))]))
     with pytest.raises(KeyError):
-        avg_rating_deviation("ghost", table, product_stats(table))
+        value_of(index, index.deviation, "ghost")
+    with pytest.raises(ValueError, match="ghost"):
+        index.group(["ghost"])
 
 
 def test_burstness_examples():
-    table = ReviewTable(
-        [
-            Review("one_day", "p1", 5, day(10)),
-            Review("one_day", "p2", 5, day(10)),
-            Review("wide", "p1", 5, day(0)),
-            Review("wide", "p2", 5, day(45)),
-            Review("half", "p1", 5, day(0)),
-            Review("half", "p2", 5, day(15)),
-            Review("single", "p3", 4, day(7)),
-        ]
+    index = ScoringIndex(
+        ReviewTable(
+            [
+                Review("one_day", "p1", 5, day(10)),
+                Review("one_day", "p2", 5, day(10)),
+                Review("wide", "p1", 5, day(0)),
+                Review("wide", "p2", 5, day(45)),
+                Review("half", "p1", 5, day(0)),
+                Review("half", "p2", 5, day(15)),
+                Review("single", "p3", 4, day(7)),
+            ]
+        )
     )
-    assert burstness("one_day", table) == 1.0
-    assert burstness("wide", table) == 0.0
-    assert burstness("half", table) == 0.5
-    assert burstness("single", table) == 1.0
+    burst = index.burstness()
+    assert value_of(index, burst, "one_day") == 1.0
+    assert value_of(index, burst, "wide") == 0.0
+    assert value_of(index, burst, "half") == 0.5
+    assert value_of(index, burst, "single") == 1.0
+    assert group_indicators(index.group(["half"])).avg_burstness == 0.5
 
 
 def test_burstness_boundary_span_equals_tau():
-    table = ReviewTable(
-        [Review("edge", "p1", 5, day(0)), Review("edge", "p2", 5, day(30))]
+    index = ScoringIndex(
+        ReviewTable([Review("edge", "p1", 5, day(0)), Review("edge", "p2", 5, day(30))])
     )
-    assert burstness("edge", table, tau_days=30) == 0.0
+    assert value_of(index, index.burstness(tau_days=30), "edge") == 0.0
 
 
 @pytest.mark.parametrize("tau", [0, -5])
 def test_burstness_rejects_tau_below_one(tau):
-    table = ReviewTable([Review("one_day", "p1", 5, day(3)), Review("one_day", "p2", 5, day(3))])
+    index = ScoringIndex(
+        ReviewTable([Review("one_day", "p1", 5, day(3)), Review("one_day", "p2", 5, day(3))])
+    )
     with pytest.raises(ValueError, match="tau_days"):
-        burstness("one_day", table, tau_days=tau)
+        index.burstness(tau_days=tau)
+    with pytest.raises(ValueError, match="tau_days"):
+        group_indicators(index.group(["one_day"]), tau_days=tau)
 
 
 # ------------------------------------------------------------- property suite
@@ -409,9 +447,7 @@ def test_indicators_bounded_on_random_groups():
         reviewers = table.reviewers()
         k = rng.randrange(1, min(6, len(reviewers)) + 1)
         members = rng.sample(reviewers, k)
-        group = group_from_table(members, table)
-        stats = product_stats(table)
-        vec = group_indicators(group, table, stats)
+        vec = group_indicators(ScoringIndex(table).group(members))
         for value in (
             vec.review_tightness,
             vec.product_tightness,
@@ -428,7 +464,7 @@ def test_compactness_zero_when_any_factor_zero():
     for _ in range(200):
         table = random_table(rng)
         members = rng.sample(table.reviewers(), min(4, len(table.reviewers())))
-        group = group_from_table(members, table)
+        group = ScoringIndex(table).group(members)
         if product_tightness(group) == 0.0 or neighbor_tightness(group) == 0.0:
             assert compactness(group) == 0.0
 
@@ -438,8 +474,8 @@ def test_pairwise_oracle_for_pt_and_nt():
     for _ in range(100):
         table = random_table(rng)
         members = rng.sample(table.reviewers(), min(5, len(table.reviewers())))
-        group = group_from_table(members, table)
-        sets = [group.member_products[m] for m in sorted(members)]
+        group = ScoringIndex(table).group(members)
+        sets = [{r.product_id for r in table.by_reviewer[m]} for m in sorted(members)]
         inter = set(sets[0])
         union = set()
         for s in sets:
@@ -459,8 +495,7 @@ def test_indicators_invariant_under_renaming():
     rng = random.Random(23)
     table = random_table(rng)
     members = rng.sample(table.reviewers(), 4)
-    stats = product_stats(table)
-    base = group_indicators(group_from_table(members, table), table, stats)
+    base = group_indicators(ScoringIndex(table).group(members))
 
     renamed_reviews = [
         Review("R_" + r.reviewer_id, "P_" + r.product_id, r.rating, r.date, r.label)
@@ -468,9 +503,7 @@ def test_indicators_invariant_under_renaming():
     ]
     renamed = ReviewTable(renamed_reviews)
     renamed_members = ["R_" + m for m in members]
-    vec = group_indicators(
-        group_from_table(renamed_members, renamed), renamed, product_stats(renamed)
-    )
+    vec = group_indicators(ScoringIndex(renamed).group(renamed_members))
     assert vec == base
 
 
@@ -483,9 +516,9 @@ def test_indicator_dump_format(tmp_path):
             Review("b", "p2", 5, day(3)),
         ]
     )
-    group = group_from_table(["a", "b"], table, source_cluster=7)
+    group = ScoringIndex(table).group(["a", "b"], source_cluster=7)
     group.group_id = 3
-    vec = group_indicators(group, table, product_stats(table))
+    vec = group_indicators(group)
     path = tmp_path / "indicators.tsv"
     write_indicators(path, [(group, vec)])
     lines = path.read_text().splitlines()
@@ -493,3 +526,120 @@ def test_indicator_dump_format(tmp_path):
     fields = lines[1].split("\t")
     assert fields[:4] == ["3", "7", "2", "2"]
     assert float(fields[4]) == pytest.approx(vec.review_tightness, abs=1e-6)
+
+
+# ------------------------------------------- oracles: per-member and per-piece
+
+
+LABELS = (LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN)
+
+
+def labeled_table(rng, n_reviewers=12, n_products=8, n_reviews=60, deduped=True):
+    """Random labeled reviews; without dedupe a reviewer can rate one product twice."""
+    reviews = [
+        Review(
+            f"u{rng.randrange(n_reviewers)}",
+            f"p{rng.randrange(n_products)}",
+            rng.randrange(1, 6),
+            day(rng.randrange(120)),
+            rng.choice(LABELS),
+        )
+        for _ in range(n_reviews)
+    ]
+    if deduped:
+        reviews = list({r[:2]: r for r in reviews}.values())
+    return ReviewTable(reviews)
+
+
+def assert_group_matches_oracle(group, table, stats, tau_days):
+    reference = oracles.group_from_table(group.members, table)
+    assert group.members == reference.members
+    assert (group.size, group.n_products) == (reference.size, reference.n_products)
+    assert group_indicators(group, tau_days) == oracles.group_indicators(
+        reference, table, stats, tau_days
+    )
+    assert group_precision(group) == oracles.group_precision(reference, table)
+
+
+@pytest.mark.parametrize("deduped", [True, False], ids=["deduped", "not-deduped"])
+def test_scoring_index_equals_per_member_oracles_on_random_tables(deduped):
+    rng = random.Random(808 + deduped)
+    duplicated = 0
+    for _ in range(150):
+        table = labeled_table(rng, n_reviews=rng.randrange(1, 80), deduped=deduped)
+        duplicated += len(table) - len({r[:2] for r in table.reviews})
+        index = ScoringIndex(table)
+        stats = product_stats(table)
+        for tau in (1, 7, 30):
+            burst = index.burstness(tau)
+            for reviewer in table.reviewers():
+                assert value_of(index, burst, reviewer) == oracles.burstness(reviewer, table, tau)
+        for reviewer in table.reviewers():
+            expected = oracles.avg_rating_deviation(reviewer, table, stats)
+            assert value_of(index, index.deviation, reviewer) == expected
+        for _ in range(5):
+            members = rng.sample(table.reviewers(), rng.randint(1, len(table.reviewers())))
+            assert_group_matches_oracle(index.group(members), table, stats, rng.choice((1, 7, 30)))
+    assert (duplicated > 0) == (not deduped)
+
+
+def test_neighbor_tightness_equals_oracle_when_sets_repeat_across_blocks():
+    # 300 distinct sets make blocks of 218 rows; members holding one set
+    # are spread over the sorted order, so repeats sit on both sides of a
+    # block boundary
+    rng = random.Random(31)
+    sets = list(distinct_sets(rng, 300, n_products=60, max_products=5).values())
+    members = {f"u{i:05d}": rng.choice(sets) for i in range(900)}
+    group = make_group(members)
+    assert n_distinct_sets(members) > PAIR_BLOCK_ELEMENTS // n_distinct_sets(members)
+    reference = oracles.group_from_table(members, table_of(members))
+    assert neighbor_tightness(group) == oracles.neighbor_tightness(reference)
+    assert group_indicators(group) == oracles.group_indicators(
+        reference, table_of(members), product_stats(table_of(members))
+    )
+
+
+@pytest.mark.parametrize("deduped", [True, False], ids=["deduped", "not-deduped"])
+def test_extract_groups_equals_per_piece_oracle(deduped):
+    rng = random.Random(77 + deduped)
+    for _ in range(40):
+        table = labeled_table(rng, n_reviewers=20, n_products=10, n_reviews=90, deduped=deduped)
+        graph = build_graph(table, min_co_review=rng.choice((1, 2)))
+        index = ScoringIndex(table)
+        n = len(graph.nodes)
+        pieces = [{i} for i in range(n)]  # single nodes: isolated reviewer sets
+        pieces += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(10)]
+        for min_support in (1, 2, 3):
+            got = extract_groups(pieces, graph, index, min_support)
+            for piece, group in zip(pieces, got, strict=True):
+                reference = oracles.extract_group(piece, graph, table, min_support)
+                if reference is None:
+                    assert group is None
+                else:
+                    assert group.members == reference.members
+                    assert group_indicators(group) == oracles.group_indicators(
+                        reference, table, product_stats(table)
+                    )
+        singles = extract_groups(pieces[:n], graph, index, min_support=1)
+        assert [g.members for g in singles] == [node.reviewers for node in graph.nodes]
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_extract_candidate_groups_equals_per_piece_oracle(split):
+    from spamrings.pipeline import GroupConfig, PipelineConfig, extract_candidate_groups
+    from spamrings.synth import SynthConfig, generate
+
+    table, _ = generate(SynthConfig(n_reviewers=300, n_products=60, seed=3))
+    graph = build_graph(table)
+    index = ScoringIndex(table)
+    logits = np.random.default_rng(5).normal(scale=2.0, size=(len(graph.nodes), 12))
+    assignment = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    for min_support in (1, 2):
+        config = PipelineConfig(group=GroupConfig(min_support=min_support, split_components=split))
+        got = extract_candidate_groups(graph, assignment, index, config)
+        expected = oracles.extract_candidate_groups_reference(graph, assignment, table, config)
+        assert len(got) == len(expected) > 10
+        for g, e in zip(got, expected):
+            assert (g.members, g.source_cluster, g.group_id) == (
+                e.members, e.source_cluster, e.group_id
+            )

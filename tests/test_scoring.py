@@ -5,7 +5,7 @@ import pytest
 
 from spamrings.clustering import TrainConfig
 from spamrings.graph import build_graph
-from spamrings.indicators import IndicatorVector, group_from_table, group_indicators
+from spamrings.indicators import IndicatorVector, ScoringIndex, group_indicators
 from spamrings.pipeline import GroupConfig, PipelineConfig, StageError, sweep, write_eval_summary
 from spamrings.reviews import (
     LABEL_FAKE,
@@ -13,7 +13,6 @@ from spamrings.reviews import (
     Review,
     ReviewTable,
     dedupe,
-    product_stats,
 )
 from spamrings.scoring import (
     anomaly_score,
@@ -37,15 +36,15 @@ def vec(compactness, deviation=0.0, burst=0.0):
 
 
 def dummy_group(n_members, gid, cluster=None):
-    from spamrings.indicators import CandidateGroup
+    members = [f"g{gid}_u{i}" for i in range(n_members)]
+    table = ReviewTable([Review(m, f"p{gid}", 5, D0) for m in members])
+    group = ScoringIndex(table).group(members, source_cluster=gid if cluster is None else cluster)
+    group.group_id = gid
+    return group
 
-    members = {f"g{gid}_u{i}": {f"p{gid}"} for i in range(n_members)}
-    return CandidateGroup(
-        members=frozenset(members),
-        member_products={m: frozenset(ps) for m, ps in members.items()},
-        source_cluster=gid if cluster is None else cluster,
-        group_id=gid,
-    )
+
+def group_from_table(members, table):
+    return ScoringIndex(table).group(members)
 
 
 # ------------------------------------------------------------- normalization
@@ -144,7 +143,7 @@ def precision_table():
 def test_group_precision_fraction():
     table = precision_table()
     group = group_from_table([f"m{i:02d}" for i in range(25)], table)
-    assert group_precision(group, table) == pytest.approx(0.76)
+    assert group_precision(group) == pytest.approx(0.76)
 
 
 def test_group_precision_extremes():
@@ -155,7 +154,7 @@ def test_group_precision_extremes():
         ]
     )
     group = group_from_table(["a", "b"], table)
-    assert group_precision(group, table) == 0.0
+    assert group_precision(group) == 0.0
 
     table2 = ReviewTable(
         [
@@ -163,13 +162,13 @@ def test_group_precision_extremes():
             Review("b", "p", 5, day(1), LABEL_FAKE),
         ]
     )
-    assert group_precision(group_from_table(["a", "b"], table2), table2) == 1.0
+    assert group_precision(group_from_table(["a", "b"], table2)) == 1.0
 
 
 def test_group_precision_undefined_without_labels():
     table = ReviewTable([Review("a", "p", 5, day(0)), Review("b", "p", 4, day(1))])
     group = group_from_table(["a", "b"], table)
-    assert group_precision(group, table) is None
+    assert group_precision(group) is None
 
 
 def test_member_with_any_fake_review_counts_fake():
@@ -181,7 +180,7 @@ def test_member_with_any_fake_review_counts_fake():
         ]
     )
     group = group_from_table(["a", "b"], table)
-    assert group_precision(group, table) == pytest.approx(0.5)
+    assert group_precision(group) == pytest.approx(0.5)
 
 
 # ------------------------------------------------------------- distributions
@@ -208,7 +207,7 @@ def test_evaluate_report_top_row(tmp_path):
         (group_from_table([f"m{i:02d}" for i in range(25)], table), vec(1.0, 0.5, 0.5)),
         (group_from_table(["m00", "m01"], table), vec(0.2)),
     ]
-    ranking = rank_groups(attach_precision(normalize_scores(items), table), size_floor=20)
+    ranking = rank_groups(attach_precision(normalize_scores(items)), size_floor=20)
     rows = [(r, sg.group.group_id, sg.size, sg.precision) for r, sg in enumerate(ranking.full, 1)]
     lines = write_eval_summary(tmp_path / "eval_summary.txt", rows, floor=20).splitlines()
     top = lines.index("Group Size\tPrecision") + 1
@@ -223,7 +222,7 @@ def test_attach_precision_preserves_order():
         (group_from_table(["m00", "m01"], table), vec(0.2)),
         (group_from_table(["m20", "m21"], table), vec(0.9)),
     ]
-    scored = attach_precision(normalize_scores(items), table)
+    scored = attach_precision(normalize_scores(items))
     assert scored[0].precision == 1.0
     assert scored[1].precision == 0.0
 
@@ -292,13 +291,13 @@ def test_planted_compactness_beats_random_background_groups():
         )
         table, truth = generate(cfg)
         table = dedupe(table)
-        stats = product_stats(table)
-        planted = group_from_table(truth[0], table)
-        planted_pi = group_indicators(planted, table, stats).compactness
+        index = ScoringIndex(table)
+        planted = index.group(truth[0])
+        planted_pi = group_indicators(planted).compactness
         background_users = [u for u in table.reviewers() if not u.startswith("f")]
         sample = rng.sample(background_users, len(truth[0]))
-        background = group_from_table(sample, table)
-        background_pi = group_indicators(background, table, stats).compactness
+        background = index.group(sample)
+        background_pi = group_indicators(background).compactness
         if planted_pi > background_pi:
             hits += 1
     assert hits >= 0.95 * trials

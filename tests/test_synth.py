@@ -101,13 +101,13 @@ def test_tables_round_trip_through_files(tmp_path):
 
 
 def test_ground_truth_groups_have_unit_precision():
-    from spamrings.indicators import group_from_table
+    from spamrings.indicators import ScoringIndex
     from spamrings.scoring import group_precision
 
     table, truth = generate(small_config(planted=[PlantedGroupConfig(size=9, n_targets=3)]))
+    index = ScoringIndex(table)
     for members in truth:
-        group = group_from_table(members, table)
-        assert group_precision(group, table) == 1.0
+        assert group_precision(index.group(members)) == 1.0
 
 
 def test_background_ratings_near_product_means():
