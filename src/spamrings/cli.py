@@ -243,7 +243,7 @@ def cmd_synth(args) -> int:
     write_reviews(table, out / "reviews.csv")
     write_ground_truth(out / "ground_truth.tsv", truth)
     sys.stdout.write(
-        f"reviews: {len(table)} reviewers: {len(table.by_reviewer)} "
+        f"reviews: {len(table)} reviewers: {len(set(map(itemgetter(0), table.reviews)))} "
         f"planted_groups: {len(truth)}\n"
     )
     return 0

@@ -6,11 +6,13 @@ training objective is negative modularity, -(1/2m) Tr(Cᵀ B C), plus a
 collapse regularizer (sqrt(k)/n) * ||column sums of C||₂ - 1 that is zero
 at the uniform assignment and sqrt(k) - 1 when everything lands in one
 cluster. Training runs on the active subgraph, the nodes with at least
-one edge, so n counts active nodes; one forward pass of the trained
-network then assigns every node, an isolated one from the skip path
-alone. Everything is plain numpy with hand-written gradients so runs are
-bit-reproducible for a fixed seed; a finite-difference check guards the
-backward pass.
+one edge, so n counts active nodes. The network has exactly two layers,
+and one straight-line ``_forward`` serves every pass: each epoch, the
+dropout-free loss, the gradient check, and the final assignment of every
+node, where an isolated node takes the skip path alone. ``_backward`` is
+its straight-line reverse. Everything is plain numpy with hand-written
+gradients so runs are bit-reproducible for a fixed seed; a
+finite-difference check guards the backward pass.
 
 Training computes in the floating dtype of the features: float32 features
 (what ``graph.node_features`` returns, as in DMoN and the GCN paper) train
@@ -19,11 +21,11 @@ products that sum over the nodes, add fixed row blocks in block order, so
 the result does not depend on how many threads BLAS uses.
 
 An epoch of ``train`` evaluates the same math in fewer array passes than
-the plain forward and backward passes: Â X is computed once, the weight
-blocks and their gradients are views into one flat array that Adam
-updates in one pass per step, and SeLU and its derivative need no
-``np.where``. Each step gives the same bits as the plain form, which
-``tests/oracles.py`` keeps as ``train_reference``.
+a plain per-layer epoch: Â X is computed once, the weight blocks and their
+gradients are views into one flat array that Adam updates in one pass per
+step, and SeLU and its derivative need no ``np.where``. Each step gives
+the same bits as the plain form, which ``tests/oracles.py`` keeps as
+``train_reference``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._lazy import lazy_import
 
@@ -95,44 +97,35 @@ def normalized_adjacency(adj) -> sp.csr_array:
     deg = np.asarray(a.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    scale = sp.diags_array(inv_sqrt, format="csr")
-    return sp.csr_array(scale @ a @ scale)
+    # entry (i, j) scaled as (a_ij · s_i) · s_j, on the input's own index arrays
+    data = a.data * np.repeat(inv_sqrt, np.diff(a.indptr))
+    data *= inv_sqrt[a.indices]
+    return sp.csr_array((data, a.indices, a.indptr), shape=a.shape)
 
 
 @dataclass
 class GCNParams:
-    """Per-layer propagation and skip weight matrices, shapes chained."""
+    """The propagation weights [W₀, W₁] and skip weights [W_s0, W_s1] of the
+    two layers; W₀ and W_s0 are in × hidden, W₁ and W_s1 hidden × k."""
 
     weights: list[np.ndarray]
     skip_weights: list[np.ndarray]
 
     def __post_init__(self):
-        if len(self.weights) != len(self.skip_weights) or not self.weights:
-            raise ValueError("need matching, nonempty weight/skip-weight lists")
-        for t, (w, ws) in enumerate(zip(self.weights, self.skip_weights)):
-            if w.shape != ws.shape:
-                raise ValueError(f"layer {t}: weight {w.shape} vs skip {ws.shape}")
-            if t > 0 and self.weights[t - 1].shape[1] != w.shape[0]:
-                raise ValueError(f"layer {t} input width does not chain")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        if len(self.weights) != 2 or len(self.skip_weights) != 2:
+            raise ValueError("need two weight and two skip-weight matrices")
+        shapes = [w.shape for w in self.weights + self.skip_weights]
+        if shapes[:2] != shapes[2:] or shapes[0][1] != shapes[1][0]:
+            raise ValueError(f"weight and skip-weight shapes {shapes} do not chain")
 
     @classmethod
-    def init(cls, layer_sizes: Iterable[int], rng: np.random.Generator) -> "GCNParams":
-        """Fan-in scaled uniform init, one draw order fixed by the generator."""
-        sizes = list(layer_sizes)
-        weights, skips = [], []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
+    def init(cls, n_in: int, hidden: int, k: int, rng: np.random.Generator) -> "GCNParams":
+        """Fan-in scaled uniform init, drawn in the order W₀, W_s0, W₁, W_s1."""
+        drawn = []
+        for fan_in, fan_out in ((n_in, hidden), (hidden, k)):
             bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            skips.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        return cls(weights, skips)
+            drawn += [rng.uniform(-bound, bound, size=(fan_in, fan_out)) for _ in range(2)]
+        return cls(drawn[0::2], drawn[1::2])
 
 
 @dataclass
@@ -167,40 +160,22 @@ def _row_softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(adj_norm, feats, params: GCNParams, dropout_masks=None, agg0=None):
-    """Returns (hiddens, logits, assignment, cache) with per-layer cache
-    (layer input, propagated input, pre-activation). agg0, if given, is
-    adj_norm @ feats, computed once by the caller."""
-    h = feats
-    cache = []
-    hiddens = []
-    last = params.n_layers - 1
-    for t, (w, ws) in enumerate(zip(params.weights, params.skip_weights)):
-        agg = agg0 if t == 0 and agg0 is not None else adj_norm @ h
-        z = agg @ w + h @ ws
-        cache.append((h, agg, z))
-        if t == last:
-            h = z
-        else:
-            h = selu(z)
-            if dropout_masks is not None:
-                h = h * dropout_masks[t]
-            hiddens.append(h)
-    logits = h
-    return hiddens, logits, _row_softmax(logits), cache
+def _forward(propagate, feats, params: GCNParams, mask=None, agg0=None):
+    """The network: H = SeLU(Â X W₀ + X W_s0), times the dropout mask if
+    given, then C = softmax(Â H W₁ + H W_s1) row by row.
 
-
-def gcn_forward(adj_norm, feats, params: GCNParams, dropout_masks=None):
-    """Run the network: hidden layers SeLU(Ã H W + H W_s), linear output,
-    row-softmax into the soft assignment."""
-    feats = _float_array(feats)
-    if feats.shape[1] != params.weights[0].shape[0]:
-        raise ValueError(
-            f"feature width {feats.shape[1]} does not match first layer "
-            f"input {params.weights[0].shape[0]}"
-        )
-    hiddens, logits, assignment, _ = _forward(adj_norm, feats, params, dropout_masks)
-    return hiddens, logits, assignment
+    propagate(x) is Â x; agg0, if given, is Â X, computed once by the
+    caller. Returns (C, cache), the cache (Â X, the hidden pre-activation,
+    H, Â H) being what _backward reads.
+    """
+    (w0, w1), (ws0, ws1) = params.weights, params.skip_weights
+    agg0 = propagate(feats) if agg0 is None else agg0
+    z0 = agg0 @ w0 + feats @ ws0
+    hidden = selu(z0)
+    if mask is not None:
+        hidden *= mask
+    agg1 = propagate(hidden)
+    return _row_softmax(agg1 @ w1 + hidden @ ws1), (agg0, z0, hidden, agg1)
 
 
 def _softmax_backward(assignment, d_assign):
@@ -223,23 +198,19 @@ def _blocked_gram(a, b, out=None):
     return out
 
 
-def _backward(adj_norm, params: GCNParams, cache, d_logits, dropout_masks=None, out=None):
-    """(weight gradients, skip-weight gradients), written into the two lists
-    of arrays in out if given."""
-    grads_w, grads_ws = out or ([None] * params.n_layers, [None] * params.n_layers)
-    dh = d_logits
-    for t in reversed(range(params.n_layers)):
-        h_in, agg, z = cache[t]
-        if t != params.n_layers - 1:
-            if dropout_masks is not None:
-                dh = dh * dropout_masks[t]
-            dh = dh * _selu_grad(z)
-        grads_w[t] = _blocked_gram(agg, dh, grads_w[t])
-        grads_ws[t] = _blocked_gram(h_in, dh, grads_ws[t])
-        if t > 0:
-            # adjacency is symmetric, so Ãᵀ = Ã
-            dh = adj_norm @ (dh @ params.weights[t].T) + dh @ params.skip_weights[t].T
-    return grads_w, grads_ws
+def _backward(propagate, feats, params: GCNParams, cache, d_logits, mask=None, out=(None,) * 4):
+    """Gradients of [W₀, W₁, W_s0, W_s1] from the logits' gradient and the
+    cache of the _forward pass that took feats and mask; each is written
+    into the array at its place in out if given."""
+    agg0, z0, hidden, agg1 = cache
+    g_w1 = _blocked_gram(agg1, d_logits, out[1])
+    g_ws1 = _blocked_gram(hidden, d_logits, out[3])
+    # adjacency is symmetric, so Âᵀ = Â
+    dh = propagate(d_logits @ params.weights[1].T) + d_logits @ params.skip_weights[1].T
+    if mask is not None:
+        dh *= mask
+    dh *= _selu_grad(z0)
+    return [_blocked_gram(agg0, dh, out[0]), g_w1, _blocked_gram(feats, dh, out[2]), g_ws1]
 
 
 def _loss_and_assignment_grad(assignment, adj, deg, two_m, collapse_weight):
@@ -279,6 +250,9 @@ class _Problem(NamedTuple):
     adj_norm: sp.csr_array  # propagation matrix among active nodes
     feats: np.ndarray  # feature rows of the active nodes
     active: np.ndarray  # indices of the active nodes in the full graph
+
+    def propagate(self, x):
+        return self.adj_norm @ x
 
 
 def _prepare(adj, features) -> _Problem:
@@ -324,14 +298,13 @@ def _assign_all(prob: _Problem, feats, params: GCNParams) -> np.ndarray:
     BLAS can round a product of a few rows differently from the same rows
     inside a taller one.
     """
-    h = feats
-    last = params.n_layers - 1
-    for t, (w, ws) in enumerate(zip(params.weights, params.skip_weights)):
+
+    def propagate(h):
         agg = np.zeros_like(h)
-        agg[prob.active] = prob.adj_norm @ h[prob.active]
-        z = agg @ w + h @ ws
-        h = z if t == last else selu(z)
-    return _row_softmax(h)
+        agg[prob.active] = prob.propagate(h[prob.active])
+        return agg
+
+    return _forward(propagate, feats, params)[0]
 
 
 def _seeded_init(feats, config: TrainConfig) -> tuple[GCNParams, np.random.Generator]:
@@ -339,8 +312,8 @@ def _seeded_init(feats, config: TrainConfig) -> tuple[GCNParams, np.random.Gener
     from the one training seed. The weights are drawn in float64 whatever
     that dtype, so one seed starts both dtypes from the same values."""
     init_seq, drop_seq = np.random.SeedSequence(config.seed).spawn(2)
-    sizes = [feats.shape[1], config.hidden_width, config.n_clusters]
-    drawn = GCNParams.init(sizes, np.random.Generator(np.random.PCG64(init_seq)))
+    rng = np.random.Generator(np.random.PCG64(init_seq))
+    drawn = GCNParams.init(feats.shape[1], config.hidden_width, config.n_clusters, rng)
     params = GCNParams(
         [w.astype(feats.dtype, copy=False) for w in drawn.weights],
         [w.astype(feats.dtype, copy=False) for w in drawn.skip_weights],
@@ -350,7 +323,7 @@ def _seeded_init(feats, config: TrainConfig) -> tuple[GCNParams, np.random.Gener
 
 def _loss_at(prob: _Problem, params: GCNParams, config: TrainConfig) -> float:
     """Dropout-free loss of the active subgraph."""
-    _, _, assignment, _ = _forward(prob.adj_norm, prob.feats, params)
+    assignment, _ = _forward(prob.propagate, prob.feats, params)
     loss, _ = _loss_and_assignment_grad(
         assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
     )
@@ -384,26 +357,20 @@ def train(adj, features, config: TrainConfig) -> TrainResult:
     blocks = drawn.weights + drawn.skip_weights
     flat = np.concatenate([b.ravel() for b in blocks])
     grad = np.empty_like(flat)
-    views, grad_views = _views(flat, blocks), _views(grad, blocks)
-    layers = drawn.n_layers
-    params = GCNParams(views[:layers], views[layers:])
-    grads = (grad_views[:layers], grad_views[layers:])
-    m_state = np.zeros_like(flat)
-    v_state = np.zeros_like(flat)
+    views, grads = _views(flat, blocks), _views(grad, blocks)
+    params = GCNParams(views[:2], views[2:])
+    m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    hidden_sizes = params.layer_sizes[1:-1]
     keep = 1.0 - config.dropout_rate
     mask_scale = dtype.type(1) / dtype.type(keep)
-    agg0 = prob.adj_norm @ prob.feats
+    agg0 = prob.propagate(prob.feats)
 
     loss_trace: list[float] = []
     for epoch in range(config.epochs):
-        masks = None
+        mask = None
         if config.dropout_rate > 0:
-            masks = [
-                (drop_rng.random(size=(n, width)) < keep) * mask_scale for width in hidden_sizes
-            ]
-        _, _, assignment, cache = _forward(prob.adj_norm, prob.feats, params, masks, agg0)
+            mask = (drop_rng.random(size=(n, config.hidden_width)) < keep) * mask_scale
+        assignment, cache = _forward(prob.propagate, prob.feats, params, mask, agg0)
         loss, d_assign = _loss_and_assignment_grad(
             assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
         )
@@ -411,7 +378,7 @@ def train(adj, features, config: TrainConfig) -> TrainResult:
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={loss!r}")
         loss_trace.append(float(loss))
         d_logits = _softmax_backward(assignment, d_assign)
-        _backward(prob.adj_norm, params, cache, d_logits, masks, out=grads)
+        _backward(prob.propagate, prob.feats, params, cache, d_logits, mask, out=grads)
         step = epoch + 1
         m_state *= beta1
         m_state += (1 - beta1) * grad
@@ -439,25 +406,24 @@ def gradient_check(adj, features, config: TrainConfig, step: float = 1e-5) -> fl
     subgraph, at the seeded initial parameters and perturbs every entry
     of every weight block. It always runs in float64, whatever the
     features' dtype: a central difference at step 1e-5 needs that
-    precision. Intended for small instances; cost is two
-    forward passes per parameter. Note the SeLU
-    kink: an instance with a pre-activation within ~step of zero makes
-    the central difference straddle two branches, inflating the reported
-    error for that entry.
+    precision. Intended for small instances; cost is two forward passes
+    per parameter. Note the SeLU kink: an instance with a pre-activation
+    within ~step of zero makes the central difference straddle two
+    branches, inflating the reported error for that entry.
     """
     prob = _prepare(adj, np.asarray(features, dtype=np.float64))
     params, _ = _seeded_init(prob.feats, config)
 
-    _, _, assignment, cache = _forward(prob.adj_norm, prob.feats, params)
+    assignment, cache = _forward(prob.propagate, prob.feats, params)
     _, d_assign = _loss_and_assignment_grad(
         assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
     )
-    grads_w, grads_ws = _backward(
-        prob.adj_norm, params, cache, _softmax_backward(assignment, d_assign)
+    grads = _backward(
+        prob.propagate, prob.feats, params, cache, _softmax_backward(assignment, d_assign)
     )
 
     worst = 0.0
-    for block, grad in zip(params.weights + params.skip_weights, grads_w + grads_ws):
+    for block, grad in zip(params.weights + params.skip_weights, grads):
         it = np.nditer(block, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
@@ -499,17 +465,14 @@ def assign_clusters(assignment, threshold: float = 0.2) -> dict[int, set[int]]:
 
 
 def save_checkpoint(path, result: TrainResult) -> None:
-    arrays = {}
-    for t, (w, ws) in enumerate(zip(result.params.weights, result.params.skip_weights)):
-        arrays[f"weight_{t}"] = w
-        arrays[f"skip_weight_{t}"] = ws
+    (w0, w1), (ws0, ws1) = result.params.weights, result.params.skip_weights
     np.savez(
         path,
         version=np.int64(CHECKPOINT_VERSION),
-        n_layers=np.int64(result.params.n_layers),
+        n_layers=np.int64(2),
         config_json=json.dumps(dataclasses.asdict(result.config), sort_keys=True),
         final_loss=np.float64(result.final_loss),
-        **arrays,
+        weight_0=w0, skip_weight_0=ws0, weight_1=w1, skip_weight_1=ws1,
     )
 
 
@@ -518,9 +481,10 @@ def load_checkpoint(path) -> tuple[GCNParams, TrainConfig, float]:
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        n_layers = int(data["n_layers"])
-        weights = [data[f"weight_{t}"] for t in range(n_layers)]
-        skips = [data[f"skip_weight_{t}"] for t in range(n_layers)]
+        if int(data["n_layers"]) != 2:
+            raise ValueError(f"unsupported checkpoint with {int(data['n_layers'])} layers")
+        weights = [data["weight_0"], data["weight_1"]]
+        skips = [data["skip_weight_0"], data["skip_weight_1"]]
         config = TrainConfig(**json.loads(str(data["config_json"])))
         final_loss = float(data["final_loss"])
     return GCNParams(weights, skips), config, final_loss

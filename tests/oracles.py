@@ -19,7 +19,9 @@ the graph that ``graph.connected_components`` replaced.
 ``train_reference`` is the training epoch that ``clustering.train``
 replaced: SeLU and its derivative by ``np.where``, one Adam update per
 weight block, Â X recomputed every epoch, and a final forward pass over
-the full graph.
+the full graph. Its forward and backward passes keep the per-layer loops
+over any number of layers; they are the oracle of the straight-line
+two-layer ``clustering._forward`` and ``_backward``.
 
 ``dedupe_reference`` is the per-row ``get``-then-set loop that
 ``reviews.dedupe`` replaced.
@@ -260,7 +262,7 @@ def _forward_reference(adj_norm, feats, params: GCNParams, masks=None):
     """(assignment, per-layer cache of (input, propagated input, pre-activation))."""
     h = feats
     cache = []
-    last = params.n_layers - 1
+    last = len(params.weights) - 1
     for t, (w, ws) in enumerate(zip(params.weights, params.skip_weights)):
         agg = adj_norm @ h
         z = agg @ w + h @ ws
@@ -275,12 +277,13 @@ def _forward_reference(adj_norm, feats, params: GCNParams, masks=None):
 
 
 def _backward_reference(adj_norm, params: GCNParams, cache, d_logits, masks=None):
-    grads_w = [None] * params.n_layers
-    grads_ws = [None] * params.n_layers
+    n_layers = len(params.weights)
+    grads_w = [None] * n_layers
+    grads_ws = [None] * n_layers
     dh = d_logits
-    for t in reversed(range(params.n_layers)):
+    for t in reversed(range(n_layers)):
         h_in, agg, z = cache[t]
-        if t != params.n_layers - 1:
+        if t != n_layers - 1:
             if masks is not None:
                 dh = dh * masks[t]
             dh = dh * selu_grad_where(z)
@@ -329,8 +332,8 @@ def train_reference(adj, features, config: TrainConfig) -> TrainResult:
         if config.dropout_rate > 0:
             keep = 1.0 - config.dropout_rate
             masks = [
-                (drop_rng.random(size=(n, width)) < keep).astype(dtype) / keep
-                for width in params.layer_sizes[1:-1]
+                (drop_rng.random(size=(n, w.shape[1])) < keep).astype(dtype) / keep
+                for w in params.weights[:-1]
             ]
         assignment, cache = _forward_reference(adj_norm, feats, params, masks)
         loss, d_assign = _loss_and_assignment_grad(

@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import brute_force_best_partition, burstness, clustering_loss, group_from_table
-from oracles import group_indicators, modularity_matrix, one_hot, product_tightness
+from oracles import brute_force_best_partition, clustering_loss, modularity_matrix, one_hot
 from oracles import modularity as dense_modularity
 from spamrings.clustering import TrainConfig, _loss_and_assignment_grad, gradient_check, train
-from spamrings.indicators import penalty
+from spamrings.indicators import ScoringIndex, group_indicators, penalty, product_tightness
 from spamrings.modularity import modularity
 from spamrings.pipeline import PipelineConfig, detect, load_table
-from spamrings.reviews import Review, ReviewTable, dedupe, product_stats
+from spamrings.reviews import Review, ReviewTable, dedupe
 from spamrings.synth import SynthConfig, generate
 
 
@@ -190,7 +189,7 @@ def test_criterion_5_indicator_correctness():
             seen[(u, p)] = Review(u, p, rng.randrange(1, 6), day(rng.randrange(90)))
         table = ReviewTable(list(seen.values()))
         members = rng.sample(table.reviewers(), rng.randrange(1, 6))
-        vec = group_indicators(group_from_table(members, table), table, product_stats(table))
+        vec = group_indicators(ScoringIndex(table).group(members))
         values = (
             vec.review_tightness,
             vec.product_tightness,
@@ -203,8 +202,7 @@ def test_criterion_5_indicator_correctness():
             bounded = False
             break
 
-    pt_group = group_from_table(
-        ["u", "v"],
+    pt_group = ScoringIndex(
         ReviewTable(
             [
                 Review("u", "a", 5, day(0)),
@@ -212,17 +210,18 @@ def test_criterion_5_indicator_correctness():
                 Review("v", "b", 5, day(2)),
                 Review("v", "c", 5, day(3)),
             ]
-        ),
-    )
+        )
+    ).group(["u", "v"])
     pt_err = abs(product_tightness(pt_group) - 1.0 / 3.0)
 
-    bst_table = ReviewTable([Review("w", "a", 5, day(0)), Review("w", "b", 5, day(15))])
-    bst_err = abs(burstness("w", bst_table, tau_days=30) - 0.5)
+    bst_index = ScoringIndex(
+        ReviewTable([Review("w", "a", 5, day(0)), Review("w", "b", 5, day(15))])
+    )
+    bst_err = abs(bst_index.burstness(30, bst_index.rows(["w"]))[0] - 0.5)
 
-    pen_group = group_from_table(
-        ["u", "v"],
-        ReviewTable([Review("u", "a", 5, day(0)), Review("v", "a", 4, day(1))]),
-    )  # |R| + |P| = 3
+    pen_group = ScoringIndex(
+        ReviewTable([Review("u", "a", 5, day(0)), Review("v", "a", 4, day(1))])
+    ).group(["u", "v"])  # |R| + |P| = 3
     pen_err = abs(penalty(pen_group) - 0.5)
 
     report(

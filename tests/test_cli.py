@@ -22,7 +22,7 @@ from spamrings.pipeline import (
     load_table,
     write_detect_report,
 )
-from spamrings.reviews import parse_reviews
+from spamrings.reviews import ReviewTable, parse_reviews
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate, write_ground_truth
 from spamrings.reviews import write_reviews
 
@@ -360,6 +360,27 @@ def test_sweep_table_shape(dataset, tmp_path):
     assert lines[0] == "k\tmean_top10_precision\tn_groups\tpartial"
     assert len(lines) == 4
     assert [l.split("\t")[0] for l in lines[1:]] == ["6", "10", "14"]
+
+
+def test_no_command_builds_the_table_indexes(dataset, tmp_path, monkeypatch):
+    """The table's per-reviewer and per-product review lists stay unbuilt in every command."""
+
+    def refuse(table):
+        raise AssertionError("a command built ReviewTable.by_reviewer or by_product")
+
+    monkeypatch.setattr(ReviewTable, "by_reviewer", property(refuse))
+    monkeypatch.setattr(ReviewTable, "by_product", property(refuse))
+    reviews, ranked = str(dataset / "reviews.csv"), str(tmp_path / "det" / "ranked_groups.jsonl")
+    commands = [
+        ["synth", "--out", str(tmp_path / "syn"), "--config", _small_synth_config(tmp_path)],
+        ["ingest", "--input", reviews, "--out", str(tmp_path / "ing")],
+        ["detect", "--input", reviews, "--out", str(tmp_path / "det"), "--epochs", "5"],
+        ["sweep", "--input", reviews, "--out", str(tmp_path / "swp"), "--k-list", "8",
+         "--epochs", "5"],
+        ["eval", "--input", reviews, "--ranked", ranked, "--out", str(tmp_path / "ev")],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv[0]
 
 
 def test_sweep_single_k_single_row(dataset, tmp_path):

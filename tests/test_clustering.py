@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import (
+    _forward_reference,
     assign_clusters_loop,
     clustering_loss,
     modularity_matrix,
@@ -30,7 +31,6 @@ from spamrings.clustering import (
     _selu_grad,
     _softmax_backward,
     assign_clusters,
-    gcn_forward,
     gradient_check,
     load_checkpoint,
     normalized_adjacency,
@@ -153,8 +153,8 @@ def test_forward_rows_sum_to_one():
     rng = np.random.default_rng(0)
     adj = random_adjacency(rng, 8)
     feats = rng.normal(size=(8, 5))
-    params = GCNParams.init([5, 7, 3], rng)
-    _, _, assignment = gcn_forward(normalized_adjacency(adj), feats, params)
+    params = GCNParams.init(5, 7, 3, rng)
+    assignment, _ = _forward(normalized_adjacency(adj).__matmul__, feats, params)
     np.testing.assert_allclose(assignment.sum(axis=1), np.ones(8), atol=1e-9)
     assert (assignment >= 0).all()
 
@@ -164,7 +164,7 @@ def test_forward_zero_weights_give_uniform():
     adj = random_adjacency(rng, 6)
     feats = rng.normal(size=(6, 4))
     params = GCNParams([np.zeros((4, 5)), np.zeros((5, 3))], [np.zeros((4, 5)), np.zeros((5, 3))])
-    _, _, assignment = gcn_forward(normalized_adjacency(adj), feats, params)
+    assignment, _ = _forward(normalized_adjacency(adj).__matmul__, feats, params)
     np.testing.assert_allclose(assignment, np.full((6, 3), 1 / 3))
 
 
@@ -173,20 +173,18 @@ def test_forward_permutation_equivariance():
     n = 9
     adj = random_adjacency(rng, n, weighted=True)
     feats = rng.normal(size=(n, 4))
-    params = GCNParams.init([4, 6, 3], rng)
+    params = GCNParams.init(4, 6, 3, rng)
     perm = rng.permutation(n)
-    _, _, c1 = gcn_forward(normalized_adjacency(adj), feats, params)
-    _, _, c2 = gcn_forward(
-        normalized_adjacency(adj[np.ix_(perm, perm)]), feats[perm], params
-    )
+    c1, _ = _forward(normalized_adjacency(adj).__matmul__, feats, params)
+    c2, _ = _forward(normalized_adjacency(adj[np.ix_(perm, perm)]).__matmul__, feats[perm], params)
     np.testing.assert_allclose(c2, c1[perm], atol=1e-12)
 
 
 def test_forward_rejects_feature_width_mismatch():
     rng = np.random.default_rng(3)
-    params = GCNParams.init([4, 6, 3], rng)
-    with pytest.raises(ValueError):
-        gcn_forward(np.zeros((5, 5)), np.zeros((5, 7)), params)
+    params = GCNParams.init(4, 6, 3, rng)
+    with pytest.raises(ValueError):  # numpy's matmul refuses the 7-wide features
+        _forward(np.zeros((5, 5)).__matmul__, np.zeros((5, 7)), params)
 
 
 def test_params_shape_chain_validated():
@@ -194,6 +192,11 @@ def test_params_shape_chain_validated():
         GCNParams([np.zeros((4, 6)), np.zeros((5, 3))], [np.zeros((4, 6)), np.zeros((5, 3))])
     with pytest.raises(ValueError):
         GCNParams([np.zeros((4, 6))], [np.zeros((4, 5))])
+    with pytest.raises(ValueError):  # one layer
+        GCNParams([np.zeros((4, 3))], [np.zeros((4, 3))])
+    three = [np.zeros((4, 6)), np.zeros((6, 5)), np.zeros((5, 3))]
+    with pytest.raises(ValueError):  # three layers
+        GCNParams(three, [w.copy() for w in three])
 
 
 # ---------------------------------------------------------------------- loss
@@ -375,7 +378,7 @@ def check_isolated_rows_come_from_a_full_forward_pass(dtype):
     feats = feats.astype(dtype)
     result = train(padded, feats, TrainConfig(n_clusters=3, hidden_width=6, epochs=30, seed=2))
     assert result.assignment.dtype == dtype
-    _, _, full = gcn_forward(normalized_adjacency(padded).astype(dtype), feats, result.params)
+    full, _ = _forward_reference(normalized_adjacency(padded).astype(dtype), feats, result.params)
     isolated = np.setdiff1d(np.arange(12), keep)
     np.testing.assert_array_equal(result.assignment[isolated], full[isolated])
     # no neighbours: an isolated row is the skip path alone
@@ -471,21 +474,20 @@ def test_float32_training_arrays_stay_float32():
     cfg = TrainConfig(n_clusters=3, hidden_width=8, seed=1)
     prob = _prepare(padded, feats.astype(np.float32))
     params, drop_rng = _seeded_init(prob.feats, cfg)
-    masks = [(drop_rng.random(size=(12, 8)) < 0.5).astype(np.float32) / 0.5]
-    hiddens, logits, assignment, cache = _forward(prob.adj_norm, prob.feats, params, masks)
+    mask = (drop_rng.random(size=(12, 8)) < 0.5).astype(np.float32) / 0.5
+    assignment, cache = _forward(prob.propagate, prob.feats, params, mask)
     loss, d_assign = _loss_and_assignment_grad(
         assignment, prob.adj, prob.deg, prob.two_m, cfg.collapse_weight
     )
     d_logits = _softmax_backward(assignment, d_assign)
-    grads_w, grads_ws = _backward(prob.adj_norm, params, cache, d_logits, masks)
+    grads = _backward(prob.propagate, prob.feats, params, cache, d_logits, mask)
     arrays = {
         "adj": prob.adj, "deg": prob.deg, "adj_norm": prob.adj_norm, "feats": prob.feats,
-        "logits": logits, "assignment": assignment, "d_assign": d_assign, "d_logits": d_logits,
+        "assignment": assignment, "d_assign": d_assign, "d_logits": d_logits,
     }
     for name, group in (
-        ("weight", params.weights), ("skip_weight", params.skip_weights), ("hidden", hiddens),
-        ("grad_w", grads_w), ("grad_ws", grads_ws),
-        ("cache", [a for layer in cache for a in layer]),
+        ("weight", params.weights), ("skip_weight", params.skip_weights), ("grad", grads),
+        ("cache", cache),
     ):
         arrays.update((f"{name}_{i}", a) for i, a in enumerate(group))
     assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float32)
@@ -610,7 +612,7 @@ def test_gradient_check_zero_weight_symmetric_point():
     feats = rng.normal(size=(8, 4))
     params = GCNParams([np.zeros((4, 6)), np.zeros((6, 3))], [np.zeros((4, 6)), np.zeros((6, 3))])
     # loss is flat to first order here: analytic gradients must be finite
-    _, _, assignment = gcn_forward(adj_norm, feats, params)
+    assignment, _ = _forward(adj_norm.__matmul__, feats, params)
     assert np.isfinite(assignment).all()
     # full check still passes at a nearby seeded point with tiny weights
     cfg = TrainConfig(n_clusters=3, hidden_width=6, seed=0)
@@ -691,6 +693,19 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(params.skip_weights, result.params.skip_weights):
         np.testing.assert_array_equal(a, b)
+
+
+def test_load_checkpoint_refuses_three_layers(tmp_path):
+    result = train(two_cliques_bridged(), np.eye(10), TrainConfig(n_clusters=2, seed=5, epochs=3))
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, result)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    assert arrays["n_layers"] == 2
+    arrays.update(n_layers=np.int64(3), weight_2=np.zeros((2, 2)), skip_weight_2=np.zeros((2, 2)))
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="3 layers"):
+        load_checkpoint(path)
 
 
 def test_assignment_export(tmp_path):
