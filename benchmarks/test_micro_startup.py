@@ -4,10 +4,13 @@ Outside ``testpaths``, so the default test run skips it. Run with
 
     PYTHONPATH=src python -m pytest benchmarks/test_micro_startup.py
 
-One benchmark times ``import spamrings.cli``, the other a whole ``ingest``
-of a small ``synth`` file (400 reviewers, 5 reviews each), so most of its
-time is interpreter and module start-up. Neither loads numpy or scipy
-(``tests/test_cli.py::test_imports_load_no_unneeded_modules`` checks that).
+The first benchmark times ``import spamrings.cli`` and the second a whole
+``ingest`` of a small ``synth`` file (400 reviewers, 5 reviews each), so
+most of its time is interpreter and module start-up. Neither loads numpy
+or scipy (``tests/test_cli.py::test_imports_load_no_unneeded_modules``
+checks that). The third times a ``detect --epochs 5`` of the same file,
+which loads both: most of its time is their import and the interpreter's
+exit, since the graph is small and training short.
 """
 
 import subprocess
@@ -29,11 +32,23 @@ def test_import_cli_fresh_process(benchmark):
     benchmark(_run, [sys.executable, "-c", "import spamrings.cli"])
 
 
-def test_ingest_small_fresh_process(benchmark, tmp_path):
+@pytest.fixture
+def small_synth(tmp_path):
     table, _ = generate(SynthConfig(n_reviewers=400, seed=0))
     path = tmp_path / "reviews.csv"
     write_reviews(table, path)
-    argv = [sys.executable, "-m", "spamrings.cli", "ingest", "--input", str(path),
+    return path
+
+
+def test_ingest_small_fresh_process(benchmark, small_synth, tmp_path):
+    argv = [sys.executable, "-m", "spamrings.cli", "ingest", "--input", str(small_synth),
             "--out", str(tmp_path / "out")]
     benchmark(_run, argv)
     assert (tmp_path / "out" / "reviews_clean.csv").exists()
+
+
+def test_detect_small_fresh_process(benchmark, small_synth, tmp_path):
+    argv = [sys.executable, "-m", "spamrings.cli", "detect", "--input", str(small_synth),
+            "--out", str(tmp_path / "out"), "--epochs", "5"]
+    benchmark(_run, argv)
+    assert (tmp_path / "out" / "ranked_groups.jsonl").exists()

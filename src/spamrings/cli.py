@@ -9,9 +9,11 @@ Exit status is nonzero exactly when a stage failed.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import gc
 import json
+import os
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -117,13 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_dict(args) -> dict:
-    return load_config_file(args.config) if args.config else {}
-
-
-def _pipeline_config(args) -> PipelineConfig:
-    """Config file merged with the flags, validated once before any stage runs."""
-    data = _load_config_dict(args)
+def _merged_config(args) -> dict:
+    """The config file's object, with each flag that was given laid over it."""
+    data = load_config_file(args.config) if args.config else {}
     top_level = {f.name for f in dataclasses.fields(PipelineConfig)}
     for dest, value in vars(args).items():
         section, _, key = dest.rpartition(".")
@@ -133,7 +131,12 @@ def _pipeline_config(args) -> PipelineConfig:
             data[key] = value
         elif isinstance(data.get(section, {}), dict):  # from_dict rejects any other section
             data[section] = {**data.get(section, {}), key: value}
-    config = PipelineConfig.from_dict(data)
+    return data
+
+
+def _pipeline_config(args) -> PipelineConfig:
+    """Config file merged with the flags, validated once before any stage runs."""
+    config = PipelineConfig.from_dict(_merged_config(args))
     if not config.input:
         raise StageError("config", ValueError("no input file given (--input or config)"))
     return config
@@ -215,31 +218,40 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _synth_config(args) -> SynthConfig:
-    kwargs = _load_config_dict(args).get("synth", {})
-    if not isinstance(kwargs, dict):
-        raise ValueError(f"config section synth must be an object, not {type(kwargs).__name__}")
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    check_config_section(SynthConfig, kwargs, prefix="synth.")
-    if "planted" in kwargs:
-        planted = kwargs["planted"]
-        if not isinstance(planted, list) or not all(isinstance(p, dict) for p in planted):
-            raise ValueError(f"synth.planted must be a list of objects, not {planted!r}")
-        for p in planted:
-            check_config_section(PlantedGroupConfig, p, prefix="synth.planted.")
-        kwargs["planted"] = [PlantedGroupConfig(**p) for p in planted]
-    return SynthConfig(**kwargs)
+def _synth_config(args) -> tuple[SynthConfig, PipelineConfig]:
+    """The generator's config, and the top level checked as every command checks it.
+
+    The top-level seed, from ``--seed`` or the file, is the generator's
+    seed: it overrides ``synth.seed`` and is checked with the section, as a
+    "synth" StageError. Any other bad top-level key or value is a "config"
+    StageError; no input file is needed.
+    """
+    data = _merged_config(args)
+    kwargs = data.pop("synth", {})
+    try:
+        if not isinstance(kwargs, dict):
+            raise ValueError(f"config section synth must be an object, not {type(kwargs).__name__}")
+        if "seed" in data:
+            kwargs["seed"] = data.pop("seed")
+        check_config_section(SynthConfig, kwargs, prefix="synth.")
+        if "planted" in kwargs:
+            planted = kwargs["planted"]
+            if not isinstance(planted, list) or not all(isinstance(p, dict) for p in planted):
+                raise ValueError(f"synth.planted must be a list of objects, not {planted!r}")
+            for p in planted:
+                check_config_section(PlantedGroupConfig, p, prefix="synth.planted.")
+            kwargs["planted"] = [PlantedGroupConfig(**p) for p in planted]
+        synth = SynthConfig(**kwargs)
+    except (TypeError, ValueError) as err:
+        cause = err if isinstance(err, ValueError) else ValueError(str(err))
+        raise StageError("synth", cause) from err
+    return synth, PipelineConfig.from_dict(data)
 
 
 def cmd_synth(args) -> int:
-    try:
-        config = _synth_config(args)
-    except (TypeError, ValueError) as err:
-        raise StageError("synth", err if isinstance(err, ValueError) else ValueError(str(err))) from err
-    table, truth = generate(config)
-    out = Path(args.out if args.out else "out")
-    out.mkdir(parents=True, exist_ok=True)
+    synth, config = _synth_config(args)
+    table, truth = generate(synth)
+    out = _out_dir(config)
     write_reviews(table, out / "reviews.csv")
     write_ground_truth(out / "ground_truth.tsv", truth)
     sys.stdout.write(
@@ -301,8 +313,26 @@ COMMANDS = {
 }
 
 
+# Read by OpenBLAS, OpenMP and MKL when numpy or scipy loads its BLAS library.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A command is a one-shot process. Freezing at exit moves every live
+    # object into the permanent generation, which no collection walks, so
+    # the shutdown collections (a full pass with the collector on, and the
+    # ones module teardown forces even with it off) skip all that the numpy
+    # and scipy imports made. Nothing is frozen before exit; the hook is
+    # registered once however often main runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    # The stages' matrices are too small for BLAS threads to pay, so a
+    # command runs BLAS on one thread unless the caller set a thread count.
+    # No stage has loaded numpy yet, and the library reads the count when
+    # it loads; the environment is restored when the command ends.
+    pinned = () if any(var in os.environ for var in BLAS_THREAD_VARS) else BLAS_THREAD_VARS
+    os.environ.update(dict.fromkeys(pinned, "1"))
     # The stages make no reference cycles, so reference counting frees all
     # they allocate, and the cyclic collector would only walk the review
     # table over and over. It is off for the command and restored after.
@@ -319,6 +349,8 @@ def main(argv=None) -> int:
     finally:
         if gc_was_enabled:
             gc.enable()
+        for var in pinned:
+            os.environ.pop(var, None)
 
 
 if __name__ == "__main__":

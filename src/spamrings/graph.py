@@ -95,12 +95,17 @@ def reviewer_incidence(nodes: list[PRNode], reviewers: list[str]) -> sp.csc_arra
     ``reviewers`` lists every reviewer of the nodes once, in the row order
     the caller's other reviewer matrices use (``ReviewTable.reviewer_ids``).
     int32 entries: ``BᵀB`` and its masks are the graph's memory peak, and
-    a count is at most the number of reviewers.
+    a count is at most the number of reviewers. The row indices and, when
+    they fit, the column offsets are int32 too; scipy keeps int32 index
+    arrays through ``BᵀB``, so the co-reviewer counts, the adjacency and
+    the matrices training holds carry them.
     """
     import scipy.sparse as sp
 
     row = {r: i for i, r in enumerate(reviewers)}
     starts = np.cumsum([0] + [len(node.reviewers) for node in nodes])
+    if starts[-1] <= np.iinfo(np.int32).max:
+        starts = starts.astype(np.int32)
     rows = np.fromiter(
         map(row.__getitem__, chain.from_iterable(node.reviewers for node in nodes)),
         dtype=np.int32,

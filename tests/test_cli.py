@@ -589,6 +589,57 @@ def test_main_runs_without_cyclic_gc_and_restores_it(dataset, tmp_path, monkeypa
     assert (after_ok, after_missing) == (enabled, enabled)
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_freezes_objects_at_exit_only(dataset, tmp_path, enabled):
+    """An atexit hook registered before main runs after main's, so it sees the freeze.
+
+    gc.freeze is wrapped to count its calls: two commands freeze once, at exit.
+    """
+    argv = ["ingest", "--input", str(dataset / "reviews.csv"), "--out", str(tmp_path / "o")]
+    code = (
+        "import atexit, gc\n"
+        "freeze, calls = gc.freeze, []\n"
+        "gc.freeze = lambda: calls.append(1) or freeze()\n"
+        "atexit.register(lambda: print('probe', len(calls), gc.get_freeze_count() > 0))\n"
+        "from spamrings.cli import main\n"
+        f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
+        "for _ in range(2):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "    print('after', len(calls), gc.get_freeze_count(), gc.isenabled())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.startswith(("after", "probe"))]
+    after = f"after 0 0 {enabled}"
+    assert lines == [after, after, "probe 1 True"]
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_main_runs_blas_on_one_thread_unless_the_caller_set_a_count(
+    dataset, tmp_path, monkeypatch, preset
+):
+    for var in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in preset.items():
+        monkeypatch.setenv(var, value)
+    before = dict(os.environ)
+    seen = []
+    real_ingest = cli.COMMANDS["ingest"]
+
+    def ingest_seeing_blas_vars(args):
+        seen.append({v: os.environ[v] for v in cli.BLAS_THREAD_VARS if v in os.environ})
+        return real_ingest(args)
+
+    monkeypatch.setitem(cli.COMMANDS, "ingest", ingest_seeing_blas_vars)
+    ingest = lambda path, out: main(["ingest", "--input", str(path), "--out", str(tmp_path / out)])
+    assert ingest(dataset / "reviews.csv", "a") == 0
+    after_ok = dict(os.environ)
+    assert ingest(tmp_path / "nope.csv", "b") == 1
+    assert (after_ok, dict(os.environ)) == (before, before)
+    want = preset or dict.fromkeys(cli.BLAS_THREAD_VARS, "1")
+    assert seen == [want, want]
+
+
 def test_missing_input_is_config_error(capsys):
     rc = main(["detect", "--out", "/tmp/never"])
     assert rc == 1
@@ -705,6 +756,43 @@ def test_synth_config_value_of_wrong_type_or_range_fails_before_generating(
     err = capsys.readouterr().err
     assert err.startswith("error: synth:") and named in err, err
     assert not out.exists()
+
+
+def test_synth_takes_out_and_seed_from_the_config_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def synth(cfg, *flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(path), *flags]) == 0
+
+    def files(out):
+        return [(tmp_path / out / f).read_bytes() for f in ("reviews.csv", "ground_truth.tsv")]
+
+    section = {"n_reviewers": 200}
+    synth({"out": "from_cfg", "seed": 3, "synth": section})
+    synth({"synth": section}, "--out", "from_flags", "--seed", "3")
+    synth({"out": "top_seed", "seed": 3, "synth": {**section, "seed": 9}})
+    synth({"out": "ignored", "seed": 9, "synth": section}, "--out", "flags_win", "--seed", "3")
+    synth({"synth": section}, "--out", "seed_0", "--seed", "0")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "ignored").exists()
+    assert files("from_cfg") == files("from_flags") == files("top_seed") == files("flags_win")
+    assert files("from_cfg") != files("seed_0")
+
+
+@pytest.mark.parametrize(
+    "cfg, named",
+    [({"bogus": 1}, "unknown config key bogus"), ({"out": 5}, "out must be str")],
+)
+def test_synth_checks_the_config_top_level(tmp_path, monkeypatch, capsys, cfg, named):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "synth": {"n_reviewers": 60}}))
+    rc = main(["synth", "--config", str(cfg_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and named in err, err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_synth_rejects_format_flag(tmp_path, capsys):

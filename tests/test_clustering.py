@@ -467,6 +467,20 @@ def test_train_bit_equal_to_reference_epoch(dtype):
         assert a.tobytes() == b.tobytes(), name
 
 
+def test_graph_and_training_matrices_carry_int32_indices():
+    """The incidence's int32 offsets carry through BᵀB to every matrix training holds."""
+    table, _ = generate(SynthConfig(seed=0))
+    graph = build_graph(table)
+    adj = adjacency_sparse(graph)
+    prob = _prepare(adj, node_features(graph, adj))
+    matrices = {
+        "incidence": graph.incidence, "co_review": graph.co_review, "adjacency": adj,
+        "train_adj": prob.adj, "train_adj_norm": prob.adj_norm,
+    }
+    dtypes = {name: (m.indices.dtype, m.indptr.dtype) for name, m in matrices.items()}
+    assert dtypes == dict.fromkeys(matrices, (np.dtype(np.int32), np.dtype(np.int32)))
+
+
 def test_float32_training_arrays_stay_float32():
     rng = np.random.default_rng(24)
     adj = connected_random_graph(rng, 12)
