@@ -68,7 +68,7 @@ def test_group_indicators_50_groups(benchmark):
     table, _ = generate(SynthConfig(seed=0))
     index = ScoringIndex(table)
     rng = random.Random(1)
-    reviewers = table.reviewers()
+    reviewers = table.reviewer_ids
     groups = [index.group(rng.sample(reviewers, rng.randint(2, 200))) for _ in range(50)]
     vectors = benchmark(lambda: [group_indicators(g) for g in groups])
     assert len(vectors) == 50

@@ -2,15 +2,17 @@
 """From raw review rows to the product-rating graph.
 
 Walks the ingestion path on a tiny handmade dataset: parse, dedupe,
-per-product stats, then the attributed graph whose nodes are
-(product, rating) pairs and whose edges carry co-reviewer counts.
+the per-reviewer indicators scoring reads, then the attributed graph
+whose nodes are (product, rating) pairs and whose edges carry
+co-reviewer counts.
 """
 
 import tempfile
 from pathlib import Path
 
 from spamrings.graph import adjacency_sparse, build_graph, node_features, node_id_str
-from spamrings.reviews import dedupe, parse_reviews, product_stats
+from spamrings.indicators import ScoringIndex
+from spamrings.reviews import dedupe, parse_reviews
 
 rows = """\
 alice,espresso_bar,5,2014-03-01
@@ -33,8 +35,14 @@ print(f"parsed {len(table)} reviews, {len(errors)} malformed rows")
 table = dedupe(table)
 print(f"after dedupe: {len(table)} reviews")
 
-for product, stats in sorted(product_stats(table).items()):
-    print(f"  {product}: avg {stats.avg_rating:.2f} over {stats.review_count} reviews")
+# rating deviation from each product's mean (scaled into [0, 1]) and the
+# days between a reviewer's first and last review
+index = ScoringIndex(table)
+for i, reviewer in enumerate(index.reviewers):
+    print(
+        f"  {reviewer}: products {index.products[[i]].nnz}, "
+        f"deviation {index.deviation[i]:.3f}, span {index.span_days[i]} days"
+    )
 
 # alice and bob both gave espresso_bar AND noodle_house five stars, so the
 # two (product, 5) nodes share the co-reviewer pair {alice, bob}

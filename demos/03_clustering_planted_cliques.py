@@ -37,7 +37,7 @@ print("\nsoft assignment rows (node: p(cluster 0), p(cluster 1)):")
 for i, row in enumerate(result.assignment):
     print(f"  node {i}: {row[0]:.3f}  {row[1]:.3f}")
 
-clusters = assign_clusters(result.assignment, threshold=0.2)
+clusters = assign_clusters(result.assignment, threshold=config.assign_threshold)
 for cid, nodes in clusters.items():
     print(f"cluster {cid}: nodes {sorted(nodes)}")
 print("(the bridge endpoints may hold enough probability to sit in both)")

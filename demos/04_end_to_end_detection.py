@@ -14,7 +14,7 @@ from spamrings.synth import SynthConfig, generate
 synth = SynthConfig(seed=4)
 table, truth = generate(synth)
 table = dedupe(table)
-print(f"dataset: {len(table)} reviews, {len(table.by_reviewer)} reviewers")
+print(f"dataset: {len(table)} reviews, {len(table.reviewer_ids)} reviewers")
 print(f"planted groups: sizes {[len(g) for g in truth]}")
 
 config = PipelineConfig(input="in-memory synthetic", seed=4)

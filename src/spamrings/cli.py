@@ -24,7 +24,7 @@ from .pipeline import (
     INPUT_DELIMITERS,
     PipelineConfig,
     StageError,
-    check_config_section,
+    build_config,
     detect,
     format_precision,
     ingest_counts,
@@ -36,7 +36,7 @@ from .pipeline import (
     write_lines,
 )
 from .reviews import ReviewTable, write_reviews
-from .synth import PlantedGroupConfig, SynthConfig, generate, write_ground_truth
+from .synth import SynthConfig, generate, write_ground_truth
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -227,21 +227,11 @@ def _synth_config(args) -> tuple[SynthConfig, PipelineConfig]:
     StageError; no input file is needed.
     """
     data = _merged_config(args)
-    kwargs = data.pop("synth", {})
+    section = data.pop("synth", {})
+    if "seed" in data and isinstance(section, dict):
+        section = {**section, "seed": data.pop("seed")}
     try:
-        if not isinstance(kwargs, dict):
-            raise ValueError(f"config section synth must be an object, not {type(kwargs).__name__}")
-        if "seed" in data:
-            kwargs["seed"] = data.pop("seed")
-        check_config_section(SynthConfig, kwargs, prefix="synth.")
-        if "planted" in kwargs:
-            planted = kwargs["planted"]
-            if not isinstance(planted, list) or not all(isinstance(p, dict) for p in planted):
-                raise ValueError(f"synth.planted must be a list of objects, not {planted!r}")
-            for p in planted:
-                check_config_section(PlantedGroupConfig, p, prefix="synth.planted.")
-            kwargs["planted"] = [PlantedGroupConfig(**p) for p in planted]
-        synth = SynthConfig(**kwargs)
+        synth = build_config(SynthConfig, section, prefix="synth.")
     except (TypeError, ValueError) as err:
         cause = err if isinstance(err, ValueError) else ValueError(str(err))
         raise StageError("synth", cause) from err
@@ -264,9 +254,9 @@ def cmd_synth(args) -> int:
 def _ranked_rows(path, table: ReviewTable) -> list[tuple[int, int, int, float | None]]:
     """(rank, group_id, size, precision) of each record in a ranked-groups file.
 
-    A line that is not a JSON object with rank, group_id and members, or
-    that names a member with no review in the table, is an "eval"
-    StageError naming the file and the 1-based line.
+    A line that is not a JSON object with an int rank and group_id and a
+    list of member names, or that names a member with no review in the
+    table, is an "eval" StageError naming the file and the 1-based line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -282,8 +272,14 @@ def _ranked_rows(path, table: ReviewTable) -> list[tuple[int, int, int, float | 
             rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
-            members = index.rows(rec["members"])
-            rows.append((rec["rank"], rec["group_id"], len(members), index.precision(members)))
+            rank, group_id, names = rec["rank"], rec["group_id"], rec["members"]
+            for key, value in (("rank", rank), ("group_id", group_id)):
+                if type(value) is not int:  # not isinstance: bool is an int subclass
+                    raise ValueError(f"{key} must be an int, not {value!r}")
+            if not isinstance(names, list) or not all(isinstance(m, str) for m in names):
+                raise ValueError(f"members must be a list of strings, not {names!r}")
+            members = index.rows(names)
+            rows.append((rank, group_id, len(members), index.precision(members)))
         except KeyError as err:
             raise StageError("eval", ValueError(f"{path} line {lineno}: no {err} key")) from err
         except (TypeError, ValueError) as err:

@@ -30,6 +30,7 @@ the same bits as the plain form, which ``tests/oracles.py`` keeps as
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -450,7 +451,7 @@ def _memberships(assignment, threshold: float) -> np.ndarray:
     return mask
 
 
-def assign_clusters(assignment, threshold: float = 0.2) -> dict[int, set[int]]:
+def assign_clusters(assignment, threshold: float) -> dict[int, set[int]]:
     """Overlapping hard clusters from a soft assignment.
 
     Each node joins its argmax cluster plus every cluster whose
@@ -490,16 +491,18 @@ def load_checkpoint(path) -> tuple[GCNParams, TrainConfig, float]:
     return GCNParams(weights, skips), config, final_loss
 
 
-def write_assignment(path, node_ids, assignment, threshold: float = 0.2) -> None:
-    """Per-node export: id, argmax cluster, all memberships, max probability."""
+def write_assignment(path, node_ids, assignment, threshold: float) -> None:
+    """Per-node CSV export, ids quoted as needed: id, argmax cluster, memberships, max prob."""
     c = np.asarray(assignment, dtype=np.float64)
     mask = _memberships(c, threshold)
     clusters = np.nonzero(mask)[1].tolist()  # row-major: each node's clusters ascending
     ends = np.cumsum(mask.sum(axis=1)).tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_id,argmax_cluster,memberships,max_prob\n")
-        for node_id, j, start, end, top in zip(
-            node_ids, c.argmax(axis=1).tolist(), [0] + ends, ends, c.max(axis=1).tolist()
-        ):
-            joined = "|".join(map(str, clusters[start:end]))
-            fh.write(f"{node_id},{j},{joined},{top:.6f}\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("node_id", "argmax_cluster", "memberships", "max_prob"))
+        writer.writerows(
+            (node_id, j, "|".join(map(str, clusters[start:end])), f"{top:.6f}")
+            for node_id, j, start, end, top in zip(
+                node_ids, c.argmax(axis=1).tolist(), [0] + ends, ends, c.max(axis=1).tolist()
+            )
+        )

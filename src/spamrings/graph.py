@@ -10,6 +10,7 @@ weights an edge either binarily or by its count.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -189,12 +190,15 @@ def node_features(graph: PRGraph, adj: sp.csr_array) -> np.ndarray:
 
 def write_graph(graph: PRGraph, edges_path, nodes_path) -> None:
     """Dump the edge list (ordered by node pair) and node attributes as tab-separated text."""
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        for u, v, weight in zip(*_upper_triangle(adjacency_sparse(graph))):
-            fh.write(f"{node_id_str(graph.nodes[u])}\t{node_id_str(graph.nodes[v])}\t{weight:g}\n")
-    with open(nodes_path, "w", encoding="utf-8") as fh:
-        for node in graph.nodes:
-            fh.write(f"{node.product_id}\t{node.rating}\t{len(node.reviewers)}\n")
+    with open(edges_path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(
+            (node_id_str(graph.nodes[u]), node_id_str(graph.nodes[v]), f"{weight:g}")
+            for u, v, weight in zip(*_upper_triangle(adjacency_sparse(graph)))
+        )
+    with open(nodes_path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(
+            (node.product_id, node.rating, len(node.reviewers)) for node in graph.nodes
+        )
 
 
 def connected_components(graph: PRGraph, node_subset: Iterable[int]) -> list[set[int]]:

@@ -16,7 +16,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, get_type_hints
+from typing import Iterable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 from . import __version__
 from ._lazy import lazy_import
@@ -152,33 +152,12 @@ class PipelineConfig:
         """Build and validate a config; any bad key or value is a "config" StageError."""
         data = dict(data)
         data.pop("synth", None)  # synth section belongs to the generator command
-        sections = {
-            "graph": GraphConfig,
-            "train": TrainConfig,
-            "group": GroupConfig,
-            "rank": RankConfig,
-        }
+        if isinstance(data.get("train"), dict):  # training seed is derived from the top seed
+            data["train"] = {k: v for k, v in data["train"].items() if k != "seed"}
         try:
-            built = {}
-            for name, section_cls in sections.items():
-                section = data.pop(name, {})
-                if not isinstance(section, dict):
-                    raise ValueError(
-                        f"config section {name} must be an object, not {type(section).__name__}"
-                    )
-                section = dict(section)
-                if name == "train":
-                    section.pop("seed", None)  # training seed is derived from the top seed
-                check_config_section(section_cls, section, prefix=f"{name}.")
-                built[name] = section_cls(**section)
-            check_config_section(cls, data)
-            return cls(**built, **data)
+            return build_config(cls, data)
         except (TypeError, ValueError) as err:  # TypeError: a value of the wrong type
             raise StageError("config", err) from err
-
-    @classmethod
-    def from_file(cls, path) -> "PipelineConfig":
-        return cls.from_dict(load_config_file(path))
 
     def config_hash(self) -> str:
         payload = self.to_dict()
@@ -203,22 +182,38 @@ def load_config_file(path) -> dict:
 _FIELD_TYPES = {int: int, float: (int, float), bool: bool, str: str}
 
 
-def check_config_section(section_cls, section: dict, prefix: str = "") -> None:
-    """Reject an unknown key of a config dataclass, a value of the wrong type, or a NaN or inf."""
-    types = get_type_hints(section_cls)  # one per dataclass field
-    unknown = sorted(set(section) - set(types))
+def build_config(cls, data, prefix: str = ""):
+    """Config dataclass ``cls`` from a JSON object; its dataclass fields, and lists of them, alike.
+
+    An unknown key, a value of the wrong type, or a NaN or inf is a
+    ValueError naming the dotted key; ``cls`` checks the values' ranges.
+    """
+    if not isinstance(data, dict):
+        name = prefix.rstrip(".")
+        raise ValueError(f"config section {name} must be an object, not {type(data).__name__}")
+    types = get_type_hints(cls)  # one per dataclass field
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown config key {prefix}{unknown[0]}")
-    for key, value in section.items():
-        accepted = _FIELD_TYPES.get(types[key])
-        if accepted is None:
-            continue
-        if not isinstance(value, accepted) or (isinstance(value, bool) and types[key] is not bool):
-            raise ValueError(
-                f"{prefix}{key} must be {types[key].__name__}, not {type(value).__name__} {value!r}"
-            )
-        if types[key] is float and not math.isfinite(value):
-            raise ValueError(f"{prefix}{key} must be finite, not {value!r}")
+    kwargs = {}
+    for key, value in data.items():
+        hint = types[key]
+        accepted = _FIELD_TYPES.get(hint)
+        if dataclasses.is_dataclass(hint):
+            value = build_config(hint, value, f"{prefix}{key}.")
+        elif get_origin(hint) is list and dataclasses.is_dataclass(get_args(hint)[0]):
+            if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+                raise ValueError(f"{prefix}{key} must be a list of objects, not {value!r}")
+            value = [build_config(get_args(hint)[0], v, f"{prefix}{key}.") for v in value]
+        elif accepted is not None:
+            if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+                raise ValueError(
+                    f"{prefix}{key} must be {hint.__name__}, not {type(value).__name__} {value!r}"
+                )
+            if hint is float and not math.isfinite(value):
+                raise ValueError(f"{prefix}{key} must be finite, not {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def derive_train_seed(seed: int) -> int:

@@ -1,4 +1,4 @@
-"""Review metadata ingestion: parsing, validation, dedup, per-product stats.
+"""Review metadata ingestion: parsing, validation, dedup.
 
 Input files are delimited text with columns
 ``reviewer_id, product_id, rating, label, date`` (the label column may be
@@ -9,12 +9,10 @@ ISO ``YYYY-MM-DD``.
 from __future__ import annotations
 
 import csv
-from collections import defaultdict
-from dataclasses import dataclass
 from datetime import date as _date
 from functools import cached_property, partial
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 LABEL_FAKE = "fake"
 LABEL_GENUINE = "genuine"
@@ -55,31 +53,14 @@ class RowError(NamedTuple):
     message: str
 
 
-def _index(reviews: list[Review], key: Callable[[Review], str]) -> dict[str, list[Review]]:
-    index: dict[str, list[Review]] = defaultdict(list)
-    for r in reviews:
-        index[key(r)].append(r)
-    return dict(index)
-
-
 class ReviewTable:
-    """A sequence of reviews indexed by reviewer and by product.
+    """A list of reviews in input order, treated as immutable once built.
 
-    Treated as immutable once built; indexes are plain dicts of lists in
-    input order, each built on first use (a table that is only counted or
-    deduped never builds them).
+    Per-reviewer and per-product data live in ``indicators.ScoringIndex``.
     """
 
     def __init__(self, reviews: Iterable[Review]):
         self.reviews: list[Review] = list(reviews)
-
-    @cached_property
-    def by_reviewer(self) -> dict[str, list[Review]]:
-        return _index(self.reviews, attrgetter("reviewer_id"))
-
-    @cached_property
-    def by_product(self) -> dict[str, list[Review]]:
-        return _index(self.reviews, attrgetter("product_id"))
 
     def __len__(self) -> int:
         return len(self.reviews)
@@ -97,12 +78,6 @@ class ReviewTable:
         a scoring index) is the i-th id, so the matrices share their rows.
         """
         return sorted(set(map(attrgetter("reviewer_id"), self.reviews)))
-
-    def reviewers(self) -> list[str]:
-        return list(self.reviewer_ids)
-
-    def products(self) -> list[str]:
-        return sorted(self.by_product)
 
     def label_counts(self) -> dict[str, int]:
         counts = {label: 0 for label in VALID_LABELS}
@@ -237,23 +212,3 @@ def dedupe(table: ReviewTable, policy: str = "keep_latest") -> ReviewTable:
         if cur is not r and (r.date >= cur.date if latest else r.date < cur.date):
             kept[r[:2]] = r
     return ReviewTable(kept.values())
-
-
-@dataclass(frozen=True)
-class ProductStats:
-    product_id: str
-    avg_rating: float
-    review_count: int
-
-
-def product_stats(table: ReviewTable) -> dict[str, ProductStats]:
-    """Arithmetic mean rating and count per product, over all retained reviews.
-
-    Every user's own review is included in the average of the products it
-    rates; singleton products therefore have avg == their one rating.
-    """
-    stats: dict[str, ProductStats] = {}
-    for product, reviews in table.by_product.items():
-        total = sum(r.rating for r in reviews)
-        stats[product] = ProductStats(product, total / len(reviews), len(reviews))
-    return stats

@@ -26,9 +26,13 @@ two-layer ``clustering._forward`` and ``_backward``.
 ``dedupe_reference`` is the per-row ``get``-then-set loop that
 ``reviews.dedupe`` replaced.
 
+``reviews_by`` and ``product_stats`` group a table's reviews by reviewer
+or product and average each product's ratings, from ``table.reviews``
+alone.
+
 ``SetGroup`` and the functions after it are the group extraction and
 scoring that ``indicators.ScoringIndex`` replaced: each member's product
-set a frozenset taken from ``ReviewTable.by_reviewer``, reviewer support
+set a frozenset taken from ``reviews_by(table, "reviewer_id")``, reviewer support
 counted per cluster piece, one sparse incidence built per group, and
 per-member loops for rating deviation, burstness and precision.
 ``assign_clusters_loop`` and ``write_assignment_loop`` are the per-node
@@ -69,7 +73,7 @@ from spamrings.indicators import (
     PAIR_BLOCK_ELEMENTS,
     IndicatorVector,
 )
-from spamrings.reviews import LABEL_FAKE, ProductStats, ReviewTable
+from spamrings.reviews import LABEL_FAKE, Review, ReviewTable
 
 BRUTE_FORCE_MAX_NODES = 12
 
@@ -379,6 +383,34 @@ def dedupe_reference(table: ReviewTable, policy: str = "keep_latest") -> ReviewT
     return ReviewTable(kept.values())
 
 
+def reviews_by(table: ReviewTable, key: str) -> dict[str, list[Review]]:
+    """The table's reviews grouped by the ``key`` field, each list in input order."""
+    index: dict[str, list[Review]] = defaultdict(list)
+    for r in table.reviews:
+        index[getattr(r, key)].append(r)
+    return dict(index)
+
+
+@dataclass(frozen=True)
+class ProductStats:
+    product_id: str
+    avg_rating: float
+    review_count: int
+
+
+def product_stats(table: ReviewTable) -> dict[str, ProductStats]:
+    """Arithmetic mean rating and count per product, over all of the table's reviews.
+
+    Every user's own review is included in the average of the products it
+    rates; singleton products therefore have avg == their one rating.
+    """
+    stats: dict[str, ProductStats] = {}
+    for product, reviews in reviews_by(table, "product_id").items():
+        total = sum(r.rating for r in reviews)
+        stats[product] = ProductStats(product, total / len(reviews), len(reviews))
+    return stats
+
+
 # ------------------------------------------------- extraction and scoring
 
 
@@ -415,9 +447,8 @@ class SetGroup:
 
 def group_from_table(members: Iterable[str], table: ReviewTable, source_cluster: int = -1) -> SetGroup:
     members = frozenset(members)
-    products = {
-        m: frozenset(r.product_id for r in table.by_reviewer.get(m, ())) for m in members
-    }
+    by_reviewer = reviews_by(table, "reviewer_id")
+    products = {m: frozenset(r.product_id for r in by_reviewer.get(m, ())) for m in members}
     return SetGroup(members=members, member_products=products, source_cluster=source_cluster)
 
 
@@ -523,10 +554,15 @@ def neighbor_tightness(group: SetGroup) -> float:
     return total / (n * (n - 1) / 2) * penalty(group)
 
 
-def avg_rating_deviation(reviewer: str, table: ReviewTable, stats: Mapping[str, ProductStats]) -> float:
-    reviews = table.by_reviewer.get(reviewer)
+def _reviews_of(reviewer: str, table: ReviewTable) -> list[Review]:
+    reviews = [r for r in table.reviews if r.reviewer_id == reviewer]
     if not reviews:
         raise KeyError(f"unknown reviewer {reviewer!r}")
+    return reviews
+
+
+def avg_rating_deviation(reviewer: str, table: ReviewTable, stats: Mapping[str, ProductStats]) -> float:
+    reviews = _reviews_of(reviewer, table)
     total = 0.0  # an explicit loop, not sum(): from Python 3.12 sum() compensates float error
     for r in reviews:
         total += abs(r.rating - stats[r.product_id].avg_rating)
@@ -536,10 +572,7 @@ def avg_rating_deviation(reviewer: str, table: ReviewTable, stats: Mapping[str, 
 def burstness(reviewer: str, table: ReviewTable, tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS) -> float:
     if tau_days < 1:
         raise ValueError(f"tau_days must be >= 1, got {tau_days}")
-    reviews = table.by_reviewer.get(reviewer)
-    if not reviews:
-        raise KeyError(f"unknown reviewer {reviewer!r}")
-    days = [r.date for r in reviews]
+    days = [r.date for r in _reviews_of(reviewer, table)]
     span = (max(days) - min(days)).days
     if span > tau_days:
         return 0.0
@@ -569,10 +602,11 @@ def group_indicators(
 
 
 def group_precision(group: SetGroup, table: ReviewTable) -> float | None:
+    by_reviewer = reviews_by(table, "reviewer_id")
     any_label = False
     fake = 0
     for member in group.members:
-        labels = {r.label for r in table.by_reviewer.get(member, ())}
+        labels = {r.label for r in by_reviewer.get(member, ())}
         if labels - {"unknown"}:
             any_label = True
         if LABEL_FAKE in labels:
@@ -582,7 +616,7 @@ def group_precision(group: SetGroup, table: ReviewTable) -> float | None:
     return fake / len(group.members)
 
 
-def assign_clusters_loop(assignment, threshold: float = 0.2) -> dict[int, set[int]]:
+def assign_clusters_loop(assignment, threshold: float) -> dict[int, set[int]]:
     c = np.asarray(assignment, dtype=np.float64)
     members: dict[int, set[int]] = {}
     argmax = c.argmax(axis=1)
@@ -593,7 +627,7 @@ def assign_clusters_loop(assignment, threshold: float = 0.2) -> dict[int, set[in
     return {j: members[j] for j in sorted(members)}
 
 
-def write_assignment_loop(path, node_ids, assignment, threshold: float = 0.2) -> None:
+def write_assignment_loop(path, node_ids, assignment, threshold: float) -> None:
     c = np.asarray(assignment, dtype=np.float64)
     clusters = assign_clusters_loop(c, threshold)
     memberships: dict[int, list[int]] = {i: [] for i in range(c.shape[0])}

@@ -188,7 +188,7 @@ def test_criterion_5_indicator_correctness():
             p = f"p{rng.randrange(7)}"
             seen[(u, p)] = Review(u, p, rng.randrange(1, 6), day(rng.randrange(90)))
         table = ReviewTable(list(seen.values()))
-        members = rng.sample(table.reviewers(), rng.randrange(1, 6))
+        members = rng.sample(table.reviewer_ids, rng.randrange(1, 6))
         vec = group_indicators(ScoringIndex(table).group(members))
         values = (
             vec.review_tightness,

@@ -19,10 +19,11 @@ from spamrings.pipeline import (
     derive_train_seed,
     detect,
     ingest_counts,
+    load_config_file,
     load_table,
     write_detect_report,
 )
-from spamrings.reviews import ReviewTable, parse_reviews
+from spamrings.reviews import parse_reviews
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate, write_ground_truth
 from spamrings.reviews import write_reviews
 
@@ -362,27 +363,6 @@ def test_sweep_table_shape(dataset, tmp_path):
     assert [l.split("\t")[0] for l in lines[1:]] == ["6", "10", "14"]
 
 
-def test_no_command_builds_the_table_indexes(dataset, tmp_path, monkeypatch):
-    """The table's per-reviewer and per-product review lists stay unbuilt in every command."""
-
-    def refuse(table):
-        raise AssertionError("a command built ReviewTable.by_reviewer or by_product")
-
-    monkeypatch.setattr(ReviewTable, "by_reviewer", property(refuse))
-    monkeypatch.setattr(ReviewTable, "by_product", property(refuse))
-    reviews, ranked = str(dataset / "reviews.csv"), str(tmp_path / "det" / "ranked_groups.jsonl")
-    commands = [
-        ["synth", "--out", str(tmp_path / "syn"), "--config", _small_synth_config(tmp_path)],
-        ["ingest", "--input", reviews, "--out", str(tmp_path / "ing")],
-        ["detect", "--input", reviews, "--out", str(tmp_path / "det"), "--epochs", "5"],
-        ["sweep", "--input", reviews, "--out", str(tmp_path / "swp"), "--k-list", "8",
-         "--epochs", "5"],
-        ["eval", "--input", reviews, "--ranked", ranked, "--out", str(tmp_path / "ev")],
-    ]
-    for argv in commands:
-        assert main(argv) == 0, argv[0]
-
-
 def test_sweep_single_k_single_row(dataset, tmp_path):
     out = tmp_path / "sweep1"
     rc = main(
@@ -483,6 +463,31 @@ def test_eval_malformed_ranked_line_names_file_and_line(
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: eval: {ranked} {named}"), err
+
+
+@pytest.mark.parametrize(
+    "record, named",
+    [
+        ({"rank": "first", "group_id": 7, "members": ["a"]}, "rank must be an int, not 'first'"),
+        ({"rank": True, "group_id": 7, "members": ["a"]}, "rank must be an int, not True"),
+        ({"rank": 1, "group_id": [7], "members": ["a"]}, "group_id must be an int, not [7]"),
+        ({"rank": 1, "group_id": 7, "members": "ab"}, "members must be a list of strings"),
+        ({"rank": 1, "group_id": 7, "members": {"a": 1, "b": 2}}, "members must be a list of"),
+        ({"rank": 1, "group_id": 7, "members": ["a", 2]}, "members must be a list of strings"),
+    ],
+)
+def test_eval_rejects_ranked_fields_of_the_wrong_type(tmp_path, capsys, record, named):
+    """A string or object of members is not read as its characters or keys."""
+    reviews = tmp_path / "reviews.csv"
+    reviews.write_text("a,p1,5,-1,2014-01-01\nb,p1,5,-1,2014-01-02\nc,p2,3,1,2014-01-03\n")
+    ranked = tmp_path / "ranked.jsonl"
+    ranked.write_text(json.dumps(record) + "\n")
+    out = tmp_path / "o"
+    rc = main(["eval", "--input", str(reviews), "--ranked", str(ranked), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: eval: {ranked} line 1: {named}"), err
+    assert not out.exists()
 
 
 def test_eval_unknown_member_is_eval_stage_error_naming_the_line(dataset, tmp_path):
@@ -924,7 +929,7 @@ def test_pipeline_config_round_trip(tmp_path):
     cfg.train.epochs = 77
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    loaded = PipelineConfig.from_file(path)
+    loaded = PipelineConfig.from_dict(load_config_file(path))
     assert loaded.to_dict() == cfg.to_dict()
 
 

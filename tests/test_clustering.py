@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 import subprocess
@@ -730,3 +731,15 @@ def test_assignment_export(tmp_path):
     assert lines[0] == "node_id,argmax_cluster,memberships,max_prob"
     assert lines[1] == "p1#5,0,0|1,0.700000"
     assert lines[2] == "p2#4,1,1,0.900000"
+
+
+def test_assignment_export_quotes_ids_holding_a_comma_or_quote(tmp_path):
+    c = np.array([[0.7, 0.3], [0.1, 0.9], [0.5, 0.5]])
+    node_ids = ["shop, north#5", 'the "best"#4', "plain#1"]
+    path = tmp_path / "assign.csv"
+    write_assignment(path, node_ids, c, threshold=0.2)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [4] * 4
+    assert [row[0] for row in rows[1:]] == node_ids
+    assert path.read_text().splitlines()[1] == '"shop, north#5",0,0|1,0.700000'

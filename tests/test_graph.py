@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import datetime
 import math
@@ -81,7 +82,7 @@ def test_node_count_bounded_by_five_per_product():
     rows = [(f"u{rng.randrange(50)}", f"p{rng.randrange(12)}", rng.randrange(1, 6)) for _ in range(300)]
     table = ReviewTable([Review(u, p, r, D) for (u, p, r) in {(u, p): (u, p, r) for u, p, r in rows}.values()])
     nodes = build_nodes(table)
-    assert len(nodes) <= 5 * len(table.by_product)
+    assert len(nodes) <= 5 * len({r.product_id for r in table.reviews})
 
 
 def test_build_edges_threshold_and_attribute():
@@ -156,8 +157,8 @@ def test_graph_keeps_the_incidence_its_counts_come_from():
         table = ReviewTable(reviews)
         graph = build_graph(table, min_co_review=1)
         incidence = graph.incidence
-        assert incidence.shape == (len(table.reviewers()), len(graph.nodes))
-        reviewers = table.reviewers()  # row order: sorted reviewer ids
+        assert incidence.shape == (len(table.reviewer_ids), len(graph.nodes))
+        reviewers = table.reviewer_ids  # row order: sorted reviewer ids
         assert graph.reviewers == reviewers
         for i, node in enumerate(graph.nodes):
             column = incidence[:, [i]].tocoo()
@@ -322,3 +323,14 @@ def test_graph_dump_format(tmp_path):
     assert edges_path.read_text() == "p1#5\tp2#5\t2\n"
     assert nodes_path.read_text() == "p1\t5\t2\np2\t5\t2\n"
     assert node_id_str(graph.nodes[0]) == "p1#5"
+
+
+def test_graph_dump_quotes_ids_holding_a_tab(tmp_path):
+    table = table_from([("u1", "p\t1", 5), ("u2", "p\t1", 5), ("u1", "p2", 5), ("u2", "p2", 5)])
+    graph = build_graph(table, min_co_review=2)
+    edges_path, nodes_path = tmp_path / "edges.tsv", tmp_path / "nodes.tsv"
+    write_graph(graph, edges_path, nodes_path)
+    with open(edges_path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh, delimiter="\t")) == [["p\t1#5", "p2#5", "2"]]
+    with open(nodes_path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh, delimiter="\t")) == [["p\t1", "5", "2"], ["p2", "5", "2"]]

