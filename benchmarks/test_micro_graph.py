@@ -1,4 +1,5 @@
-"""Microbenchmark of the graph's co-reviewer count matrix (pytest-benchmark).
+"""Microbenchmark of graph construction: the incidence B and the co-reviewer
+count matrix BᵀB (pytest-benchmark).
 
 Outside ``testpaths``, so the default test run skips it. Run with
 
@@ -22,25 +23,18 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from spamrings.graph import build_nodes, co_review_matrix, reviewer_incidence
+from spamrings.graph import build_graph
 from spamrings.reviews import Review, ReviewTable
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
-
-
-def co_review_counts(nodes):
-    """The incidence B of the nodes, then their co-reviewer counts BᵀB."""
-    incidence = reviewer_incidence(nodes, sorted({r for node in nodes for r in node.reviewers}))
-    return co_review_matrix(nodes, incidence)
 
 
 def test_co_review_matrix_big_groups(benchmark):
     table, _ = generate(
         SynthConfig(seed=0, planted=[PlantedGroupConfig(size=s) for s in (1500, 1800, 2100)])
     )
-    nodes = build_nodes(table)
-    matrix = benchmark(co_review_counts, nodes)
-    assert (len(nodes), matrix.nnz // 2) == (1176, 532)
-    assert matrix.data.max() == 2100
+    graph = benchmark(build_graph, table)
+    assert (len(graph.node_keys), graph.co_review.nnz // 2) == (1176, 532)
+    assert graph.co_review.data.max() == 2100
 
 
 def heavy_tailed_table(n_reviewers, n_products, cap, seed=0) -> ReviewTable:
@@ -57,7 +51,7 @@ def heavy_tailed_table(n_reviewers, n_products, cap, seed=0) -> ReviewTable:
 
 
 def test_co_review_matrix_heavy_tailed(benchmark):
-    nodes = build_nodes(heavy_tailed_table(16_000, 923, cap=400))
-    matrix = benchmark(co_review_counts, nodes)
-    assert matrix.has_canonical_format
-    assert (len(nodes), matrix.nnz // 2) == (4450, 171073)
+    table = heavy_tailed_table(16_000, 923, cap=400)
+    graph = benchmark(build_graph, table)
+    assert graph.co_review.has_canonical_format
+    assert (len(graph.node_keys), graph.co_review.nnz // 2) == (4450, 171073)

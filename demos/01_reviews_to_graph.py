@@ -48,6 +48,8 @@ for i, reviewer in enumerate(index.reviewers):
 # two (product, 5) nodes share the co-reviewer pair {alice, bob}
 graph = build_graph(table, min_co_review=2)
 print(f"\ngraph: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
+# the graph holds node membership as its incidence matrix B; graph.nodes
+# rebuilds each node's reviewer set from B's columns on first use
 for node in graph.nodes:
     print(f"  node {node_id_str(node)}: reviewers {sorted(node.reviewers)}")
 for edge in graph.edges:

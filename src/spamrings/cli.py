@@ -177,8 +177,10 @@ def cmd_ingest(args) -> int:
 def cmd_detect(args) -> int:
     config = _pipeline_config(args)
     raw, errors, table = load_table(config)
+    ingest = ingest_counts(raw, errors, table)
+    del raw, errors  # frees the rows dedupe replaced before the graph is built
     result = detect(table, config)
-    paths = write_detect_report(result, config.out, ingest_counts(raw, errors, table))
+    paths = write_detect_report(result, config.out, ingest)
     top = result.ranking.headline[0] if result.ranking.headline else None
     sys.stdout.write(
         f"groups: {len(result.scored)} headline: {len(result.ranking.headline)}\n"

@@ -264,7 +264,8 @@ def _prepare(adj, features) -> _Problem:
     leaving it out changes only the collapse term, whose n and column sums
     then count active nodes. Degrees, 2m and the normalization are computed
     in float64; the matrices, degrees and features are then cast to the
-    features' dtype (see _float_array).
+    features' dtype (see _float_array). The two matrices share one pair of
+    index arrays.
     """
     import scipy.sparse as sp
 
@@ -279,11 +280,15 @@ def _prepare(adj, features) -> _Problem:
     dtype = feats.dtype
     active = np.flatnonzero(deg > 0)
     sub = adj_sp[active][:, active]
+
+    def on_sub_pattern(data):
+        return sp.csr_array((data.astype(dtype, copy=False), sub.indices, sub.indptr), sub.shape)
+
     return _Problem(
-        adj=sub.astype(dtype, copy=False),
+        adj=on_sub_pattern(sub.data),
         deg=deg[active].astype(dtype, copy=False),
         two_m=two_m,
-        adj_norm=normalized_adjacency(sub).astype(dtype, copy=False),
+        adj_norm=on_sub_pattern(normalized_adjacency(sub).data),
         feats=feats[active],
         active=active,
     )

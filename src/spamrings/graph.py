@@ -1,22 +1,24 @@
 """Attributed product-rating graph.
 
 Nodes are (product, rating) pairs whose attribute is the set of reviewers
-that gave the product exactly that rating. Two nodes of distinct products
-are linked when enough reviewers sit in both reviewer sets; the edge
-carries the size of that intersection, its co-reviewer count. One
-symmetric sparse matrix of those counts holds every edge; the adjacency
-weights an edge either binarily or by its count.
+that gave the product exactly that rating. That membership is held only
+as the reviewer × node incidence B, built with numpy from the review
+columns: node j's reviewers are the rows of B's column j, and no per-node
+set is kept. Two nodes of distinct products are linked when enough
+reviewers sit in both reviewer sets; the edge carries the size of that
+intersection, its co-reviewer count. One symmetric sparse matrix of those
+counts, BᵀB, holds every edge; the adjacency weights an edge either
+binarily or by its count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import TYPE_CHECKING, Iterable
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from ._lazy import lazy_import
 from .reviews import ReviewTable
@@ -33,8 +35,15 @@ NUM_RATING_LEVELS = 5
 FEATURE_DIM = NUM_RATING_LEVELS + 2
 
 
+class NodeKey(NamedTuple):
+    product_id: str
+    rating: int
+
+
 @dataclass(frozen=True)
 class PRNode:
+    """A node with its reviewer set, as :attr:`PRGraph.nodes` rebuilds it from B."""
+
     product_id: str
     rating: int
     reviewers: frozenset[str]
@@ -51,19 +60,47 @@ class PREdge:
 
 @dataclass(eq=False)
 class PRGraph:
-    """Nodes, the reviewer × node incidence B (row i is ``reviewers[i]``)
+    """Node keys, the reviewer × node incidence B (row i is ``reviewers[i]``)
     and the symmetric co-reviewer count matrix BᵀB yields, the graph's one
-    edge store."""
+    edge store. Node j is the product ``product_ids[k // 5]`` rated
+    ``k % 5 + 1``, for k = ``node_keys[j]``.
+    """
 
-    nodes: list[PRNode]
+    product_ids: list[str]
+    node_keys: np.ndarray  # ascending in build_graph
     reviewers: list[str]
-    incidence: sp.csc_array  # reviewer_incidence(nodes, reviewers)
-    co_review: sp.csr_array  # co_review_matrix(nodes, incidence, ...)
+    incidence: sp.csc_array  # column j holds node j's reviewer rows
+    co_review: sp.csr_array  # co_review_matrix(node_keys, incidence, ...)
     weighting: str = DEFAULT_WEIGHTING
 
     def __post_init__(self):
         if self.weighting not in WEIGHTING_MODES:
             raise ValueError(f"unknown edge weighting {self.weighting!r}")
+
+    @property
+    def keys(self) -> list[NodeKey]:
+        """(product id, rating) of each node."""
+        ids = self.product_ids
+        return [
+            NodeKey(ids[k // NUM_RATING_LEVELS], k % NUM_RATING_LEVELS + 1)
+            for k in self.node_keys.tolist()
+        ]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The reviewer count of each node: the lengths of B's columns."""
+        return np.diff(self.incidence.indptr)
+
+    @cached_property
+    def nodes(self) -> list[PRNode]:
+        """Each node with its reviewer set, read from B's columns; built on first use."""
+        bounds = self.incidence.indptr.tolist()
+        rows = self.incidence.indices.tolist()
+        names = self.reviewers
+        return [
+            PRNode(product, rating, frozenset(map(names.__getitem__, rows[a:b])))
+            for (product, rating), a, b in zip(self.keys, bounds, bounds[1:])
+        ]
 
     @cached_property
     def edges(self) -> list[PREdge]:
@@ -71,67 +108,48 @@ class PRGraph:
         return [PREdge(*e) for e in zip(*_upper_triangle(self.co_review))]
 
 
-def node_id_str(node: PRNode) -> str:
+def node_id_str(node: NodeKey | PRNode) -> str:
     return f"{node.product_id}#{node.rating}"
 
 
-def build_nodes(table: ReviewTable) -> list[PRNode]:
-    """One node per (product, rating) pair that has at least one review.
+def review_cells(
+    table: ReviewTable, row: Mapping[str, int]
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted product ids, then each review's reviewer row, product column and rating.
 
-    Nodes come out sorted by (product, rating) so graph construction does
-    not depend on input review order.
+    ``row`` maps each reviewer id to its row, the position in
+    ``ReviewTable.reviewer_ids``; column j is the j-th product id. The
+    arrays follow review order. Graph construction and the scoring index
+    both read their reviewer and product matrices from them.
     """
-    reviewers: dict[tuple[str, int], set[str]] = defaultdict(set)
-    for r in table.reviews:
-        reviewers[(r.product_id, r.rating)].add(r.reviewer_id)
-    return [
-        PRNode(product, rating, frozenset(members))
-        for (product, rating), members in sorted(reviewers.items())
-    ]
-
-
-def reviewer_incidence(nodes: list[PRNode], reviewers: list[str]) -> sp.csc_array:
-    """The reviewer × node 0/1 matrix B, CSC, whose row i is ``reviewers[i]``.
-
-    ``reviewers`` lists every reviewer of the nodes once, in the row order
-    the caller's other reviewer matrices use (``ReviewTable.reviewer_ids``).
-    int32 entries: ``BᵀB`` and its masks are the graph's memory peak, and
-    a count is at most the number of reviewers. The row indices and, when
-    they fit, the column offsets are int32 too; scipy keeps int32 index
-    arrays through ``BᵀB``, so the co-reviewer counts, the adjacency and
-    the matrices training holds carry them.
-    """
-    import scipy.sparse as sp
-
-    row = {r: i for i, r in enumerate(reviewers)}
-    starts = np.cumsum([0] + [len(node.reviewers) for node in nodes])
-    if starts[-1] <= np.iinfo(np.int32).max:
-        starts = starts.astype(np.int32)
-    rows = np.fromiter(
-        map(row.__getitem__, chain.from_iterable(node.reviewers for node in nodes)),
-        dtype=np.int32,
-        count=starts[-1],
-    )
-    return sp.csc_array(
-        (np.ones(len(rows), dtype=np.int32), rows, starts), shape=(len(row), len(nodes))
+    reviews = table.reviews
+    n = len(reviews)
+    product_ids = sorted(set(map(itemgetter(1), reviews)))
+    column = {p: j for j, p in enumerate(product_ids)}
+    return (
+        product_ids,
+        np.fromiter(map(row.__getitem__, map(itemgetter(0), reviews)), np.intp, n),
+        np.fromiter(map(column.__getitem__, map(itemgetter(1), reviews)), np.intp, n),
+        np.fromiter(map(itemgetter(2), reviews), np.int8, n),
     )
 
 
 def co_review_matrix(
-    nodes: list[PRNode], incidence: sp.csc_array, min_co_review: int = 2
+    node_keys: np.ndarray, incidence: sp.csc_array, min_co_review: int = 2
 ) -> sp.csr_array:
     """Co-reviewer counts of node pairs (distinct products) sharing >= min_co_review reviewers.
 
-    The counts are ``BᵀB`` of the nodes' :func:`reviewer_incidence` ``B``,
-    with the diagonal, pairs of one product (a table that is not deduped
-    can put a reviewer in two ratings of a product) and counts below the
-    threshold dropped. The result is symmetric canonical CSR: sorted
-    indices, no duplicates and no explicit zeros.
+    The counts are ``BᵀB`` of the nodes' incidence ``B``, with the
+    diagonal, pairs of one product (a table that is not deduped can put a
+    reviewer in two ratings of a product) and counts below the threshold
+    dropped; a node's product is its key // NUM_RATING_LEVELS. The result
+    is symmetric canonical CSR: sorted indices, no duplicates and no
+    explicit zeros.
     """
     if min_co_review < 1:
         raise ValueError("min_co_review must be >= 1")
     counts = incidence.T @ incidence
-    product = np.unique([n.product_id for n in nodes], return_inverse=True)[1].astype(np.int32)
+    product = (np.asarray(node_keys) // NUM_RATING_LEVELS).astype(np.int32)  # halves the masks
     same_product = product[counts.indices] == np.repeat(product, np.diff(counts.indptr))
     counts.data[same_product | (counts.data < min_co_review)] = 0
     counts.eliminate_zeros()
@@ -151,10 +169,38 @@ def build_graph(
     min_co_review: int = 2,
     weighting: str = DEFAULT_WEIGHTING,
 ) -> PRGraph:
-    nodes = build_nodes(table)
-    incidence = reviewer_incidence(nodes, table.reviewer_ids)
-    counts = co_review_matrix(nodes, incidence, min_co_review)
-    return PRGraph(nodes, table.reviewer_ids, incidence, counts, weighting)
+    """The graph of a table: one node per (product, rating) pair that has a review.
+
+    Nodes come out sorted by (product, rating), so the graph does not
+    depend on input review order. The incidence B lists each node's
+    reviewer rows in ascending order, each once, even when a table that
+    was not deduped repeats a (reviewer, product, rating) triple. Its
+    entries are int32 ones: ``BᵀB`` and its masks are the graph's memory
+    peak, and a count is at most the number of reviewers. The row indices
+    and, when they fit, the column offsets are int32 too; scipy keeps
+    int32 index arrays through ``BᵀB``, so the co-reviewer counts, the
+    adjacency and the matrices training holds carry them.
+    """
+    import scipy.sparse as sp
+
+    reviewers = table.reviewer_ids
+    n_rows = len(reviewers)
+    product_ids, rows, columns, ratings = review_cells(
+        table, {r: i for i, r in enumerate(reviewers)}
+    )
+    node_keys, node = np.unique(columns * NUM_RATING_LEVELS + ratings - 1, return_inverse=True)
+    members = np.unique(node * n_rows + rows)  # sorted by node, then by row
+    del rows, columns, ratings, node  # the per-review arrays go before BᵀB
+    starts = np.cumsum(np.bincount(members // n_rows + 1, minlength=len(node_keys) + 1))
+    if starts[-1] <= np.iinfo(np.int32).max:
+        starts = starts.astype(np.int32)
+    incidence = sp.csc_array(
+        (np.ones(len(members), dtype=np.int32), (members % n_rows).astype(np.int32), starts),
+        shape=(n_rows, len(node_keys)),
+    )
+    del members
+    counts = co_review_matrix(node_keys, incidence, min_co_review)
+    return PRGraph(product_ids, node_keys, reviewers, incidence, counts, weighting)
 
 
 def adjacency_sparse(graph: PRGraph) -> sp.csr_array:
@@ -179,25 +225,28 @@ def node_features(graph: PRGraph, adj: sp.csr_array) -> np.ndarray:
     is log(1 + weighted degree) under the graph's weighting mode. float32
     is the precision training runs in (see ``clustering``).
     """
-    feats = np.zeros((len(graph.nodes), FEATURE_DIM), dtype=np.float32)
+    n = len(graph.node_keys)
+    feats = np.zeros((n, FEATURE_DIM), dtype=np.float32)
+    feats[np.arange(n), graph.node_keys % NUM_RATING_LEVELS] = 1.0
     degree = adj.sum(axis=1)
-    for i, node in enumerate(graph.nodes):
-        feats[i, node.rating - 1] = 1.0
-        feats[i, NUM_RATING_LEVELS] = math.log1p(len(node.reviewers))
-        feats[i, NUM_RATING_LEVELS + 1] = math.log1p(degree[i])
+    for i, (size, deg) in enumerate(zip(graph.sizes.tolist(), degree.tolist())):
+        feats[i, NUM_RATING_LEVELS] = math.log1p(size)
+        feats[i, NUM_RATING_LEVELS + 1] = math.log1p(deg)
     return feats
 
 
 def write_graph(graph: PRGraph, edges_path, nodes_path) -> None:
     """Dump the edge list (ordered by node pair) and node attributes as tab-separated text."""
+    keys = graph.keys
+    ids = list(map(node_id_str, keys))
     with open(edges_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(
-            (node_id_str(graph.nodes[u]), node_id_str(graph.nodes[v]), f"{weight:g}")
+            (ids[u], ids[v], f"{weight:g}")
             for u, v, weight in zip(*_upper_triangle(adjacency_sparse(graph)))
         )
     with open(nodes_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(
-            (node.product_id, node.rating, len(node.reviewers)) for node in graph.nodes
+            (*key, size) for key, size in zip(keys, graph.sizes.tolist())
         )
 
 

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from ._lazy import lazy_import
-from .graph import PRGraph
+from .graph import PRGraph, review_cells
 from .reviews import LABEL_FAKE, LABEL_UNKNOWN, ReviewTable
 
 if TYPE_CHECKING:
@@ -103,12 +103,8 @@ class ScoringIndex(ReviewerIndex):
         super().__init__(table)
         reviews = table.reviews
         n, n_rows = len(reviews), len(self.reviewers)
-        self.product_ids: list[str] = sorted(set(map(itemgetter(1), reviews)))
-        column = {p: j for j, p in enumerate(self.product_ids)}
+        self.product_ids, rows, cols, ratings = review_cells(table, self.row)
         days = {d: d.toordinal() for d in set(map(itemgetter(3), reviews))}
-        rows = np.fromiter(map(self.row.__getitem__, map(itemgetter(0), reviews)), np.intp, n)
-        cols = np.fromiter(map(column.__getitem__, map(itemgetter(1), reviews)), np.intp, n)
-        ratings = np.fromiter(map(itemgetter(2), reviews), np.float64, n)
         day = np.fromiter(map(days.__getitem__, map(itemgetter(3), reviews)), np.int64, n)
 
         mean = np.bincount(cols, weights=ratings) / np.bincount(cols)  # exact sums: ratings are whole
@@ -121,7 +117,7 @@ class ScoringIndex(ReviewerIndex):
         np.maximum.at(last, rows, day)
         self.span_days = last - first
         self.products = sp.csr_array(
-            (np.ones(n, dtype=np.int8), (rows, cols)), shape=(n_rows, len(column))
+            (np.ones(n, dtype=np.int8), (rows, cols)), shape=(n_rows, len(self.product_ids))
         )
         self.products.sum_duplicates()
         self.products.data[:] = 1
@@ -202,7 +198,8 @@ def extract_groups(
     indptr = np.cumsum([0] + [len(p) for p in pieces])
     nodes = np.fromiter(chain.from_iterable(pieces), np.int32, indptr[-1])
     in_piece = sp.csr_array(
-        (np.ones(len(nodes), dtype=np.int32), nodes, indptr), shape=(len(pieces), len(graph.nodes))
+        (np.ones(len(nodes), dtype=np.int32), nodes, indptr),
+        shape=(len(pieces), len(graph.node_keys)),
     )
     support = in_piece @ graph.incidence.T
     support.data[support.data < min_support] = 0

@@ -152,9 +152,12 @@ class PipelineConfig:
         """Build and validate a config; any bad key or value is a "config" StageError."""
         data = dict(data)
         data.pop("synth", None)  # synth section belongs to the generator command
-        if isinstance(data.get("train"), dict):  # training seed is derived from the top seed
-            data["train"] = {k: v for k, v in data["train"].items() if k != "seed"}
         try:
+            train = data.get("train")
+            if isinstance(train, dict) and "seed" in train:
+                # the training seed is derived from the top seed: an int is checked, then dropped
+                build_config(TrainConfig, {"seed": train["seed"]}, "train.")
+                data["train"] = {k: v for k, v in train.items() if k != "seed"}
             return build_config(cls, data)
         except (TypeError, ValueError) as err:  # TypeError: a value of the wrong type
             raise StageError("config", err) from err
@@ -392,10 +395,10 @@ def write_manifest(path, result: DetectResult, ingest: dict[str, int]) -> None:
         "config_hash": result.config.config_hash(),
         "seed": result.config.seed,
         "derived_train_seed": result.train_result.config.seed,
-        "n_nodes": len(result.graph.nodes),
+        "n_nodes": len(result.graph.node_keys),
         "n_edges": result.graph.co_review.nnz // 2,
         "n_train_nodes": result.train_result.n_train_nodes,
-        "n_isolated_nodes": len(result.graph.nodes) - result.train_result.n_train_nodes,
+        "n_isolated_nodes": len(result.graph.node_keys) - result.train_result.n_train_nodes,
         "n_groups": len(result.scored),
         "modularity_q": result.modularity_q,
         "initial_loss": result.train_result.initial_loss,
@@ -519,7 +522,7 @@ def write_detect_report(result: DetectResult, out_dir, ingest: dict[str, int]) -
     write_indicators(
         paths["indicators"], [(sg.group, sg.indicators) for sg in result.ranking.full]
     )
-    node_ids = [node_id_str(n) for n in result.graph.nodes]
+    node_ids = list(map(node_id_str, result.graph.keys))
     write_assignment(
         paths["assignment"],
         node_ids,

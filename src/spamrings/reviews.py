@@ -129,13 +129,16 @@ def parse_reviews(
 
     Malformed rows are collected as :class:`RowError` with their 1-based
     line number; they never silently disappear. Blank rows are skipped and
-    a leading UTF-8 byte-order mark is ignored. Each distinct rating,
-    date and label token is converted once per call; only tokens that
-    convert are remembered, so every bad row is still reported.
+    a leading UTF-8 byte-order mark is ignored. Each distinct product,
+    rating, date and label token is converted once per call, so every row
+    of a product shares one id string; only tokens that convert are
+    remembered, so every bad row is still reported. Reviewer ids repeat
+    too rarely for a cache to pay.
 
     Returns:
         (table of valid reviews, list of row errors)
     """
+    products: dict[str, str] = {}
     ratings: dict[str, int] = {}
     days: dict[str, _date] = {}
     labels: dict[str, str] = {}
@@ -159,7 +162,10 @@ def parse_reviews(
                 else:
                     raise ValueError(f"expected 4 or 5 columns, got {len(fields)}")
                 reviewer = reviewer.strip()
-                product = product.strip()
+                try:
+                    product = products[product]
+                except KeyError:
+                    product = products[product] = product.strip()
                 if not reviewer or not product:
                     if _is_blank(fields):
                         continue

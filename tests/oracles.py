@@ -16,6 +16,11 @@ the graph that ``graph.connected_components`` replaced.
 ``build_edges_pair_count`` is the reviewer-by-reviewer pair count that
 ``graph.co_review_matrix`` replaced.
 
+``build_nodes`` and ``reviewer_incidence`` are the per-node reviewer
+frozensets, and the incidence B built from them, that ``graph.build_graph``
+replaced with numpy passes over the review columns. ``graph_from_nodes``
+builds a graph straight from such nodes.
+
 ``train_reference`` is the training epoch that ``clustering.train``
 replaced: SeLU and its derivative by ``np.where``, one Adam update per
 weight block, Â X recomputed every epoch, and a final forward pass over
@@ -66,7 +71,13 @@ from spamrings.clustering import (
     _softmax_backward,
     normalized_adjacency,
 )
-from spamrings.graph import connected_components
+from spamrings.graph import (
+    NUM_RATING_LEVELS,
+    PRGraph,
+    PRNode,
+    co_review_matrix,
+    connected_components,
+)
 from spamrings.indicators import (
     DEFAULT_BURST_THRESHOLD_DAYS,
     MAX_RATING_SPAN,
@@ -231,6 +242,48 @@ def connected_components_edge_scan(graph, node_subset) -> list[set[int]]:
     for i in subset:
         comps.setdefault(find(i), set()).add(i)
     return [comps[root] for root in sorted(comps)]
+
+
+def build_nodes(table: ReviewTable) -> list[PRNode]:
+    """One node per (product, rating) pair that has at least one review,
+    sorted by (product, rating), with the set of its reviewers."""
+    reviewers: dict[tuple[str, int], set[str]] = defaultdict(set)
+    for r in table.reviews:
+        reviewers[(r.product_id, r.rating)].add(r.reviewer_id)
+    return [
+        PRNode(product, rating, frozenset(members))
+        for (product, rating), members in sorted(reviewers.items())
+    ]
+
+
+def reviewer_incidence(nodes: list[PRNode], reviewers: list[str]) -> sp.csc_array:
+    """The reviewer × node 0/1 matrix B, int32 CSC, whose row i is ``reviewers[i]``."""
+    row = {r: i for i, r in enumerate(reviewers)}
+    starts = np.cumsum([0] + [len(node.reviewers) for node in nodes]).astype(np.int32)
+    rows = np.fromiter(
+        (row[r] for node in nodes for r in node.reviewers), dtype=np.int32, count=starts[-1]
+    )
+    return sp.csc_array(
+        (np.ones(len(rows), dtype=np.int32), rows, starts), shape=(len(row), len(nodes))
+    )
+
+
+def node_keys(nodes: list[PRNode], product_ids: list[str]) -> np.ndarray:
+    """Each node's ``PRGraph.node_keys`` entry, its product's position in product_ids."""
+    column = {p: j for j, p in enumerate(product_ids)}
+    return np.array(
+        [column[n.product_id] * NUM_RATING_LEVELS + n.rating - 1 for n in nodes], dtype=np.intp
+    )
+
+
+def graph_from_nodes(nodes: list[PRNode], min_co_review: int = 2) -> PRGraph:
+    """A graph straight from nodes, in their order, its reviewer rows sorted as in build_graph."""
+    reviewers = sorted({r for node in nodes for r in node.reviewers})
+    product_ids = sorted({node.product_id for node in nodes})
+    keys = node_keys(nodes, product_ids)
+    incidence = reviewer_incidence(nodes, reviewers)
+    counts = co_review_matrix(keys, incidence, min_co_review)
+    return PRGraph(product_ids, keys, reviewers, incidence, counts)
 
 
 def build_edges_pair_count(nodes, min_co_review: int = 2) -> list[tuple[int, int, int]]:

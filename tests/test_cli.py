@@ -164,6 +164,7 @@ def test_detect_never_builds_the_edge_list(dataset, tmp_path):
     result = detect(table, config)
     paths = write_detect_report(result, config.out, ingest_counts(raw, errors, table))
     assert "edges" not in vars(result.graph)  # the lazy upper-triangle view
+    assert "nodes" not in vars(result.graph)  # the lazy per-node reviewer sets
     manifest = json.loads(paths["manifest"].read_text())
     assert manifest["n_edges"] == len(result.graph.edges) > 0
     dumped = paths["graph_edges"].read_text().splitlines()
@@ -909,6 +910,19 @@ def test_unknown_config_key_is_config_stage_error():
         PipelineConfig.from_dict({"input": "x.csv", "group": {"min_suport": 2}})
     assert exc.value.stage == "config"
     assert "group.min_suport" in str(exc.value)
+
+
+@pytest.mark.parametrize("seed", ["not a seed", [1, 2], 1.5, True, None])
+def test_train_seed_of_wrong_type_is_config_stage_error(seed):
+    with pytest.raises(StageError) as exc:
+        PipelineConfig.from_dict({"input": "x.csv", "train": {"seed": seed}})
+    assert exc.value.stage == "config"
+    assert "train.seed" in str(exc.value)
+
+
+def test_train_seed_int_is_accepted_and_ignored():
+    config = PipelineConfig.from_dict({"input": "x.csv", "seed": 3, "train": {"seed": 99}})
+    assert (config.seed, config.train.seed) == (3, 0)
 
 
 def test_derive_train_seed_deterministic():

@@ -480,6 +480,9 @@ def test_graph_and_training_matrices_carry_int32_indices():
     }
     dtypes = {name: (m.indices.dtype, m.indptr.dtype) for name, m in matrices.items()}
     assert dtypes == dict.fromkeys(matrices, (np.dtype(np.int32), np.dtype(np.int32)))
+    # adj and adj_norm have one sparsity pattern, held once
+    assert np.shares_memory(prob.adj.indices, prob.adj_norm.indices)
+    assert np.shares_memory(prob.adj.indptr, prob.adj_norm.indptr)
 
 
 def test_float32_training_arrays_stay_float32():

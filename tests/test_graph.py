@@ -7,34 +7,32 @@ import random
 import numpy as np
 import pytest
 
-from oracles import build_edges_pair_count, connected_components_edge_scan
+from oracles import (
+    build_edges_pair_count,
+    build_nodes,
+    connected_components_edge_scan,
+    graph_from_nodes,
+    node_keys,
+    reviewer_incidence,
+)
 from spamrings.graph import (
-    PRGraph,
     PRNode,
     adjacency_sparse,
     build_graph,
-    build_nodes,
     co_review_matrix,
     connected_components,
-    reviewer_incidence,
     node_features,
     node_id_str,
     write_graph,
 )
 from spamrings.reviews import Review, ReviewTable
+from spamrings.synth import SynthConfig, generate
 
 D = datetime.date(2014, 1, 1)
 
 
 def table_from(rows):
     return ReviewTable([Review(u, p, r, D) for (u, p, r) in rows])
-
-
-def graph_of(nodes, min_co_review=2):
-    """A graph straight from nodes, its reviewer rows in sorted order as build_graph puts them."""
-    reviewers = sorted({r for node in nodes for r in node.reviewers})
-    incidence = reviewer_incidence(nodes, reviewers)
-    return PRGraph(nodes, reviewers, incidence, co_review_matrix(nodes, incidence, min_co_review))
 
 
 def co_reviewers(graph, edge):
@@ -90,11 +88,11 @@ def test_build_edges_threshold_and_attribute():
         [("u1", "p1", 5), ("u2", "p1", 5), ("u1", "p2", 5), ("u2", "p2", 5), ("u3", "p2", 5)]
     )
     nodes = build_nodes(table)
-    edges = graph_of(nodes, min_co_review=1).edges
+    edges = graph_from_nodes(nodes, min_co_review=1).edges
     assert len(edges) == 1
     assert edges[0].n_co_reviewers == 2
     assert nodes[edges[0].u].reviewers & nodes[edges[0].v].reviewers == {"u1", "u2"}
-    assert graph_of(nodes, min_co_review=3).co_review.nnz == 0
+    assert graph_from_nodes(nodes, min_co_review=3).co_review.nnz == 0
 
 
 def test_co_rating_pair_lands_on_edge():
@@ -121,7 +119,7 @@ def test_no_edge_within_same_product():
     # u1 rated p1 twice at different levels; dedupe normally forbids this,
     # but edges must never join two ratings of the same product anyway.
     nodes = build_nodes(table)
-    assert graph_of(nodes, min_co_review=1).co_review.nnz == 0
+    assert graph_from_nodes(nodes, min_co_review=1).co_review.nnz == 0
 
 
 def test_co_review_matrix_matches_pair_count_oracle():
@@ -138,7 +136,7 @@ def test_co_review_matrix_matches_pair_count_oracle():
         reviews += [Review(u, p, rng.randrange(1, 6), D) for u, p in rerated]
         nodes = build_nodes(ReviewTable(reviews))
         for min_co_review in (1, 2, 3):
-            graph = graph_of(nodes, min_co_review)
+            graph = graph_from_nodes(nodes, min_co_review)
             matrix = graph.co_review
             assert matrix.has_canonical_format
             assert (matrix != matrix.T).nnz == 0
@@ -164,9 +162,41 @@ def test_graph_keeps_the_incidence_its_counts_come_from():
             column = incidence[:, [i]].tocoo()
             assert set(column.data.tolist()) <= {1}
             assert {reviewers[r] for r in column.coords[0].tolist()} == node.reviewers
-        expected = co_review_matrix(graph.nodes, incidence, min_co_review=1)
+        keys = node_keys(graph.nodes, graph.product_ids)
+        assert np.array_equal(keys, graph.node_keys)
+        expected = co_review_matrix(keys, incidence, min_co_review=1)
         assert (graph.co_review != expected).nnz == 0
         assert (reviewer_incidence(graph.nodes, reviewers) != incidence).nnz == 0
+
+
+def incidence_columns(graph):
+    """Each node's (product, rating) and the set of reviewer ids in its column of B."""
+    bounds, rows = graph.incidence.indptr.tolist(), graph.incidence.indices.tolist()
+    return [
+        (key, {graph.reviewers[r] for r in rows[a:b]})
+        for key, a, b in zip(graph.keys, bounds, bounds[1:])
+    ]
+
+
+def test_incidence_columns_equal_oracle_node_sets():
+    for seed in range(3):
+        table, _ = generate(SynthConfig(seed=seed))
+        graph = build_graph(table)
+        nodes = build_nodes(table)
+        assert incidence_columns(graph) == [(key(n), n.reviewers) for n in nodes]
+        assert graph.incidence.has_canonical_format
+        assert graph.nodes == nodes  # the lazy view rebuilds the same sets
+    # not deduped: u1 rates p1 5 twice, and p2 both 4 and 2
+    table = table_from(
+        [("u1", "p1", 5), ("u2", "p1", 5), ("u1", "p1", 5), ("u1", "p2", 4), ("u2", "p2", 4),
+         ("u1", "p2", 2), ("u2", "p1", 3)]
+    )
+    graph = build_graph(table, min_co_review=1)
+    assert incidence_columns(graph) == [
+        (("p1", 3), {"u2"}), (("p1", 5), {"u1", "u2"}), (("p2", 2), {"u1"}), (("p2", 4), {"u1", "u2"}),
+    ]
+    assert graph.incidence.has_canonical_format and set(graph.incidence.data.tolist()) == {1}
+    assert [(e.u, e.v, e.n_co_reviewers) for e in graph.edges] == [(0, 3, 1), (1, 2, 1), (1, 3, 2)]
 
 
 def test_adjacency_weighted_and_binary():
@@ -291,7 +321,7 @@ def test_connected_components_match_edge_scan_oracle():
                 reviewers[u].add(r)
                 reviewers[v].add(r)
         nodes = [PRNode(f"p{i}", 5, frozenset(reviewers[i])) for i in range(n)]
-        graph = graph_of(nodes)
+        graph = graph_from_nodes(nodes)
         assert [(e.u, e.v) for e in graph.edges] == sorted(pairs)
         for subset in (range(n), rng.sample(range(n), rng.randint(0, n))):
             got = connected_components(graph, subset)
@@ -301,7 +331,7 @@ def test_connected_components_match_edge_scan_oracle():
 
 def test_bad_weighting_mode_rejected():
     with pytest.raises(ValueError):
-        dataclasses.replace(graph_of([]), weighting="huh")
+        dataclasses.replace(graph_from_nodes([]), weighting="huh")
     table = table_from([("u1", "p1", 5)])
     with pytest.raises(ValueError):
         build_graph(table, weighting="huh")
@@ -309,7 +339,7 @@ def test_bad_weighting_mode_rejected():
 
 def test_min_co_review_must_be_positive():
     with pytest.raises(ValueError):
-        co_review_matrix([], reviewer_incidence([], []), min_co_review=0)
+        co_review_matrix(np.zeros(0, dtype=np.intp), reviewer_incidence([], []), min_co_review=0)
 
 
 def test_graph_dump_format(tmp_path):

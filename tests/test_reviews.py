@@ -127,6 +127,15 @@ def test_parse_four_column_row(tmp_path):
     assert table.reviews == [Review("u1", "p1", 5, d("2014-12-08"), LABEL_UNKNOWN)]
 
 
+def test_rows_of_one_product_token_share_one_id_string(tmp_path):
+    p = tmp_path / "r.csv"
+    p.write_text("u1,p1,5,2014-12-08\nu2,p1,4,2014-12-09\nu3, p1 ,3,2014-12-10\nu4,p2,3,2014-12-10\n")
+    table, errors = parse_reviews(p)
+    assert errors == []
+    a, b, c, other = (r.product_id for r in table.reviews)
+    assert a == c == "p1" and a is b and other == "p2"
+
+
 def test_parse_five_column_row_with_label_map(tmp_path):
     p = tmp_path / "r.csv"
     p.write_text("u1,p1,4,-1,2014-12-08\nu2,p1,3,1,2014-12-09\nu3,p2,2,,2014-12-10\n")
