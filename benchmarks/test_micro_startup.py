@@ -4,15 +4,21 @@ Outside ``testpaths``, so the default test run skips it. Run with
 
     PYTHONPATH=src python -m pytest benchmarks/test_micro_startup.py
 
-The first benchmark times ``import spamrings.cli`` and the second a whole
-``ingest`` of a small ``synth`` file (400 reviewers, 5 reviews each), so
-most of its time is interpreter and module start-up. Neither loads numpy
-or scipy (``tests/test_cli.py::test_imports_load_no_unneeded_modules``
-checks that). The third times a ``detect --epochs 5`` of the same file,
-which loads both: most of its time is their import and the interpreter's
-exit, since the graph is small and training short.
+The first benchmark times ``import spamrings.cli`` as the environment
+runs it (with ``PYTHONDONTWRITEBYTECODE`` set, every round compiles the
+package from source), and the second the same import with the bytecode
+cached: ``PYTHONDONTWRITEBYTECODE`` removed, ``PYTHONPYCACHEPREFIX`` set to
+a temporary directory, and one warm-up run that writes the cache. The
+third times a whole ``ingest`` of a small ``synth`` file (400 reviewers,
+5 reviews each), so most of its time is interpreter and module start-up.
+None of these loads numpy or scipy
+(``tests/test_cli.py::test_imports_load_no_unneeded_modules`` checks
+that). The fourth times a ``detect --epochs 5`` of the same file, which
+loads both: most of its time is their import and the interpreter's exit,
+since the graph is small and training short.
 """
 
+import os
 import subprocess
 import sys
 
@@ -24,12 +30,21 @@ from spamrings.reviews import write_reviews
 from spamrings.synth import SynthConfig, generate
 
 
-def _run(argv):
-    subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)
+def _run(argv, env=None):
+    subprocess.run(argv, check=True, stdout=subprocess.DEVNULL, env=env)
 
 
 def test_import_cli_fresh_process(benchmark):
     benchmark(_run, [sys.executable, "-c", "import spamrings.cli"])
+
+
+def test_import_cli_fresh_process_cached_bytecode(benchmark, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(tmp_path / "pycache")
+    argv = [sys.executable, "-c", "import spamrings.cli"]
+    _run(argv, env)  # warm-up: compiles the package once and writes the cache
+    assert list((tmp_path / "pycache").rglob("cli.*.pyc"))
+    benchmark(_run, argv, env)
 
 
 @pytest.fixture

@@ -1,23 +1,27 @@
-"""Deferred module loading, so commands that never compute with numpy never load it."""
+"""Deferred module loading, so commands that never compute with numpy or scipy never load them."""
 
 from __future__ import annotations
 
-import importlib.util
+import importlib
 import sys
+import types
 
 
-def lazy_import(name: str):
-    """The module ``name``; if it is not loaded yet, its code runs on first attribute access.
+class _Deferred(types.ModuleType):
+    def __getattr__(self, attr):
+        vars(self).update(vars(importlib.import_module(self.__name__)))
+        self.__class__ = types.ModuleType
+        return getattr(self, attr)
 
-    Only for top-level modules: finding a submodule's spec imports its parent.
+
+def lazy_import(name: str) -> types.ModuleType:
+    """The module ``name``, dotted or not, or a stand-in if it is not loaded yet.
+
+    The stand-in loads the module on its first attribute read, copies its
+    namespace and becomes a plain module: later reads cost a module
+    attribute read, and a module ``__getattr__`` that came with the copy
+    (numpy's lazy submodules) keeps working. It never enters sys.modules,
+    so an ``import`` elsewhere is a plain import; a module that is not
+    installed fails at first use.
     """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+    return sys.modules.get(name) or _Deferred(name)

@@ -24,13 +24,12 @@ from .pipeline import (
     INPUT_DELIMITERS,
     PipelineConfig,
     StageError,
-    build_config,
     detect,
     format_precision,
-    ingest_counts,
     load_config_file,
     load_table,
     sweep,
+    synth_config,
     write_detect_report,
     write_eval_summary,
     write_lines,
@@ -150,15 +149,15 @@ def _out_dir(config: PipelineConfig) -> Path:
 
 def cmd_ingest(args) -> int:
     config = _pipeline_config(args)
-    raw, errors, table = load_table(config)
+    table, errors, ingest = load_table(config)
     out = _out_dir(config)
     write_reviews(table, out / "reviews_clean.csv")
     counts = table.label_counts()
     lines = [
-        f"rows_parsed: {len(raw)}",
-        f"row_errors: {len(errors)}",
+        f"rows_parsed: {ingest['n_rows_parsed']}",
+        f"row_errors: {ingest['n_row_errors']}",
         f"reviews_after_dedupe: {len(table)}",
-        f"duplicates_removed: {len(raw) - len(table)}",
+        f"duplicates_removed: {ingest['n_duplicates_removed']}",
         f"reviewers: {len(set(map(itemgetter(0), table.reviews)))}",
         f"products: {len(set(map(itemgetter(1), table.reviews)))}",
     ]
@@ -176,9 +175,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_detect(args) -> int:
     config = _pipeline_config(args)
-    raw, errors, table = load_table(config)
-    ingest = ingest_counts(raw, errors, table)
-    del raw, errors  # frees the rows dedupe replaced before the graph is built
+    table, _, ingest = load_table(config)
     result = detect(table, config)
     paths = write_detect_report(result, config.out, ingest)
     top = result.ranking.headline[0] if result.ranking.headline else None
@@ -210,7 +207,7 @@ def _k_list(config: PipelineConfig, text: str) -> list[int]:
 def cmd_sweep(args) -> int:
     config = _pipeline_config(args)
     k_list = _k_list(config, args.k_list)
-    _, _, table = load_table(config)
+    table, _, _ = load_table(config)
     points = sweep(table, config, k_list)
     lines = ["k\tmean_top10_precision\tn_groups\tpartial"]
     for p in points:
@@ -223,20 +220,15 @@ def cmd_sweep(args) -> int:
 def _synth_config(args) -> tuple[SynthConfig, PipelineConfig]:
     """The generator's config, and the top level checked as every command checks it.
 
-    The top-level seed, from ``--seed`` or the file, is the generator's
-    seed: it overrides ``synth.seed`` and is checked with the section, as a
-    "synth" StageError. Any other bad top-level key or value is a "config"
-    StageError; no input file is needed.
+    A bad ``synth`` section, the top-level seed that overrides ``synth.seed``
+    included, is a "synth" StageError; any other bad top-level key or value
+    is a "config" StageError. No input file is needed.
     """
     data = _merged_config(args)
-    section = data.pop("synth", {})
-    if "seed" in data and isinstance(section, dict):
-        section = {**section, "seed": data.pop("seed")}
     try:
-        synth = build_config(SynthConfig, section, prefix="synth.")
+        synth = synth_config(data)
     except (TypeError, ValueError) as err:
-        cause = err if isinstance(err, ValueError) else ValueError(str(err))
-        raise StageError("synth", cause) from err
+        raise StageError("synth", err) from err
     return synth, PipelineConfig.from_dict(data)
 
 
@@ -293,7 +285,7 @@ def _ranked_rows(path, table: ReviewTable) -> list[tuple[int, int, int, float | 
 
 def cmd_eval(args) -> int:
     config = _pipeline_config(args)
-    _, _, table = load_table(config)
+    table, _, _ = load_table(config)
     if not table.has_labels():
         raise StageError("eval", ValueError("dataset has no labels; evaluation needs them"))
     rows = _ranked_rows(args.ranked, table)

@@ -35,14 +35,12 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from ._lazy import lazy_import
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 np = lazy_import("numpy")
+sp = lazy_import("scipy.sparse")
 
 # Self-normalizing activation constants (Klambauer et al.).
 SELU_SCALE = 1.0507009873554805
@@ -92,8 +90,6 @@ def normalized_adjacency(adj) -> sp.csr_array:
     No self-loops are added; the skip connection in the network carries
     each node's own signal instead. Zero-degree rows stay zero.
     """
-    import scipy.sparse as sp
-
     a = sp.csr_array(adj, dtype=np.float64)
     deg = np.asarray(a.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
@@ -267,8 +263,6 @@ def _prepare(adj, features) -> _Problem:
     features' dtype (see _float_array). The two matrices share one pair of
     index arrays.
     """
-    import scipy.sparse as sp
-
     adj_sp = sp.csr_array(adj)
     deg = np.asarray(adj_sp.sum(axis=1), dtype=np.float64).ravel()
     two_m = float(deg.sum())

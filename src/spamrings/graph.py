@@ -18,15 +18,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from ._lazy import lazy_import
 from .reviews import ReviewTable
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 np = lazy_import("numpy")
+sp = lazy_import("scipy.sparse")
 
 WEIGHTING_MODES = ("binary", "co_review_count")
 DEFAULT_WEIGHTING = "co_review_count"
@@ -181,8 +179,6 @@ def build_graph(
     int32 index arrays through ``BᵀB``, so the co-reviewer counts, the
     adjacency and the matrices training holds carry them.
     """
-    import scipy.sparse as sp
-
     reviewers = table.reviewer_ids
     n_rows = len(reviewers)
     product_ids, rows, columns, ratings = review_cells(
@@ -209,8 +205,6 @@ def adjacency_sparse(graph: PRGraph) -> sp.csr_array:
     An edge weighs 1 under binary weighting, else its co-reviewer count.
     The adjacency has the sparsity pattern of ``graph.co_review``.
     """
-    import scipy.sparse as sp
-
     counts = graph.co_review
     binary = graph.weighting == "binary"
     weights = np.ones(counts.nnz) if binary else counts.data.astype(np.float64)

@@ -22,16 +22,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Collection, Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from ._lazy import lazy_import
 from .graph import PRGraph, review_cells
 from .reviews import LABEL_FAKE, LABEL_UNKNOWN, ReviewTable
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 np = lazy_import("numpy")
+sp = lazy_import("scipy.sparse")
 
 DEFAULT_BURST_THRESHOLD_DAYS = 30
 
@@ -98,8 +96,6 @@ class ScoringIndex(ReviewerIndex):
     """
 
     def __init__(self, table: ReviewTable):
-        import scipy.sparse as sp
-
         super().__init__(table)
         reviews = table.reviews
         n, n_rows = len(reviews), len(self.reviewers)
@@ -189,8 +185,6 @@ def extract_groups(
     the piece × node 0/1 matrix with the graph's incidence Bᵀ counts every
     piece's support at once. A piece where nobody qualifies gives None.
     """
-    import scipy.sparse as sp
-
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
     if graph.reviewers != index.reviewers:
@@ -257,8 +251,6 @@ def neighbor_tightness(group: CandidateGroup) -> float:
     rounds like Python's int / int, and the own terms are 0. Repeated sets
     change only the summation order.
     """
-    import scipy.sparse as sp
-
     n = group.size
     if n < 2:
         return 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 from ._lazy import lazy_import
 
 np = lazy_import("numpy")
+sp = lazy_import("scipy.sparse")
 
 
 def modularity(adj, labels) -> float:
@@ -20,8 +21,6 @@ def modularity(adj, labels) -> float:
     nonnegative cluster id per node. Raises ValueError on an edgeless
     graph, where Q is undefined.
     """
-    import scipy.sparse as sp
-
     coo = sp.coo_array(adj)
     labels = np.asarray(labels)
     if coo.shape[0] != coo.shape[1] or labels.shape != (coo.shape[0],):

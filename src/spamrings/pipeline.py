@@ -60,6 +60,7 @@ from .scoring import (
     score_groups,
     size_distribution,
 )
+from .synth import SynthConfig
 
 np = lazy_import("numpy")
 
@@ -150,15 +151,17 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         """Build and validate a config; any bad key or value is a "config" StageError."""
-        data = dict(data)
-        data.pop("synth", None)  # synth section belongs to the generator command
+        top = {k: v for k, v in data.items() if k != "synth"}
         try:
-            train = data.get("train")
+            train = top.get("train")
             if isinstance(train, dict) and "seed" in train:
                 # the training seed is derived from the top seed: an int is checked, then dropped
                 build_config(TrainConfig, {"seed": train["seed"]}, "train.")
-                data["train"] = {k: v for k, v in train.items() if k != "seed"}
-            return build_config(cls, data)
+                top["train"] = {k: v for k, v in train.items() if k != "seed"}
+            config = build_config(cls, top)
+            if "synth" in data:  # the generator's section, checked after the top level
+                synth_config(data)
+            return config
         except (TypeError, ValueError) as err:  # TypeError: a value of the wrong type
             raise StageError("config", err) from err
 
@@ -219,16 +222,27 @@ def build_config(cls, data, prefix: str = ""):
     return cls(**kwargs)
 
 
+def synth_config(data: dict) -> SynthConfig:
+    """The generator's config from the ``synth`` section; a top-level seed stands in for its seed.
+
+    A bad key or value raises as in :func:`build_config`.
+    """
+    section = data.get("synth", {})
+    if "seed" in data and isinstance(section, dict):
+        section = {**section, "seed": data["seed"]}
+    return build_config(SynthConfig, section, prefix="synth.")
+
+
 def derive_train_seed(seed: int) -> int:
     """Stage seeds descend from the one top-level seed."""
     return int(np.random.SeedSequence(seed).generate_state(1)[0])
 
 
-def load_table(config: PipelineConfig) -> tuple[ReviewTable, list, ReviewTable]:
+def load_table(config: PipelineConfig) -> tuple[ReviewTable, list, dict[str, int]]:
     """Parse and dedupe the configured input.
 
-    Returns (raw table, row errors, deduped table); raises on an input
-    with no valid reviews at all.
+    Returns (deduped table, row errors, ingest counts), the counts under
+    the manifest's keys; raises on an input with no valid reviews at all.
     """
     try:
         raw, errors = parse_reviews(
@@ -238,7 +252,12 @@ def load_table(config: PipelineConfig) -> tuple[ReviewTable, list, ReviewTable]:
         raise StageError("ingest", err) from err
     if len(raw) == 0:
         raise StageError("ingest", ValueError(f"no valid reviews in {config.input!r}"))
-    return raw, errors, dedupe(raw, config.dedupe_policy)
+    table = dedupe(raw, config.dedupe_policy)
+    return table, errors, {
+        "n_rows_parsed": len(raw),
+        "n_row_errors": len(errors),
+        "n_duplicates_removed": len(raw) - len(table),
+    }
 
 
 @contextmanager
@@ -378,15 +397,6 @@ def sweep(table: ReviewTable, config: PipelineConfig, k_list: Sequence[int]) -> 
     return points
 
 
-def ingest_counts(raw: ReviewTable, errors: list, table: ReviewTable) -> dict[str, int]:
-    """The manifest's ingest counts, from the result of :func:`load_table`."""
-    return {
-        "n_rows_parsed": len(raw),
-        "n_row_errors": len(errors),
-        "n_duplicates_removed": len(raw) - len(table),
-    }
-
-
 def write_manifest(path, result: DetectResult, ingest: dict[str, int]) -> None:
     manifest = {
         **ingest,
@@ -504,7 +514,7 @@ def write_eval_summary(path, rows: Sequence[tuple[int, int, int, float | None]],
 def write_detect_report(result: DetectResult, out_dir, ingest: dict[str, int]) -> dict[str, Path]:
     """All artifacts of a detection run; returns the path of each.
 
-    ``ingest`` holds the :func:`ingest_counts` of the table the run read.
+    ``ingest`` holds the :func:`load_table` counts of the table the run read.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

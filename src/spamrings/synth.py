@@ -59,13 +59,13 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.n_reviewers < 0 or self.n_products < 1:
-            raise ValueError("need a nonnegative reviewer count and >= 1 product")
+            raise ValueError("synth.n_reviewers must be >= 0 and synth.n_products >= 1")
         if self.reviews_per_reviewer < 1 or self.reviews_per_reviewer > self.n_products:
-            raise ValueError("reviews_per_reviewer must be in 1..n_products")
+            raise ValueError("synth.reviews_per_reviewer must be in 1..n_products")
         if self.horizon_days < 1:
-            raise ValueError("horizon must be at least one day")
+            raise ValueError("synth.horizon_days must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ValueError("synth.seed must be >= 0")
         bounds = self.product_mean_range
         if not (
             isinstance(bounds, (list, tuple))
@@ -74,12 +74,12 @@ class SynthConfig:
             and bounds[0] <= bounds[1]
         ):
             raise ValueError(
-                "product_mean_range must be a [low, high] pair of finite numbers with "
+                "synth.product_mean_range must be a [low, high] pair of finite numbers with "
                 f"low <= high, not {bounds!r}"
             )
         self.product_mean_range = tuple(bounds)
         if self.rating_noise_sd < 0:
-            raise ValueError("rating_noise_sd must be >= 0")
+            raise ValueError("synth.rating_noise_sd must be >= 0")
         wanted = sum(g.n_targets for g in self.planted)
         if wanted > self.n_products:
             raise ValueError(

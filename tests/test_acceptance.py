@@ -303,7 +303,7 @@ def test_criterion_8_dataset_reproduction():
         pytest.skip("no YelpNYC-format dataset supplied")
     start = time.time()
     config = PipelineConfig(input=dataset, seed=0)
-    _, _, table = load_table(config)
+    table, _, _ = load_table(config)
     result = detect(table, config)
     elapsed = time.time() - start
     top = result.ranking.headline[0] if result.ranking.headline else None

@@ -18,7 +18,6 @@ from spamrings.pipeline import (
     StageError,
     derive_train_seed,
     detect,
-    ingest_counts,
     load_config_file,
     load_table,
     write_detect_report,
@@ -160,9 +159,9 @@ def test_detect_never_builds_the_edge_list(dataset, tmp_path):
         {"input": str(dataset / "reviews.csv"), "out": str(tmp_path / "o"),
          "graph": {"dump": True}, "train": {"epochs": 20, "n_clusters": 20}}
     )
-    raw, errors, table = load_table(config)
+    table, _, ingest = load_table(config)
     result = detect(table, config)
-    paths = write_detect_report(result, config.out, ingest_counts(raw, errors, table))
+    paths = write_detect_report(result, config.out, ingest)
     assert "edges" not in vars(result.graph)  # the lazy upper-triangle view
     assert "nodes" not in vars(result.graph)  # the lazy per-node reviewer sets
     manifest = json.loads(paths["manifest"].read_text())
@@ -181,7 +180,7 @@ def test_manifest_counts_isolated_and_train_nodes(dataset, tmp_path):
     )
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    _, _, table = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
+    table, _, _ = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
     degree = np.asarray(adjacency_sparse(build_graph(table)).sum(axis=1)).ravel()
     assert manifest["n_nodes"] == len(degree)
     assert manifest["n_isolated_nodes"] + manifest["n_train_nodes"] == manifest["n_nodes"]
@@ -211,7 +210,7 @@ def test_manifest_modularity_q_matches_dense_oracle(dataset, tmp_path):
     )
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    _, _, table = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
+    table, _, _ = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
     adj = adjacency_sparse(build_graph(table)).toarray()
     rows = (out / "assignment.csv").read_text().splitlines()[1:]
     labels = [int(row.split(",")[1]) for row in rows]
@@ -223,8 +222,8 @@ def _loaded_after(commands):
 
     The steps are ``import spamrings.cli`` and then each command through
     ``cli.main``. ``numpy._core`` (``numpy.core`` before numpy 2) marks that
-    numpy's code has run: the lazy placeholder sits in sys.modules under
-    ``numpy`` before that.
+    numpy's code has run; the library's lazy stand-ins never enter
+    sys.modules.
     """
     code = (
         "import sys\n"
@@ -492,7 +491,7 @@ def test_eval_rejects_ranked_fields_of_the_wrong_type(tmp_path, capsys, record, 
 
 
 def test_eval_unknown_member_is_eval_stage_error_naming_the_line(dataset, tmp_path):
-    _, _, table = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
+    table, _, _ = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
     known = table.reviews[0].reviewer_id
     ranked = tmp_path / "ranked.jsonl"
     records = [{"rank": 1, "group_id": 0, "members": [known]},
@@ -717,6 +716,7 @@ def test_bad_config_file_fails_at_config_before_any_report(
         ({"graph": {"min_co_review": 2.5}}, [], "graph.min_co_review must be int"),
         ({"rank": {"compactness_weight": float("nan")}}, [], "compactness_weight must be finite"),
         ({"train": {"collapse_weight": float("inf")}}, [], "train.collapse_weight must be finite"),
+        ({"seed": -1, "synth": {"bogus": 1}}, [], "seed must be >= 0"),  # top level first
     ],
 )
 def test_config_value_of_wrong_type_or_range_fails_at_config(
@@ -799,6 +799,51 @@ def test_synth_checks_the_config_top_level(tmp_path, monkeypatch, capsys, cfg, n
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and named in err, err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+COMMAND_EXTRA_ARGS = {
+    "ingest": [],
+    "detect": FAST_DETECT,
+    "sweep": ["--k-list", "10"],
+    "eval": ["--ranked", "ranked.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_EXTRA_ARGS))
+@pytest.mark.parametrize(
+    "section, named",
+    [
+        ({"bogus": 1}, "unknown config key synth.bogus"),
+        ("x", "config section synth must be an object"),
+        ({"n_reviewers": -5}, "synth.n_reviewers must be >= 0"),
+    ],
+)
+def test_every_command_checks_the_synth_section(
+    dataset, tmp_path, capsys, command, section, named
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"synth": section}))
+    out = tmp_path / "out"
+    rc = main(
+        [command, "--config", str(cfg_path), "--input", str(dataset / "reviews.csv"),
+         "--out", str(out)] + COMMAND_EXTRA_ARGS[command]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and named in err, err
+    assert not out.exists()
+
+
+def test_detect_runs_with_a_synth_section_that_synth_accepts(dataset, tmp_path):
+    # the top-level seed stands in for synth.seed, as the synth command reads it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 3, "synth": {"seed": -1, "n_reviewers": 60}}))
+    assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "syn")]) == 0
+    out = tmp_path / "det"
+    rc = main(["detect", "--config", str(cfg_path), "--input", str(dataset / "reviews.csv"),
+               "--out", str(out)] + FAST_DETECT)
+    assert rc == 0
+    assert (out / "ranked_groups.jsonl").exists()
 
 
 def test_synth_rejects_format_flag(tmp_path, capsys):
@@ -950,7 +995,7 @@ def test_pipeline_config_round_trip(tmp_path):
 def test_detect_stage_error_carries_stage(dataset):
     cfg = PipelineConfig(input=str(dataset / "reviews.csv"))
     cfg.graph.min_co_review = 10**6
-    _, _, table = load_table(cfg)
+    table, _, _ = load_table(cfg)
     with pytest.raises(StageError) as exc:
         detect(table, cfg)
     assert exc.value.stage == "graph"
