@@ -16,10 +16,15 @@ rating, empty reviewer, impossible date, non-numeric rating in turn).
 
 import datetime
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("pytest_benchmark")
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import write_reviews_reference
 
 from spamrings.reviews import dedupe, parse_reviews, write_reviews
 from spamrings.synth import SynthConfig, generate
@@ -68,4 +73,6 @@ def test_write_reviews_dirty_16x(benchmark, dirty, tmp_path):
     deduped = dedupe(table)
     out = tmp_path / "reviews_clean.csv"
     benchmark(write_reviews, deduped, out)
-    assert len(parse_reviews(out)[0]) == len(deduped)
+    want = tmp_path / "reference.csv"
+    write_reviews_reference(deduped, want)
+    assert out.read_bytes() == want.read_bytes()

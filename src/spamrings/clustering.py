@@ -261,7 +261,8 @@ def _prepare(adj, features) -> _Problem:
     then count active nodes. Degrees, 2m and the normalization are computed
     in float64; the matrices, degrees and features are then cast to the
     features' dtype (see _float_array). The two matrices share one pair of
-    index arrays.
+    index arrays. When every node is active they are adj's own index
+    arrays: a canonical CSR indexed by the identity would be an equal copy.
     """
     adj_sp = sp.csr_array(adj)
     deg = np.asarray(adj_sp.sum(axis=1), dtype=np.float64).ravel()
@@ -273,7 +274,10 @@ def _prepare(adj, features) -> _Problem:
         raise ValueError("features and adjacency disagree on node count")
     dtype = feats.dtype
     active = np.flatnonzero(deg > 0)
-    sub = adj_sp[active][:, active]
+    if active.size == adj_sp.shape[0] and adj_sp.has_canonical_format:
+        sub = adj_sp
+    else:
+        sub = adj_sp[active][:, active]
 
     def on_sub_pattern(data):
         return sp.csr_array((data.astype(dtype, copy=False), sub.indices, sub.indptr), sub.shape)

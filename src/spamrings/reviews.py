@@ -32,6 +32,9 @@ DEFAULT_LABEL_MAP = {
 
 DEFAULT_LABEL_TOKENS = {LABEL_FAKE: "-1", LABEL_GENUINE: "1", LABEL_UNKNOWN: ""}
 
+# Rows that write_reviews joins into one string and writes at once.
+WRITE_BLOCK_ROWS = 8192
+
 
 class Review(NamedTuple):
     """One reviewer's rating of one product."""
@@ -189,15 +192,49 @@ def parse_reviews(
     return ReviewTable(reviews), errors
 
 
+def _fields(block: list[Review], ratings: dict, iso: dict) -> Iterable[tuple[str, ...]]:
+    """The five written fields of each review of a block, as strings."""
+    ids, products, stars, days, labels = zip(*block)
+    return zip(
+        ids,
+        products,
+        map(ratings.__getitem__, stars),
+        map(DEFAULT_LABEL_TOKENS.__getitem__, labels),
+        map(iso.__getitem__, days),
+    )
+
+
 def write_reviews(table: ReviewTable, path, delimiter: str = ",") -> None:
-    """Serialize a table back to the 5-column delimited layout."""
-    # date.isoformat costs more than a dict lookup, and days repeat across rows.
-    iso = {day: day.isoformat() for day in set(map(itemgetter(3), table.reviews))}
+    """Serialize a table back to the 5-column delimited layout.
+
+    The bytes are those of ``csv.writer`` with minimal quoting. Each block
+    of WRITE_BLOCK_ROWS rows is joined into one string and written at
+    once. A block whose text holds a quote, a carriage return, or more
+    delimiters or line breaks than its rows' own separators has a field
+    that ``csv.writer`` may quote, so that block is written by
+    ``csv.writer`` instead.
+    """
+    reviews = table.reviews
+    # str and date.isoformat cost more than a dict lookup, and ratings and
+    # days repeat across rows.
+    ratings = {star: str(star) for star in set(map(itemgetter(2), reviews))}
+    iso = {day: day.isoformat() for day in set(map(itemgetter(3), reviews))}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(
-            (r.reviewer_id, r.product_id, r.rating, DEFAULT_LABEL_TOKENS[r.label], iso[r.date])
-            for r in table.reviews
-        )
+        # Built before any block, so a delimiter csv rejects fails as before.
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        for start in range(0, len(reviews), WRITE_BLOCK_ROWS):
+            block = reviews[start : start + WRITE_BLOCK_ROWS]
+            text = "\n".join(map(delimiter.join, _fields(block, ratings, iso))) + "\n"
+            n = len(block)
+            if (
+                '"' in text
+                or "\r" in text
+                or text.count(delimiter) != 4 * n
+                or text.count("\n") != n
+            ):
+                writer.writerows(_fields(block, ratings, iso))
+            else:
+                fh.write(text)
 
 
 def dedupe(table: ReviewTable, policy: str = "keep_latest") -> ReviewTable:

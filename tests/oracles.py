@@ -31,6 +31,9 @@ two-layer ``clustering._forward`` and ``_backward``.
 ``dedupe_reference`` is the per-row ``get``-then-set loop that
 ``reviews.dedupe`` replaced.
 
+``write_reviews_reference`` is the ``csv.writer`` over every row that
+``reviews.write_reviews`` replaced with joined blocks of text.
+
 ``reviews_by`` and ``product_stats`` group a table's reviews by reviewer
 or product and average each product's ratings, from ``table.reviews``
 alone.
@@ -47,6 +50,7 @@ replaced.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -84,7 +88,7 @@ from spamrings.indicators import (
     PAIR_BLOCK_ELEMENTS,
     IndicatorVector,
 )
-from spamrings.reviews import LABEL_FAKE, Review, ReviewTable
+from spamrings.reviews import DEFAULT_LABEL_TOKENS, LABEL_FAKE, Review, ReviewTable
 
 BRUTE_FORCE_MAX_NODES = 12
 
@@ -434,6 +438,15 @@ def dedupe_reference(table: ReviewTable, policy: str = "keep_latest") -> ReviewT
         elif policy == "keep_first" and r.date < cur.date:
             kept[key] = r
     return ReviewTable(kept.values())
+
+
+def write_reviews_reference(table: ReviewTable, path, delimiter: str = ",") -> None:
+    iso = {day: day.isoformat() for day in set(r.date for r in table.reviews)}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(
+            (r.reviewer_id, r.product_id, r.rating, DEFAULT_LABEL_TOKENS[r.label], iso[r.date])
+            for r in table.reviews
+        )
 
 
 def reviews_by(table: ReviewTable, key: str) -> dict[str, list[Review]]:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import gc
 import hashlib
 import json
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import modularity as dense_modularity
+from oracles import modularity as dense_modularity, write_reviews_reference
 from spamrings import cli
 from spamrings.cli import _pipeline_config, build_parser, main
 from spamrings.graph import adjacency_sparse, build_graph
@@ -22,7 +23,7 @@ from spamrings.pipeline import (
     load_table,
     write_detect_report,
 )
-from spamrings.reviews import parse_reviews
+from spamrings.reviews import dedupe, parse_reviews
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate, write_ground_truth
 from spamrings.reviews import write_reviews
 
@@ -66,6 +67,34 @@ def test_synth_then_ingest_round_trip(tmp_path):
     assert "row_errors: 0" in summary
     assert "labels: fake=" in summary
     assert (tmp_path / "ing" / "reviews_clean.csv").exists()
+
+
+def test_ingest_tsv_writes_quoted_ids_as_csv_writer(tmp_path):
+    rows = [
+        ["u,1", 'p "a"', "5", "-1", "2014-01-02"],
+        ['"u2"', "p,b", "2", "1", "2014-01-03"],
+        ["u3", "p3", "4", "", "2014-01-04"],
+        ["u,1", 'p "a"', "3", "-1", "2014-02-01"],
+        ["u4", 'p "a"', "1", "1", "2014-01-05"],
+    ]
+    src = tmp_path / "reviews.tsv"
+    with open(src, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(rows)
+    out = tmp_path / "ing"
+    assert main(["ingest", "--input", str(src), "--format", "tsv", "--out", str(out)]) == 0
+    table, errors = parse_reviews(src, delimiter="\t")
+    assert errors == [] and len(table) == 5
+    write_reviews_reference(dedupe(table), tmp_path / "want.csv")
+    got = (out / "reviews_clean.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b'"u,1","p ""a""",3,-1,2014-02-01\n' in got
+
+
+def test_synth_writes_the_reference_bytes(tmp_path):
+    assert main(["synth", "--seed", "0", "--out", str(tmp_path / "syn")]) == 0
+    table, _ = generate(SynthConfig(seed=0))
+    write_reviews_reference(table, tmp_path / "want.csv")
+    assert (tmp_path / "syn" / "reviews.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def _small_synth_config(tmp_path):

@@ -437,35 +437,40 @@ def test_min_support_one_keeps_a_group_per_isolated_reviewer_set():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_train_bit_equal_to_reference_epoch(dtype):
-    """More active nodes than one gradient block, isolated nodes among them."""
-    rng = np.random.default_rng(43)
-    n = GRAD_BLOCK_ROWS + 80
-    u, v = rng.integers(0, n, size=(2, 4 * n))
-    adj = np.zeros((n, n))
-    adj[u, v] = adj[v, u] = rng.integers(1, 4, size=u.size)
-    np.fill_diagonal(adj, 0.0)
-    ring = np.arange(n)
-    adj[ring, (ring + 1) % n] = adj[(ring + 1) % n, ring] = 1.0
-    positions = sorted(rng.choice(n, size=25, replace=False).tolist())
-    padded, feats, _ = pad_with_isolated(adj, rng.normal(size=(n, 7)), rng, positions)
-    feats = feats.astype(dtype)
-    cfg = TrainConfig(epochs=15, dropout_rate=0.5, seed=8)
-    got, want = train(sp.csr_array(padded), feats, cfg), train_reference(padded, feats, cfg)
-    assert got.n_train_nodes == want.n_train_nodes == n
-    assert got.loss_trace == want.loss_trace
-    assert (got.initial_loss, got.final_loss) == (want.initial_loss, want.final_loss)
-    pairs = [("assignment", got.assignment, want.assignment)] + [
-        (f"weight_{i}", a, b)
-        for i, (a, b) in enumerate(
-            zip(
-                got.params.weights + got.params.skip_weights,
-                want.params.weights + want.params.skip_weights,
+    """More active nodes than one gradient block, first with isolated nodes
+    among them, then with none, where training reads the input's own matrix."""
+    for n_isolated in (25, 0):
+        rng = np.random.default_rng(43)
+        n = GRAD_BLOCK_ROWS + 80
+        u, v = rng.integers(0, n, size=(2, 4 * n))
+        adj = np.zeros((n, n))
+        adj[u, v] = adj[v, u] = rng.integers(1, 4, size=u.size)
+        np.fill_diagonal(adj, 0.0)
+        ring = np.arange(n)
+        adj[ring, (ring + 1) % n] = adj[(ring + 1) % n, ring] = 1.0
+        positions = sorted(rng.choice(n, size=n_isolated, replace=False).tolist())
+        padded, feats, _ = pad_with_isolated(adj, rng.normal(size=(n, 7)), rng, positions)
+        feats = feats.astype(dtype)
+        cfg = TrainConfig(epochs=15, dropout_rate=0.5, seed=8)
+        adj_sp = sp.csr_array(padded)
+        if not n_isolated:
+            assert np.shares_memory(_prepare(adj_sp, feats).adj.indices, adj_sp.indices)
+        got, want = train(adj_sp, feats, cfg), train_reference(padded, feats, cfg)
+        assert got.n_train_nodes == want.n_train_nodes == n
+        assert got.loss_trace == want.loss_trace
+        assert (got.initial_loss, got.final_loss) == (want.initial_loss, want.final_loss)
+        pairs = [("assignment", got.assignment, want.assignment)] + [
+            (f"weight_{i}", a, b)
+            for i, (a, b) in enumerate(
+                zip(
+                    got.params.weights + got.params.skip_weights,
+                    want.params.weights + want.params.skip_weights,
+                )
             )
-        )
-    ]
-    for name, a, b in pairs:
-        assert a.dtype == b.dtype == dtype, name
-        assert a.tobytes() == b.tobytes(), name
+        ]
+        for name, a, b in pairs:
+            assert a.dtype == b.dtype == dtype, (n_isolated, name)
+            assert a.tobytes() == b.tobytes(), (n_isolated, name)
 
 
 def test_graph_and_training_matrices_carry_int32_indices():

@@ -1,10 +1,12 @@
 import csv
 import datetime
 import random
+import types
 
 import pytest
-from oracles import dedupe_reference, product_stats, reviews_by
+from oracles import dedupe_reference, product_stats, reviews_by, write_reviews_reference
 
+from spamrings import reviews as reviews_module
 from spamrings.reviews import (
     DEFAULT_LABEL_MAP,
     LABEL_FAKE,
@@ -13,6 +15,7 @@ from spamrings.reviews import (
     Review,
     ReviewTable,
     RowError,
+    WRITE_BLOCK_ROWS,
     dedupe,
     parse_reviews,
     write_reviews,
@@ -367,3 +370,83 @@ def test_dedupe_date_tie_keeps_later_row_or_first_row():
     )
     assert [r.rating for r in dedupe(table, "keep_latest").reviews] == [5, 3]
     assert [r.rating for r in dedupe(table, "keep_first").reviews] == [2, 1]
+
+
+def _special_ids(delimiter):
+    """Ids that csv.writer quotes, or that sit next to a character it quotes for."""
+    other = "\t" if delimiter == "," else ","
+    return [
+        f"u{delimiter}1", f"u{other}2", 'say "hi"', '"q', "two\nlines", "cr\rid",
+        "  both  ", " lead", "trail ",
+    ]
+
+
+def _plain_reviews(n):
+    """n reviews with plain ids, every rating 1-5 and every label."""
+    labels = (LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN)
+    day = d("2014-01-01")
+    return [
+        Review(f"u{i}", f"p{i % 97}", 1 + i % 5, day + datetime.timedelta(i % 400), labels[i % 3])
+        for i in range(n)
+    ]
+
+
+class _CsvRowCounter:
+    """Stands in for the csv module in reviews and counts the rows csv.writer is given."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def writer(self, fh, **kwargs):
+        real = csv.writer(fh, **kwargs)
+
+        def writerows(rows):
+            rows = list(rows)
+            self.rows += len(rows)
+            real.writerows(rows)
+
+        return types.SimpleNamespace(writerows=writerows)
+
+
+def _assert_same_bytes(tmp_path, table, delimiter):
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    write_reviews(table, got, delimiter=delimiter)
+    write_reviews_reference(table, want, delimiter=delimiter)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t", "-"])
+def test_write_reviews_matches_csv_writer_reference(tmp_path, delimiter):
+    """Each special id alone in a table, as reviewer and as product.
+
+    With "-" the labels and dates hold the delimiter, so no block is plain.
+    """
+    plain = _plain_reviews(15)
+    _assert_same_bytes(tmp_path, ReviewTable(plain), delimiter)
+    for special in _special_ids(delimiter):
+        for field in ("reviewer_id", "product_id"):
+            reviews = plain[:7] + [plain[7]._replace(**{field: special})] + plain[8:]
+            _assert_same_bytes(tmp_path, ReviewTable(reviews), delimiter)
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+def test_write_reviews_quotes_only_the_block_that_needs_it(tmp_path, monkeypatch, delimiter):
+    """Three full blocks and a partial one; the only special id sits in the second block."""
+    reviews = _plain_reviews(3 * WRITE_BLOCK_ROWS + 123)
+    middle = WRITE_BLOCK_ROWS + 4321
+    reviews[middle] = reviews[middle]._replace(reviewer_id=f"a{delimiter}b")
+    counter = _CsvRowCounter()
+    monkeypatch.setattr(reviews_module, "csv", counter)
+    _assert_same_bytes(tmp_path, ReviewTable(reviews), delimiter)
+    assert counter.rows == WRITE_BLOCK_ROWS
+    counter.rows = 0
+    _assert_same_bytes(tmp_path, ReviewTable(_plain_reviews(2 * WRITE_BLOCK_ROWS)), delimiter)
+    assert counter.rows == 0
+
+
+def test_write_reviews_empty_table_and_bad_delimiter(tmp_path):
+    _assert_same_bytes(tmp_path, ReviewTable([]), ",")
+    assert (tmp_path / "got.txt").read_bytes() == b""
+    for write in (write_reviews, write_reviews_reference):
+        with pytest.raises(TypeError):
+            write(ReviewTable(_plain_reviews(3)), tmp_path / "bad.txt", delimiter=";;")
