@@ -5,6 +5,11 @@ Outside ``testpaths``, so the default test run skips it. Run with
 
     PYTHONPATH=src python -m pytest benchmarks/test_micro_graph.py
 
+``test_graph_memory_heavy_tailed`` is no timing: it prints the
+tracemalloc peak and kept size of ``adjacency_sparse``, training's
+``_prepare`` and ``modularity``, the stages that read the graph after it
+is built, so memory work on them has a number to start from.
+
 Two inputs:
 
 - the graph of the ``detect-big-groups`` benchmark workload at seed 0:
@@ -17,13 +22,16 @@ Two inputs:
 """
 
 import datetime
+import tracemalloc
 
 import numpy as np
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from spamrings.graph import build_graph
+from spamrings.clustering import _prepare
+from spamrings.graph import adjacency_sparse, build_graph, node_features
+from spamrings.modularity import modularity
 from spamrings.reviews import Review, ReviewTable
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
 
@@ -55,3 +63,32 @@ def test_co_review_matrix_heavy_tailed(benchmark):
     graph = benchmark(build_graph, table)
     assert graph.co_review.has_canonical_format
     assert (len(graph.node_keys), graph.co_review.nnz // 2) == (4450, 171073)
+
+
+def _traced(fn, *args):
+    """fn(*args), and the tracemalloc peak and kept size of the call in MiB."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20, kept / 2**20
+
+
+def test_graph_memory_heavy_tailed(capsys):
+    graph = build_graph(heavy_tailed_table(16_000, 923, cap=400))
+    adj, *adj_mib = _traced(adjacency_sparse, graph)
+    prob, *prepare_mib = _traced(_prepare, adj, node_features(graph, adj))
+    labels = np.random.default_rng(0).integers(0, 50, size=adj.shape[0])  # as argmax gives
+    q, *modularity_mib = _traced(modularity, adj, labels)
+    with capsys.disabled():
+        print(
+            f"\nheavy tailed: {graph.co_review.nnz:,} stored entries, "
+            f"{prob.active.size:,} of {adj.shape[0]:,} nodes active, Q {q:.4f}"
+        )
+        for name, (peak, kept) in (
+            ("adjacency_sparse", adj_mib), ("_prepare", prepare_mib), ("modularity", modularity_mib)
+        ):
+            print(f"  {name:<16} peak {peak:7.2f} MiB  kept {kept:7.2f} MiB")
+    assert adj is graph.co_review and adj_mib[1] < 0.01

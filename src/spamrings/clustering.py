@@ -88,10 +88,11 @@ def normalized_adjacency(adj) -> sp.csr_array:
     """Symmetric normalization D^{-1/2} A D^{-1/2}, as a CSR array.
 
     No self-loops are added; the skip connection in the network carries
-    each node's own signal instead. Zero-degree rows stay zero.
+    each node's own signal instead. Zero-degree rows stay zero. A CSR adj,
+    in a run the int32 co-reviewer counts, is read in place, scaled in float64.
     """
-    a = sp.csr_array(adj, dtype=np.float64)
-    deg = np.asarray(a.sum(axis=1)).ravel()
+    a = sp.csr_array(adj)
+    deg = np.asarray(a.sum(axis=1), dtype=np.float64).ravel()
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
     # entry (i, j) scaled as (a_ij · s_i) · s_j, on the input's own index arrays
@@ -274,10 +275,8 @@ def _prepare(adj, features) -> _Problem:
         raise ValueError("features and adjacency disagree on node count")
     dtype = feats.dtype
     active = np.flatnonzero(deg > 0)
-    if active.size == adj_sp.shape[0] and adj_sp.has_canonical_format:
-        sub = adj_sp
-    else:
-        sub = adj_sp[active][:, active]
+    every_node = active.size == adj_sp.shape[0] and adj_sp.has_canonical_format
+    sub = adj_sp if every_node else adj_sp[active][:, active]
 
     def on_sub_pattern(data):
         return sp.csr_array((data.astype(dtype, copy=False), sub.indices, sub.indptr), sub.shape)

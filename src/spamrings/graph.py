@@ -7,8 +7,8 @@ columns: node j's reviewers are the rows of B's column j, and no per-node
 set is kept. Two nodes of distinct products are linked when enough
 reviewers sit in both reviewer sets; the edge carries the size of that
 intersection, its co-reviewer count. One symmetric sparse matrix of those
-counts, BᵀB, holds every edge; the adjacency weights an edge either
-binarily or by its count.
+counts, BᵀB, holds every edge; it is the adjacency under count weighting,
+and binary weighting puts ones on its index arrays.
 """
 
 from __future__ import annotations
@@ -176,8 +176,8 @@ def build_graph(
     entries are int32 ones: ``BᵀB`` and its masks are the graph's memory
     peak, and a count is at most the number of reviewers. The row indices
     and, when they fit, the column offsets are int32 too; scipy keeps
-    int32 index arrays through ``BᵀB``, so the co-reviewer counts, the
-    adjacency and the matrices training holds carry them.
+    int32 index arrays through ``BᵀB``, so the co-reviewer counts, which
+    are the adjacency, and the matrices training holds carry them.
     """
     reviewers = table.reviewer_ids
     n_rows = len(reviewers)
@@ -200,15 +200,15 @@ def build_graph(
 
 
 def adjacency_sparse(graph: PRGraph) -> sp.csr_array:
-    """Symmetric CSR adjacency with zero diagonal.
+    """The symmetric CSR adjacency with zero diagonal; no copy of the graph.
 
-    An edge weighs 1 under binary weighting, else its co-reviewer count.
-    The adjacency has the sparsity pattern of ``graph.co_review``.
+    Under co_review_count weighting it is ``graph.co_review`` itself, the
+    int32 counts; under binary weighting, integer ones on its index arrays.
     """
     counts = graph.co_review
-    binary = graph.weighting == "binary"
-    weights = np.ones(counts.nnz) if binary else counts.data.astype(np.float64)
-    return sp.csr_array((weights, counts.indices, counts.indptr), shape=counts.shape)
+    if graph.weighting == "co_review_count":
+        return counts
+    return sp.csr_array((np.ones_like(counts.data), counts.indices, counts.indptr), counts.shape)
 
 
 def node_features(graph: PRGraph, adj: sp.csr_array) -> np.ndarray:
@@ -216,8 +216,8 @@ def node_features(graph: PRGraph, adj: sp.csr_array) -> np.ndarray:
 
     ``adj`` is the graph's :func:`adjacency_sparse`. Columns 0..4 one-hot
     encode the rating level, column 5 is log(1 + |reviewers|) and column 6
-    is log(1 + weighted degree) under the graph's weighting mode. float32
-    is the precision training runs in (see ``clustering``).
+    is log(1 + weighted degree), an integer row sum of ``adj``. float32 is the
+    precision training runs in (see ``clustering``).
     """
     n = len(graph.node_keys)
     feats = np.zeros((n, FEATURE_DIM), dtype=np.float32)
@@ -235,7 +235,7 @@ def write_graph(graph: PRGraph, edges_path, nodes_path) -> None:
     ids = list(map(node_id_str, keys))
     with open(edges_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(
-            (ids[u], ids[v], f"{weight:g}")
+            (ids[u], ids[v], weight)
             for u, v, weight in zip(*_upper_triangle(adjacency_sparse(graph)))
         )
     with open(nodes_path, "w", encoding="utf-8", newline="") as fh:

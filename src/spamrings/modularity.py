@@ -17,20 +17,21 @@ sp = lazy_import("scipy.sparse")
 def modularity(adj, labels) -> float:
     """Modularity Q of a hard cluster assignment on a symmetric adjacency.
 
-    adj may be a dense array or any scipy sparse matrix; labels holds one
-    nonnegative cluster id per node. Raises ValueError on an edgeless
-    graph, where Q is undefined.
+    adj may be a dense array or any scipy sparse matrix; a CSR array, such
+    as the int32 co-reviewer counts, is read in place, row by row. labels
+    holds one nonnegative cluster id per node. Raises ValueError on an
+    edgeless graph, where Q is undefined.
     """
-    coo = sp.coo_array(adj)
+    a = sp.csr_array(adj)
     labels = np.asarray(labels)
-    if coo.shape[0] != coo.shape[1] or labels.shape != (coo.shape[0],):
+    if a.shape[0] != a.shape[1] or labels.shape != (a.shape[0],):
         raise ValueError(
-            f"need a square adjacency and one label per node, got {coo.shape} and {labels.shape}"
+            f"need a square adjacency and one label per node, got {a.shape} and {labels.shape}"
         )
-    deg = np.asarray(coo.sum(axis=1)).ravel()
+    deg = a @ np.ones(a.shape[0])  # float64 degrees, whatever adj's dtype
     two_m = float(deg.sum())
     if two_m <= 0:
         raise ValueError("modularity undefined for edgeless graph (2m = 0)")
-    within = float(coo.data[labels[coo.row] == labels[coo.col]].sum())
+    within = float(a.data[labels[a.indices] == np.repeat(labels, np.diff(a.indptr))].sum())
     by_cluster = np.bincount(labels, weights=deg)
     return (within - float((by_cluster * by_cluster).sum()) / two_m) / two_m

@@ -204,15 +204,29 @@ def _fields(block: list[Review], ratings: dict, iso: dict) -> Iterable[tuple[str
     )
 
 
+class _LineFeedRows:
+    """The file write_reviews' ``csv.writer`` writes to. csv hands over each
+    row in one call, ending in the "\\r\\n" terminator; fh gets it ending in "\\n"."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, row: str) -> int:
+        return self.fh.write(row[:-2] + "\n")
+
+
 def write_reviews(table: ReviewTable, path, delimiter: str = ",") -> None:
     """Serialize a table back to the 5-column delimited layout.
 
-    The bytes are those of ``csv.writer`` with minimal quoting. Each block
-    of WRITE_BLOCK_ROWS rows is joined into one string and written at
-    once. A block whose text holds a quote, a carriage return, or more
-    delimiters or line breaks than its rows' own separators has a field
-    that ``csv.writer`` may quote, so that block is written by
-    ``csv.writer`` instead.
+    The bytes are those of ``csv.writer`` with minimal quoting and "\\n"
+    line ends, except that a field holding a carriage return is quoted like
+    one holding a line feed, so that it survives a second read (Python
+    3.11's ``csv`` quotes only the terminator's characters). Each block of
+    WRITE_BLOCK_ROWS rows is joined into one string and written at once. A
+    block whose text holds a quote, a carriage return, or more delimiters
+    or line breaks than its rows' own separators has a field that may need
+    quoting, so that block is written by ``csv.writer`` instead, with a
+    "\\r\\n" terminator that makes it quote both line-break characters.
     """
     reviews = table.reviews
     # str and date.isoformat cost more than a dict lookup, and ratings and
@@ -221,7 +235,7 @@ def write_reviews(table: ReviewTable, path, delimiter: str = ",") -> None:
     iso = {day: day.isoformat() for day in set(map(itemgetter(3), reviews))}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         # Built before any block, so a delimiter csv rejects fails as before.
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(_LineFeedRows(fh), delimiter=delimiter, lineterminator="\r\n")
         for start in range(0, len(reviews), WRITE_BLOCK_ROWS):
             block = reviews[start : start + WRITE_BLOCK_ROWS]
             text = "\n".join(map(delimiter.join, _fields(block, ratings, iso))) + "\n"

@@ -10,6 +10,12 @@ reading d as weighted degree and 2m as total weight.
 ``clustering_loss`` is the training objective written with the dense B;
 training itself computes it sparsely.
 
+``modularity_coo`` and ``normalized_adjacency_float64`` are the sparse
+``modularity.modularity`` and ``clustering.normalized_adjacency`` as they
+were before both read the graph's int32 co-reviewer counts in place: the
+one sums over a COO copy of the adjacency, the other over a float64 copy.
+``train_reference`` propagates with the latter.
+
 ``connected_components_edge_scan`` is the union-find over every edge of
 the graph that ``graph.connected_components`` replaced.
 
@@ -32,7 +38,10 @@ two-layer ``clustering._forward`` and ``_backward``.
 ``reviews.dedupe`` replaced.
 
 ``write_reviews_reference`` is the ``csv.writer`` over every row that
-``reviews.write_reviews`` replaced with joined blocks of text.
+``reviews.write_reviews`` replaced with joined blocks of text. It writes
+each row alone with a "\\r\\n" terminator, so that a field holding a
+carriage return is quoted like one holding a line feed, and ends the row
+in "\\n".
 
 ``reviews_by`` and ``product_stats`` group a table's reviews by reviewer
 or product and average each product's ratings, from ``table.reviews``
@@ -51,6 +60,7 @@ replaced.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -73,7 +83,6 @@ from spamrings.clustering import (
     _row_softmax,
     _seeded_init,
     _softmax_backward,
-    normalized_adjacency,
 )
 from spamrings.graph import (
     NUM_RATING_LEVELS,
@@ -147,6 +156,34 @@ def modularity(adj: np.ndarray, assignment) -> float:
         dsum = deg.d[members].sum()
         q += within - dsum * dsum / two_m
     return float(q / two_m)
+
+
+def modularity_coo(adj, labels) -> float:
+    """modularity.modularity summed over a COO copy of adj, one entry at a time."""
+    coo = sp.coo_array(adj)
+    labels = np.asarray(labels)
+    if coo.shape[0] != coo.shape[1] or labels.shape != (coo.shape[0],):
+        raise ValueError(
+            f"need a square adjacency and one label per node, got {coo.shape} and {labels.shape}"
+        )
+    deg = np.asarray(coo.sum(axis=1)).ravel()
+    two_m = float(deg.sum())
+    if two_m <= 0:
+        raise ValueError("modularity undefined for edgeless graph (2m = 0)")
+    within = float(coo.data[labels[coo.row] == labels[coo.col]].sum())
+    by_cluster = np.bincount(labels, weights=deg)
+    return (within - float((by_cluster * by_cluster).sum()) / two_m) / two_m
+
+
+def normalized_adjacency_float64(adj) -> sp.csr_array:
+    """clustering.normalized_adjacency on a float64 copy of adj."""
+    a = sp.csr_array(adj, dtype=np.float64)
+    deg = np.asarray(a.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+    data = a.data * np.repeat(inv_sqrt, np.diff(a.indptr))
+    data *= inv_sqrt[a.indices]
+    return sp.csr_array((data, a.indices, a.indptr), shape=a.shape)
 
 
 def modularity_matrix(adj: np.ndarray) -> np.ndarray:
@@ -371,7 +408,7 @@ def train_reference(adj, features, config: TrainConfig) -> TrainResult:
     sub = adj_sp[active][:, active]
     loss_adj = sub.astype(dtype, copy=False)
     deg = deg_all[active].astype(dtype, copy=False)
-    adj_norm = normalized_adjacency(sub).astype(dtype, copy=False)
+    adj_norm = normalized_adjacency_float64(sub).astype(dtype, copy=False)
     feats = feats_all[active]
     n = feats.shape[0]
     params, drop_rng = _seeded_init(feats, config)
@@ -413,7 +450,7 @@ def train_reference(adj, features, config: TrainConfig) -> TrainResult:
             v_hat = v / (1 - beta2**step)
             p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    full_adj_norm = normalized_adjacency(adj_sp).astype(dtype, copy=False)
+    full_adj_norm = normalized_adjacency_float64(adj_sp).astype(dtype, copy=False)
     final_assignment, _ = _forward_reference(full_adj_norm, feats_all, params)
     return TrainResult(
         assignment=final_assignment,
@@ -442,11 +479,16 @@ def dedupe_reference(table: ReviewTable, policy: str = "keep_latest") -> ReviewT
 
 def write_reviews_reference(table: ReviewTable, path, delimiter: str = ",") -> None:
     iso = {day: day.isoformat() for day in set(r.date for r in table.reviews)}
+    row = io.StringIO()
+    writer = csv.writer(row, delimiter=delimiter, lineterminator="\r\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(
-            (r.reviewer_id, r.product_id, r.rating, DEFAULT_LABEL_TOKENS[r.label], iso[r.date])
-            for r in table.reviews
-        )
+        for r in table.reviews:
+            row.seek(0)
+            row.truncate()
+            writer.writerow(
+                (r.reviewer_id, r.product_id, r.rating, DEFAULT_LABEL_TOKENS[r.label], iso[r.date])
+            )
+            fh.write(row.getvalue()[:-2] + "\n")
 
 
 def reviews_by(table: ReviewTable, key: str) -> dict[str, list[Review]]:

@@ -90,6 +90,17 @@ def test_ingest_tsv_writes_quoted_ids_as_csv_writer(tmp_path):
     assert b'"u,1","p ""a""",3,-1,2014-02-01\n' in got
 
 
+def test_ingest_output_with_carriage_return_ids_reads_back(tmp_path):
+    src = tmp_path / "reviews.csv"
+    src.write_bytes(b'"cr\rid",p1,5,1,2014-01-01\nu2,"p\r2",4,-1,2014-01-02\n')
+    assert main(["ingest", "--input", str(src), "--out", str(tmp_path / "ing")]) == 0
+    clean = tmp_path / "ing" / "reviews_clean.csv"
+    assert clean.read_bytes() == src.read_bytes()
+    table, errors = parse_reviews(clean)
+    assert errors == []
+    assert [(r.reviewer_id, r.product_id) for r in table.reviews] == [("cr\rid", "p1"), ("u2", "p\r2")]
+
+
 def test_synth_writes_the_reference_bytes(tmp_path):
     assert main(["synth", "--seed", "0", "--out", str(tmp_path / "syn")]) == 0
     table, _ = generate(SynthConfig(seed=0))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import datetime
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from oracles import (
     assign_clusters_loop,
     clustering_loss,
     modularity_matrix,
+    normalized_adjacency_float64,
     one_hot,
     selu_grad_where,
     selu_where,
@@ -43,7 +45,7 @@ from spamrings.clustering import (
 from spamrings.graph import adjacency_sparse, build_graph, node_features
 from spamrings.modularity import modularity
 from spamrings.pipeline import PipelineConfig, derive_train_seed, detect
-from spamrings.reviews import dedupe
+from spamrings.reviews import Review, ReviewTable, dedupe
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
 
 
@@ -145,6 +147,48 @@ def test_normalized_adjacency_sparse_matches_dense():
     sparse = normalized_adjacency(sp.csr_array(adj))
     assert sparse.format == "csr"
     np.testing.assert_allclose(sparse.toarray(), dense_normalized_adjacency(adj), atol=1e-14)
+
+
+@pytest.mark.parametrize("weighting", ["co_review_count", "binary"])
+def test_normalized_adjacency_bit_equal_to_float64_oracle(weighting):
+    """The int32 counts read in place, their float64 cast and their dense form
+    give the bits of the float64 copy the normalization used to make."""
+    table, _ = generate(SynthConfig(seed=0))
+    adj = adjacency_sparse(build_graph(table, weighting=weighting))
+    want = normalized_adjacency_float64(adj)
+    assert want.nnz > 500
+    for given in (adj, adj.astype(np.float64), adj.toarray()):
+        for got in (normalized_adjacency(given), normalized_adjacency_float64(given)):
+            assert got.dtype == np.float64
+            assert got.data.tobytes() == want.data.tobytes()
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+
+
+def test_the_run_holds_one_copy_of_the_graph():
+    """The adjacency is the co-reviewer count matrix itself, and on an
+    all-active graph the two matrices training keeps reuse its index arrays."""
+    table, _ = generate(SynthConfig(seed=0))
+    graph = build_graph(table)
+    adj = adjacency_sparse(graph)
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(adj, name), getattr(graph.co_review, name)), name
+    binary = build_graph(table, weighting="binary")
+    ones = adjacency_sparse(binary)
+    assert ones.data.tolist() == [1] * binary.co_review.nnz
+    for name in ("indices", "indptr"):
+        assert np.shares_memory(getattr(ones, name), getattr(binary.co_review, name)), name
+
+    # three reviewers rate four products alike: every node has an edge
+    every = ReviewTable([Review(f"u{i}", f"p{j}", 5, datetime.date(2014, 1, 1)) for i in range(3) for j in range(4)])
+    for weighting in ("co_review_count", "binary"):
+        graph = build_graph(every, weighting=weighting)
+        adj = adjacency_sparse(graph)
+        prob = _prepare(adj, node_features(graph, adj))
+        assert prob.active.size == len(graph.node_keys) == 4
+        for matrix in (prob.adj, prob.adj_norm):
+            assert np.shares_memory(matrix.indices, graph.co_review.indices)
+            assert np.shares_memory(matrix.indptr, graph.co_review.indptr)
 
 
 # ------------------------------------------------------------------- forward

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import (
     build_edges_pair_count,
@@ -16,6 +17,7 @@ from oracles import (
     reviewer_incidence,
 )
 from spamrings.graph import (
+    PRGraph,
     PRNode,
     adjacency_sparse,
     build_graph,
@@ -364,3 +366,21 @@ def test_graph_dump_quotes_ids_holding_a_tab(tmp_path):
         assert list(csv.reader(fh, delimiter="\t")) == [["p\t1#5", "p2#5", "2"]]
     with open(nodes_path, encoding="utf-8", newline="") as fh:
         assert list(csv.reader(fh, delimiter="\t")) == [["p\t1", "5", "2"], ["p2", "5", "2"]]
+
+
+def test_graph_dump_writes_counts_as_integers(tmp_path):
+    """A count of a million or more is written in full, not rounded by a float format."""
+    incidence = sp.csc_array(np.ones((2, 2), dtype=np.int32))
+    counts = sp.csr_array(
+        (np.array([1_234_567, 1_234_567], dtype=np.int32), np.array([1, 0]), np.array([0, 1, 2])),
+        shape=(2, 2),
+    )
+    keys = np.array([4, 9])  # p1 and p2 rated 5
+    edges_path, nodes_path = tmp_path / "edges.tsv", tmp_path / "nodes.tsv"
+    write_graph(PRGraph(["p1", "p2"], keys, ["u1", "u2"], incidence, counts), edges_path, nodes_path)
+    assert edges_path.read_text() == "p1#5\tp2#5\t1234567\n"
+    assert nodes_path.read_text() == "p1\t5\t2\np2\t5\t2\n"
+    write_graph(
+        PRGraph(["p1", "p2"], keys, ["u1", "u2"], incidence, counts, "binary"), edges_path, nodes_path
+    )
+    assert edges_path.read_text() == "p1#5\tp2#5\t1\n"

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import brute_force_best_partition, degree_vector, modularity_matrix, one_hot
+from oracles import (
+    brute_force_best_partition,
+    degree_vector,
+    modularity_coo,
+    modularity_matrix,
+    one_hot,
+)
 from oracles import modularity as dense_modularity
+from spamrings.graph import adjacency_sparse, build_graph
 from spamrings.modularity import modularity
+from spamrings.synth import SynthConfig, generate
 
 
 def naive_modularity(adj, labels):
@@ -105,6 +113,22 @@ def test_matches_naive_loop_and_trace_form():
         assert q == pytest.approx(trace_modularity(adj, labels), abs=1e-10)
         checked += 1
     assert checked >= 100
+
+
+@pytest.mark.parametrize("weighting", ["co_review_count", "binary"])
+def test_csr_rows_bit_equal_to_coo_oracle(weighting):
+    """Q summed from the CSR rows has the bits of the COO sum it replaced, on
+    the int32 counts, their float64 cast and their dense form."""
+    table, _ = generate(SynthConfig(seed=0))
+    adj = adjacency_sparse(build_graph(table, weighting=weighting))
+    assert adj.dtype == np.int32 and adj.nnz > 500
+    rng = np.random.default_rng(6)
+    n = adj.shape[0]
+    for labels in (rng.integers(0, 3, size=n), rng.integers(0, 50, size=n), np.arange(n)):
+        want = modularity_coo(adj, labels)
+        for given in (adj, adj.astype(np.float64), adj.toarray()):
+            assert modularity(given, labels) == modularity_coo(given, labels) == want
+        assert want == pytest.approx(dense_modularity(adj.toarray(), labels), abs=1e-12)
 
 
 def test_modularity_matrix_single_edge():

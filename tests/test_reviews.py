@@ -345,11 +345,13 @@ def test_parse_matches_row_at_a_time_oracle(tmp_path, delimiter, has_header):
 
 @pytest.mark.parametrize("delimiter", [",", "\t"])
 def test_write_parse_round_trip_with_quoted_ids(tmp_path, delimiter):
-    ids = [f"u{delimiter}1", 'say "hi"', " lead", "plain"]
+    ids = [f"u{delimiter}1", 'say "hi"', " lead", "plain", "cr\rid"]
+    labels = (LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN, LABEL_FAKE, LABEL_GENUINE)
     reviews = [
         Review(u, f"p{delimiter}{i}", 1 + i, d("2014-01-01") + datetime.timedelta(days=i), label)
-        for i, (u, label) in enumerate(zip(ids, (LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN, LABEL_FAKE)))
+        for i, (u, label) in enumerate(zip(ids, labels))
     ]
+    reviews.append(Review("u9", "cr\rid", 3, d("2014-02-01"), LABEL_UNKNOWN))
     out = tmp_path / "out.txt"
     write_reviews(ReviewTable(reviews), out, delimiter=delimiter)
     table, errors = parse_reviews(out, delimiter=delimiter)
