@@ -24,6 +24,7 @@ from .pipeline import (
     INPUT_DELIMITERS,
     PipelineConfig,
     StageError,
+    _stage,
     detect,
     format_precision,
     load_config_file,
@@ -138,7 +139,17 @@ def _pipeline_config(args) -> PipelineConfig:
     config = PipelineConfig.from_dict(_merged_config(args))
     if not config.input:
         raise StageError("config", ValueError("no input file given (--input or config)"))
+    _check_out(config.out)
     return config
+
+
+def _check_out(out: str) -> None:
+    """Fail at "config" if ``out``, or its nearest existing ancestor, is not a directory."""
+    with _stage("config", out):
+        path = Path(out).absolute()
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ValueError(f"{nearest} is not a directory")
 
 
 def _out_dir(config: PipelineConfig) -> Path:
@@ -193,14 +204,12 @@ def cmd_detect(args) -> int:
 
 def _k_list(config: PipelineConfig, text: str) -> list[int]:
     """Cluster counts of --k-list, each checked by the training config's own rule."""
-    try:
+    with _stage("config", "--k-list"):
         k_list = [int(k) for k in text.split(",") if k.strip()]
         if not k_list:
             raise ValueError("no cluster counts given")
         for k in k_list:
             dataclasses.replace(config.train, n_clusters=k)
-    except ValueError as err:
-        raise StageError("config", ValueError(f"bad --k-list {text!r}: {err}")) from err
     return k_list
 
 
@@ -225,11 +234,11 @@ def _synth_config(args) -> tuple[SynthConfig, PipelineConfig]:
     is a "config" StageError. No input file is needed.
     """
     data = _merged_config(args)
-    try:
+    with _stage("synth"):
         synth = synth_config(data)
-    except (TypeError, ValueError) as err:
-        raise StageError("synth", err) from err
-    return synth, PipelineConfig.from_dict(data)
+    config = PipelineConfig.from_dict(data)
+    _check_out(config.out)
+    return synth, config
 
 
 def cmd_synth(args) -> int:
@@ -252,20 +261,21 @@ def _ranked_rows(path, table: ReviewTable) -> list[tuple[int, int, int, float | 
     list of member names, or that names a member with no review in the
     table, is an "eval" StageError naming the file and the 1-based line.
     """
-    try:
+    with _stage("eval", path):
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as err:
-        raise StageError("eval", err) from err
     index = ReviewerIndex(table)
     rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
+        with _stage("eval", f"{path} line {lineno}"):
             rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+            missing = [key for key in ("rank", "group_id", "members") if key not in rec]
+            if missing:
+                raise ValueError(f"no {missing[0]!r} key")
             rank, group_id, names = rec["rank"], rec["group_id"], rec["members"]
             for key, value in (("rank", rank), ("group_id", group_id)):
                 if type(value) is not int:  # not isinstance: bool is an int subclass
@@ -274,12 +284,8 @@ def _ranked_rows(path, table: ReviewTable) -> list[tuple[int, int, int, float | 
                 raise ValueError(f"members must be a list of strings, not {names!r}")
             members = index.rows(names)
             rows.append((rank, group_id, len(members), index.precision(members)))
-        except KeyError as err:
-            raise StageError("eval", ValueError(f"{path} line {lineno}: no {err} key")) from err
-        except (TypeError, ValueError) as err:
-            raise StageError("eval", ValueError(f"{path} line {lineno}: {err}")) from err
     if not rows:
-        raise StageError("eval", ValueError(f"no records in {path!r}"))
+        raise StageError("eval", ValueError("no records"), path)
     return rows
 
 
@@ -329,12 +335,10 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return COMMANDS[args.command](args)
+        with _stage(args.command):  # a failure outside every stage names the command
+            return COMMANDS[args.command](args)
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except Exception as err:  # surface unexpected failures with the command name
-        print(f"error: {args.command}: {err}", file=sys.stderr)
         return 1
     finally:
         if gc_was_enabled:

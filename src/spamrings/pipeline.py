@@ -69,12 +69,24 @@ INPUT_DELIMITERS = {"csv": ",", "tsv": "\t"}  # input format -> field delimiter
 
 
 class StageError(RuntimeError):
-    """Pipeline failure annotated with the stage that raised it."""
+    """A stage's failure, read as ``<stage>: [<file, flag or file line>: ]<cause>``."""
 
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"{stage}: {cause}")
+    def __init__(self, stage: str, cause: Exception, subject=None):
+        # an OSError that carries a file name names its file already
+        named = subject is None or getattr(cause, "filename", None) is not None
+        super().__init__(f"{stage}: {cause}" if named else f"{stage}: {subject}: {cause}")
         self.stage = stage
-        self.cause = cause
+
+
+@contextmanager
+def _stage(name: str, subject=None):
+    """Report any failure inside the block as a StageError of that stage, about ``subject``."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as err:
+        raise StageError(name, err, subject) from err
 
 
 @dataclass
@@ -152,7 +164,7 @@ class PipelineConfig:
     def from_dict(cls, data: dict) -> "PipelineConfig":
         """Build and validate a config; any bad key or value is a "config" StageError."""
         top = {k: v for k, v in data.items() if k != "synth"}
-        try:
+        with _stage("config"):
             train = top.get("train")
             if isinstance(train, dict) and "seed" in train:
                 # the training seed is derived from the top seed: an int is checked, then dropped
@@ -162,8 +174,6 @@ class PipelineConfig:
             if "synth" in data:  # the generator's section, checked after the top level
                 synth_config(data)
             return config
-        except (TypeError, ValueError) as err:  # TypeError: a value of the wrong type
-            raise StageError("config", err) from err
 
     def config_hash(self) -> str:
         payload = self.to_dict()
@@ -174,13 +184,11 @@ class PipelineConfig:
 
 def load_config_file(path) -> dict:
     """The JSON object a config file holds; any other file is a "config" StageError naming it."""
-    try:
+    with _stage("config", path):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"top level must be a JSON object, not {type(data).__name__}")
-    except (OSError, ValueError) as err:  # ValueError: malformed JSON or text
-        raise StageError("config", ValueError(f"config file {path}: {err}")) from err
     return data
 
 
@@ -242,33 +250,21 @@ def load_table(config: PipelineConfig) -> tuple[ReviewTable, list, dict[str, int
     """Parse and dedupe the configured input.
 
     Returns (deduped table, row errors, ingest counts), the counts under
-    the manifest's keys; raises on an input with no valid reviews at all.
+    the manifest's keys. An unreadable file, or one with no valid review at
+    all, is an "ingest" StageError naming it.
     """
-    try:
+    with _stage("ingest", config.input):
         raw, errors = parse_reviews(
             config.input, delimiter=config.delimiter(), has_header=config.has_header
         )
-    except OSError as err:
-        raise StageError("ingest", err) from err
-    if len(raw) == 0:
-        raise StageError("ingest", ValueError(f"no valid reviews in {config.input!r}"))
-    table = dedupe(raw, config.dedupe_policy)
+        if len(raw) == 0:
+            raise ValueError("no valid reviews")
+        table = dedupe(raw, config.dedupe_policy)
     return table, errors, {
         "n_rows_parsed": len(raw),
         "n_row_errors": len(errors),
         "n_duplicates_removed": len(raw) - len(table),
     }
-
-
-@contextmanager
-def _stage(name: str):
-    """Report any failure inside the block as a StageError of that stage."""
-    try:
-        yield
-    except StageError:
-        raise
-    except Exception as err:
-        raise StageError(name, err) from err
 
 
 def extract_candidate_groups(
@@ -315,7 +311,6 @@ def _graph_stage(table: ReviewTable, config: PipelineConfig):
             raise ValueError(
                 "product-rating graph has no edges; lower min_co_review or check the data"
             )
-    with _stage("train"):
         adj = adjacency_sparse(graph)
         return graph, adj, node_features(graph, adj)
 

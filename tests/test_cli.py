@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import modularity as dense_modularity, write_reviews_reference
-from spamrings import cli
+from spamrings import cli, pipeline
 from spamrings.cli import _pipeline_config, build_parser, main
 from spamrings.graph import adjacency_sparse, build_graph
 from spamrings.pipeline import (
@@ -155,12 +155,16 @@ def test_ingest_empty_file_fails(tmp_path, capsys):
     src.write_text("")
     rc = main(["ingest", "--input", str(src), "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "ingest" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: ingest: {src}: no valid reviews\n"
 
 
 def test_ingest_missing_file_fails(tmp_path, capsys):
-    rc = main(["ingest", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")])
+    src = tmp_path / "nope.csv"
+    rc = main(["ingest", "--input", str(src), "--out", str(tmp_path / "out")])
     assert rc == 1
+    err = capsys.readouterr().err
+    # the OSError names the file, so the message names it once
+    assert err.startswith("error: ingest: [Errno 2]") and err.count(str(src)) == 1, err
 
 
 def test_detect_reports(dataset, tmp_path):
@@ -874,6 +878,62 @@ def test_every_command_checks_the_synth_section(
     assert not out.exists()
 
 
+UNREADABLE_INPUTS = {
+    "not_utf8": b"\xff\xfeu1,p1,5,-1,2014-01-01\n",
+    "oversized_field": b"u1,p1,5,-1,2014-01-01\nu2,"
+    + b"p" * (csv.field_size_limit() + 1)
+    + b",5,-1,2014-01-02\n",
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_EXTRA_ARGS))
+@pytest.mark.parametrize("content", list(UNREADABLE_INPUTS))
+def test_unreadable_input_fails_at_ingest_naming_the_file(tmp_path, capsys, command, content):
+    src = tmp_path / "reviews.csv"
+    src.write_bytes(UNREADABLE_INPUTS[content])
+    out = tmp_path / "out"
+    rc = main([command, "--input", str(src), "--out", str(out)] + COMMAND_EXTRA_ARGS[command])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ingest: {src}: "), err
+    assert not out.exists()
+
+
+def test_eval_unreadable_ranked_file_fails_at_eval_naming_it(dataset, tmp_path, capsys):
+    ranked = tmp_path / "ranked.jsonl"
+    ranked.write_bytes(b"\xff\xfe{}\n")
+    out = tmp_path / "out"
+    rc = main(["eval", "--input", str(dataset / "reviews.csv"), "--ranked", str(ranked),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: eval: {ranked}: 'utf-8' codec"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [*COMMAND_EXTRA_ARGS, "synth"])
+@pytest.mark.parametrize("below_a_file", [False, True])
+def test_out_that_cannot_be_a_directory_fails_at_config_before_ingest(
+    dataset, tmp_path, monkeypatch, capsys, command, below_a_file
+):
+    def parse_reviews(*args, **kwargs):
+        raise AssertionError("parse_reviews ran")
+
+    monkeypatch.setattr(pipeline, "parse_reviews", parse_reviews)
+    blocker = tmp_path / "out.txt"
+    blocker.write_text("")
+    out = blocker / "sub" if below_a_file else blocker
+    if command == "synth":
+        args = ["--config", _small_synth_config(tmp_path)]
+    else:
+        args = ["--input", str(dataset / "reviews.csv"), *COMMAND_EXTRA_ARGS[command]]
+    rc = main([command, *args, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config: {out}: {blocker} is not a directory\n", err
+    assert blocker.read_text() == ""
+
+
 def test_detect_runs_with_a_synth_section_that_synth_accepts(dataset, tmp_path):
     # the top-level seed stands in for synth.seed, as the synth command reads it
     cfg_path = tmp_path / "cfg.json"
@@ -1039,3 +1099,16 @@ def test_detect_stage_error_carries_stage(dataset):
     with pytest.raises(StageError) as exc:
         detect(table, cfg)
     assert exc.value.stage == "graph"
+
+
+def test_node_feature_failure_is_graph_stage_error(dataset, monkeypatch):
+    def node_features(graph, adj):
+        raise RuntimeError("no features")
+
+    monkeypatch.setattr(pipeline, "node_features", node_features)
+    cfg = PipelineConfig(input=str(dataset / "reviews.csv"))
+    table, _, _ = load_table(cfg)
+    with pytest.raises(StageError) as exc:
+        detect(table, cfg)
+    assert exc.value.stage == "graph"
+    assert str(exc.value) == "graph: no features"
