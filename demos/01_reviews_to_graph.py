@@ -31,7 +31,7 @@ path.write_text(rows)
 table, errors = parse_reviews(path)
 print(f"parsed {len(table)} reviews, {len(errors)} malformed rows")
 
-# alice rated noodle_house twice; keep_latest retains the 5 from March
+# alice rated noodle_house twice; dedupe keeps the later rating, the 5 from March
 table = dedupe(table)
 print(f"after dedupe: {len(table)} reviews")
 

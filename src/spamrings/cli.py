@@ -147,7 +147,8 @@ def _check_out(out: str) -> None:
     """Fail at "config" if ``out``, or its nearest existing ancestor, is not a directory."""
     with _stage("config", out):
         path = Path(out).absolute()
-        nearest = next(p for p in (path, *path.parents) if p.exists())
+        # lexists: a dangling symlink exists, and is no directory to write in
+        nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
         if not nearest.is_dir():
             raise ValueError(f"{nearest} is not a directory")
 

@@ -47,9 +47,8 @@ from .indicators import (
     write_indicators,
 )
 from .modularity import modularity
-from .reviews import DEDUPE_POLICIES, ReviewTable, dedupe, parse_reviews
+from .reviews import ReviewTable, dedupe, parse_reviews
 from .scoring import (
-    COMPACTNESS_WEIGHT,
     DEFAULT_SIZE_FLOOR,
     SIZE_BUCKET_WIDTH,
     Ranking,
@@ -107,7 +106,6 @@ class GraphConfig:
 @dataclass
 class GroupConfig:
     min_support: int = 2
-    split_components: bool = True
 
     def __post_init__(self):
         if self.min_support < 1:
@@ -117,13 +115,10 @@ class GroupConfig:
 @dataclass
 class RankConfig:
     size_floor: int = DEFAULT_SIZE_FLOOR
-    compactness_weight: float = COMPACTNESS_WEIGHT
 
     def __post_init__(self):
         if self.size_floor < 0:
             raise ValueError("rank.size_floor must be >= 0")
-        if self.compactness_weight < 0:
-            raise ValueError("rank.compactness_weight must be >= 0")
 
 
 @dataclass
@@ -131,7 +126,6 @@ class PipelineConfig:
     input: str = ""
     format: str = "csv"
     has_header: bool = False
-    dedupe_policy: str = "keep_latest"
     seed: int = 0
     out: str = "out"
     burst_tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS
@@ -149,10 +143,6 @@ class PipelineConfig:
             raise ValueError("seed must be >= 0")
         if self.burst_tau_days < 1:
             raise ValueError("burst_tau_days must be >= 1")
-        if self.dedupe_policy not in DEDUPE_POLICIES:
-            raise ValueError(
-                f"dedupe_policy must be one of {DEDUPE_POLICIES}, got {self.dedupe_policy!r}"
-            )
 
     def delimiter(self) -> str:
         return INPUT_DELIMITERS[self.format]
@@ -259,7 +249,7 @@ def load_table(config: PipelineConfig) -> tuple[ReviewTable, list, dict[str, int
         )
         if len(raw) == 0:
             raise ValueError("no valid reviews")
-        table = dedupe(raw, config.dedupe_policy)
+        table = dedupe(raw)
     return table, errors, {
         "n_rows_parsed": len(raw),
         "n_row_errors": len(errors),
@@ -277,14 +267,13 @@ def extract_candidate_groups(
     mixture always has zero compactness), so each cluster is split into
     its connected components before member extraction. Duplicate member
     sets, which overlapping assignments can produce, keep only their
-    first occurrence. With group.split_components off, a whole cluster
-    yields one group. Every piece of every cluster is extracted at once.
+    first occurrence. Every piece of every cluster is extracted at once.
     """
     pieces: list[set[int]] = []
     sources: list[int] = []
     clusters = assign_clusters(assignment, threshold=config.train.assign_threshold)
     for cluster_id, nodes in clusters.items():
-        split = connected_components(graph, nodes) if config.group.split_components else [nodes]
+        split = connected_components(graph, nodes)
         pieces += split
         sources += [cluster_id] * len(split)
     extracted = extract_groups(pieces, graph, index, config.group.min_support)
@@ -343,11 +332,7 @@ def detect(table: ReviewTable, config: PipelineConfig) -> DetectResult:
         groups = extract_candidate_groups(graph, result.assignment, index, config)
         if not groups:
             raise ValueError("no candidate groups were extracted from the clusters")
-        scored = score_groups(
-            groups,
-            tau_days=config.burst_tau_days,
-            compactness_weight=config.rank.compactness_weight,
-        )
+        scored = score_groups(groups, tau_days=config.burst_tau_days)
         scored = attach_precision(scored)
         ranking = rank_groups(scored, size_floor=config.rank.size_floor)
     return DetectResult(

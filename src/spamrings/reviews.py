@@ -18,7 +18,6 @@ LABEL_FAKE = "fake"
 LABEL_GENUINE = "genuine"
 LABEL_UNKNOWN = "unknown"
 VALID_LABELS = (LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN)
-DEDUPE_POLICIES = ("keep_latest", "keep_first")
 
 # Yelp metadata uses -1 / 1 label tokens; an empty field means unlabeled.
 DEFAULT_LABEL_MAP = {
@@ -251,21 +250,17 @@ def write_reviews(table: ReviewTable, path, delimiter: str = ",") -> None:
                 fh.write(text)
 
 
-def dedupe(table: ReviewTable, policy: str = "keep_latest") -> ReviewTable:
+def dedupe(table: ReviewTable) -> ReviewTable:
     """Collapse to one review per (reviewer, product) pair.
 
-    ``keep_latest`` keeps the most recent rating (later file row wins a
-    date tie), ``keep_first`` the earliest. Output preserves the order in
-    which each pair is first seen, so a duplicate-free table passes
-    through unchanged.
+    The most recent rating is kept, and a later file row wins a date tie.
+    Output preserves the order in which each pair is first seen, so a
+    duplicate-free table passes through unchanged.
     """
-    if policy not in DEDUPE_POLICIES:
-        raise ValueError(f"unknown dedupe policy {policy!r}")
-    latest = policy == "keep_latest"
     kept: dict[tuple[str, str], Review] = {}
     for r in table.reviews:
         # r[:2] is the (reviewer_id, product_id) key.
         cur = kept.setdefault(r[:2], r)
-        if cur is not r and (r.date >= cur.date if latest else r.date < cur.date):
+        if cur is not r and r.date >= cur.date:
             kept[r[:2]] = r
     return ReviewTable(kept.values())

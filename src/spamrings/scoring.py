@@ -46,21 +46,13 @@ def _minmax(values: Sequence[float]) -> list[float]:
     return [(v - lo) / (hi - lo) for v in values]
 
 
-def anomaly_score(
-    compactness_norm: float,
-    deviation_norm: float,
-    burstness_norm: float,
-    compactness_weight: float = COMPACTNESS_WEIGHT,
-) -> float:
+def anomaly_score(compactness_norm: float, deviation_norm: float, burstness_norm: float) -> float:
     """Weighted sum of the normalized indicators; group cohesion counts
     three times as much as either individual signal."""
-    return compactness_weight * compactness_norm + deviation_norm + burstness_norm
+    return COMPACTNESS_WEIGHT * compactness_norm + deviation_norm + burstness_norm
 
 
-def normalize_scores(
-    items: Sequence[tuple[CandidateGroup, IndicatorVector]],
-    compactness_weight: float = COMPACTNESS_WEIGHT,
-) -> list[ScoredGroup]:
+def normalize_scores(items: Sequence[tuple[CandidateGroup, IndicatorVector]]) -> list[ScoredGroup]:
     """Min-max scale each indicator column across the candidate population.
 
     A zero-range column (including the single-group case) maps to all
@@ -78,7 +70,7 @@ def normalize_scores(
             compactness_norm=comp[i],
             deviation_norm=dev[i],
             burstness_norm=bst[i],
-            anomaly_score=anomaly_score(comp[i], dev[i], bst[i], compactness_weight),
+            anomaly_score=anomaly_score(comp[i], dev[i], bst[i]),
         )
         for i, (group, vec) in enumerate(items)
     ]
@@ -121,10 +113,8 @@ def size_distribution(sizes: Iterable[int]) -> dict[int, int]:
 
 
 def score_groups(
-    groups: Sequence[CandidateGroup],
-    tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS,
-    compactness_weight: float = COMPACTNESS_WEIGHT,
+    groups: Sequence[CandidateGroup], tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS
 ) -> list[ScoredGroup]:
     """Indicators + normalization + anomaly scores for a set of candidates."""
     items = [(g, group_indicators(g, tau_days=tau_days)) for g in groups]
-    return normalize_scores(items, compactness_weight=compactness_weight)
+    return normalize_scores(items)

@@ -463,16 +463,12 @@ def train_reference(adj, features, config: TrainConfig) -> TrainResult:
     )
 
 
-def dedupe_reference(table: ReviewTable, policy: str = "keep_latest") -> ReviewTable:
+def dedupe_reference(table: ReviewTable) -> ReviewTable:
     kept = {}
     for r in table.reviews:
         key = (r.reviewer_id, r.product_id)
         cur = kept.get(key)
-        if cur is None:
-            kept[key] = r
-        elif policy == "keep_latest" and r.date >= cur.date:
-            kept[key] = r
-        elif policy == "keep_first" and r.date < cur.date:
+        if cur is None or r.date >= cur.date:
             kept[key] = r
     return ReviewTable(kept.values())
 
@@ -586,11 +582,7 @@ def extract_candidate_groups_reference(graph, assignment, table, config) -> list
     groups: list[SetGroup] = []
     seen: set[frozenset[str]] = set()
     for cluster_id in sorted(clusters):
-        if config.group.split_components:
-            pieces = connected_components(graph, clusters[cluster_id])
-        else:
-            pieces = [clusters[cluster_id]]
-        for piece in pieces:
+        for piece in connected_components(graph, clusters[cluster_id]):
             group = extract_group(
                 piece, graph, table, min_support=config.group.min_support, source_cluster=cluster_id
             )

@@ -417,11 +417,8 @@ def test_sweep_single_k_single_row(dataset, tmp_path):
     assert len((out / "sweep.tsv").read_text().splitlines()) == 2
 
 
-@pytest.mark.parametrize("split", [True, False])
-def test_sweep_and_detect_agree_on_group_count(dataset, tmp_path, split):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"group": {"split_components": split}}))
-    common = ["--input", str(dataset / "reviews.csv"), "--config", str(cfg_path), "--seed", "4"]
+def test_sweep_and_detect_agree_on_group_count(dataset, tmp_path):
+    common = ["--input", str(dataset / "reviews.csv"), "--seed", "4"]
     assert main(["detect", *common, "--out", str(tmp_path / "det")] + FAST_DETECT) == 0
     # sweep at k = the detect run's --n-clusters
     assert main(["sweep", *common, "--out", str(tmp_path / "sw"), "--k-list", "20"]
@@ -720,9 +717,10 @@ def test_bad_flag_fails_at_config_before_any_report(dataset, tmp_path, capsys, f
     [
         ({"bogus": 1}, "bogus"),
         ({"train": {"epochs": 60, "bogus": 1}}, "train.bogus"),
-        ({"rank": {"compactness_weight": -1.0}}, "compactness_weight"),
+        ({"rank": {"compactness_weight": -1.0}}, "unknown config key rank.compactness_weight"),
         ({"graph": {"weighting": "cubic"}}, "weighting"),
-        ({"dedupe_policy": "keep_any"}, "dedupe_policy"),
+        ({"dedupe_policy": "keep_any"}, "unknown config key dedupe_policy"),
+        ({"group": {"split_components": False}}, "unknown config key group.split_components"),
         ({"burst_tau_days": 0}, "burst_tau_days"),
         ({"format": "xml"}, "format"),
         ({"train": {"add_self_loops": True}}, "unknown config key train.add_self_loops"),
@@ -758,7 +756,7 @@ def test_bad_config_file_fails_at_config_before_any_report(
         ({"graph": {"dump": 1}}, [], "graph.dump must be bool"),
         ({"group": {"min_support": 1.5}}, [], "group.min_support must be int"),
         ({"graph": {"min_co_review": 2.5}}, [], "graph.min_co_review must be int"),
-        ({"rank": {"compactness_weight": float("nan")}}, [], "compactness_weight must be finite"),
+        ({"rank": {"compactness_weight": float("nan")}}, [], "unknown config key rank.compactness_weight"),
         ({"train": {"collapse_weight": float("inf")}}, [], "train.collapse_weight must be finite"),
         ({"seed": -1, "synth": {"bogus": 1}}, [], "seed must be >= 0"),  # top level first
     ],
@@ -913,15 +911,19 @@ def test_eval_unreadable_ranked_file_fails_at_eval_naming_it(dataset, tmp_path, 
 
 @pytest.mark.parametrize("command", [*COMMAND_EXTRA_ARGS, "synth"])
 @pytest.mark.parametrize("below_a_file", [False, True])
+@pytest.mark.parametrize("dangling_link", [False, True])
 def test_out_that_cannot_be_a_directory_fails_at_config_before_ingest(
-    dataset, tmp_path, monkeypatch, capsys, command, below_a_file
+    dataset, tmp_path, monkeypatch, capsys, command, below_a_file, dangling_link
 ):
     def parse_reviews(*args, **kwargs):
         raise AssertionError("parse_reviews ran")
 
     monkeypatch.setattr(pipeline, "parse_reviews", parse_reviews)
     blocker = tmp_path / "out.txt"
-    blocker.write_text("")
+    if dangling_link:  # a link to a missing path: Path.exists follows it and reads False
+        blocker.symlink_to(tmp_path / "missing")
+    else:
+        blocker.write_text("")
     out = blocker / "sub" if below_a_file else blocker
     if command == "synth":
         args = ["--config", _small_synth_config(tmp_path)]
@@ -931,7 +933,9 @@ def test_out_that_cannot_be_a_directory_fails_at_config_before_ingest(
     assert rc == 1
     err = capsys.readouterr().err
     assert err == f"error: config: {out}: {blocker} is not a directory\n", err
-    assert blocker.read_text() == ""
+    assert blocker.is_symlink() == dangling_link
+    assert not (tmp_path / "missing").exists()
+    assert dangling_link or blocker.read_text() == ""
 
 
 def test_detect_runs_with_a_synth_section_that_synth_accepts(dataset, tmp_path):

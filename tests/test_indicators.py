@@ -625,8 +625,7 @@ def test_extract_groups_equals_per_piece_oracle(deduped):
         assert [g.members for g in singles] == [node.reviewers for node in graph.nodes]
 
 
-@pytest.mark.parametrize("split", [True, False])
-def test_extract_candidate_groups_equals_per_piece_oracle(split):
+def test_extract_candidate_groups_equals_per_piece_oracle():
     from spamrings.pipeline import GroupConfig, PipelineConfig, extract_candidate_groups
     from spamrings.synth import SynthConfig, generate
 
@@ -636,7 +635,7 @@ def test_extract_candidate_groups_equals_per_piece_oracle(split):
     logits = np.random.default_rng(5).normal(scale=2.0, size=(len(graph.nodes), 12))
     assignment = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     for min_support in (1, 2):
-        config = PipelineConfig(group=GroupConfig(min_support=min_support, split_components=split))
+        config = PipelineConfig(group=GroupConfig(min_support=min_support))
         got = extract_candidate_groups(graph, assignment, index, config)
         expected = oracles.extract_candidate_groups_reference(graph, assignment, table, config)
         assert len(got) == len(expected) > 10

@@ -197,17 +197,14 @@ def test_well_formed_file_parses_row_for_row(tmp_path):
     assert len(table) == n
 
 
-def test_dedupe_keep_latest_and_keep_first():
+def test_dedupe_keeps_latest_rating():
     table = ReviewTable(
         [
             Review("u1", "p1", 3, d("2014-01-01")),
             Review("u1", "p1", 5, d("2014-06-01")),
         ]
     )
-    latest = dedupe(table, "keep_latest")
-    assert [r.rating for r in latest.reviews] == [5]
-    first = dedupe(table, "keep_first")
-    assert [r.rating for r in first.reviews] == [3]
+    assert [r.rating for r in dedupe(table).reviews] == [5]
 
 
 def test_dedupe_no_duplicates_is_identity():
@@ -238,11 +235,6 @@ def test_dedupe_shrinks_and_is_idempotent():
     assert dedupe(once) == once
     pairs = {(r.reviewer_id, r.product_id) for r in once.reviews}
     assert len(pairs) == len(once)
-
-
-def test_dedupe_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        dedupe(ReviewTable([]), "keep_random")
 
 
 def test_product_stats_examples():
@@ -336,8 +328,7 @@ def test_parse_matches_row_at_a_time_oracle(tmp_path, delimiter, has_header):
     assert table.reviews == want_table.reviews
     assert all(type(r) is Review for r in table.reviews)
     assert errors == want_errors
-    for policy in ("keep_latest", "keep_first"):
-        assert dedupe(table, policy).reviews == dedupe_reference(want_table, policy).reviews
+    assert dedupe(table).reviews == dedupe_reference(want_table).reviews
     assert len(table) > 1000 and len(errors) > 500
     assert len(dedupe(table)) < len(table)
     assert {m.split(" ")[0] for _, m in errors} >= {"rating", "empty", "unparseable", "expected", "unmapped"}
@@ -360,7 +351,7 @@ def test_write_parse_round_trip_with_quoted_ids(tmp_path, delimiter):
     assert table.reviews == [r._replace(reviewer_id=r.reviewer_id.strip()) for r in reviews]
 
 
-def test_dedupe_date_tie_keeps_later_row_or_first_row():
+def test_dedupe_date_tie_keeps_later_row():
     table = ReviewTable(
         [
             Review("u1", "p1", 2, d("2014-01-01")),
@@ -370,8 +361,7 @@ def test_dedupe_date_tie_keeps_later_row_or_first_row():
             Review("u2", "p1", 3, d("2014-02-01")),
         ]
     )
-    assert [r.rating for r in dedupe(table, "keep_latest").reviews] == [5, 3]
-    assert [r.rating for r in dedupe(table, "keep_first").reviews] == [2, 1]
+    assert [r.rating for r in dedupe(table).reviews] == [5, 3]
 
 
 def _special_ids(delimiter):
