@@ -6,33 +6,37 @@ Outside ``testpaths``, so the default test run skips it. Run with
     PYTHONPATH=src python -m pytest benchmarks/test_micro_graph.py
 
 ``test_graph_memory_heavy_tailed`` is no timing: it prints the
-tracemalloc peak and kept size of ``adjacency_sparse``, training's
-``_prepare`` and ``modularity``, the stages that read the graph after it
-is built, so memory work on them has a number to start from.
+tracemalloc peak and kept size of ``build_graph``, which sets the heavy
+shape's peak, and of ``adjacency_sparse``, training's ``_prepare`` and
+``modularity``, the stages that read the graph after it is built, so
+memory work on them has a number to start from.
 
 Two inputs:
 
 - the graph of the ``detect-big-groups`` benchmark workload at seed 0:
   1,176 nodes, 532 edges, co-reviewer counts up to 2,100;
-- a heavy-tailed table, a tenth of the reviewers of the YelpNYC-sized
-  shape on the ROADMAP: 16,000 reviewers and 923 products, reviewer
-  activity Zipf(2.2) capped at 400 and product choice Zipf(1.0). A few
-  hyperactive reviewers link most node pairs, which uniform ``synth``
-  data never shows.
+- ``oracles.heavy_tailed_table`` at a tenth of the reviewers of the
+  YelpNYC-sized shape on the ROADMAP: 16,000 reviewers and 923 products,
+  reviewer activity Zipf(2.2) capped at 400 and product choice Zipf(1.0).
+  A few hyperactive reviewers link most node pairs, which uniform
+  ``synth`` data never shows.
 """
 
-import datetime
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import heavy_tailed_table
+
 from spamrings.clustering import _prepare
 from spamrings.graph import adjacency_sparse, build_graph, node_features
 from spamrings.modularity import modularity
-from spamrings.reviews import Review, ReviewTable
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
 
 
@@ -43,19 +47,6 @@ def test_co_review_matrix_big_groups(benchmark):
     graph = benchmark(build_graph, table)
     assert (len(graph.node_keys), graph.co_review.nnz // 2) == (1176, 532)
     assert graph.co_review.data.max() == 2100
-
-
-def heavy_tailed_table(n_reviewers, n_products, cap, seed=0) -> ReviewTable:
-    rng = np.random.default_rng(seed)
-    popularity = 1.0 / np.arange(1, n_products + 1)
-    popularity /= popularity.sum()
-    day = datetime.date(2014, 1, 1)
-    reviews = []
-    for i in range(n_reviewers):
-        k = min(int(rng.zipf(2.2)), cap)
-        for p in rng.choice(n_products, size=k, replace=False, p=popularity):
-            reviews.append(Review(f"u{i}", f"p{p}", int(rng.integers(1, 6)), day))
-    return ReviewTable(reviews)
 
 
 def test_co_review_matrix_heavy_tailed(benchmark):
@@ -77,7 +68,7 @@ def _traced(fn, *args):
 
 
 def test_graph_memory_heavy_tailed(capsys):
-    graph = build_graph(heavy_tailed_table(16_000, 923, cap=400))
+    graph, *build_mib = _traced(build_graph, heavy_tailed_table(16_000, 923, cap=400))
     adj, *adj_mib = _traced(adjacency_sparse, graph)
     prob, *prepare_mib = _traced(_prepare, adj, node_features(graph, adj))
     labels = np.random.default_rng(0).integers(0, 50, size=adj.shape[0])  # as argmax gives
@@ -88,7 +79,8 @@ def test_graph_memory_heavy_tailed(capsys):
             f"{prob.active.size:,} of {adj.shape[0]:,} nodes active, Q {q:.4f}"
         )
         for name, (peak, kept) in (
-            ("adjacency_sparse", adj_mib), ("_prepare", prepare_mib), ("modularity", modularity_mib)
+            ("build_graph", build_mib), ("adjacency_sparse", adj_mib),
+            ("_prepare", prepare_mib), ("modularity", modularity_mib),
         ):
             print(f"  {name:<16} peak {peak:7.2f} MiB  kept {kept:7.2f} MiB")
     assert adj is graph.co_review and adj_mib[1] < 0.01

@@ -18,7 +18,6 @@ import sys
 from operator import itemgetter
 from pathlib import Path
 
-from .graph import WEIGHTING_MODES
 from .indicators import ReviewerIndex
 from .pipeline import (
     INPUT_DELIMITERS,
@@ -57,9 +56,6 @@ def _add_detect_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--min-co-review", dest="graph.min_co_review", type=int,
         help="edge threshold on shared reviewers",
-    )
-    parser.add_argument(
-        "--weighting", dest="graph.weighting", choices=WEIGHTING_MODES, help="edge weight mode"
     )
     parser.add_argument(
         "--dump-graph", dest="graph.dump", action="store_true", default=None,

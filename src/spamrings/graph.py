@@ -7,8 +7,10 @@ columns: node j's reviewers are the rows of B's column j, and no per-node
 set is kept. Two nodes of distinct products are linked when enough
 reviewers sit in both reviewer sets; the edge carries the size of that
 intersection, its co-reviewer count. One symmetric sparse matrix of those
-counts, BᵀB, holds every edge; it is the adjacency under count weighting,
-and binary weighting puts ones on its index arrays.
+counts, BᵀB off its diagonal, holds every edge and is the adjacency. The
+table holds one review per (reviewer, product), as ``reviews.dedupe``
+leaves it, so a reviewer sits in at most one node of a product and no
+edge joins two ratings of one product.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from .reviews import ReviewTable
 
 np = lazy_import("numpy")
 sp = lazy_import("scipy.sparse")
-
-WEIGHTING_MODES = ("binary", "co_review_count")
-DEFAULT_WEIGHTING = "co_review_count"
 
 NUM_RATING_LEVELS = 5
 FEATURE_DIM = NUM_RATING_LEVELS + 2
@@ -68,12 +67,7 @@ class PRGraph:
     node_keys: np.ndarray  # ascending in build_graph
     reviewers: list[str]
     incidence: sp.csc_array  # column j holds node j's reviewer rows
-    co_review: sp.csr_array  # co_review_matrix(node_keys, incidence, ...)
-    weighting: str = DEFAULT_WEIGHTING
-
-    def __post_init__(self):
-        if self.weighting not in WEIGHTING_MODES:
-            raise ValueError(f"unknown edge weighting {self.weighting!r}")
+    co_review: sp.csr_array  # co_review_matrix(incidence, ...)
 
     @property
     def keys(self) -> list[NodeKey]:
@@ -118,38 +112,43 @@ def review_cells(
     ``row`` maps each reviewer id to its row, the position in
     ``ReviewTable.reviewer_ids``; column j is the j-th product id. The
     arrays follow review order. Graph construction and the scoring index
-    both read their reviewer and product matrices from them.
+    both read their reviewer and product matrices from them, so both
+    rest on the check made here: the table holds one review per
+    (reviewer, product), as ``reviews.dedupe`` leaves it. A ValueError
+    names the first pair, by product then reviewer, that it holds twice.
     """
     reviews = table.reviews
-    n = len(reviews)
+    n, n_rows = len(reviews), len(row)
     product_ids = sorted(set(map(itemgetter(1), reviews)))
     column = {p: j for j, p in enumerate(product_ids)}
-    return (
-        product_ids,
-        np.fromiter(map(row.__getitem__, map(itemgetter(0), reviews)), np.intp, n),
-        np.fromiter(map(column.__getitem__, map(itemgetter(1), reviews)), np.intp, n),
-        np.fromiter(map(itemgetter(2), reviews), np.int8, n),
-    )
+    rows = np.fromiter(map(row.__getitem__, map(itemgetter(0), reviews)), np.intp, n)
+    columns = np.fromiter(map(column.__getitem__, map(itemgetter(1), reviews)), np.intp, n)
+    cells = np.sort(columns * n_rows + rows)
+    twice = np.flatnonzero(cells[1:] == cells[:-1])
+    if len(twice):
+        j, i = divmod(int(cells[twice[0]]), n_rows)
+        raise ValueError(
+            f"reviewer {table.reviewer_ids[i]!r} reviewed product {product_ids[j]!r} "
+            "more than once; dedupe the table first"
+        )
+    return product_ids, rows, columns, np.fromiter(map(itemgetter(2), reviews), np.int8, n)
 
 
-def co_review_matrix(
-    node_keys: np.ndarray, incidence: sp.csc_array, min_co_review: int = 2
-) -> sp.csr_array:
-    """Co-reviewer counts of node pairs (distinct products) sharing >= min_co_review reviewers.
+def co_review_matrix(incidence: sp.csc_array, min_co_review: int = 2) -> sp.csr_array:
+    """Co-reviewer counts of node pairs sharing >= min_co_review reviewers.
 
     The counts are ``BᵀB`` of the nodes' incidence ``B``, with the
-    diagonal, pairs of one product (a table that is not deduped can put a
-    reviewer in two ratings of a product) and counts below the threshold
-    dropped; a node's product is its key // NUM_RATING_LEVELS. The result
-    is symmetric canonical CSR: sorted indices, no duplicates and no
-    explicit zeros.
+    diagonal and counts below the threshold dropped. Two nodes of one
+    product share no reviewer in a deduped table, so they get no count.
+    Every node has a reviewer, so each diagonal entry is stored and
+    ``setdiag`` zeroes it in place. The result is symmetric canonical CSR:
+    sorted indices, no duplicates and no explicit zeros.
     """
     if min_co_review < 1:
         raise ValueError("min_co_review must be >= 1")
     counts = incidence.T @ incidence
-    product = (np.asarray(node_keys) // NUM_RATING_LEVELS).astype(np.int32)  # halves the masks
-    same_product = product[counts.indices] == np.repeat(product, np.diff(counts.indptr))
-    counts.data[same_product | (counts.data < min_co_review)] = 0
+    counts.setdiag(0)
+    counts.data[counts.data < min_co_review] = 0
     counts.eliminate_zeros()
     counts.sort_indices()
     return counts
@@ -162,18 +161,13 @@ def _upper_triangle(matrix: sp.csr_array) -> tuple[list[int], list, list]:
     return row[above].tolist(), matrix.indices[above].tolist(), matrix.data[above].tolist()
 
 
-def build_graph(
-    table: ReviewTable,
-    min_co_review: int = 2,
-    weighting: str = DEFAULT_WEIGHTING,
-) -> PRGraph:
-    """The graph of a table: one node per (product, rating) pair that has a review.
+def build_graph(table: ReviewTable, min_co_review: int = 2) -> PRGraph:
+    """The graph of a deduped table: one node per (product, rating) pair that has a review.
 
     Nodes come out sorted by (product, rating), so the graph does not
     depend on input review order. The incidence B lists each node's
-    reviewer rows in ascending order, each once, even when a table that
-    was not deduped repeats a (reviewer, product, rating) triple. Its
-    entries are int32 ones: ``BᵀB`` and its masks are the graph's memory
+    reviewer rows in ascending order, each once, as :func:`review_cells`
+    checks. Its entries are int32 ones: ``BᵀB`` is the graph's memory
     peak, and a count is at most the number of reviewers. The row indices
     and, when they fit, the column offsets are int32 too; scipy keeps
     int32 index arrays through ``BᵀB``, so the co-reviewer counts, which
@@ -185,7 +179,7 @@ def build_graph(
         table, {r: i for i, r in enumerate(reviewers)}
     )
     node_keys, node = np.unique(columns * NUM_RATING_LEVELS + ratings - 1, return_inverse=True)
-    members = np.unique(node * n_rows + rows)  # sorted by node, then by row
+    members = np.sort(node * n_rows + rows)  # by node, then by row
     del rows, columns, ratings, node  # the per-review arrays go before BᵀB
     starts = np.cumsum(np.bincount(members // n_rows + 1, minlength=len(node_keys) + 1))
     if starts[-1] <= np.iinfo(np.int32).max:
@@ -195,20 +189,13 @@ def build_graph(
         shape=(n_rows, len(node_keys)),
     )
     del members
-    counts = co_review_matrix(node_keys, incidence, min_co_review)
-    return PRGraph(product_ids, node_keys, reviewers, incidence, counts, weighting)
+    counts = co_review_matrix(incidence, min_co_review)
+    return PRGraph(product_ids, node_keys, reviewers, incidence, counts)
 
 
 def adjacency_sparse(graph: PRGraph) -> sp.csr_array:
-    """The symmetric CSR adjacency with zero diagonal; no copy of the graph.
-
-    Under co_review_count weighting it is ``graph.co_review`` itself, the
-    int32 counts; under binary weighting, integer ones on its index arrays.
-    """
-    counts = graph.co_review
-    if graph.weighting == "co_review_count":
-        return counts
-    return sp.csr_array((np.ones_like(counts.data), counts.indices, counts.indptr), counts.shape)
+    """The symmetric CSR adjacency with zero diagonal: ``graph.co_review``, the int32 counts."""
+    return graph.co_review
 
 
 def node_features(graph: PRGraph, adj: sp.csr_array) -> np.ndarray:
@@ -236,7 +223,7 @@ def write_graph(graph: PRGraph, edges_path, nodes_path) -> None:
     with open(edges_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(
             (ids[u], ids[v], weight)
-            for u, v, weight in zip(*_upper_triangle(adjacency_sparse(graph)))
+            for u, v, weight in zip(*_upper_triangle(graph.co_review))
         )
     with open(nodes_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(

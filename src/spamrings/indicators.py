@@ -86,8 +86,8 @@ class ScoringIndex(ReviewerIndex):
 
     ``products`` is the reviewer × product 0/1 matrix R: canonical CSR
     whose column j is ``product_ids[j]``, the product ids in sorted order.
-    A table that was not deduped can hold a reviewer twice on one product,
-    which still counts once.
+    The table must be deduped: :func:`graph.review_cells` raises
+    ValueError on a reviewer who reviewed one product twice.
     ``deviation`` is each reviewer's mean |rating - product mean rating|
     over their reviews, scaled by the widest possible gap (4 stars) into
     [0, 1]; the terms are added in review order, as a per-review Python
@@ -115,8 +115,6 @@ class ScoringIndex(ReviewerIndex):
         self.products = sp.csr_array(
             (np.ones(n, dtype=np.int8), (rows, cols)), shape=(n_rows, len(self.product_ids))
         )
-        self.products.sum_duplicates()
-        self.products.data[:] = 1
 
     def burstness(self, tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS, rows=slice(None)):
         """How compressed each reviewer's activity window is, for the given rows.

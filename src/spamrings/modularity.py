@@ -32,6 +32,7 @@ def modularity(adj, labels) -> float:
     two_m = float(deg.sum())
     if two_m <= 0:
         raise ValueError("modularity undefined for edgeless graph (2m = 0)")
-    within = float(a.data[labels[a.indices] == np.repeat(labels, np.diff(a.indptr))].sum())
+    small = labels.astype(np.min_scalar_type(labels.max()))  # one byte for up to 256 clusters
+    within = float(a.data[small[a.indices] == np.repeat(small, np.diff(a.indptr))].sum())
     by_cluster = np.bincount(labels, weights=deg)
     return (within - float((by_cluster * by_cluster).sum()) / two_m) / two_m

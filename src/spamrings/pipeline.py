@@ -29,8 +29,6 @@ from .clustering import (
     write_assignment,
 )
 from .graph import (
-    DEFAULT_WEIGHTING,
-    WEIGHTING_MODES,
     PRGraph,
     adjacency_sparse,
     build_graph,
@@ -91,16 +89,11 @@ def _stage(name: str, subject=None):
 @dataclass
 class GraphConfig:
     min_co_review: int = 2
-    weighting: str = DEFAULT_WEIGHTING
     dump: bool = False
 
     def __post_init__(self):
         if self.min_co_review < 1:
             raise ValueError("graph.min_co_review must be >= 1")
-        if self.weighting not in WEIGHTING_MODES:
-            raise ValueError(
-                f"graph.weighting must be one of {WEIGHTING_MODES}, got {self.weighting!r}"
-            )
 
 
 @dataclass
@@ -291,11 +284,7 @@ def extract_candidate_groups(
 def _graph_stage(table: ReviewTable, config: PipelineConfig):
     """The graph of a table, with the adjacency and node features training reads."""
     with _stage("graph"):
-        graph = build_graph(
-            table,
-            min_co_review=config.graph.min_co_review,
-            weighting=config.graph.weighting,
-        )
+        graph = build_graph(table, min_co_review=config.graph.min_co_review)
         if graph.co_review.nnz == 0:
             raise ValueError(
                 "product-rating graph has no edges; lower min_co_review or check the data"

@@ -20,7 +20,9 @@ one sums over a COO copy of the adjacency, the other over a float64 copy.
 the graph that ``graph.connected_components`` replaced.
 
 ``build_edges_pair_count`` is the reviewer-by-reviewer pair count that
-``graph.co_review_matrix`` replaced.
+``graph.co_review_matrix`` replaced. ``co_review_matrix_masked`` is
+``co_review_matrix`` as it was while it also masked pairs of one product,
+which only a table that is not deduped can link.
 
 ``build_nodes`` and ``reviewer_incidence`` are the per-node reviewer
 frozensets, and the incidence B built from them, that ``graph.build_graph``
@@ -43,6 +45,11 @@ each row alone with a "\\r\\n" terminator, so that a field holding a
 carriage return is quoted like one holding a line feed, and ends the row
 in "\\n".
 
+``heavy_tailed_table`` is a deduped table whose reviewer activity is
+Zipf(2.2), capped, and whose product choice is Zipf(1.0): a few
+hyperactive reviewers link most node pairs, which uniform ``synth`` data
+never shows. The graph tests and microbenchmarks share it.
+
 ``reviews_by`` and ``product_stats`` group a table's reviews by reviewer
 or product and average each product's ratings, from ``table.reviews``
 alone.
@@ -60,6 +67,7 @@ replaced.
 from __future__ import annotations
 
 import csv
+import datetime
 import io
 import math
 from collections import Counter, defaultdict
@@ -323,8 +331,39 @@ def graph_from_nodes(nodes: list[PRNode], min_co_review: int = 2) -> PRGraph:
     product_ids = sorted({node.product_id for node in nodes})
     keys = node_keys(nodes, product_ids)
     incidence = reviewer_incidence(nodes, reviewers)
-    counts = co_review_matrix(keys, incidence, min_co_review)
+    counts = co_review_matrix(incidence, min_co_review)
     return PRGraph(product_ids, keys, reviewers, incidence, counts)
+
+
+def co_review_matrix_masked(
+    node_keys: np.ndarray, incidence: sp.csc_array, min_co_review: int = 2
+) -> sp.csr_array:
+    """``BᵀB`` without its diagonal, pairs of one product and counts below the threshold.
+
+    A node's product is its key // NUM_RATING_LEVELS.
+    """
+    if min_co_review < 1:
+        raise ValueError("min_co_review must be >= 1")
+    counts = incidence.T @ incidence
+    product = (np.asarray(node_keys) // NUM_RATING_LEVELS).astype(np.int32)
+    same_product = product[counts.indices] == np.repeat(product, np.diff(counts.indptr))
+    counts.data[same_product | (counts.data < min_co_review)] = 0
+    counts.eliminate_zeros()
+    counts.sort_indices()
+    return counts
+
+
+def heavy_tailed_table(n_reviewers, n_products, cap, seed=0) -> ReviewTable:
+    rng = np.random.default_rng(seed)
+    popularity = 1.0 / np.arange(1, n_products + 1)
+    popularity /= popularity.sum()
+    day = datetime.date(2014, 1, 1)
+    reviews = []
+    for i in range(n_reviewers):
+        k = min(int(rng.zipf(2.2)), cap)
+        for p in rng.choice(n_products, size=k, replace=False, p=popularity):
+            reviews.append(Review(f"u{i}", f"p{p}", int(rng.integers(1, 6)), day))
+    return ReviewTable(reviews)
 
 
 def build_edges_pair_count(nodes, min_co_review: int = 2) -> list[tuple[int, int, int]]:

@@ -718,7 +718,7 @@ def test_bad_flag_fails_at_config_before_any_report(dataset, tmp_path, capsys, f
         ({"bogus": 1}, "bogus"),
         ({"train": {"epochs": 60, "bogus": 1}}, "train.bogus"),
         ({"rank": {"compactness_weight": -1.0}}, "unknown config key rank.compactness_weight"),
-        ({"graph": {"weighting": "cubic"}}, "weighting"),
+        ({"graph": {"weighting": "binary"}}, "unknown config key graph.weighting"),
         ({"dedupe_policy": "keep_any"}, "unknown config key dedupe_policy"),
         ({"group": {"split_components": False}}, "unknown config key group.split_components"),
         ({"burst_tau_days": 0}, "burst_tau_days"),
@@ -950,11 +950,15 @@ def test_detect_runs_with_a_synth_section_that_synth_accepts(dataset, tmp_path):
     assert (out / "ranked_groups.jsonl").exists()
 
 
-def test_synth_rejects_format_flag(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, flags",
+    [("synth", ["--format", "tsv"]), ("detect", ["--input", "x.csv", "--weighting", "binary"])],
+)
+def test_command_rejects_a_flag_it_does_not_take(tmp_path, capsys, command, flags):
     with pytest.raises(SystemExit) as exc:
-        main(["synth", "--out", str(tmp_path / "o"), "--format", "tsv"])
+        main([command, "--out", str(tmp_path / "o"), *flags])
     assert exc.value.code == 2
-    assert "--format" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flags[-2]} {flags[-1]}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -993,7 +997,7 @@ def test_every_config_flag_reaches_its_config_field(command, required):
         args = build_parser().parse_args([command, "--input", "x.csv", *required, *flag])
         assert _config_field(_pipeline_config(args), action.dest) == value != default
         reached.append(action.option_strings[0])
-    assert len(reached) == {"detect": 18, "sweep": 18, "eval": 6}[command], reached
+    assert len(reached) == {"detect": 17, "sweep": 17, "eval": 6}[command], reached
 
 
 def test_float_config_fields_accept_ints():
@@ -1008,7 +1012,7 @@ def test_float_config_fields_accept_ints():
         ('{"seed": 1,', [], "cfg.json"),
         ("[1, 2]", [], "cfg.json"),
         ('{"graph": null}', [], "section graph"),
-        ('{"graph": null}', ["--weighting", "binary"], "section graph"),
+        ('{"graph": null}', ["--min-co-review", "3"], "section graph"),
     ],
 )
 def test_malformed_config_file_fails_at_config_before_any_report(

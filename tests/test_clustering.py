@@ -153,8 +153,9 @@ def test_normalized_adjacency_sparse_matches_dense():
 def test_normalized_adjacency_bit_equal_to_float64_oracle(weighting):
     """The int32 counts read in place, their float64 cast and their dense form
     give the bits of the float64 copy the normalization used to make."""
-    table, _ = generate(SynthConfig(seed=0))
-    adj = adjacency_sparse(build_graph(table, weighting=weighting))
+    adj = adjacency_sparse(build_graph(generate(SynthConfig(seed=0))[0]))
+    if weighting == "binary":  # int32 ones on the counts' index arrays
+        adj = sp.csr_array((np.ones_like(adj.data), adj.indices, adj.indptr), adj.shape)
     want = normalized_adjacency_float64(adj)
     assert want.nnz > 500
     for given in (adj, adj.astype(np.float64), adj.toarray()):
@@ -173,22 +174,16 @@ def test_the_run_holds_one_copy_of_the_graph():
     adj = adjacency_sparse(graph)
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(adj, name), getattr(graph.co_review, name)), name
-    binary = build_graph(table, weighting="binary")
-    ones = adjacency_sparse(binary)
-    assert ones.data.tolist() == [1] * binary.co_review.nnz
-    for name in ("indices", "indptr"):
-        assert np.shares_memory(getattr(ones, name), getattr(binary.co_review, name)), name
 
     # three reviewers rate four products alike: every node has an edge
     every = ReviewTable([Review(f"u{i}", f"p{j}", 5, datetime.date(2014, 1, 1)) for i in range(3) for j in range(4)])
-    for weighting in ("co_review_count", "binary"):
-        graph = build_graph(every, weighting=weighting)
-        adj = adjacency_sparse(graph)
-        prob = _prepare(adj, node_features(graph, adj))
-        assert prob.active.size == len(graph.node_keys) == 4
-        for matrix in (prob.adj, prob.adj_norm):
-            assert np.shares_memory(matrix.indices, graph.co_review.indices)
-            assert np.shares_memory(matrix.indptr, graph.co_review.indptr)
+    graph = build_graph(every)
+    adj = adjacency_sparse(graph)
+    prob = _prepare(adj, node_features(graph, adj))
+    assert prob.active.size == len(graph.node_keys) == 4
+    for matrix in (prob.adj, prob.adj_norm):
+        assert np.shares_memory(matrix.indices, graph.co_review.indices)
+        assert np.shares_memory(matrix.indptr, graph.co_review.indptr)
 
 
 # ------------------------------------------------------------------- forward

@@ -1,8 +1,8 @@
 import csv
-import dataclasses
 import datetime
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +11,10 @@ import scipy.sparse as sp
 from oracles import (
     build_edges_pair_count,
     build_nodes,
+    co_review_matrix_masked,
     connected_components_edge_scan,
     graph_from_nodes,
+    heavy_tailed_table,
     node_keys,
     reviewer_incidence,
 )
@@ -27,7 +29,9 @@ from spamrings.graph import (
     node_id_str,
     write_graph,
 )
-from spamrings.reviews import Review, ReviewTable
+from spamrings.indicators import ScoringIndex
+from spamrings.pipeline import GraphConfig, PipelineConfig, StageError, detect
+from spamrings.reviews import Review, ReviewTable, dedupe
 from spamrings.synth import SynthConfig, generate
 
 D = datetime.date(2014, 1, 1)
@@ -45,8 +49,7 @@ def dense_adjacency(graph):
     """Oracle: dense adjacency straight from the node reviewer sets."""
     adj = np.zeros((len(graph.nodes), len(graph.nodes)))
     for e in graph.edges:
-        w = 1.0 if graph.weighting == "binary" else float(len(co_reviewers(graph, e)))
-        adj[e.u, e.v] = adj[e.v, e.u] = w
+        adj[e.u, e.v] = adj[e.v, e.u] = float(len(co_reviewers(graph, e)))
     return adj
 
 
@@ -116,14 +119,6 @@ def test_co_rating_pair_lands_on_edge():
     assert edge.n_co_reviewers == 2
 
 
-def test_no_edge_within_same_product():
-    table = table_from([("u1", "p1", 5), ("u2", "p1", 5), ("u1", "p1", 3)])
-    # u1 rated p1 twice at different levels; dedupe normally forbids this,
-    # but edges must never join two ratings of the same product anyway.
-    nodes = build_nodes(table)
-    assert graph_from_nodes(nodes, min_co_review=1).co_review.nnz == 0
-
-
 def test_co_review_matrix_matches_pair_count_oracle():
     rng = random.Random(17)
     for _ in range(40):
@@ -132,11 +127,7 @@ def test_co_review_matrix_matches_pair_count_oracle():
             (f"u{rng.randrange(n_users)}", f"p{rng.randrange(n_products)}"): rng.randrange(1, 6)
             for _ in range(rng.randint(0, 150))
         }
-        reviews = [Review(u, p, r, D) for (u, p), r in rows.items()]
-        # rows a table that is not deduped keeps: a second rating of a product already rated
-        rerated = rng.sample(sorted(rows), len(rows) // 5)
-        reviews += [Review(u, p, rng.randrange(1, 6), D) for u, p in rerated]
-        nodes = build_nodes(ReviewTable(reviews))
+        nodes = build_nodes(ReviewTable([Review(u, p, r, D) for (u, p), r in rows.items()]))
         for min_co_review in (1, 2, 3):
             graph = graph_from_nodes(nodes, min_co_review)
             matrix = graph.co_review
@@ -150,11 +141,10 @@ def test_co_review_matrix_matches_pair_count_oracle():
 def test_graph_keeps_the_incidence_its_counts_come_from():
     rng = random.Random(29)
     for _ in range(20):
-        reviews = [
+        table = dedupe(ReviewTable(
             Review(f"u{rng.randrange(30)}", f"p{rng.randrange(6)}", rng.randrange(1, 6), D)
             for _ in range(rng.randint(1, 120))
-        ]  # not deduped: a reviewer can sit in two ratings of one product
-        table = ReviewTable(reviews)
+        ))
         graph = build_graph(table, min_co_review=1)
         incidence = graph.incidence
         assert incidence.shape == (len(table.reviewer_ids), len(graph.nodes))
@@ -166,7 +156,7 @@ def test_graph_keeps_the_incidence_its_counts_come_from():
             assert {reviewers[r] for r in column.coords[0].tolist()} == node.reviewers
         keys = node_keys(graph.nodes, graph.product_ids)
         assert np.array_equal(keys, graph.node_keys)
-        expected = co_review_matrix(keys, incidence, min_co_review=1)
+        expected = co_review_matrix(incidence, min_co_review=1)
         assert (graph.co_review != expected).nnz == 0
         assert (reviewer_incidence(graph.nodes, reviewers) != incidence).nnz == 0
 
@@ -188,20 +178,60 @@ def test_incidence_columns_equal_oracle_node_sets():
         assert incidence_columns(graph) == [(key(n), n.reviewers) for n in nodes]
         assert graph.incidence.has_canonical_format
         assert graph.nodes == nodes  # the lazy view rebuilds the same sets
-    # not deduped: u1 rates p1 5 twice, and p2 both 4 and 2
-    table = table_from(
-        [("u1", "p1", 5), ("u2", "p1", 5), ("u1", "p1", 5), ("u1", "p2", 4), ("u2", "p2", 4),
-         ("u1", "p2", 2), ("u2", "p1", 3)]
-    )
-    graph = build_graph(table, min_co_review=1)
-    assert incidence_columns(graph) == [
-        (("p1", 3), {"u2"}), (("p1", 5), {"u1", "u2"}), (("p2", 2), {"u1"}), (("p2", 4), {"u1", "u2"}),
-    ]
-    assert graph.incidence.has_canonical_format and set(graph.incidence.data.tolist()) == {1}
-    assert [(e.u, e.v, e.n_co_reviewers) for e in graph.edges] == [(0, 3, 1), (1, 2, 1), (1, 3, 2)]
 
 
-def test_adjacency_weighted_and_binary():
+def test_co_review_matrix_bit_equal_to_masked_oracle():
+    """On deduped tables the diagonal is all the product mask dropped, and
+    ``setdiag`` zeroes it in place: it never changes the sparsity structure."""
+    tables = [(f"synth seed {s}", dedupe(generate(SynthConfig(seed=s))[0])) for s in range(3)]
+    tables.append(("heavy tailed", heavy_tailed_table(2_000, 923, cap=400)))
+    for name, table in tables:
+        graph = build_graph(table, min_co_review=1)
+        for min_co_review in (1, 2, 3):
+            want = co_review_matrix_masked(graph.node_keys, graph.incidence, min_co_review)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", sp.SparseEfficiencyWarning)
+                got = co_review_matrix(graph.incidence, min_co_review)
+            assert want.nnz > 0, name
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+
+
+REPEATS = {  # the rows, and the pair the error names
+    "repeated triple": (
+        [("u1", "p1", 5), ("u2", "p1", 5), ("u2", "p2", 4), ("u1", "p1", 5)],
+        "reviewer 'u1' reviewed product 'p1' more than once",
+    ),
+    "two ratings": (
+        [("u1", "p1", 5), ("u2", "p1", 5), ("u2", "p2", 4), ("u2", "p1", 3)],
+        "reviewer 'u2' reviewed product 'p1' more than once",
+    ),
+}
+
+
+def _detect(table):
+    return detect(table, PipelineConfig(input="x.csv", graph=GraphConfig(min_co_review=1)))
+
+
+@pytest.mark.parametrize("case", sorted(REPEATS))
+@pytest.mark.parametrize("build", [build_graph, ScoringIndex, _detect], ids=lambda f: f.__name__)
+def test_table_with_a_repeated_reviewer_product_pair_is_rejected(build, case):
+    """One review per (reviewer, product) is a precondition of the graph and
+    the scoring index: a table that breaks it fails, naming the pair."""
+    rows, named = REPEATS[case]
+    table = table_from(rows)
+    with pytest.raises(StageError if build is _detect else ValueError) as raised:
+        build(table)
+    message = str(raised.value)
+    assert named in message, message
+    if build is _detect:
+        assert message.startswith("graph: "), message
+    else:
+        build(dedupe(table))  # the deduped table builds
+
+
+def test_adjacency_is_the_co_review_counts():
     table = table_from(
         [(u, p, 5) for u in ("a", "b", "c", "d") for p in ("p1", "p2")]
     )
@@ -210,25 +240,12 @@ def test_adjacency_weighted_and_binary():
     assert adj.shape == (2, 2)
     assert adj[0, 1] == adj[1, 0] == 4.0
     assert adj[0, 0] == adj[1, 1] == 0.0
-    binary = build_graph(table, min_co_review=1, weighting="binary")
-    assert adjacency(binary)[0, 1] == 1.0
 
 
 def test_adjacency_edgeless_graph_is_zero():
     table = table_from([("u1", "p1", 5), ("u2", "p2", 4)])
     graph = build_graph(table)
     assert not adjacency(graph).any()
-
-
-def test_adjacency_binary_triangle_row_sums():
-    rows = []
-    for a, b in (("p1", "p2"), ("p2", "p3"), ("p1", "p3")):
-        u = f"u_{a}_{b}"
-        rows += [(u, a, 5), (u, b, 5)]
-    table = ReviewTable([Review(u, p, r, D) for u, p, r in rows])
-    adj = adjacency(build_graph(table, min_co_review=1, weighting="binary"))
-    assert adj.shape == (3, 3)
-    assert np.array_equal(adj.sum(axis=1), np.array([2.0, 2.0, 2.0]))
 
 
 def test_node_features_recipe():
@@ -281,19 +298,16 @@ def test_co_reviewers_subset_of_both_endpoints_and_exact():
         nu, nv = graph.nodes[e.u], graph.nodes[e.v]
         assert e.n_co_reviewers == len(nu.reviewers & nv.reviewers)
         assert adj[e.u, e.v] == e.n_co_reviewers
-    bin_adj = adjacency(build_graph(table, min_co_review=1, weighting="binary"))
-    assert set(np.unique(bin_adj)) <= {0.0, 1.0}
 
 
 def test_sparse_adjacency_matches_dense():
     rng = random.Random(31)
     rows = {(f"u{rng.randrange(20)}", f"p{rng.randrange(6)}"): rng.randrange(1, 6) for _ in range(150)}
     table = ReviewTable([Review(u, p, r, D) for (u, p), r in rows.items()])
-    for mode in ("binary", "co_review_count"):
-        graph = build_graph(table, min_co_review=1, weighting=mode)
-        sparse = adjacency_sparse(graph)
-        assert sparse.format == "csr"
-        np.testing.assert_array_equal(sparse.toarray(), dense_adjacency(graph))
+    graph = build_graph(table, min_co_review=1)
+    sparse = adjacency_sparse(graph)
+    assert sparse.format == "csr"
+    np.testing.assert_array_equal(sparse.toarray(), dense_adjacency(graph))
 
 
 def test_connected_components_of_subset():
@@ -331,17 +345,9 @@ def test_connected_components_match_edge_scan_oracle():
             assert [min(c) for c in got] == sorted(min(c) for c in got)
 
 
-def test_bad_weighting_mode_rejected():
-    with pytest.raises(ValueError):
-        dataclasses.replace(graph_from_nodes([]), weighting="huh")
-    table = table_from([("u1", "p1", 5)])
-    with pytest.raises(ValueError):
-        build_graph(table, weighting="huh")
-
-
 def test_min_co_review_must_be_positive():
     with pytest.raises(ValueError):
-        co_review_matrix(np.zeros(0, dtype=np.intp), reviewer_incidence([], []), min_co_review=0)
+        co_review_matrix(reviewer_incidence([], []), min_co_review=0)
 
 
 def test_graph_dump_format(tmp_path):
@@ -380,7 +386,3 @@ def test_graph_dump_writes_counts_as_integers(tmp_path):
     write_graph(PRGraph(["p1", "p2"], keys, ["u1", "u2"], incidence, counts), edges_path, nodes_path)
     assert edges_path.read_text() == "p1#5\tp2#5\t1234567\n"
     assert nodes_path.read_text() == "p1\t5\t2\np2\t5\t2\n"
-    write_graph(
-        PRGraph(["p1", "p2"], keys, ["u1", "u2"], incidence, counts, "binary"), edges_path, nodes_path
-    )
-    assert edges_path.read_text() == "p1#5\tp2#5\t1\n"

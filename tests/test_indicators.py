@@ -535,8 +535,8 @@ def test_indicator_dump_format(tmp_path):
 LABELS = (LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN)
 
 
-def labeled_table(rng, n_reviewers=12, n_products=8, n_reviews=60, deduped=True):
-    """Random labeled reviews; without dedupe a reviewer can rate one product twice."""
+def labeled_table(rng, n_reviewers=12, n_products=8, n_reviews=60):
+    """Random labeled reviews, one per (reviewer, product): the last drawn wins."""
     reviews = [
         Review(
             f"u{rng.randrange(n_reviewers)}",
@@ -547,9 +547,7 @@ def labeled_table(rng, n_reviewers=12, n_products=8, n_reviews=60, deduped=True)
         )
         for _ in range(n_reviews)
     ]
-    if deduped:
-        reviews = list({r[:2]: r for r in reviews}.values())
-    return ReviewTable(reviews)
+    return ReviewTable({r[:2]: r for r in reviews}.values())
 
 
 def assert_group_matches_oracle(group, table, stats, tau_days):
@@ -562,13 +560,10 @@ def assert_group_matches_oracle(group, table, stats, tau_days):
     assert group_precision(group) == oracles.group_precision(reference, table)
 
 
-@pytest.mark.parametrize("deduped", [True, False], ids=["deduped", "not-deduped"])
-def test_scoring_index_equals_per_member_oracles_on_random_tables(deduped):
-    rng = random.Random(808 + deduped)
-    duplicated = 0
+def test_scoring_index_equals_per_member_oracles_on_random_tables():
+    rng = random.Random(809)
     for _ in range(150):
-        table = labeled_table(rng, n_reviews=rng.randrange(1, 80), deduped=deduped)
-        duplicated += len(table) - len({r[:2] for r in table.reviews})
+        table = labeled_table(rng, n_reviews=rng.randrange(1, 80))
         index = ScoringIndex(table)
         stats = oracles.product_stats(table)
         for tau in (1, 7, 30):
@@ -581,7 +576,6 @@ def test_scoring_index_equals_per_member_oracles_on_random_tables(deduped):
         for _ in range(5):
             members = rng.sample(table.reviewer_ids, rng.randint(1, len(table.reviewer_ids)))
             assert_group_matches_oracle(index.group(members), table, stats, rng.choice((1, 7, 30)))
-    assert (duplicated > 0) == (not deduped)
 
 
 def test_neighbor_tightness_equals_oracle_when_sets_repeat_across_blocks():
@@ -600,11 +594,10 @@ def test_neighbor_tightness_equals_oracle_when_sets_repeat_across_blocks():
     )
 
 
-@pytest.mark.parametrize("deduped", [True, False], ids=["deduped", "not-deduped"])
-def test_extract_groups_equals_per_piece_oracle(deduped):
-    rng = random.Random(77 + deduped)
+def test_extract_groups_equals_per_piece_oracle():
+    rng = random.Random(78)
     for _ in range(40):
-        table = labeled_table(rng, n_reviewers=20, n_products=10, n_reviews=90, deduped=deduped)
+        table = labeled_table(rng, n_reviewers=20, n_products=10, n_reviews=90)
         graph = build_graph(table, min_co_review=rng.choice((1, 2)))
         index = ScoringIndex(table)
         n = len(graph.nodes)
