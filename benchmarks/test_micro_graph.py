@@ -37,6 +37,7 @@ from oracles import heavy_tailed_table
 from spamrings.clustering import _prepare
 from spamrings.graph import adjacency_sparse, build_graph, node_features
 from spamrings.modularity import modularity
+from spamrings.reviews import review_columns
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
 
 
@@ -44,14 +45,14 @@ def test_co_review_matrix_big_groups(benchmark):
     table, _ = generate(
         SynthConfig(seed=0, planted=[PlantedGroupConfig(size=s) for s in (1500, 1800, 2100)])
     )
-    graph = benchmark(build_graph, table)
+    graph = benchmark(build_graph, review_columns(table))
     assert (len(graph.node_keys), graph.co_review.nnz // 2) == (1176, 532)
     assert graph.co_review.data.max() == 2100
 
 
 def test_co_review_matrix_heavy_tailed(benchmark):
     table = heavy_tailed_table(16_000, 923, cap=400)
-    graph = benchmark(build_graph, table)
+    graph = benchmark(build_graph, review_columns(table))
     assert graph.co_review.has_canonical_format
     assert (len(graph.node_keys), graph.co_review.nnz // 2) == (4450, 171073)
 
@@ -68,7 +69,8 @@ def _traced(fn, *args):
 
 
 def test_graph_memory_heavy_tailed(capsys):
-    graph, *build_mib = _traced(build_graph, heavy_tailed_table(16_000, 923, cap=400))
+    columns = review_columns(heavy_tailed_table(16_000, 923, cap=400))
+    graph, *build_mib = _traced(build_graph, columns)
     adj, *adj_mib = _traced(adjacency_sparse, graph)
     prob, *prepare_mib = _traced(_prepare, adj, node_features(graph, adj))
     labels = np.random.default_rng(0).integers(0, 50, size=adj.shape[0])  # as argmax gives

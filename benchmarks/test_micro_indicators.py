@@ -24,7 +24,7 @@ from spamrings.indicators import (
     penalty,
 )
 from spamrings.pipeline import PipelineConfig, derive_train_seed, extract_candidate_groups
-from spamrings.reviews import Review, ReviewTable
+from spamrings.reviews import Review, ReviewTable, review_columns
 from spamrings.scoring import attach_precision, score_groups
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
 
@@ -38,7 +38,7 @@ def member_group(member_products):
             for p in sorted(ps)
         ]
     )
-    return ScoringIndex(table).group(member_products)
+    return ScoringIndex(review_columns(table)).group(member_products)
 
 
 def test_neighbor_tightness_2000_members(benchmark):
@@ -66,10 +66,9 @@ def test_neighbor_tightness_2000_members_lockstep(benchmark):
 
 def test_group_indicators_50_groups(benchmark):
     table, _ = generate(SynthConfig(seed=0))
-    index = ScoringIndex(table)
+    index = ScoringIndex(review_columns(table))
     rng = random.Random(1)
-    reviewers = table.reviewer_ids
-    groups = [index.group(rng.sample(reviewers, rng.randint(2, 200))) for _ in range(50)]
+    groups = [index.group(rng.sample(index.reviewers, rng.randint(2, 200))) for _ in range(50)]
     vectors = benchmark(lambda: [group_indicators(g) for g in groups])
     assert len(vectors) == 50
 
@@ -81,7 +80,7 @@ def big_groups_run():
         SynthConfig(seed=0, planted=[PlantedGroupConfig(size=s) for s in (1500, 1800, 2100)])
     )
     config = PipelineConfig(input="synthetic", seed=0)
-    graph = build_graph(table)
+    graph = build_graph(review_columns(table))
     adj = adjacency_sparse(graph)
     train_cfg = dataclasses.replace(config.train, seed=derive_train_seed(config.seed))
     return table, graph, train(adj, node_features(graph, adj), train_cfg).assignment, config
@@ -93,7 +92,8 @@ def test_extract_and_score_big_groups(benchmark, big_groups_run):
     table, graph, assignment, config = big_groups_run
 
     def extract_and_score():
-        groups = extract_candidate_groups(graph, assignment, ScoringIndex(table), config)
+        index = ScoringIndex(review_columns(table))
+        groups = extract_candidate_groups(graph, assignment, index, config)
         return attach_precision(score_groups(groups))
 
     scored = benchmark(extract_and_score)

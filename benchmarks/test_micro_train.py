@@ -23,6 +23,7 @@ pytest.importorskip("pytest_benchmark")
 from spamrings.clustering import train
 from spamrings.graph import adjacency_sparse, build_graph, node_features
 from spamrings.pipeline import PipelineConfig, derive_train_seed
+from spamrings.reviews import review_columns
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
 
 EPOCHS = 50
@@ -32,7 +33,7 @@ def test_train_big_groups(benchmark):
     table, _ = generate(
         SynthConfig(seed=0, planted=[PlantedGroupConfig(size=s) for s in (1500, 1800, 2100)])
     )
-    graph = build_graph(table)
+    graph = build_graph(review_columns(table))
     adj = adjacency_sparse(graph)
     feats = node_features(graph, adj)
     defaults = PipelineConfig().train

@@ -2,7 +2,7 @@
 """From raw review rows to the product-rating graph.
 
 Walks the ingestion path on a tiny handmade dataset: parse, dedupe,
-the per-reviewer indicators scoring reads, then the attributed graph
+the table's columns, the per-reviewer indicators scoring reads, then the attributed graph
 whose nodes are (product, rating) pairs and whose edges carry
 co-reviewer counts.
 """
@@ -12,7 +12,7 @@ from pathlib import Path
 
 from spamrings.graph import adjacency_sparse, build_graph, node_features, node_id_str
 from spamrings.indicators import ScoringIndex
-from spamrings.reviews import dedupe, parse_reviews
+from spamrings.reviews import dedupe, parse_reviews, review_columns
 
 rows = """\
 alice,espresso_bar,5,2014-03-01
@@ -35,9 +35,14 @@ print(f"parsed {len(table)} reviews, {len(errors)} malformed rows")
 table = dedupe(table)
 print(f"after dedupe: {len(table)} reviews")
 
+# the later stages read the deduped table as columns: sorted ids, then
+# per review a reviewer row, product column, rating, day and label code
+columns = review_columns(table)
+print(f"reviewer rows {columns.rows.tolist()}, product columns {columns.columns.tolist()}")
+
 # rating deviation from each product's mean (scaled into [0, 1]) and the
 # days between a reviewer's first and last review
-index = ScoringIndex(table)
+index = ScoringIndex(columns)
 for i, reviewer in enumerate(index.reviewers):
     print(
         f"  {reviewer}: products {index.products[[i]].nnz}, "
@@ -46,7 +51,7 @@ for i, reviewer in enumerate(index.reviewers):
 
 # alice and bob both gave espresso_bar AND noodle_house five stars, so the
 # two (product, 5) nodes share the co-reviewer pair {alice, bob}
-graph = build_graph(table, min_co_review=2)
+graph = build_graph(columns, min_co_review=2)
 print(f"\ngraph: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
 # the graph holds node membership as its incidence matrix B; graph.nodes
 # rebuilds each node's reviewer set from B's columns on first use

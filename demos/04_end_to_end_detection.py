@@ -8,12 +8,12 @@ against the known ground truth.
 """
 
 from spamrings.pipeline import PipelineConfig, detect
-from spamrings.reviews import dedupe
+from spamrings.reviews import dedupe, review_columns
 from spamrings.synth import SynthConfig, generate
 
 synth = SynthConfig(seed=4)
 table, truth = generate(synth)
-table = dedupe(table)
+table = review_columns(dedupe(table))
 print(f"dataset: {len(table)} reviews, {len(table.reviewer_ids)} reviewers")
 print(f"planted groups: sizes {[len(g) for g in truth]}")
 

@@ -11,7 +11,7 @@ graph is one big connected blob, k is the knob that matters.
 
 from spamrings.clustering import TrainConfig
 from spamrings.pipeline import PipelineConfig, sweep
-from spamrings.reviews import dedupe
+from spamrings.reviews import dedupe, review_columns
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
 
 synth = SynthConfig(
@@ -22,7 +22,7 @@ synth = SynthConfig(
     seed=2,
 )
 table, truth = generate(synth)
-table = dedupe(table)
+table = review_columns(dedupe(table))
 print(f"dataset: {len(table)} reviews, planted sizes {[len(g) for g in truth]}")
 
 # the run seed derives the training seed, exactly as in a detect run

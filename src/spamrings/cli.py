@@ -34,7 +34,7 @@ from .pipeline import (
     write_eval_summary,
     write_lines,
 )
-from .reviews import ReviewTable, write_reviews
+from .reviews import ReviewColumns, review_columns, write_reviews
 from .synth import SynthConfig, generate, write_ground_truth
 
 
@@ -181,9 +181,18 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _load_columns(config: PipelineConfig) -> tuple[ReviewColumns, dict[str, int]]:
+    """The configured input's columns and ingest counts (see ``load_table``).
+
+    The row table is freed on return, before any stage loads numpy.
+    """
+    table, _, ingest = load_table(config)
+    return review_columns(table), ingest
+
+
 def cmd_detect(args) -> int:
     config = _pipeline_config(args)
-    table, _, ingest = load_table(config)
+    table, ingest = _load_columns(config)
     result = detect(table, config)
     paths = write_detect_report(result, config.out, ingest)
     top = result.ranking.headline[0] if result.ranking.headline else None
@@ -213,7 +222,7 @@ def _k_list(config: PipelineConfig, text: str) -> list[int]:
 def cmd_sweep(args) -> int:
     config = _pipeline_config(args)
     k_list = _k_list(config, args.k_list)
-    table, _, _ = load_table(config)
+    table, _ = _load_columns(config)
     points = sweep(table, config, k_list)
     lines = ["k\tmean_top10_precision\tn_groups\tpartial"]
     for p in points:
@@ -251,7 +260,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _ranked_rows(path, table: ReviewTable) -> list[tuple[int, int, int, float | None]]:
+def _ranked_rows(path, table: ReviewColumns) -> list[tuple[int, int, int, float | None]]:
     """(rank, group_id, size, precision) of each record in a ranked-groups file.
 
     A line that is not a JSON object with an int rank and group_id and a
@@ -288,7 +297,7 @@ def _ranked_rows(path, table: ReviewTable) -> list[tuple[int, int, int, float | 
 
 def cmd_eval(args) -> int:
     config = _pipeline_config(args)
-    table, _, _ = load_table(config)
+    table, _ = _load_columns(config)
     if not table.has_labels():
         raise StageError("eval", ValueError("dataset has no labels; evaluation needs them"))
     rows = _ranked_rows(args.ranked, table)

@@ -51,6 +51,9 @@ CHECKPOINT_VERSION = 1
 # Rows per block of the weight-gradient sums; see _blocked_gram.
 GRAD_BLOCK_ROWS = 256
 
+# Entries per block of rows that normalized_adjacency scales in float64 at once.
+NORM_BLOCK_ENTRIES = 1 << 20
+
 
 def _float_array(x):
     """x as an array of float32 if it is one, else of float64."""
@@ -84,20 +87,29 @@ def _selu_grad(x):
     return out
 
 
-def normalized_adjacency(adj) -> sp.csr_array:
-    """Symmetric normalization D^{-1/2} A D^{-1/2}, as a CSR array.
+def normalized_adjacency(adj, dtype="float64") -> sp.csr_array:
+    """Symmetric normalization D^{-1/2} A D^{-1/2}, as a CSR array of ``dtype``.
 
     No self-loops are added; the skip connection in the network carries
     each node's own signal instead. Zero-degree rows stay zero. A CSR adj,
-    in a run the int32 co-reviewer counts, is read in place, scaled in float64.
+    in a run the int32 co-reviewer counts, is read in place. Entry (i, j)
+    is (a_ij · s_i) · s_j in float64, cast to ``dtype``, on the input's own
+    index arrays. Blocks of whole rows, about NORM_BLOCK_ENTRIES entries
+    each, are scaled at a time, so no float64 array of every entry is made.
     """
     a = sp.csr_array(adj)
     deg = np.asarray(a.sum(axis=1), dtype=np.float64).ravel()
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    # entry (i, j) scaled as (a_ij · s_i) · s_j, on the input's own index arrays
-    data = a.data * np.repeat(inv_sqrt, np.diff(a.indptr))
-    data *= inv_sqrt[a.indices]
+    data, indptr, start = np.empty(a.nnz, dtype=dtype), a.indptr, 0
+    while start < a.shape[0]:  # a row longer than a block is a block of its own
+        end = np.searchsorted(indptr, indptr[start] + NORM_BLOCK_ENTRIES, side="right") - 1
+        end = max(int(end), start + 1)
+        lo, hi = indptr[start], indptr[end]
+        block = a.data[lo:hi] * np.repeat(inv_sqrt[start:end], np.diff(indptr[start : end + 1]))
+        block *= inv_sqrt[a.indices[lo:hi]]
+        data[lo:hi] = block
+        start = end
     return sp.csr_array((data, a.indices, a.indptr), shape=a.shape)
 
 
@@ -285,7 +297,7 @@ def _prepare(adj, features) -> _Problem:
         adj=on_sub_pattern(sub.data),
         deg=deg[active].astype(dtype, copy=False),
         two_m=two_m,
-        adj_norm=on_sub_pattern(normalized_adjacency(sub).data),
+        adj_norm=on_sub_pattern(normalized_adjacency(sub, dtype).data),
         feats=feats[active],
         active=active,
     )

@@ -19,11 +19,10 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from ._lazy import lazy_import
-from .reviews import ReviewTable
+from .reviews import ReviewColumns
 
 np = lazy_import("numpy")
 sp = lazy_import("scipy.sparse")
@@ -60,7 +59,8 @@ class PRGraph:
     """Node keys, the reviewer × node incidence B (row i is ``reviewers[i]``)
     and the symmetric co-reviewer count matrix BᵀB yields, the graph's one
     edge store. Node j is the product ``product_ids[k // 5]`` rated
-    ``k % 5 + 1``, for k = ``node_keys[j]``.
+    ``k % 5 + 1``, for k = ``node_keys[j]``. ``product_ids`` and
+    ``reviewers`` are the lists of the table's columns.
     """
 
     product_ids: list[str]
@@ -104,34 +104,9 @@ def node_id_str(node: NodeKey | PRNode) -> str:
     return f"{node.product_id}#{node.rating}"
 
 
-def review_cells(
-    table: ReviewTable, row: Mapping[str, int]
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted product ids, then each review's reviewer row, product column and rating.
-
-    ``row`` maps each reviewer id to its row, the position in
-    ``ReviewTable.reviewer_ids``; column j is the j-th product id. The
-    arrays follow review order. Graph construction and the scoring index
-    both read their reviewer and product matrices from them, so both
-    rest on the check made here: the table holds one review per
-    (reviewer, product), as ``reviews.dedupe`` leaves it. A ValueError
-    names the first pair, by product then reviewer, that it holds twice.
-    """
-    reviews = table.reviews
-    n, n_rows = len(reviews), len(row)
-    product_ids = sorted(set(map(itemgetter(1), reviews)))
-    column = {p: j for j, p in enumerate(product_ids)}
-    rows = np.fromiter(map(row.__getitem__, map(itemgetter(0), reviews)), np.intp, n)
-    columns = np.fromiter(map(column.__getitem__, map(itemgetter(1), reviews)), np.intp, n)
-    cells = np.sort(columns * n_rows + rows)
-    twice = np.flatnonzero(cells[1:] == cells[:-1])
-    if len(twice):
-        j, i = divmod(int(cells[twice[0]]), n_rows)
-        raise ValueError(
-            f"reviewer {table.reviewer_ids[i]!r} reviewed product {product_ids[j]!r} "
-            "more than once; dedupe the table first"
-        )
-    return product_ids, rows, columns, np.fromiter(map(itemgetter(2), reviews), np.int8, n)
+def column_array(column) -> np.ndarray:
+    """A :class:`reviews.ReviewColumns` column as a numpy array on the column's own memory."""
+    return np.frombuffer(column, column.typecode)
 
 
 def co_review_matrix(incidence: sp.csc_array, min_co_review: int = 2) -> sp.csr_array:
@@ -161,26 +136,24 @@ def _upper_triangle(matrix: sp.csr_array) -> tuple[list[int], list, list]:
     return row[above].tolist(), matrix.indices[above].tolist(), matrix.data[above].tolist()
 
 
-def build_graph(table: ReviewTable, min_co_review: int = 2) -> PRGraph:
+def build_graph(table: ReviewColumns, min_co_review: int = 2) -> PRGraph:
     """The graph of a deduped table: one node per (product, rating) pair that has a review.
 
     Nodes come out sorted by (product, rating), so the graph does not
     depend on input review order. The incidence B lists each node's
-    reviewer rows in ascending order, each once, as :func:`review_cells`
+    reviewer rows in ascending order, each once, as ``review_columns``
     checks. Its entries are int32 ones: ``BᵀB`` is the graph's memory
     peak, and a count is at most the number of reviewers. The row indices
     and, when they fit, the column offsets are int32 too; scipy keeps
     int32 index arrays through ``BᵀB``, so the co-reviewer counts, which
     are the adjacency, and the matrices training holds carry them.
     """
-    reviewers = table.reviewer_ids
-    n_rows = len(reviewers)
-    product_ids, rows, columns, ratings = review_cells(
-        table, {r: i for i, r in enumerate(reviewers)}
-    )
-    node_keys, node = np.unique(columns * NUM_RATING_LEVELS + ratings - 1, return_inverse=True)
-    members = np.sort(node * n_rows + rows)  # by node, then by row
-    del rows, columns, ratings, node  # the per-review arrays go before BᵀB
+    n_rows = len(table.reviewer_ids)
+    columns = column_array(table.columns).astype(np.intp)
+    keys = columns * NUM_RATING_LEVELS + column_array(table.ratings) - 1
+    node_keys, node = np.unique(keys, return_inverse=True)
+    members = np.sort(node * n_rows + column_array(table.rows))  # by node, then by row
+    del columns, keys, node  # the per-review arrays go before BᵀB
     starts = np.cumsum(np.bincount(members // n_rows + 1, minlength=len(node_keys) + 1))
     if starts[-1] <= np.iinfo(np.int32).max:
         starts = starts.astype(np.int32)
@@ -190,7 +163,7 @@ def build_graph(table: ReviewTable, min_co_review: int = 2) -> PRGraph:
     )
     del members
     counts = co_review_matrix(incidence, min_co_review)
-    return PRGraph(product_ids, node_keys, reviewers, incidence, counts)
+    return PRGraph(table.product_ids, node_keys, table.reviewer_ids, incidence, counts)
 
 
 def adjacency_sparse(graph: PRGraph) -> sp.csr_array:

@@ -8,9 +8,9 @@ compactness) measure how coordinated the members' product sets look;
 individual-level indicators (rating deviation, burstness) measure how
 abnormal each member's own history is. All indicators live in [0, 1].
 
-Extraction and scoring read one :class:`ScoringIndex` of the review
-table, built once per run: a reviewer is a row number, its product set a
-row of one sparse reviewer × product matrix, and its individual
+Extraction and scoring read one :class:`ScoringIndex` of the table's
+columns, built once per run: a reviewer is a row number, its product set
+a row of one sparse reviewer × product matrix, and its individual
 indicators entries of per-reviewer arrays.
 """
 
@@ -20,13 +20,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress
 from typing import Collection, Iterable, Sequence
 
 from ._lazy import lazy_import
-from .graph import PRGraph, review_cells
-from .reviews import LABEL_FAKE, LABEL_UNKNOWN, ReviewTable
+from .graph import PRGraph, column_array
+from .reviews import LABEL_CODES, LABEL_FAKE, ReviewColumns
 
 np = lazy_import("numpy")
 sp = lazy_import("scipy.sparse")
@@ -44,21 +43,21 @@ MAX_RATING_SPAN = 4.0
 class ReviewerIndex:
     """A table's reviewer ids in row order, and which of them carry labels.
 
-    Row i is ``reviewers[i]``, the table's ``reviewer_ids``, as in the
+    Row i is ``reviewers[i]``, the columns' ``reviewer_ids``, as in the
     incidence of the table's graph; ``fake[i]`` and ``labeled[i]`` are 1
     when that reviewer has a fake-labeled review, or any labeled review.
     Pure Python, so ``eval`` reads it without loading numpy.
     """
 
-    def __init__(self, table: ReviewTable):
+    def __init__(self, table: ReviewColumns):
         self.reviewers: list[str] = table.reviewer_ids
         self.row: dict[str, int] = {r: i for i, r in enumerate(self.reviewers)}
         self.fake = bytearray(len(self.reviewers))
         self.labeled = bytearray(len(self.reviewers))
-        for reviewer in {r[0] for r in table.reviews if r[4] != LABEL_UNKNOWN}:
-            self.labeled[self.row[reviewer]] = 1
-        for reviewer in {r[0] for r in table.reviews if r[4] == LABEL_FAKE}:
-            self.fake[self.row[reviewer]] = 1
+        for row in set(compress(table.rows, table.labels)):
+            self.labeled[row] = 1
+        for row in set(compress(table.rows, map(LABEL_CODES[LABEL_FAKE].__eq__, table.labels))):
+            self.fake[row] = 1
 
     def rows(self, names: Iterable[str]) -> list[int]:
         """Rows of the distinct names, ascending; ValueError for none, or one with no review."""
@@ -82,12 +81,10 @@ class ReviewerIndex:
 
 
 class ScoringIndex(ReviewerIndex):
-    """Per-reviewer arrays of a table, built in one pass over its reviews.
+    """Per-reviewer arrays of a table, read from its columns.
 
     ``products`` is the reviewer × product 0/1 matrix R: canonical CSR
     whose column j is ``product_ids[j]``, the product ids in sorted order.
-    The table must be deduped: :func:`graph.review_cells` raises
-    ValueError on a reviewer who reviewed one product twice.
     ``deviation`` is each reviewer's mean |rating - product mean rating|
     over their reviews, scaled by the widest possible gap (4 stars) into
     [0, 1]; the terms are added in review order, as a per-review Python
@@ -95,14 +92,13 @@ class ScoringIndex(ReviewerIndex):
     review to their last.
     """
 
-    def __init__(self, table: ReviewTable):
+    def __init__(self, table: ReviewColumns):
         super().__init__(table)
-        reviews = table.reviews
-        n, n_rows = len(reviews), len(self.reviewers)
-        self.product_ids, rows, cols, ratings = review_cells(table, self.row)
-        days = {d: d.toordinal() for d in set(map(itemgetter(3), reviews))}
-        day = np.fromiter(map(days.__getitem__, map(itemgetter(3), reviews)), np.int64, n)
-
+        n_rows = len(self.reviewers)
+        self.product_ids = table.product_ids
+        rows, cols, ratings, day = map(
+            column_array, (table.rows, table.columns, table.ratings, table.days)
+        )
         mean = np.bincount(cols, weights=ratings) / np.bincount(cols)  # exact sums: ratings are whole
         # bincount adds each reviewer's terms one at a time in input order
         self.deviation = np.bincount(rows, weights=np.abs(ratings - mean[cols]), minlength=n_rows)
@@ -113,7 +109,8 @@ class ScoringIndex(ReviewerIndex):
         np.maximum.at(last, rows, day)
         self.span_days = last - first
         self.products = sp.csr_array(
-            (np.ones(n, dtype=np.int8), (rows, cols)), shape=(n_rows, len(self.product_ids))
+            (np.ones(len(rows), dtype=np.int8), (rows, cols)),
+            shape=(n_rows, len(self.product_ids)),
         )
 
     def burstness(self, tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS, rows=slice(None)):

@@ -45,7 +45,7 @@ from .indicators import (
     write_indicators,
 )
 from .modularity import modularity
-from .reviews import ReviewTable, dedupe, parse_reviews
+from .reviews import ReviewColumns, ReviewTable, dedupe, parse_reviews
 from .scoring import (
     DEFAULT_SIZE_FLOOR,
     SIZE_BUCKET_WIDTH,
@@ -281,7 +281,7 @@ def extract_candidate_groups(
     return groups
 
 
-def _graph_stage(table: ReviewTable, config: PipelineConfig):
+def _graph_stage(table: ReviewColumns, config: PipelineConfig):
     """The graph of a table, with the adjacency and node features training reads."""
     with _stage("graph"):
         graph = build_graph(table, min_co_review=config.graph.min_co_review)
@@ -312,8 +312,8 @@ class DetectResult:
     modularity_q: float  # Q of the trained assignment's argmax partition
 
 
-def detect(table: ReviewTable, config: PipelineConfig) -> DetectResult:
-    """Graph build, clustering, extraction, scoring, ranking: one run."""
+def detect(table: ReviewColumns, config: PipelineConfig) -> DetectResult:
+    """Graph build, clustering, extraction, scoring, ranking: one run on a table's columns."""
     graph, adj, feats = _graph_stage(table, config)
     result = _train_stage(adj, feats, config, config.train.n_clusters)
     with _stage("score"):
@@ -341,7 +341,7 @@ class SweepPoint(NamedTuple):
     partial: bool  # fewer than SWEEP_TOP_N candidate groups backed the mean
 
 
-def sweep(table: ReviewTable, config: PipelineConfig, k_list: Sequence[int]) -> list[SweepPoint]:
+def sweep(table: ReviewColumns, config: PipelineConfig, k_list: Sequence[int]) -> list[SweepPoint]:
     """Cluster-count sweep: detect's graph, train and extract stages at each k.
 
     Skips indicator scoring; for each k the precisions of the best

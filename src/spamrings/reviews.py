@@ -9,9 +9,11 @@ ISO ``YYYY-MM-DD``.
 from __future__ import annotations
 
 import csv
+from array import array
 from datetime import date as _date
-from functools import cached_property, partial
-from operator import attrgetter, itemgetter
+from functools import partial
+from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple
 
 LABEL_FAKE = "fake"
@@ -30,6 +32,9 @@ DEFAULT_LABEL_MAP = {
 }
 
 DEFAULT_LABEL_TOKENS = {LABEL_FAKE: "-1", LABEL_GENUINE: "1", LABEL_UNKNOWN: ""}
+
+# The int8 code of each label in ReviewColumns.labels: 0 is unlabeled.
+LABEL_CODES = {LABEL_UNKNOWN: 0, LABEL_GENUINE: 1, LABEL_FAKE: 2}
 
 # Rows that write_reviews joins into one string and writes at once.
 WRITE_BLOCK_ROWS = 8192
@@ -58,7 +63,8 @@ class RowError(NamedTuple):
 class ReviewTable:
     """A list of reviews in input order, treated as immutable once built.
 
-    Per-reviewer and per-product data live in ``indicators.ScoringIndex``.
+    Ingest reads and writes rows; the stages after it read the table's
+    :class:`ReviewColumns`.
     """
 
     def __init__(self, reviews: Iterable[Review]):
@@ -71,15 +77,6 @@ class ReviewTable:
         if not isinstance(other, ReviewTable):
             return NotImplemented
         return self.reviews == other.reviews
-
-    @cached_property
-    def reviewer_ids(self) -> list[str]:
-        """The distinct reviewer ids in sorted order.
-
-        Row i of every reviewer matrix of the table (a graph's incidence,
-        a scoring index) is the i-th id, so the matrices share their rows.
-        """
-        return sorted(set(map(attrgetter("reviewer_id"), self.reviews)))
 
     def label_counts(self) -> dict[str, int]:
         counts = {label: 0 for label in VALID_LABELS}
@@ -264,3 +261,77 @@ def dedupe(table: ReviewTable) -> ReviewTable:
         if cur is not r and r.date >= cur.date:
             kept[r[:2]] = r
     return ReviewTable(kept.values())
+
+
+class ReviewColumns:
+    """A deduped table as one column per field, in review order.
+
+    Review k is reviewer ``reviewer_ids[rows[k]]``'s rating ``ratings[k]``
+    of product ``product_ids[columns[k]]`` on day ``days[k]`` (a
+    ``date.toordinal``), labeled ``labels[k]`` (a LABEL_CODES value). The
+    ids are the distinct ones, sorted: row i of every reviewer matrix of the
+    table is ``reviewer_ids[i]``. The columns are stdlib arrays, int32 or
+    int8, so building them loads no numpy, and numpy reads them in place.
+    A plain class: a dataclass would generate its methods at import.
+    """
+
+    def __init__(self, reviewer_ids, product_ids, rows, columns, ratings, days, labels):
+        self.reviewer_ids: list[str] = reviewer_ids
+        self.product_ids: list[str] = product_ids
+        self.rows, self.columns, self.ratings = rows, columns, ratings
+        self.days, self.labels = days, labels
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def has_labels(self) -> bool:
+        """True if any review carries a fake/genuine label."""
+        return any(self.labels)
+
+
+def repeated_cell(rows, columns, n_rows: int) -> tuple[int, int] | None:
+    """(column, row) of the smallest cell column·n_rows + row held twice, or None.
+
+    The cells are Python ints, so no product of two int32 columns wraps.
+    """
+    cells = list(map(add, map(mul, columns, repeat(n_rows)), rows))
+    if len(set(cells)) == len(cells):
+        return None
+    seen: set[int] = set()
+    return divmod(min(c for c in cells if c in seen or seen.add(c)), n_rows)
+
+
+def _positions(reviews: list[Review], field: int) -> tuple[list[str], list[int]]:
+    """The distinct ids of a review field, sorted, and each review's position among them."""
+    ids = sorted(set(map(itemgetter(field), reviews)))
+    position = {v: i for i, v in enumerate(ids)}
+    return ids, list(map(position.__getitem__, map(itemgetter(field), reviews)))
+
+
+def review_columns(table: ReviewTable) -> ReviewColumns:
+    """The columns of a table that holds one review per (reviewer, product).
+
+    ``dedupe`` leaves such a table, and the graph and the scoring index
+    rest on it. A ValueError names the pair held twice, the first by
+    product and then reviewer.
+    """
+    reviews = table.reviews
+    reviewer_ids, rows = _positions(reviews, 0)
+    product_ids, columns = _positions(reviews, 1)
+    twice = repeated_cell(rows, columns, len(reviewer_ids))
+    if twice is not None:
+        raise ValueError(
+            f"reviewer {reviewer_ids[twice[1]]!r} reviewed product {product_ids[twice[0]]!r} "
+            "more than once; dedupe the table first"
+        )
+    days = {d: d.toordinal() for d in set(map(itemgetter(3), reviews))}
+    # an array fills faster from a list or bytes than from an iterator
+    return ReviewColumns(
+        reviewer_ids,
+        product_ids,
+        array("i", rows),
+        array("i", columns),
+        array("b", bytes(map(itemgetter(2), reviews))),
+        array("i", list(map(days.__getitem__, map(itemgetter(3), reviews)))),
+        array("b", bytes(map(LABEL_CODES.__getitem__, map(itemgetter(4), reviews)))),
+    )

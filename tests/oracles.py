@@ -24,6 +24,11 @@ the graph that ``graph.connected_components`` replaced.
 ``co_review_matrix`` as it was while it also masked pairs of one product,
 which only a table that is not deduped can link.
 
+``review_cells`` is the numpy pass over ``table.reviews`` that
+``graph.build_graph`` and ``indicators.ScoringIndex`` each ran, with its
+own one-review-per-(reviewer, product) check, before both read the
+table's ``reviews.ReviewColumns``.
+
 ``build_nodes`` and ``reviewer_incidence`` are the per-node reviewer
 frozensets, and the incidence B built from them, that ``graph.build_graph``
 replaced with numpy passes over the review columns. ``graph_from_nodes``
@@ -74,6 +79,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -291,6 +297,34 @@ def connected_components_edge_scan(graph, node_subset) -> list[set[int]]:
     for i in subset:
         comps.setdefault(find(i), set()).add(i)
     return [comps[root] for root in sorted(comps)]
+
+
+def review_cells(
+    table: ReviewTable, row: Mapping[str, int]
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted product ids, then each review's reviewer row, product column and rating.
+
+    ``row`` maps each reviewer id to its row, the position in the sorted
+    reviewer ids; column j is the j-th product id. The arrays follow
+    review order. A ValueError names the first pair, by product then
+    reviewer, that the table holds twice.
+    """
+    reviews = table.reviews
+    n, n_rows = len(reviews), len(row)
+    product_ids = sorted(set(map(itemgetter(1), reviews)))
+    column = {p: j for j, p in enumerate(product_ids)}
+    rows = np.fromiter(map(row.__getitem__, map(itemgetter(0), reviews)), np.intp, n)
+    columns = np.fromiter(map(column.__getitem__, map(itemgetter(1), reviews)), np.intp, n)
+    cells = np.sort(columns * n_rows + rows)
+    twice = np.flatnonzero(cells[1:] == cells[:-1])
+    if len(twice):
+        j, i = divmod(int(cells[twice[0]]), n_rows)
+        reviewer_ids = sorted(row, key=row.__getitem__)
+        raise ValueError(
+            f"reviewer {reviewer_ids[i]!r} reviewed product {product_ids[j]!r} "
+            "more than once; dedupe the table first"
+        )
+    return product_ids, rows, columns, np.fromiter(map(itemgetter(2), reviews), np.int8, n)
 
 
 def build_nodes(table: ReviewTable) -> list[PRNode]:

@@ -22,7 +22,7 @@ from spamrings.clustering import TrainConfig, _loss_and_assignment_grad, gradien
 from spamrings.indicators import ScoringIndex, group_indicators, penalty, product_tightness
 from spamrings.modularity import modularity
 from spamrings.pipeline import PipelineConfig, detect, load_table
-from spamrings.reviews import Review, ReviewTable, dedupe
+from spamrings.reviews import Review, ReviewTable, dedupe, review_columns
 from spamrings.synth import SynthConfig, generate
 
 
@@ -188,8 +188,9 @@ def test_criterion_5_indicator_correctness():
             p = f"p{rng.randrange(7)}"
             seen[(u, p)] = Review(u, p, rng.randrange(1, 6), day(rng.randrange(90)))
         table = ReviewTable(list(seen.values()))
-        members = rng.sample(table.reviewer_ids, rng.randrange(1, 6))
-        vec = group_indicators(ScoringIndex(table).group(members))
+        index = ScoringIndex(review_columns(table))
+        members = rng.sample(index.reviewers, rng.randrange(1, 6))
+        vec = group_indicators(index.group(members))
         values = (
             vec.review_tightness,
             vec.product_tightness,
@@ -202,25 +203,24 @@ def test_criterion_5_indicator_correctness():
             bounded = False
             break
 
-    pt_group = ScoringIndex(
-        ReviewTable(
-            [
-                Review("u", "a", 5, day(0)),
-                Review("u", "b", 5, day(1)),
-                Review("v", "b", 5, day(2)),
-                Review("v", "c", 5, day(3)),
-            ]
-        )
+    def index_of(reviews):
+        return ScoringIndex(review_columns(ReviewTable(reviews)))
+
+    pt_group = index_of(
+        [
+            Review("u", "a", 5, day(0)),
+            Review("u", "b", 5, day(1)),
+            Review("v", "b", 5, day(2)),
+            Review("v", "c", 5, day(3)),
+        ]
     ).group(["u", "v"])
     pt_err = abs(product_tightness(pt_group) - 1.0 / 3.0)
 
-    bst_index = ScoringIndex(
-        ReviewTable([Review("w", "a", 5, day(0)), Review("w", "b", 5, day(15))])
-    )
+    bst_index = index_of([Review("w", "a", 5, day(0)), Review("w", "b", 5, day(15))])
     bst_err = abs(bst_index.burstness(30, bst_index.rows(["w"]))[0] - 0.5)
 
-    pen_group = ScoringIndex(
-        ReviewTable([Review("u", "a", 5, day(0)), Review("v", "a", 4, day(1))])
+    pen_group = index_of(
+        [Review("u", "a", 5, day(0)), Review("v", "a", 4, day(1))]
     ).group(["u", "v"])  # |R| + |P| = 3
     pen_err = abs(penalty(pen_group) - 0.5)
 
@@ -239,7 +239,7 @@ def test_criterion_6_end_to_end_planted_detection():
         table, truth = generate(SynthConfig(seed=trial))
         table = dedupe(table)
         config = PipelineConfig(input="synthetic", seed=trial)
-        result = detect(table, config)
+        result = detect(review_columns(table), config)
         top3 = result.ranking.headline[:3]
         matched = set()
         good = 0
@@ -304,7 +304,7 @@ def test_criterion_8_dataset_reproduction():
     start = time.time()
     config = PipelineConfig(input=dataset, seed=0)
     table, _, _ = load_table(config)
-    result = detect(table, config)
+    result = detect(review_columns(table), config)
     elapsed = time.time() - start
     top = result.ranking.headline[0] if result.ranking.headline else None
     completed = elapsed < 3600.0 and top is not None

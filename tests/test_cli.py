@@ -23,7 +23,7 @@ from spamrings.pipeline import (
     load_table,
     write_detect_report,
 )
-from spamrings.reviews import dedupe, parse_reviews
+from spamrings.reviews import dedupe, parse_reviews, review_columns
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate, write_ground_truth
 from spamrings.reviews import write_reviews
 
@@ -204,7 +204,7 @@ def test_detect_never_builds_the_edge_list(dataset, tmp_path):
          "graph": {"dump": True}, "train": {"epochs": 20, "n_clusters": 20}}
     )
     table, _, ingest = load_table(config)
-    result = detect(table, config)
+    result = detect(review_columns(table), config)
     paths = write_detect_report(result, config.out, ingest)
     assert "edges" not in vars(result.graph)  # the lazy upper-triangle view
     assert "nodes" not in vars(result.graph)  # the lazy per-node reviewer sets
@@ -225,7 +225,7 @@ def test_manifest_counts_isolated_and_train_nodes(dataset, tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     table, _, _ = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
-    degree = np.asarray(adjacency_sparse(build_graph(table)).sum(axis=1)).ravel()
+    degree = np.asarray(adjacency_sparse(build_graph(review_columns(table))).sum(axis=1)).ravel()
     assert manifest["n_nodes"] == len(degree)
     assert manifest["n_isolated_nodes"] + manifest["n_train_nodes"] == manifest["n_nodes"]
     assert manifest["n_isolated_nodes"] == np.count_nonzero(degree == 0) > 0
@@ -255,24 +255,22 @@ def test_manifest_modularity_q_matches_dense_oracle(dataset, tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     table, _, _ = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
-    adj = adjacency_sparse(build_graph(table)).toarray()
+    adj = adjacency_sparse(build_graph(review_columns(table))).toarray()
     rows = (out / "assignment.csv").read_text().splitlines()[1:]
     labels = [int(row.split(",")[1]) for row in rows]
     assert manifest["modularity_q"] == pytest.approx(dense_modularity(adj, labels), abs=1e-12)
 
 
 def _loaded_after(commands):
-    """In a fresh process: whether numpy has run and scipy is imported, after each step.
+    """In a fresh process: whether numpy and scipy are imported, after each step.
 
     The steps are ``import spamrings.cli`` and then each command through
-    ``cli.main``. ``numpy._core`` (``numpy.core`` before numpy 2) marks that
-    numpy's code has run; the library's lazy stand-ins never enter
-    sys.modules.
+    ``cli.main``. The library's lazy stand-ins never enter sys.modules, so
+    a name there is a module that was loaded.
     """
     code = (
         "import sys\n"
-        "def ran(): return 'numpy._core' in sys.modules or 'numpy.core' in sys.modules\n"
-        "def loaded(): print('loaded', ran(), 'scipy' in sys.modules)\n"
+        "def loaded(): print('loaded', 'numpy' in sys.modules, 'scipy' in sys.modules)\n"
         "import spamrings.cli\n"
         "loaded()\n"
         f"for argv in {commands!r}:\n"
@@ -309,6 +307,33 @@ def test_imports_load_no_unneeded_modules(dataset, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"]
+
+
+@pytest.mark.parametrize(
+    "command, flags", [("detect", []), ("sweep", ["--k-list", "4,8"])], ids=["detect", "sweep"]
+)
+def test_row_table_is_freed_before_the_stages_load_numpy(dataset, tmp_path, command, flags):
+    """A weak reference to the table ``load_table`` returns is dead when the
+    command's pipeline function starts, and numpy is not loaded yet."""
+    argv = [command, "--input", str(dataset / "reviews.csv"), "--out", str(tmp_path / "o"),
+            "--epochs", "2", *flags]
+    code = f"""
+import sys, weakref
+from spamrings import cli
+load_table, stage, tables, entered = cli.load_table, cli.{command}, [], []
+def keep(config):
+    loaded = load_table(config)
+    tables.append(weakref.ref(loaded[0]))
+    return loaded
+def check(*args, **kwargs):
+    entered.extend([tables[0]() is None, "numpy" in sys.modules])
+    return stage(*args, **kwargs)
+cli.load_table, cli.{command} = keep, check
+print(cli.main({argv!r}), *entered)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", "True", "False"]
 
 
 REPORT_FILES = ("ranked_groups.jsonl", "summary.txt", "indicators.tsv", "assignment.csv")
@@ -539,7 +564,7 @@ def test_eval_unknown_member_is_eval_stage_error_naming_the_line(dataset, tmp_pa
                {"rank": 2, "group_id": 1, "members": [known, "nobody"]}]
     ranked.write_text("".join(json.dumps(r) + "\n" for r in records))
     with pytest.raises(StageError) as exc:
-        cli._ranked_rows(ranked, table)
+        cli._ranked_rows(ranked, review_columns(table))
     assert exc.value.stage == "eval"
     assert str(exc.value) == f"eval: {ranked} line 2: member 'nobody' has no reviewed product"
 
@@ -1105,7 +1130,7 @@ def test_detect_stage_error_carries_stage(dataset):
     cfg.graph.min_co_review = 10**6
     table, _, _ = load_table(cfg)
     with pytest.raises(StageError) as exc:
-        detect(table, cfg)
+        detect(review_columns(table), cfg)
     assert exc.value.stage == "graph"
 
 
@@ -1117,6 +1142,6 @@ def test_node_feature_failure_is_graph_stage_error(dataset, monkeypatch):
     cfg = PipelineConfig(input=str(dataset / "reviews.csv"))
     table, _, _ = load_table(cfg)
     with pytest.raises(StageError) as exc:
-        detect(table, cfg)
+        detect(review_columns(table), cfg)
     assert exc.value.stage == "graph"
     assert str(exc.value) == "graph: no features"

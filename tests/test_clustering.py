@@ -21,6 +21,7 @@ from oracles import (
     train_reference,
     write_assignment_loop,
 )
+from spamrings import clustering
 from spamrings.clustering import (
     GRAD_BLOCK_ROWS,
     GCNParams,
@@ -45,7 +46,7 @@ from spamrings.clustering import (
 from spamrings.graph import adjacency_sparse, build_graph, node_features
 from spamrings.modularity import modularity
 from spamrings.pipeline import PipelineConfig, derive_train_seed, detect
-from spamrings.reviews import Review, ReviewTable, dedupe
+from spamrings.reviews import Review, ReviewTable, dedupe, review_columns
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
 
 
@@ -150,34 +151,42 @@ def test_normalized_adjacency_sparse_matches_dense():
 
 
 @pytest.mark.parametrize("weighting", ["co_review_count", "binary"])
-def test_normalized_adjacency_bit_equal_to_float64_oracle(weighting):
+def test_normalized_adjacency_bit_equal_to_float64_oracle(weighting, monkeypatch):
     """The int32 counts read in place, their float64 cast and their dense form
-    give the bits of the float64 copy the normalization used to make."""
-    adj = adjacency_sparse(build_graph(generate(SynthConfig(seed=0))[0]))
+    give the bits of the float64 copy the normalization used to make, cast
+    to the dtype asked for, whatever rows the blocks hold: one block, blocks
+    of a few rows, or blocks shorter than a row."""
+    adj = adjacency_sparse(build_graph(review_columns(generate(SynthConfig(seed=0))[0])))
     if weighting == "binary":  # int32 ones on the counts' index arrays
         adj = sp.csr_array((np.ones_like(adj.data), adj.indices, adj.indptr), adj.shape)
-    want = normalized_adjacency_float64(adj)
-    assert want.nnz > 500
+    oracle = normalized_adjacency_float64(adj)
+    assert oracle.nnz > 500 and np.diff(adj.indptr).max() > 5
     for given in (adj, adj.astype(np.float64), adj.toarray()):
-        for got in (normalized_adjacency(given), normalized_adjacency_float64(given)):
-            assert got.dtype == np.float64
-            assert got.data.tobytes() == want.data.tobytes()
-            np.testing.assert_array_equal(got.indices, want.indices)
-            np.testing.assert_array_equal(got.indptr, want.indptr)
+        got = normalized_adjacency_float64(given)
+        assert got.dtype == np.float64 and got.data.tobytes() == oracle.data.tobytes()
+        for block in (clustering.NORM_BLOCK_ENTRIES, 97, 5):
+            monkeypatch.setattr(clustering, "NORM_BLOCK_ENTRIES", block)
+            for dtype in (np.float32, np.float64):
+                got = normalized_adjacency(given, dtype)
+                assert got.dtype == dtype
+                assert got.data.tobytes() == oracle.data.astype(dtype).tobytes()
+                np.testing.assert_array_equal(got.indices, oracle.indices)
+                np.testing.assert_array_equal(got.indptr, oracle.indptr)
+        assert normalized_adjacency(given).dtype == np.float64
 
 
 def test_the_run_holds_one_copy_of_the_graph():
     """The adjacency is the co-reviewer count matrix itself, and on an
     all-active graph the two matrices training keeps reuse its index arrays."""
     table, _ = generate(SynthConfig(seed=0))
-    graph = build_graph(table)
+    graph = build_graph(review_columns(table))
     adj = adjacency_sparse(graph)
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(adj, name), getattr(graph.co_review, name)), name
 
     # three reviewers rate four products alike: every node has an edge
     every = ReviewTable([Review(f"u{i}", f"p{j}", 5, datetime.date(2014, 1, 1)) for i in range(3) for j in range(4)])
-    graph = build_graph(every)
+    graph = build_graph(review_columns(every))
     adj = adjacency_sparse(graph)
     prob = _prepare(adj, node_features(graph, adj))
     assert prob.active.size == len(graph.node_keys) == 4
@@ -461,7 +470,7 @@ def test_min_support_one_keeps_a_group_per_isolated_reviewer_set():
     config.train.epochs = 60
     config.train.n_clusters = 20
     config.group.min_support = 1
-    result = detect(dedupe(table), config)
+    result = detect(review_columns(dedupe(table)), config)
     degree = np.asarray(adjacency_sparse(result.graph).sum(axis=1)).ravel()
     isolated_sets = {result.graph.nodes[i].reviewers for i in np.flatnonzero(degree == 0)}
     assert result.train_result.n_train_nodes == np.count_nonzero(degree)
@@ -515,7 +524,7 @@ def test_train_bit_equal_to_reference_epoch(dtype):
 def test_graph_and_training_matrices_carry_int32_indices():
     """The incidence's int32 offsets carry through BᵀB to every matrix training holds."""
     table, _ = generate(SynthConfig(seed=0))
-    graph = build_graph(table)
+    graph = build_graph(review_columns(table))
     adj = adjacency_sparse(graph)
     prob = _prepare(adj, node_features(graph, adj))
     matrices = {
@@ -639,7 +648,7 @@ FLOAT32_FINAL_LOSS_RTOL = 5e-6
 def test_float32_and_float64_training_give_one_partition(detect_seed):
     table, _ = generate(SynthConfig(seed=0))
     config = PipelineConfig(input="synthetic", seed=detect_seed)
-    graph = build_graph(dedupe(table))
+    graph = build_graph(review_columns(dedupe(table)))
     adj = adjacency_sparse(graph)
     feats = node_features(graph, adj)
     assert feats.dtype == np.float32

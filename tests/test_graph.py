@@ -30,8 +30,7 @@ from spamrings.graph import (
     write_graph,
 )
 from spamrings.indicators import ScoringIndex
-from spamrings.pipeline import GraphConfig, PipelineConfig, StageError, detect
-from spamrings.reviews import Review, ReviewTable, dedupe
+from spamrings.reviews import Review, ReviewTable, dedupe, review_columns
 from spamrings.synth import SynthConfig, generate
 
 D = datetime.date(2014, 1, 1)
@@ -111,7 +110,7 @@ def test_co_rating_pair_lands_on_edge():
             ("carol", "p1", 4),
         ]
     )
-    graph = build_graph(table, min_co_review=2)
+    graph = build_graph(review_columns(table), min_co_review=2)
     (edge,) = graph.edges
     endpoints = {key(graph.nodes[edge.u]), key(graph.nodes[edge.v])}
     assert endpoints == {("p1", 4), ("p2", 2)}
@@ -145,10 +144,10 @@ def test_graph_keeps_the_incidence_its_counts_come_from():
             Review(f"u{rng.randrange(30)}", f"p{rng.randrange(6)}", rng.randrange(1, 6), D)
             for _ in range(rng.randint(1, 120))
         ))
-        graph = build_graph(table, min_co_review=1)
+        graph = build_graph(review_columns(table), min_co_review=1)
         incidence = graph.incidence
-        assert incidence.shape == (len(table.reviewer_ids), len(graph.nodes))
-        reviewers = table.reviewer_ids  # row order: sorted reviewer ids
+        reviewers = sorted({r.reviewer_id for r in table.reviews})  # the row order
+        assert incidence.shape == (len(reviewers), len(graph.nodes))
         assert graph.reviewers == reviewers
         for i, node in enumerate(graph.nodes):
             column = incidence[:, [i]].tocoo()
@@ -173,7 +172,7 @@ def incidence_columns(graph):
 def test_incidence_columns_equal_oracle_node_sets():
     for seed in range(3):
         table, _ = generate(SynthConfig(seed=seed))
-        graph = build_graph(table)
+        graph = build_graph(review_columns(table))
         nodes = build_nodes(table)
         assert incidence_columns(graph) == [(key(n), n.reviewers) for n in nodes]
         assert graph.incidence.has_canonical_format
@@ -186,7 +185,7 @@ def test_co_review_matrix_bit_equal_to_masked_oracle():
     tables = [(f"synth seed {s}", dedupe(generate(SynthConfig(seed=s))[0])) for s in range(3)]
     tables.append(("heavy tailed", heavy_tailed_table(2_000, 923, cap=400)))
     for name, table in tables:
-        graph = build_graph(table, min_co_review=1)
+        graph = build_graph(review_columns(table), min_co_review=1)
         for min_co_review in (1, 2, 3):
             want = co_review_matrix_masked(graph.node_keys, graph.incidence, min_co_review)
             with warnings.catch_warnings():
@@ -210,32 +209,26 @@ REPEATS = {  # the rows, and the pair the error names
 }
 
 
-def _detect(table):
-    return detect(table, PipelineConfig(input="x.csv", graph=GraphConfig(min_co_review=1)))
-
-
 @pytest.mark.parametrize("case", sorted(REPEATS))
-@pytest.mark.parametrize("build", [build_graph, ScoringIndex, _detect], ids=lambda f: f.__name__)
-def test_table_with_a_repeated_reviewer_product_pair_is_rejected(build, case):
+def test_table_with_a_repeated_reviewer_product_pair_is_rejected(case):
     """One review per (reviewer, product) is a precondition of the graph and
-    the scoring index: a table that breaks it fails, naming the pair."""
+    the scoring index, which read a table's columns: a table that breaks it
+    has none, and the error names the pair."""
     rows, named = REPEATS[case]
     table = table_from(rows)
-    with pytest.raises(StageError if build is _detect else ValueError) as raised:
-        build(table)
-    message = str(raised.value)
-    assert named in message, message
-    if build is _detect:
-        assert message.startswith("graph: "), message
-    else:
-        build(dedupe(table))  # the deduped table builds
+    with pytest.raises(ValueError) as raised:
+        review_columns(table)
+    assert named in str(raised.value), str(raised.value)
+    columns = review_columns(dedupe(table))  # the deduped table builds
+    build_graph(columns, min_co_review=1)
+    ScoringIndex(columns)
 
 
 def test_adjacency_is_the_co_review_counts():
     table = table_from(
         [(u, p, 5) for u in ("a", "b", "c", "d") for p in ("p1", "p2")]
     )
-    graph = build_graph(table, min_co_review=1)
+    graph = build_graph(review_columns(table), min_co_review=1)
     adj = adjacency(graph)
     assert adj.shape == (2, 2)
     assert adj[0, 1] == adj[1, 0] == 4.0
@@ -244,13 +237,13 @@ def test_adjacency_is_the_co_review_counts():
 
 def test_adjacency_edgeless_graph_is_zero():
     table = table_from([("u1", "p1", 5), ("u2", "p2", 4)])
-    graph = build_graph(table)
+    graph = build_graph(review_columns(table))
     assert not adjacency(graph).any()
 
 
 def test_node_features_recipe():
     table = table_from([("u1", "p1", 3)])
-    graph = build_graph(table)
+    graph = build_graph(review_columns(table))
     feats = features(graph)
     expected = np.array([[0, 0, 1, 0, 0, math.log(2), 0]], dtype=float)
     np.testing.assert_allclose(feats, expected)
@@ -258,7 +251,7 @@ def test_node_features_recipe():
 
 def test_identical_nodes_get_identical_features():
     table = table_from([("u1", "p1", 2), ("u2", "p2", 2)])
-    graph = build_graph(table)
+    graph = build_graph(review_columns(table))
     feats = features(graph)
     np.testing.assert_array_equal(feats[0], feats[1])
 
@@ -267,7 +260,7 @@ def test_one_hot_block_never_all_zero():
     rng = random.Random(9)
     rows = {(f"u{rng.randrange(30)}", f"p{rng.randrange(8)}"): rng.randrange(1, 6) for _ in range(120)}
     table = ReviewTable([Review(u, p, r, D) for (u, p), r in rows.items()])
-    feats = features(build_graph(table))
+    feats = features(build_graph(review_columns(table)))
     assert (feats[:, :5].sum(axis=1) == 1.0).all()
 
 
@@ -277,8 +270,8 @@ def test_shuffle_invariance():
     reviews = [Review(u, p, r, D) for (u, p), r in rows]
     shuffled = reviews[:]
     rng.shuffle(shuffled)
-    g1 = build_graph(ReviewTable(reviews), min_co_review=1)
-    g2 = build_graph(ReviewTable(shuffled), min_co_review=1)
+    g1 = build_graph(review_columns(ReviewTable(reviews)), min_co_review=1)
+    g2 = build_graph(review_columns(ReviewTable(shuffled)), min_co_review=1)
     assert [key(n) for n in g1.nodes] == [key(n) for n in g2.nodes]
     assert [(e.u, e.v, e.n_co_reviewers) for e in g1.edges] == [
         (e.u, e.v, e.n_co_reviewers) for e in g2.edges
@@ -291,7 +284,7 @@ def test_co_reviewers_subset_of_both_endpoints_and_exact():
     rng = random.Random(21)
     rows = {(f"u{rng.randrange(15)}", f"p{rng.randrange(5)}"): rng.randrange(1, 6) for _ in range(200)}
     table = ReviewTable([Review(u, p, r, D) for (u, p), r in rows.items()])
-    graph = build_graph(table, min_co_review=1)
+    graph = build_graph(review_columns(table), min_co_review=1)
     assert graph.edges, "instance should produce some edges"
     adj = adjacency(graph)
     for e in graph.edges:
@@ -304,7 +297,7 @@ def test_sparse_adjacency_matches_dense():
     rng = random.Random(31)
     rows = {(f"u{rng.randrange(20)}", f"p{rng.randrange(6)}"): rng.randrange(1, 6) for _ in range(150)}
     table = ReviewTable([Review(u, p, r, D) for (u, p), r in rows.items()])
-    graph = build_graph(table, min_co_review=1)
+    graph = build_graph(review_columns(table), min_co_review=1)
     sparse = adjacency_sparse(graph)
     assert sparse.format == "csr"
     np.testing.assert_array_equal(sparse.toarray(), dense_adjacency(graph))
@@ -316,7 +309,7 @@ def test_connected_components_of_subset():
          ("u3", "p3", 4), ("u4", "p3", 4), ("u3", "p4", 4), ("u4", "p4", 4),
          ("u9", "p5", 2)]
     )
-    graph = build_graph(table, min_co_review=2)
+    graph = build_graph(review_columns(table), min_co_review=2)
     comps = connected_components(graph, range(len(graph.nodes)))
     sizes = sorted(len(c) for c in comps)
     assert sizes == [1, 2, 2]
@@ -354,7 +347,7 @@ def test_graph_dump_format(tmp_path):
     table = table_from(
         [("u1", "p1", 5), ("u2", "p1", 5), ("u1", "p2", 5), ("u2", "p2", 5)]
     )
-    graph = build_graph(table, min_co_review=2)
+    graph = build_graph(review_columns(table), min_co_review=2)
     edges_path = tmp_path / "edges.tsv"
     nodes_path = tmp_path / "nodes.tsv"
     write_graph(graph, edges_path, nodes_path)
@@ -365,7 +358,7 @@ def test_graph_dump_format(tmp_path):
 
 def test_graph_dump_quotes_ids_holding_a_tab(tmp_path):
     table = table_from([("u1", "p\t1", 5), ("u2", "p\t1", 5), ("u1", "p2", 5), ("u2", "p2", 5)])
-    graph = build_graph(table, min_co_review=2)
+    graph = build_graph(review_columns(table), min_co_review=2)
     edges_path, nodes_path = tmp_path / "edges.tsv", tmp_path / "nodes.tsv"
     write_graph(graph, edges_path, nodes_path)
     with open(edges_path, encoding="utf-8", newline="") as fh:

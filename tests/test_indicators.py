@@ -22,7 +22,14 @@ from spamrings.indicators import (
     review_tightness,
     write_indicators,
 )
-from spamrings.reviews import LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN, Review, ReviewTable
+from spamrings.reviews import (
+    LABEL_FAKE,
+    LABEL_GENUINE,
+    LABEL_UNKNOWN,
+    Review,
+    ReviewTable,
+    review_columns,
+)
 from spamrings.scoring import group_precision
 
 D0 = datetime.date(2014, 1, 1)
@@ -47,9 +54,15 @@ def table_of(member_products):
     )
 
 
+def index_of(reviews):
+    """The scoring index of a table of these reviews."""
+    return ScoringIndex(review_columns(ReviewTable(reviews)))
+
+
 def make_group(member_products, cluster=-1):
     """The group of every member of a {member: product set} table."""
-    return ScoringIndex(table_of(member_products)).group(member_products, source_cluster=cluster)
+    index = ScoringIndex(review_columns(table_of(member_products)))
+    return index.group(member_products, source_cluster=cluster)
 
 
 def products_of(index, reviewer):
@@ -73,10 +86,11 @@ def extraction_fixture():
         ("a", "p9", 1),  # outside data also feeds member product sets
     ]
     table = ReviewTable([Review(u, p, r, day(i)) for i, (u, p, r) in enumerate(rows)])
-    graph = build_graph(table, min_co_review=1)
+    columns = review_columns(table)
+    graph = build_graph(columns, min_co_review=1)
     node = {(node.product_id, node.rating): i for i, node in enumerate(graph.nodes)}
     cluster = [node[("p1", 5)], node[("p2", 5)]]
-    return ScoringIndex(table), graph, cluster
+    return ScoringIndex(columns), graph, cluster
 
 
 def test_extract_group_min_support_two():
@@ -96,9 +110,10 @@ def test_extract_group_min_support_one():
 def test_extract_group_disjoint_sets_give_none():
     rows = [("a", "p1", 5), ("b", "p2", 5)]
     table = ReviewTable([Review(u, p, r, D0) for (u, p, r) in rows])
-    graph = build_graph(table)
+    columns = review_columns(table)
+    graph = build_graph(columns)
     cluster = list(range(len(graph.nodes)))
-    assert extract_groups([cluster], graph, ScoringIndex(table), min_support=2) == [None]
+    assert extract_groups([cluster], graph, ScoringIndex(columns), min_support=2) == [None]
 
 
 def test_extract_group_strict_intersection_mode():
@@ -109,14 +124,14 @@ def test_extract_group_strict_intersection_mode():
 
 def test_extract_groups_refuses_an_index_of_other_reviewers():
     _, graph, cluster = extraction_fixture()
-    other = ScoringIndex(table_of({"x": {"p1"}, "y": {"p2"}, "z": {"p9"}}))
+    other = ScoringIndex(review_columns(table_of({"x": {"p1"}, "y": {"p2"}, "z": {"p9"}})))
     assert len(other.reviewers) == graph.incidence.shape[0]  # a count check would pass
     with pytest.raises(ValueError, match="different tables"):
         extract_groups([cluster], graph, other)
 
 
 def test_candidate_group_validation():
-    index = ScoringIndex(table_of({"a": {"p1"}, "b": {"p1"}}))
+    index = ScoringIndex(review_columns(table_of({"a": {"p1"}, "b": {"p1"}})))
     with pytest.raises(ValueError):
         CandidateGroup(index, np.array([], dtype=np.intp))
     with pytest.raises(ValueError):
@@ -333,7 +348,7 @@ def test_neighbor_tightness_ignores_member_products_order():
         sets = random_member_sets(rng, rng.randint(2, 40), n_products=8, max_products=4)
         reviews = table_of(sets).reviews
         rng.shuffle(reviews)
-        shuffled = ScoringIndex(ReviewTable(reviews)).group(sets)
+        shuffled = index_of(reviews).group(sets)
         assert neighbor_tightness(shuffled) == neighbor_tightness(make_group(sets))
 
 
@@ -365,13 +380,11 @@ def test_avg_rating_deviation_examples():
         Review("mix", "p4", 1, day(1)),
         Review("z", "p4", 5, day(2)),  # avg 3, dev 2
     ]
-    index = ScoringIndex(ReviewTable(reviews))
+    index = index_of(reviews)
     assert value_of(index, index.deviation, "bal") == pytest.approx(0.0)
-    single = ScoringIndex(
-        ReviewTable(
-            [Review("solo", "p", 1, day(0))]
-            + [Review(f"o{i}", "p", 5, day(i)) for i in range(1, 1000)]
-        )
+    single = index_of(
+        [Review("solo", "p", 1, day(0))]
+        + [Review(f"o{i}", "p", 5, day(i)) for i in range(1, 1000)]
     )
     # avg -> 5 as crowd grows; solo deviation -> 4/4
     assert value_of(single, single.deviation, "solo") == pytest.approx(
@@ -381,7 +394,7 @@ def test_avg_rating_deviation_examples():
 
 
 def test_avg_rating_deviation_unknown_reviewer():
-    index = ScoringIndex(ReviewTable([Review("a", "p", 3, day(0))]))
+    index = index_of([Review("a", "p", 3, day(0))])
     with pytest.raises(KeyError):
         value_of(index, index.deviation, "ghost")
     with pytest.raises(ValueError, match="ghost"):
@@ -389,18 +402,16 @@ def test_avg_rating_deviation_unknown_reviewer():
 
 
 def test_burstness_examples():
-    index = ScoringIndex(
-        ReviewTable(
-            [
-                Review("one_day", "p1", 5, day(10)),
-                Review("one_day", "p2", 5, day(10)),
-                Review("wide", "p1", 5, day(0)),
-                Review("wide", "p2", 5, day(45)),
-                Review("half", "p1", 5, day(0)),
-                Review("half", "p2", 5, day(15)),
-                Review("single", "p3", 4, day(7)),
-            ]
-        )
+    index = index_of(
+        [
+            Review("one_day", "p1", 5, day(10)),
+            Review("one_day", "p2", 5, day(10)),
+            Review("wide", "p1", 5, day(0)),
+            Review("wide", "p2", 5, day(45)),
+            Review("half", "p1", 5, day(0)),
+            Review("half", "p2", 5, day(15)),
+            Review("single", "p3", 4, day(7)),
+        ]
     )
     burst = index.burstness()
     assert value_of(index, burst, "one_day") == 1.0
@@ -411,17 +422,13 @@ def test_burstness_examples():
 
 
 def test_burstness_boundary_span_equals_tau():
-    index = ScoringIndex(
-        ReviewTable([Review("edge", "p1", 5, day(0)), Review("edge", "p2", 5, day(30))])
-    )
+    index = index_of([Review("edge", "p1", 5, day(0)), Review("edge", "p2", 5, day(30))])
     assert value_of(index, index.burstness(tau_days=30), "edge") == 0.0
 
 
 @pytest.mark.parametrize("tau", [0, -5])
 def test_burstness_rejects_tau_below_one(tau):
-    index = ScoringIndex(
-        ReviewTable([Review("one_day", "p1", 5, day(3)), Review("one_day", "p2", 5, day(3))])
-    )
+    index = index_of([Review("one_day", "p1", 5, day(3)), Review("one_day", "p2", 5, day(3))])
     with pytest.raises(ValueError, match="tau_days"):
         index.burstness(tau_days=tau)
     with pytest.raises(ValueError, match="tau_days"):
@@ -444,10 +451,10 @@ def test_indicators_bounded_on_random_groups():
     rng = random.Random(99)
     for trial in range(1000):
         table = random_table(rng)
-        reviewers = table.reviewer_ids
-        k = rng.randrange(1, min(6, len(reviewers)) + 1)
-        members = rng.sample(reviewers, k)
-        vec = group_indicators(ScoringIndex(table).group(members))
+        index = ScoringIndex(review_columns(table))
+        k = rng.randrange(1, min(6, len(index.reviewers)) + 1)
+        members = rng.sample(index.reviewers, k)
+        vec = group_indicators(index.group(members))
         for value in (
             vec.review_tightness,
             vec.product_tightness,
@@ -463,8 +470,9 @@ def test_compactness_zero_when_any_factor_zero():
     rng = random.Random(5)
     for _ in range(200):
         table = random_table(rng)
-        members = rng.sample(table.reviewer_ids, min(4, len(table.reviewer_ids)))
-        group = ScoringIndex(table).group(members)
+        index = ScoringIndex(review_columns(table))
+        members = rng.sample(index.reviewers, min(4, len(index.reviewers)))
+        group = index.group(members)
         if product_tightness(group) == 0.0 or neighbor_tightness(group) == 0.0:
             assert compactness(group) == 0.0
 
@@ -473,8 +481,9 @@ def test_pairwise_oracle_for_pt_and_nt():
     rng = random.Random(17)
     for _ in range(100):
         table = random_table(rng)
-        members = rng.sample(table.reviewer_ids, min(5, len(table.reviewer_ids)))
-        group = ScoringIndex(table).group(members)
+        index = ScoringIndex(review_columns(table))
+        members = rng.sample(index.reviewers, min(5, len(index.reviewers)))
+        group = index.group(members)
         by_reviewer = oracles.reviews_by(table, "reviewer_id")
         sets = [{r.product_id for r in by_reviewer[m]} for m in sorted(members)]
         inter = set(sets[0])
@@ -495,8 +504,9 @@ def test_pairwise_oracle_for_pt_and_nt():
 def test_indicators_invariant_under_renaming():
     rng = random.Random(23)
     table = random_table(rng)
-    members = rng.sample(table.reviewer_ids, 4)
-    base = group_indicators(ScoringIndex(table).group(members))
+    index = ScoringIndex(review_columns(table))
+    members = rng.sample(index.reviewers, 4)
+    base = group_indicators(index.group(members))
 
     renamed_reviews = [
         Review("R_" + r.reviewer_id, "P_" + r.product_id, r.rating, r.date, r.label)
@@ -504,7 +514,7 @@ def test_indicators_invariant_under_renaming():
     ]
     renamed = ReviewTable(renamed_reviews)
     renamed_members = ["R_" + m for m in members]
-    vec = group_indicators(ScoringIndex(renamed).group(renamed_members))
+    vec = group_indicators(ScoringIndex(review_columns(renamed)).group(renamed_members))
     assert vec == base
 
 
@@ -517,7 +527,7 @@ def test_indicator_dump_format(tmp_path):
             Review("b", "p2", 5, day(3)),
         ]
     )
-    group = ScoringIndex(table).group(["a", "b"], source_cluster=7)
+    group = ScoringIndex(review_columns(table)).group(["a", "b"], source_cluster=7)
     group.group_id = 3
     vec = group_indicators(group)
     path = tmp_path / "indicators.tsv"
@@ -564,17 +574,17 @@ def test_scoring_index_equals_per_member_oracles_on_random_tables():
     rng = random.Random(809)
     for _ in range(150):
         table = labeled_table(rng, n_reviews=rng.randrange(1, 80))
-        index = ScoringIndex(table)
+        index = ScoringIndex(review_columns(table))
         stats = oracles.product_stats(table)
         for tau in (1, 7, 30):
             burst = index.burstness(tau)
-            for reviewer in table.reviewer_ids:
+            for reviewer in index.reviewers:
                 assert value_of(index, burst, reviewer) == oracles.burstness(reviewer, table, tau)
-        for reviewer in table.reviewer_ids:
+        for reviewer in index.reviewers:
             expected = oracles.avg_rating_deviation(reviewer, table, stats)
             assert value_of(index, index.deviation, reviewer) == expected
         for _ in range(5):
-            members = rng.sample(table.reviewer_ids, rng.randint(1, len(table.reviewer_ids)))
+            members = rng.sample(index.reviewers, rng.randint(1, len(index.reviewers)))
             assert_group_matches_oracle(index.group(members), table, stats, rng.choice((1, 7, 30)))
 
 
@@ -598,8 +608,9 @@ def test_extract_groups_equals_per_piece_oracle():
     rng = random.Random(78)
     for _ in range(40):
         table = labeled_table(rng, n_reviewers=20, n_products=10, n_reviews=90)
-        graph = build_graph(table, min_co_review=rng.choice((1, 2)))
-        index = ScoringIndex(table)
+        columns = review_columns(table)
+        graph = build_graph(columns, min_co_review=rng.choice((1, 2)))
+        index = ScoringIndex(columns)
         n = len(graph.nodes)
         pieces = [{i} for i in range(n)]  # single nodes: isolated reviewer sets
         pieces += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(10)]
@@ -623,8 +634,9 @@ def test_extract_candidate_groups_equals_per_piece_oracle():
     from spamrings.synth import SynthConfig, generate
 
     table, _ = generate(SynthConfig(n_reviewers=300, n_products=60, seed=3))
-    graph = build_graph(table)
-    index = ScoringIndex(table)
+    columns = review_columns(table)
+    graph = build_graph(columns)
+    index = ScoringIndex(columns)
     logits = np.random.default_rng(5).normal(scale=2.0, size=(len(graph.nodes), 12))
     assignment = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     for min_support in (1, 2):

@@ -14,6 +14,7 @@ from oracles import (
 from oracles import modularity as dense_modularity
 from spamrings.graph import adjacency_sparse, build_graph
 from spamrings.modularity import modularity
+from spamrings.reviews import review_columns
 from spamrings.synth import SynthConfig, generate
 
 
@@ -119,7 +120,7 @@ def test_matches_naive_loop_and_trace_form():
 def test_csr_rows_bit_equal_to_coo_oracle(weighting):
     """Q summed from the CSR rows has the bits of the COO sum it replaced, on
     the int32 counts, their float64 cast and their dense form."""
-    adj = adjacency_sparse(build_graph(generate(SynthConfig(seed=0))[0]))
+    adj = adjacency_sparse(build_graph(review_columns(generate(SynthConfig(seed=0))[0])))
     if weighting == "binary":  # int32 ones on the counts' index arrays
         adj = sp.csr_array((np.ones_like(adj.data), adj.indices, adj.indptr), adj.shape)
     assert adj.dtype == np.int32 and adj.nnz > 500

@@ -2,13 +2,22 @@ import csv
 import datetime
 import random
 import types
+from array import array
 
 import pytest
-from oracles import dedupe_reference, product_stats, reviews_by, write_reviews_reference
+from oracles import (
+    dedupe_reference,
+    heavy_tailed_table,
+    product_stats,
+    review_cells,
+    reviews_by,
+    write_reviews_reference,
+)
 
 from spamrings import reviews as reviews_module
 from spamrings.reviews import (
     DEFAULT_LABEL_MAP,
+    LABEL_CODES,
     LABEL_FAKE,
     LABEL_GENUINE,
     LABEL_UNKNOWN,
@@ -18,8 +27,11 @@ from spamrings.reviews import (
     WRITE_BLOCK_ROWS,
     dedupe,
     parse_reviews,
+    repeated_cell,
+    review_columns,
     write_reviews,
 )
+from spamrings.synth import SynthConfig, generate
 
 
 def d(s):
@@ -442,3 +454,55 @@ def test_write_reviews_empty_table_and_bad_delimiter(tmp_path):
     for write in (write_reviews, write_reviews_reference):
         with pytest.raises(TypeError):
             write(ReviewTable(_plain_reviews(3)), tmp_path / "bad.txt", delimiter=";;")
+
+
+def _special_id_table():
+    """Every reviewer and product id holds a comma, a quote or a carriage return."""
+    ids = ["a,b", 'say "hi"', "cr\rid", '",\r"']
+    labels = (LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN)
+    day = d("2014-01-01")
+    return ReviewTable(
+        Review(u, p, 1 + (i + j) % 5, day + datetime.timedelta(3 * i - j), labels[i % 3])
+        for i, u in enumerate(ids)
+        for j, p in enumerate(reversed(ids))
+        if (i + j) % 3
+    )
+
+
+def test_review_columns_equal_the_review_cells_oracle():
+    tables = [(f"synth seed {s}", dedupe(generate(SynthConfig(seed=s))[0])) for s in range(3)]
+    tables.append(("heavy tailed", heavy_tailed_table(2_000, 300, cap=50)))
+    tables.append(("special ids", _special_id_table()))
+    for name, table in tables:
+        columns = review_columns(table)
+        reviewers = sorted({r.reviewer_id for r in table.reviews})
+        product_ids, rows, cols, ratings = review_cells(
+            table, {r: i for i, r in enumerate(reviewers)}
+        )
+        assert columns.reviewer_ids == reviewers, name
+        assert columns.product_ids == product_ids, name
+        for got, want, itemsize in (
+            (columns.rows, rows.tolist(), 4),
+            (columns.columns, cols.tolist(), 4),
+            (columns.ratings, ratings.tolist(), 1),
+            (columns.days, [r.date.toordinal() for r in table.reviews], 4),
+            (columns.labels, [LABEL_CODES[r.label] for r in table.reviews], 1),
+        ):
+            assert got.itemsize == itemsize and got.tolist() == want, name
+        assert len(columns) == len(table) and columns.has_labels() == table.has_labels(), name
+
+
+def test_repeated_cell_keys_do_not_wrap_at_int32():
+    """With 70,000 reviewers and 61,358 products the cells pass 2³²; the
+    cells (1, 5) and (61357, 47301) are 2³² apart, one cell in int32."""
+    n_rows = 70_000
+    assert (61_357 * n_rows + 47_301) - (1 * n_rows + 5) == 2**32
+    rows, columns = array("i", [5, 47_301, 69_999]), array("i", [1, 61_357, 61_357])
+    assert repeated_cell(rows, columns, n_rows) is None
+    rows.append(47_301)
+    columns.append(61_357)
+    assert repeated_cell(rows, columns, n_rows) == (61_357, 47_301)
+    # the smallest repeated cell is named, by column and then row
+    rows.extend([5, 69_999, 69_999])
+    columns.extend([1, 61_357, 61_357])
+    assert repeated_cell(rows, columns, n_rows) == (1, 5)

@@ -20,6 +20,7 @@ from spamrings.reviews import (
     Review,
     ReviewTable,
     dedupe,
+    review_columns,
 )
 from spamrings.scoring import (
     anomaly_score,
@@ -45,13 +46,14 @@ def vec(compactness, deviation=0.0, burst=0.0):
 def dummy_group(n_members, gid, cluster=None):
     members = [f"g{gid}_u{i}" for i in range(n_members)]
     table = ReviewTable([Review(m, f"p{gid}", 5, D0) for m in members])
-    group = ScoringIndex(table).group(members, source_cluster=gid if cluster is None else cluster)
+    index = ScoringIndex(review_columns(table))
+    group = index.group(members, source_cluster=gid if cluster is None else cluster)
     group.group_id = gid
     return group
 
 
 def group_from_table(members, table):
-    return ScoringIndex(table).group(members)
+    return ScoringIndex(review_columns(table)).group(members)
 
 
 # ------------------------------------------------------------- normalization
@@ -253,12 +255,12 @@ def sweep_table():
 def test_cluster_sweep_shape_and_determinism():
     table = sweep_table()
     cfg = PipelineConfig(seed=2, train=TrainConfig(n_clusters=8, epochs=120))
-    points = sweep(table, cfg, [4, 8])
+    points = sweep(review_columns(table), cfg, [4, 8])
     assert [p.n_clusters for p in points] == [4, 8]
     for p in points:
         assert p.mean_top_precision is None or 0.0 <= p.mean_top_precision <= 1.0
         assert (p.n_groups < 10) == p.partial or p.n_groups >= 10
-    again = sweep(table, cfg, [4, 8])
+    again = sweep(review_columns(table), cfg, [4, 8])
     assert points == again
 
 
@@ -267,7 +269,7 @@ def test_cluster_sweep_flags_partial_mean():
     # and few background pieces have such a reviewer, so under SWEEP_TOP_N groups back the mean
     table = sweep_table()
     cfg = PipelineConfig(seed=1, train=TrainConfig(epochs=80), group=GroupConfig(min_support=4))
-    (point,) = sweep(table, cfg, [3])
+    (point,) = sweep(review_columns(table), cfg, [3])
     assert 0 < point.n_groups < SWEEP_TOP_N
     assert point.mean_top_precision is not None
     assert point.partial
@@ -276,7 +278,7 @@ def test_cluster_sweep_flags_partial_mean():
 def test_cluster_sweep_requires_labels():
     reviews = [Review("a", "p", 5, day(0)), Review("b", "p", 4, day(1))]
     with pytest.raises(StageError) as exc:
-        sweep(ReviewTable(reviews), PipelineConfig(), [2])
+        sweep(review_columns(ReviewTable(reviews)), PipelineConfig(), [2])
     assert exc.value.stage == "sweep"
 
 
@@ -298,10 +300,10 @@ def test_planted_compactness_beats_random_background_groups():
         )
         table, truth = generate(cfg)
         table = dedupe(table)
-        index = ScoringIndex(table)
+        index = ScoringIndex(review_columns(table))
         planted = index.group(truth[0])
         planted_pi = group_indicators(planted).compactness
-        background_users = [u for u in table.reviewer_ids if not u.startswith("f")]
+        background_users = [u for u in index.reviewers if not u.startswith("f")]
         sample = rng.sample(background_users, len(truth[0]))
         background = index.group(sample)
         background_pi = group_indicators(background).compactness

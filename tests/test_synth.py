@@ -1,6 +1,13 @@
 import pytest
 
-from spamrings.reviews import LABEL_FAKE, LABEL_GENUINE, dedupe, parse_reviews, write_reviews
+from spamrings.reviews import (
+    LABEL_FAKE,
+    LABEL_GENUINE,
+    dedupe,
+    parse_reviews,
+    review_columns,
+    write_reviews,
+)
 from spamrings.synth import (
     PlantedGroupConfig,
     SynthConfig,
@@ -105,7 +112,7 @@ def test_ground_truth_groups_have_unit_precision():
     from spamrings.scoring import group_precision
 
     table, truth = generate(small_config(planted=[PlantedGroupConfig(size=9, n_targets=3)]))
-    index = ScoringIndex(table)
+    index = ScoringIndex(review_columns(table))
     for members in truth:
         assert group_precision(index.group(members)) == 1.0
 
