@@ -19,7 +19,7 @@ print(f"planted groups: sizes {[len(g) for g in truth]}")
 
 config = PipelineConfig(input="in-memory synthetic", seed=4)
 result = detect(table, config)
-print(f"\ncandidate groups: {len(result.scored)}")
+print(f"\ncandidate groups: {len(result.ranking.full)}")
 print(f"headline groups (size >= {config.rank.size_floor}): {len(result.ranking.headline)}")
 print(f"training loss: {result.train_result.initial_loss:.4f} -> {result.train_result.final_loss:.4f}")
 

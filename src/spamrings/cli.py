@@ -197,7 +197,7 @@ def cmd_detect(args) -> int:
     paths = write_detect_report(result, config.out, ingest)
     top = result.ranking.headline[0] if result.ranking.headline else None
     sys.stdout.write(
-        f"groups: {len(result.scored)} headline: {len(result.ranking.headline)}\n"
+        f"groups: {len(result.ranking.full)} headline: {len(result.ranking.headline)}\n"
     )
     if top is not None:
         sys.stdout.write(

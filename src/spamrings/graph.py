@@ -104,11 +104,6 @@ def node_id_str(node: NodeKey | PRNode) -> str:
     return f"{node.product_id}#{node.rating}"
 
 
-def column_array(column) -> np.ndarray:
-    """A :class:`reviews.ReviewColumns` column as a numpy array on the column's own memory."""
-    return np.frombuffer(column, column.typecode)
-
-
 def co_review_matrix(incidence: sp.csc_array, min_co_review: int = 2) -> sp.csr_array:
     """Co-reviewer counts of node pairs sharing >= min_co_review reviewers.
 
@@ -149,10 +144,10 @@ def build_graph(table: ReviewColumns, min_co_review: int = 2) -> PRGraph:
     are the adjacency, and the matrices training holds carry them.
     """
     n_rows = len(table.reviewer_ids)
-    columns = column_array(table.columns).astype(np.intp)
-    keys = columns * NUM_RATING_LEVELS + column_array(table.ratings) - 1
+    columns = np.asarray(table.columns, dtype=np.intp)
+    keys = columns * NUM_RATING_LEVELS + np.asarray(table.ratings) - 1
     node_keys, node = np.unique(keys, return_inverse=True)
-    members = np.sort(node * n_rows + column_array(table.rows))  # by node, then by row
+    members = np.sort(node * n_rows + np.asarray(table.rows))  # by node, then by row
     del columns, keys, node  # the per-review arrays go before BᵀB
     starts = np.cumsum(np.bincount(members // n_rows + 1, minlength=len(node_keys) + 1))
     if starts[-1] <= np.iinfo(np.int32).max:
@@ -182,10 +177,8 @@ def node_features(graph: PRGraph, adj: sp.csr_array) -> np.ndarray:
     n = len(graph.node_keys)
     feats = np.zeros((n, FEATURE_DIM), dtype=np.float32)
     feats[np.arange(n), graph.node_keys % NUM_RATING_LEVELS] = 1.0
-    degree = adj.sum(axis=1)
-    for i, (size, deg) in enumerate(zip(graph.sizes.tolist(), degree.tolist())):
-        feats[i, NUM_RATING_LEVELS] = math.log1p(size)
-        feats[i, NUM_RATING_LEVELS + 1] = math.log1p(deg)
+    feats[:, NUM_RATING_LEVELS] = list(map(math.log1p, graph.sizes.tolist()))
+    feats[:, NUM_RATING_LEVELS + 1] = list(map(math.log1p, adj.sum(axis=1).tolist()))
     return feats
 
 

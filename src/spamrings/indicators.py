@@ -17,6 +17,7 @@ indicators entries of per-reviewer arrays.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +25,7 @@ from itertools import chain, compress
 from typing import Collection, Iterable, Sequence
 
 from ._lazy import lazy_import
-from .graph import PRGraph, column_array
+from .graph import PRGraph
 from .reviews import LABEL_CODES, LABEL_FAKE, ReviewColumns
 
 np = lazy_import("numpy")
@@ -43,15 +44,14 @@ MAX_RATING_SPAN = 4.0
 class ReviewerIndex:
     """A table's reviewer ids in row order, and which of them carry labels.
 
-    Row i is ``reviewers[i]``, the columns' ``reviewer_ids``, as in the
-    incidence of the table's graph; ``fake[i]`` and ``labeled[i]`` are 1
+    Row i is ``reviewers[i]``, the columns' sorted ``reviewer_ids``, as in
+    the incidence of the table's graph; ``fake[i]`` and ``labeled[i]`` are 1
     when that reviewer has a fake-labeled review, or any labeled review.
     Pure Python, so ``eval`` reads it without loading numpy.
     """
 
     def __init__(self, table: ReviewColumns):
         self.reviewers: list[str] = table.reviewer_ids
-        self.row: dict[str, int] = {r: i for i, r in enumerate(self.reviewers)}
         self.fake = bytearray(len(self.reviewers))
         self.labeled = bytearray(len(self.reviewers))
         for row in set(compress(table.rows, table.labels)):
@@ -60,14 +60,19 @@ class ReviewerIndex:
             self.fake[row] = 1
 
     def rows(self, names: Iterable[str]) -> list[int]:
-        """Rows of the distinct names, ascending; ValueError for none, or one with no review."""
-        names = set(names)
-        unknown = names - self.row.keys()
-        if unknown:
-            raise ValueError(f"member {min(unknown)!r} has no reviewed product")
-        if not names:
+        """Rows of the distinct names, ascending; ValueError for none, or one with no review.
+
+        Each name is bisected in the sorted ids; the smallest unknown name is the one reported.
+        """
+        rows = []
+        for name in sorted(set(names)):
+            row = bisect_left(self.reviewers, name)
+            if self.reviewers[row : row + 1] != [name]:
+                raise ValueError(f"member {name!r} has no reviewed product")
+            rows.append(row)
+        if not rows:
             raise ValueError("candidate group must have members")
-        return sorted(map(self.row.__getitem__, names))
+        return rows
 
     def precision(self, rows: Sequence[int]) -> float | None:
         """Share of the (distinct) rows' reviewers having at least one fake-labeled review.
@@ -97,7 +102,7 @@ class ScoringIndex(ReviewerIndex):
         n_rows = len(self.reviewers)
         self.product_ids = table.product_ids
         rows, cols, ratings, day = map(
-            column_array, (table.rows, table.columns, table.ratings, table.days)
+            np.asarray, (table.rows, table.columns, table.ratings, table.days)
         )
         mean = np.bincount(cols, weights=ratings) / np.bincount(cols)  # exact sums: ratings are whole
         # bincount adds each reviewer's terms one at a time in input order
@@ -123,14 +128,6 @@ class ScoringIndex(ReviewerIndex):
             raise ValueError(f"tau_days must be >= 1, got {tau_days}")
         span = self.span_days[rows]
         return np.where(span > tau_days, 0.0, 1.0 - span / tau_days)
-
-    def product_columns(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """The product columns of the given rows of R, concatenated, and each row's end offset."""
-        starts = self.products.indptr[rows]
-        lengths = self.products.indptr[rows + 1] - starts
-        ends = np.cumsum(lengths)
-        gather = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
-        return self.products.indices[gather], ends
 
     def group(self, members: Iterable[str], source_cluster: int = -1) -> CandidateGroup:
         """The candidate group of the named reviewers (see :meth:`ReviewerIndex.rows`)."""
@@ -159,10 +156,14 @@ class CandidateGroup:
         return frozenset(map(self.index.reviewers.__getitem__, self.member_products.tolist()))
 
     @cached_property
+    def products(self) -> sp.csr_array:
+        """The members' rows of the index's R, in member order."""
+        return self.index.products[self.member_products]
+
+    @cached_property
     def product_counts(self) -> np.ndarray:
         """How many members reviewed each product that any member reviewed."""
-        reviewed, _ = self.index.product_columns(self.member_products)
-        return np.unique(reviewed, return_counts=True)[1]
+        return np.unique(self.products.indices, return_counts=True)[1]
 
     @property
     def n_products(self) -> int:
@@ -212,7 +213,7 @@ def review_tightness(group: CandidateGroup) -> float:
     The group's products are the union of the member sets, so the raw
     ratio stays in (0, 1].
     """
-    filled = int(group.product_counts.sum())
+    filled = group.products.nnz
     return filled / (group.size * group.n_products) * penalty(group)
 
 
@@ -232,10 +233,10 @@ def neighbor_tightness(group: CandidateGroup) -> float:
     number of members holding it. A pair of distinct sets c < d adds
     w_c w_d J(c, d), and the pairs inside one set add w_c (w_c - 1) / 2,
     since their Jaccard is 1. Intersections come from the sparse product
-    K Kᵀ of the distinct sets' 0/1 rows K, gathered from the index's R
-    over the group's products, a block of rows at a time so memory stays
-    bounded by PAIR_BLOCK_ELEMENTS; each block keeps only the columns from
-    its first row on.
+    K Kᵀ, where K holds the group's rows of R at each distinct set's first
+    member, in float64 (R's int8 would wrap a count above 127), a block of
+    rows at a time so memory stays bounded by PAIR_BLOCK_ELEMENTS; each
+    block keeps only the columns from its first row on.
 
     np.cumsum adds the upper-triangle terms in sequence, row-major, a
     set's own term before its pairs with later sets; each block's first
@@ -249,17 +250,15 @@ def neighbor_tightness(group: CandidateGroup) -> float:
     n = group.size
     if n < 2:
         return 0.0
-    cols, ends = group.index.product_columns(group.member_products)
-    cols, bounds = cols.tolist(), [0] + ends.tolist()
-    weight = Counter(tuple(cols[a:b]) for a, b in zip(bounds, bounds[1:]))  # first-appearance order
+    cols, bounds = group.products.indices.tolist(), group.products.indptr.tolist()
+    sets = [tuple(cols[a:b]) for a, b in zip(bounds, bounds[1:])]
+    weight = Counter(sets)  # first-appearance order
+    first = dict(zip(reversed(sets), range(n - 1, -1, -1)))  # each set's first member
+    rows = np.array([first[s] for s in weight])
+    incidence = sp.csr_array(group.products[rows], dtype=np.float64)
     n_sets = len(weight)
-    lengths = np.fromiter(map(len, weight), dtype=np.int64, count=n_sets)
-    flat = np.fromiter(chain.from_iterable(weight), dtype=np.intp, count=lengths.sum())
-    products, column = np.unique(flat, return_inverse=True)
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    incidence = sp.csr_array((np.ones(len(flat)), column, indptr), shape=(n_sets, len(products)))
     transposed = incidence.T.tocsr()
-    sizes = lengths.astype(np.float64)
+    sizes = np.diff(incidence.indptr).astype(np.float64)
     w = np.fromiter(weight.values(), dtype=np.float64, count=n_sets)
     own_pairs = w * (w - 1) / 2
     block_rows = max(1, PAIR_BLOCK_ELEMENTS // n_sets)

@@ -50,7 +50,6 @@ from .scoring import (
     DEFAULT_SIZE_FLOOR,
     SIZE_BUCKET_WIDTH,
     Ranking,
-    ScoredGroup,
     attach_precision,
     group_precision,
     rank_groups,
@@ -306,7 +305,6 @@ def _train_stage(adj, feats, config: PipelineConfig, n_clusters: int) -> TrainRe
 class DetectResult:
     graph: PRGraph
     train_result: TrainResult
-    scored: list[ScoredGroup]
     ranking: Ranking
     config: PipelineConfig
     modularity_q: float  # Q of the trained assignment's argmax partition
@@ -327,7 +325,6 @@ def detect(table: ReviewColumns, config: PipelineConfig) -> DetectResult:
     return DetectResult(
         graph=graph,
         train_result=result,
-        scored=scored,
         ranking=ranking,
         config=config,
         modularity_q=modularity(adj, result.assignment.argmax(axis=1)),
@@ -378,7 +375,7 @@ def write_manifest(path, result: DetectResult, ingest: dict[str, int]) -> None:
         "n_edges": result.graph.co_review.nnz // 2,
         "n_train_nodes": result.train_result.n_train_nodes,
         "n_isolated_nodes": len(result.graph.node_keys) - result.train_result.n_train_nodes,
-        "n_groups": len(result.scored),
+        "n_groups": len(result.ranking.full),
         "modularity_q": result.modularity_q,
         "initial_loss": result.train_result.initial_loss,
         "final_loss": result.train_result.final_loss,
@@ -404,12 +401,7 @@ def write_ranked_groups(path, result: DetectResult) -> None:
                 "compactness_norm": sg.compactness_norm,
                 "deviation_norm": sg.deviation_norm,
                 "burstness_norm": sg.burstness_norm,
-                "compactness": sg.indicators.compactness,
-                "review_tightness": sg.indicators.review_tightness,
-                "product_tightness": sg.indicators.product_tightness,
-                "neighbor_tightness": sg.indicators.neighbor_tightness,
-                "avg_rating_deviation": sg.indicators.avg_rating_deviation,
-                "avg_burstness": sg.indicators.avg_burstness,
+                **dataclasses.asdict(sg.indicators),
                 "precision": sg.precision,
                 "headline": sg.size >= floor,
                 "members": sorted(sg.group.members),

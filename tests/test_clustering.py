@@ -475,7 +475,7 @@ def test_min_support_one_keeps_a_group_per_isolated_reviewer_set():
     isolated_sets = {result.graph.nodes[i].reviewers for i in np.flatnonzero(degree == 0)}
     assert result.train_result.n_train_nodes == np.count_nonzero(degree)
     assert len(isolated_sets) > 100
-    members = [sg.group.members for sg in result.scored]
+    members = [sg.group.members for sg in result.ranking.full]
     assert len(members) == len(set(members))
     assert isolated_sets <= set(members)
 

@@ -13,6 +13,7 @@ from spamrings.graph import build_graph
 from spamrings.indicators import (
     PAIR_BLOCK_ELEMENTS,
     CandidateGroup,
+    ReviewerIndex,
     ScoringIndex,
     extract_groups,
     group_indicators,
@@ -66,11 +67,12 @@ def make_group(member_products, cluster=-1):
 
 
 def products_of(index, reviewer):
-    return {index.product_ids[j] for j in index.products[[index.row[reviewer]]].indices}
+    return {index.product_ids[j] for j in index.products[index.rows([reviewer])].indices}
 
 
 def value_of(index, values, reviewer):
-    return values[index.row[reviewer]]
+    (row,) = index.rows([reviewer])
+    return values[row]
 
 
 # ----------------------------------------------------------------- extraction
@@ -142,6 +144,40 @@ def test_candidate_group_validation():
         index.group([])
     with pytest.raises(ValueError, match="'ghost' has no reviewed product"):
         index.group(["a", "ghost"])
+
+
+def test_reviewer_rows_bisect_the_sorted_ids():
+    ids = ["b", "ba", "d", "f", "f0", "é"]
+    index = ReviewerIndex(review_columns(table_of({r: {"p"} for r in reversed(ids)})))
+    assert index.reviewers == ids
+    # unknown names before the first id, between two ids (a prefix and an
+    # extension of known ones among them) and after the last id
+    for names, smallest in (
+        (["a", "f"], "a"),
+        (["", "b"], ""),
+        (["d", "c", "ghost"], "c"),
+        (["bb", "f"], "bb"),
+        (["f00", "é"], "f00"),
+        (["é", "éé", "z"], "z"),
+        (["b", "é", "ê"], "ê"),
+    ):
+        with pytest.raises(ValueError, match=f"^member {smallest!r} has no reviewed product$"):
+            index.rows(names)
+    assert index.rows(["d", "b", "d", "é", "b"]) == [0, 2, 5]  # a repeated name counts once
+    assert index.rows(iter(["f0"])) == [4]
+    with pytest.raises(ValueError, match="must have members"):
+        index.rows([])
+
+
+def test_reviewer_rows_equal_a_dict_over_the_sorted_ids():
+    rng = random.Random(5)
+    names = [f"r{rng.randrange(10**rng.randint(1, 4))}" for _ in range(300)]
+    index = ReviewerIndex(review_columns(table_of({r: {"p"} for r in names})))
+    row = {r: i for i, r in enumerate(sorted(set(names)))}
+    assert index.reviewers == sorted(row)
+    for _ in range(200):
+        chosen = rng.choices(names, k=rng.randint(1, 40))
+        assert index.rows(chosen) == sorted({row[r] for r in chosen})
 
 
 # ------------------------------------------------------------------- penalty
@@ -324,6 +360,22 @@ def test_neighbor_tightness_matches_pair_loop_on_large_group():
     assert_matches_pair_loop(distinct_sets(random.Random(2024), 2100))
 
 
+def test_tightness_matches_pair_loop_on_sets_wider_than_int8():
+    # R stores int8 ones, which would wrap an intersection count above 127
+    base = [f"p{i:04d}" for i in range(200)]
+    distinct = {f"u{i:02d}": frozenset(base + [f"x{i}"]) for i in range(30)}
+    # nested sets of 256, 512 and 1024 products, each held by several
+    # members: every Jaccard is a power of two, so any summation order is exact
+    nested = [frozenset(f"p{i:04d}" for i in range(k)) for k in (256, 512, 1024)]
+    repeated = {f"u{i:02d}": nested[i % 3] for i in range(15)}
+    for sets in (distinct, repeated):
+        group = make_group(sets)
+        assert neighbor_tightness(group) == _neighbor_tightness_pairs(sets)
+        union = frozenset().union(*sets.values())
+        filled = sum(map(len, sets.values()))
+        assert review_tightness(group) == filled / (group.size * len(union)) * penalty(group)
+
+
 def test_neighbor_tightness_close_to_pair_loop_when_sets_repeat():
     # repeated sets are summed once with a weight, which changes only the
     # summation order: ROADMAP item 6 allows 1e-12 relative. The first 300
@@ -395,7 +447,7 @@ def test_avg_rating_deviation_examples():
 
 def test_avg_rating_deviation_unknown_reviewer():
     index = index_of([Review("a", "p", 3, day(0))])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="ghost"):
         value_of(index, index.deviation, "ghost")
     with pytest.raises(ValueError, match="ghost"):
         index.group(["ghost"])
