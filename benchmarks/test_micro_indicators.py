@@ -7,7 +7,6 @@ Outside ``testpaths``, so the default test run skips them. Run with
 The end-to-end benchmark is ``perfbench/run.py``; these time one layer alone.
 """
 
-import dataclasses
 import datetime
 import random
 
@@ -82,8 +81,9 @@ def big_groups_run():
     config = PipelineConfig(input="synthetic", seed=0)
     graph = build_graph(review_columns(table))
     adj = adjacency_sparse(graph)
-    train_cfg = dataclasses.replace(config.train, seed=derive_train_seed(config.seed))
-    return table, graph, train(adj, node_features(graph, adj), train_cfg).assignment, config
+    feats = node_features(graph, adj)
+    result = train(adj, feats, config.train, seed=derive_train_seed(config.seed))
+    return table, graph, result.assignment, config
 
 
 def test_extract_and_score_big_groups(benchmark, big_groups_run):

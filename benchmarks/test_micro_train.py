@@ -37,8 +37,8 @@ def test_train_big_groups(benchmark):
     adj = adjacency_sparse(graph)
     feats = node_features(graph, adj)
     defaults = PipelineConfig().train
-    config = dataclasses.replace(defaults, seed=derive_train_seed(0), epochs=EPOCHS)
-    result = benchmark(train, adj, feats, config)
+    config = dataclasses.replace(defaults, epochs=EPOCHS)
+    result = benchmark(train, adj, feats, config, seed=derive_train_seed(0))
     assert (len(graph.nodes), result.n_train_nodes) == (1176, 511)
     assert len(result.loss_trace) == EPOCHS
     # the float32 path a detect run trains on

@@ -20,12 +20,12 @@ for base in (0, 5):
 adj[4, 5] = adj[5, 4] = 1.0  # the bridge
 
 feats = np.eye(10)  # identity features break the mirror symmetry
-config = TrainConfig(n_clusters=2, seed=0)
+config = TrainConfig(n_clusters=2)
 
-check = gradient_check(adj, feats, TrainConfig(n_clusters=2, hidden_width=16, seed=0))
+check = gradient_check(adj, feats, TrainConfig(n_clusters=2, hidden_width=16), seed=0)
 print(f"gradient check, worst relative error: {check:.2e}")
 
-result = train(adj, feats, config)
+result = train(adj, feats, config, seed=0)
 print(f"loss: {result.initial_loss:.4f} at init -> {result.final_loss:.4f} after {config.epochs} epochs")
 
 labels = result.assignment.argmax(axis=1)

@@ -146,7 +146,6 @@ class TrainConfig:
     epochs: int = 500
     dropout_rate: float = 0.5
     collapse_weight: float = 0.5
-    seed: int = 0
     assign_threshold: float = 0.2
 
     def __post_init__(self):
@@ -246,6 +245,7 @@ class TrainResult:
     loss_trace: list[float]  # loss on the active subgraph, as are the two below
     params: GCNParams
     config: TrainConfig
+    seed: int  # the one seed of the init and dropout streams
     initial_loss: float
     final_loss: float
     n_train_nodes: int  # active nodes, the ones the epochs ran on
@@ -322,11 +322,11 @@ def _assign_all(prob: _Problem, feats, params: GCNParams) -> np.ndarray:
     return _forward(propagate, feats, params)[0]
 
 
-def _seeded_init(feats, config: TrainConfig) -> tuple[GCNParams, np.random.Generator]:
+def _seeded_init(feats, config: TrainConfig, seed: int) -> tuple[GCNParams, np.random.Generator]:
     """Initial parameters in the features' dtype and the dropout stream, split
     from the one training seed. The weights are drawn in float64 whatever
     that dtype, so one seed starts both dtypes from the same values."""
-    init_seq, drop_seq = np.random.SeedSequence(config.seed).spawn(2)
+    init_seq, drop_seq = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.Generator(np.random.PCG64(init_seq))
     drawn = GCNParams.init(feats.shape[1], config.hidden_width, config.n_clusters, rng)
     params = GCNParams(
@@ -351,7 +351,7 @@ def _views(flat, like) -> list[np.ndarray]:
     return [part.reshape(a.shape) for part, a in zip(parts, like)]
 
 
-def train(adj, features, config: TrainConfig) -> TrainResult:
+def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
     """Full-batch Adam on the clustering loss; deterministic per seed.
 
     Computes in float32 if the features are float32, else in float64.
@@ -364,7 +364,7 @@ def train(adj, features, config: TrainConfig) -> TrainResult:
     prob = _prepare(adj, features)
     n = prob.feats.shape[0]
     dtype = prob.feats.dtype
-    drawn, drop_rng = _seeded_init(prob.feats, config)
+    drawn, drop_rng = _seeded_init(prob.feats, config, seed)
     initial_loss = _loss_at(prob, drawn, config)
 
     # The weight blocks, and their gradients, are views into one flat array
@@ -408,13 +408,14 @@ def train(adj, features, config: TrainConfig) -> TrainResult:
         loss_trace=loss_trace,
         params=params,
         config=config,
+        seed=seed,
         initial_loss=float(initial_loss),
         final_loss=float(_loss_at(prob, params, config)),
         n_train_nodes=n,
     )
 
 
-def gradient_check(adj, features, config: TrainConfig, step: float = 1e-5) -> float:
+def gradient_check(adj, features, config: TrainConfig, seed: int = 0, step: float = 1e-5) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
     Runs the dropout-free loss that train optimizes, on the same active
@@ -427,7 +428,7 @@ def gradient_check(adj, features, config: TrainConfig, step: float = 1e-5) -> fl
     branches, inflating the reported error for that entry.
     """
     prob = _prepare(adj, np.asarray(features, dtype=np.float64))
-    params, _ = _seeded_init(prob.feats, config)
+    params, _ = _seeded_init(prob.feats, config, seed)
 
     assignment, cache = _forward(prob.propagate, prob.feats, params)
     _, d_assign = _loss_and_assignment_grad(
@@ -481,11 +482,12 @@ def assign_clusters(assignment, threshold: float) -> dict[int, set[int]]:
 
 def save_checkpoint(path, result: TrainResult) -> None:
     (w0, w1), (ws0, ws1) = result.params.weights, result.params.skip_weights
+    config = {**dataclasses.asdict(result.config), "seed": result.seed}
     np.savez(
         path,
         version=np.int64(CHECKPOINT_VERSION),
         n_layers=np.int64(2),
-        config_json=json.dumps(dataclasses.asdict(result.config), sort_keys=True),
+        config_json=json.dumps(config, sort_keys=True),
         final_loss=np.float64(result.final_loss),
         weight_0=w0, skip_weight_0=ws0, weight_1=w1, skip_weight_1=ws1,
     )
@@ -500,7 +502,9 @@ def load_checkpoint(path) -> tuple[GCNParams, TrainConfig, float]:
             raise ValueError(f"unsupported checkpoint with {int(data['n_layers'])} layers")
         weights = [data["weight_0"], data["weight_1"]]
         skips = [data["skip_weight_0"], data["skip_weight_1"]]
-        config = TrainConfig(**json.loads(str(data["config_json"])))
+        fields = json.loads(str(data["config_json"]))
+        fields.pop("seed", None)  # the seed training took, not a TrainConfig field
+        config = TrainConfig(**fields)
         final_loss = float(data["final_loss"])
     return GCNParams(weights, skips), config, final_loss
 

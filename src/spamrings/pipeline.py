@@ -145,14 +145,8 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         """Build and validate a config; any bad key or value is a "config" StageError."""
-        top = {k: v for k, v in data.items() if k != "synth"}
         with _stage("config"):
-            train = top.get("train")
-            if isinstance(train, dict) and "seed" in train:
-                # the training seed is derived from the top seed: an int is checked, then dropped
-                build_config(TrainConfig, {"seed": train["seed"]}, "train.")
-                top["train"] = {k: v for k, v in train.items() if k != "seed"}
-            config = build_config(cls, top)
+            config = build_config(cls, {k: v for k, v in data.items() if k != "synth"})
             if "synth" in data:  # the generator's section, checked after the top level
                 synth_config(data)
             return config
@@ -295,10 +289,8 @@ def _graph_stage(table: ReviewColumns, config: PipelineConfig):
 def _train_stage(adj, feats, config: PipelineConfig, n_clusters: int) -> TrainResult:
     """Train k = n_clusters from the run's derived seed."""
     with _stage("train"):
-        train_cfg = dataclasses.replace(
-            config.train, seed=derive_train_seed(config.seed), n_clusters=n_clusters
-        )
-        return train(adj, feats, train_cfg)
+        train_cfg = dataclasses.replace(config.train, n_clusters=n_clusters)
+        return train(adj, feats, train_cfg, seed=derive_train_seed(config.seed))
 
 
 @dataclass
@@ -370,7 +362,7 @@ def write_manifest(path, result: DetectResult, ingest: dict[str, int]) -> None:
         "config": result.config.to_dict(),
         "config_hash": result.config.config_hash(),
         "seed": result.config.seed,
-        "derived_train_seed": result.train_result.config.seed,
+        "derived_train_seed": result.train_result.seed,
         "n_nodes": len(result.graph.node_keys),
         "n_edges": result.graph.co_review.nnz // 2,
         "n_train_nodes": result.train_result.n_train_nodes,

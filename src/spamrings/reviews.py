@@ -104,10 +104,13 @@ def _parse_rating(text: str) -> int:
 
 
 def _parse_date(text: str) -> _date:
-    try:
-        return _date.fromisoformat(text.strip())
+    text = text.strip()
+    try:  # YYYY-MM-DD only: Python 3.11's fromisoformat also reads 20140102 and week dates
+        if len(text) != 10 or text[4] != "-" or text[7] != "-":
+            raise ValueError
+        return _date.fromisoformat(text)
     except ValueError:
-        raise ValueError(f"unparseable date {text.strip()!r}") from None
+        raise ValueError(f"unparseable date {text!r}") from None
 
 
 def _parse_label(text: str) -> str:

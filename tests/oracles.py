@@ -465,7 +465,7 @@ def _backward_reference(adj_norm, params: GCNParams, cache, d_logits, masks=None
     return grads_w, grads_ws
 
 
-def train_reference(adj, features, config: TrainConfig) -> TrainResult:
+def train_reference(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
     """clustering.train, one plain array operation at a time.
 
     Trains on the active subgraph (the nodes with an edge) with the same
@@ -484,7 +484,7 @@ def train_reference(adj, features, config: TrainConfig) -> TrainResult:
     adj_norm = normalized_adjacency_float64(sub).astype(dtype, copy=False)
     feats = feats_all[active]
     n = feats.shape[0]
-    params, drop_rng = _seeded_init(feats, config)
+    params, drop_rng = _seeded_init(feats, config, seed)
 
     def loss_at():
         assignment, _ = _forward_reference(adj_norm, feats, params)
@@ -530,6 +530,7 @@ def train_reference(adj, features, config: TrainConfig) -> TrainResult:
         loss_trace=loss_trace,
         params=params,
         config=config,
+        seed=seed,
         initial_loss=float(initial_loss),
         final_loss=float(loss_at()),
         n_train_nodes=n,

@@ -136,8 +136,8 @@ def test_criterion_3_gradient_check():
         if adj.sum() == 0:
             continue
         feats = rng.normal(size=(10, 6))
-        cfg = TrainConfig(n_clusters=4, hidden_width=16, seed=seed)
-        worst = max(worst, gradient_check(adj, feats, cfg, step=1e-5))
+        cfg = TrainConfig(n_clusters=4, hidden_width=16)
+        worst = max(worst, gradient_check(adj, feats, cfg, seed=seed, step=1e-5))
         seeds_run += 1
     elapsed = time.time() - start
     report(
@@ -160,7 +160,7 @@ def test_criterion_4_planted_partition_recovery():
     hits = 0
     agreements = []
     for seed in range(10):
-        result = train(adj, feats, TrainConfig(n_clusters=2, seed=seed))
+        result = train(adj, feats, TrainConfig(n_clusters=2), seed=seed)
         labels = result.assignment.argmax(axis=1)
         agree = max((labels == truth).mean(), (labels == 1 - truth).mean())
         agreements.append(agree)

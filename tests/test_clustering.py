@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import datetime
+import json
 import os
 import subprocess
 import sys
@@ -324,8 +325,7 @@ def test_train_recovers_planted_cliques():
     truth = np.array([0] * 5 + [1] * 5)
     hits = 0
     for seed in range(10):
-        cfg = TrainConfig(n_clusters=2, seed=seed)
-        result = train(adj, feats, cfg)
+        result = train(adj, feats, TrainConfig(n_clusters=2), seed=seed)
         labels = result.assignment.argmax(axis=1)
         agree = max((labels == truth).mean(), (labels == 1 - truth).mean())
         if agree >= 0.9:
@@ -336,9 +336,9 @@ def test_train_recovers_planted_cliques():
 def test_train_is_deterministic_per_seed():
     adj = two_cliques_bridged()
     feats = np.eye(10)
-    cfg = TrainConfig(n_clusters=2, seed=33, epochs=60)
-    r1 = train(adj, feats, cfg)
-    r2 = train(adj, feats, cfg)
+    cfg = TrainConfig(n_clusters=2, epochs=60)
+    r1 = train(adj, feats, cfg, seed=33)
+    r2 = train(adj, feats, cfg, seed=33)
     assert r1.loss_trace == r2.loss_trace
     np.testing.assert_array_equal(r1.assignment, r2.assignment)
 
@@ -347,8 +347,7 @@ def test_train_reduces_dropout_free_loss():
     rng = np.random.default_rng(9)
     adj = random_adjacency(rng, 14, p=0.4, weighted=True)
     feats = rng.normal(size=(14, 6))
-    cfg = TrainConfig(n_clusters=3, seed=1, epochs=200)
-    result = train(adj, feats, cfg)
+    result = train(adj, feats, TrainConfig(n_clusters=3, epochs=200), seed=1)
     assert result.final_loss <= result.initial_loss
     assert len(result.loss_trace) == 200
 
@@ -404,9 +403,9 @@ def test_isolated_nodes_leave_training_unchanged():
     adj = connected_random_graph(rng, 12)
     feats = rng.normal(size=(12, 5))
     padded, padded_feats, keep = pad_with_isolated(adj, feats, rng, [0, 5, 5, 12])
-    cfg = TrainConfig(n_clusters=3, hidden_width=8, epochs=40, seed=6)
-    base = train(adj, feats, cfg)
-    result = train(padded, padded_feats, cfg)
+    cfg = TrainConfig(n_clusters=3, hidden_width=8, epochs=40)
+    base = train(adj, feats, cfg, seed=6)
+    result = train(padded, padded_feats, cfg, seed=6)
     assert result.loss_trace == base.loss_trace
     assert result.initial_loss == base.initial_loss
     assert result.final_loss == base.final_loss
@@ -425,7 +424,7 @@ def check_isolated_rows_come_from_a_full_forward_pass(dtype):
     adj = connected_random_graph(rng, 10)
     padded, feats, keep = pad_with_isolated(adj, rng.normal(size=(10, 4)), rng, [3, 10])
     feats = feats.astype(dtype)
-    result = train(padded, feats, TrainConfig(n_clusters=3, hidden_width=6, epochs=30, seed=2))
+    result = train(padded, feats, TrainConfig(n_clusters=3, hidden_width=6, epochs=30), seed=2)
     assert result.assignment.dtype == dtype
     full, _ = _forward_reference(normalized_adjacency(padded).astype(dtype), feats, result.params)
     isolated = np.setdiff1d(np.arange(12), keep)
@@ -451,8 +450,8 @@ def test_gradient_check_with_isolated_nodes():
     rng = np.random.default_rng(23)
     adj = connected_random_graph(rng, 8)
     padded, feats, _ = pad_with_isolated(adj, rng.normal(size=(8, 5)), rng, [0, 4, 8])
-    cfg = TrainConfig(n_clusters=3, hidden_width=7, seed=3)
-    assert gradient_check(padded, feats, cfg) <= 1e-4
+    cfg = TrainConfig(n_clusters=3, hidden_width=7)
+    assert gradient_check(padded, feats, cfg, seed=3) <= 1e-4
 
 
 def test_min_support_one_keeps_a_group_per_isolated_reviewer_set():
@@ -499,11 +498,11 @@ def test_train_bit_equal_to_reference_epoch(dtype):
         positions = sorted(rng.choice(n, size=n_isolated, replace=False).tolist())
         padded, feats, _ = pad_with_isolated(adj, rng.normal(size=(n, 7)), rng, positions)
         feats = feats.astype(dtype)
-        cfg = TrainConfig(epochs=15, dropout_rate=0.5, seed=8)
+        cfg = TrainConfig(epochs=15, dropout_rate=0.5)
         adj_sp = sp.csr_array(padded)
         if not n_isolated:
             assert np.shares_memory(_prepare(adj_sp, feats).adj.indices, adj_sp.indices)
-        got, want = train(adj_sp, feats, cfg), train_reference(padded, feats, cfg)
+        got, want = train(adj_sp, feats, cfg, seed=8), train_reference(padded, feats, cfg, seed=8)
         assert got.n_train_nodes == want.n_train_nodes == n
         assert got.loss_trace == want.loss_trace
         assert (got.initial_loss, got.final_loss) == (want.initial_loss, want.final_loss)
@@ -542,9 +541,9 @@ def test_float32_training_arrays_stay_float32():
     rng = np.random.default_rng(24)
     adj = connected_random_graph(rng, 12)
     padded, feats, _ = pad_with_isolated(adj, rng.normal(size=(12, 5)), rng, [4])
-    cfg = TrainConfig(n_clusters=3, hidden_width=8, seed=1)
+    cfg = TrainConfig(n_clusters=3, hidden_width=8)
     prob = _prepare(padded, feats.astype(np.float32))
-    params, drop_rng = _seeded_init(prob.feats, cfg)
+    params, drop_rng = _seeded_init(prob.feats, cfg, 1)
     mask = (drop_rng.random(size=(12, 8)) < 0.5).astype(np.float32) / 0.5
     assignment, cache = _forward(prob.propagate, prob.feats, params, mask)
     loss, d_assign = _loss_and_assignment_grad(
@@ -563,7 +562,7 @@ def test_float32_training_arrays_stay_float32():
         arrays.update((f"{name}_{i}", a) for i, a in enumerate(group))
     assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float32)
     assert type(loss) is float and np.isfinite(loss)
-    result = train(padded, feats.astype(np.float32), dataclasses.replace(cfg, epochs=3))
+    result = train(padded, feats.astype(np.float32), dataclasses.replace(cfg, epochs=3), seed=1)
     assert result.assignment.dtype == np.float32
     assert {w.dtype for w in result.params.weights + result.params.skip_weights} == {
         np.dtype(np.float32)
@@ -605,7 +604,7 @@ u, v = u[keep], v[keep]
 w = rng.integers(1, 4, size=u.size).astype(np.float64)
 adj = sp.csr_array((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(n, n))
 feats = rng.normal(size=(n, 7)).astype(dtype)
-result = train(adj, feats, TrainConfig(epochs=20, seed=5))
+result = train(adj, feats, TrainConfig(epochs=20), seed=5)
 assert result.n_train_nodes == n
 np.savez(
     out,
@@ -652,8 +651,9 @@ def test_float32_and_float64_training_give_one_partition(detect_seed):
     adj = adjacency_sparse(graph)
     feats = node_features(graph, adj)
     assert feats.dtype == np.float32
-    cfg = dataclasses.replace(config.train, seed=derive_train_seed(detect_seed))
-    single, double = train(adj, feats, cfg), train(adj, feats.astype(np.float64), cfg)
+    cfg, seed = config.train, derive_train_seed(detect_seed)
+    single = train(adj, feats, cfg, seed=seed)
+    double = train(adj, feats.astype(np.float64), cfg, seed=seed)
     assert single.assignment.dtype == np.float32 and double.assignment.dtype == np.float64
     np.testing.assert_array_equal(single.assignment.argmax(axis=1), double.assignment.argmax(axis=1))
     assert assign_clusters(single.assignment, cfg.assign_threshold) == assign_clusters(
@@ -672,8 +672,8 @@ def test_gradient_check_small_instances():
         if adj.sum() == 0:
             continue
         feats = rng.normal(size=(10, 6))
-        cfg = TrainConfig(n_clusters=3, hidden_width=12, seed=seed)
-        assert gradient_check(adj, feats, cfg) <= 1e-4
+        cfg = TrainConfig(n_clusters=3, hidden_width=12)
+        assert gradient_check(adj, feats, cfg, seed=seed) <= 1e-4
 
 
 def test_gradient_check_zero_weight_symmetric_point():
@@ -686,8 +686,8 @@ def test_gradient_check_zero_weight_symmetric_point():
     assignment, _ = _forward(adj_norm.__matmul__, feats, params)
     assert np.isfinite(assignment).all()
     # full check still passes at a nearby seeded point with tiny weights
-    cfg = TrainConfig(n_clusters=3, hidden_width=6, seed=0)
-    assert gradient_check(adj, feats, cfg) <= 1e-4
+    cfg = TrainConfig(n_clusters=3, hidden_width=6)
+    assert gradient_check(adj, feats, cfg, seed=0) <= 1e-4
 
 
 def test_gradient_check_covers_both_weight_blocks():
@@ -695,8 +695,8 @@ def test_gradient_check_covers_both_weight_blocks():
     rng = np.random.default_rng(13)
     adj = random_adjacency(rng, 9, p=0.7)
     feats = rng.normal(size=(9, 5))
-    cfg = TrainConfig(n_clusters=4, hidden_width=8, seed=4)
-    assert gradient_check(adj, feats, cfg) <= 1e-4
+    cfg = TrainConfig(n_clusters=4, hidden_width=8)
+    assert gradient_check(adj, feats, cfg, seed=4) <= 1e-4
 
 
 # ------------------------------------------------------------- hard clusters
@@ -753,10 +753,13 @@ def test_write_assignment_bytes_equal_per_node_loop(tmp_path):
 
 def test_checkpoint_round_trip(tmp_path):
     adj = two_cliques_bridged()
-    cfg = TrainConfig(n_clusters=2, seed=5, epochs=30)
-    result = train(adj, np.eye(10), cfg)
+    cfg = TrainConfig(n_clusters=2, epochs=30)
+    result = train(adj, np.eye(10), cfg, seed=5)
+    assert result.seed == 5
     path = tmp_path / "model.npz"
     save_checkpoint(path, result)
+    with np.load(path, allow_pickle=False) as data:
+        assert json.loads(str(data["config_json"])) == {**dataclasses.asdict(cfg), "seed": 5}
     params, config, final_loss = load_checkpoint(path)
     assert config == cfg
     assert final_loss == pytest.approx(result.final_loss)
@@ -767,7 +770,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_load_checkpoint_refuses_three_layers(tmp_path):
-    result = train(two_cliques_bridged(), np.eye(10), TrainConfig(n_clusters=2, seed=5, epochs=3))
+    result = train(two_cliques_bridged(), np.eye(10), TrainConfig(n_clusters=2, epochs=3), seed=5)
     path = tmp_path / "model.npz"
     save_checkpoint(path, result)
     with np.load(path, allow_pickle=False) as data:

@@ -1,6 +1,7 @@
 import csv
 import datetime
 import random
+import re
 import types
 from array import array
 
@@ -65,10 +66,13 @@ def _oracle_row(fields, label_map):
     if not reviewer or not product:
         raise ValueError("empty reviewer or product id")
     rating = _oracle_rating(rating_s)
+    date_s = date_s.strip()
+    if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", date_s, flags=re.ASCII):
+        raise ValueError(f"unparseable date {date_s!r}")
     try:
-        day = datetime.date.fromisoformat(date_s.strip())
+        day = datetime.date.fromisoformat(date_s)
     except ValueError:
-        raise ValueError(f"unparseable date {date_s.strip()!r}") from None
+        raise ValueError(f"unparseable date {date_s!r}") from None
     label_s = label_s.strip()
     label = label_map.get(label_s)
     if label is None:
@@ -110,7 +114,8 @@ def _dirty_rows(rng, n):
         elif kind == 1:
             rows.append(["", p, rating, rng.choice(labels), day])
         elif kind == 2:
-            rows.append([u, p, rating, rng.choice(labels), "2014-02-30"])
+            bad_day = rng.choice(["2014-02-30", "20140102", "2014-W01-3", " 2014W013"])
+            rows.append([u, p, rating, rng.choice(labels), bad_day])
         elif kind == 3:
             rows.append([u, p, "five", rng.choice(labels), day])
         elif kind == 4:
@@ -175,6 +180,17 @@ def test_bad_date_and_bad_column_count_reported_with_line(tmp_path):
     table, errors = parse_reviews(p)
     assert len(table) == 1
     assert [e.line for e in errors] == [1, 2]
+
+
+@pytest.mark.parametrize("token", ["20140102", "2014W013", "2014-W01-3"])
+def test_date_other_than_yyyy_mm_dd_is_row_error(tmp_path, token):
+    # Python 3.11's fromisoformat reads these basic and week dates and 3.10
+    # rejects them; the input format is YYYY-MM-DD on every version.
+    p = tmp_path / "r.csv"
+    p.write_text(f"u1,p1,5,{token}\nu2,p1,4, 2013-02-01 \n")
+    table, errors = parse_reviews(p)
+    assert table.reviews == [Review("u2", "p1", 4, d("2013-02-01"))]
+    assert errors == [RowError(1, f"unparseable date {token!r}")]
 
 
 def test_header_skipped_and_tsv_delimiter(tmp_path):
