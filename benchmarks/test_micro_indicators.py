@@ -18,11 +18,12 @@ from spamrings.clustering import train
 from spamrings.graph import adjacency_sparse, build_graph, node_features
 from spamrings.indicators import (
     ScoringIndex,
+    extract_candidate_groups,
     group_indicators,
     neighbor_tightness,
     penalty,
 )
-from spamrings.pipeline import PipelineConfig, derive_train_seed, extract_candidate_groups
+from spamrings.pipeline import PipelineConfig, derive_train_seed
 from spamrings.reviews import Review, ReviewTable, review_columns
 from spamrings.scoring import attach_precision, score_groups
 from spamrings.synth import PlantedGroupConfig, SynthConfig, generate
@@ -93,7 +94,9 @@ def test_extract_and_score_big_groups(benchmark, big_groups_run):
 
     def extract_and_score():
         index = ScoringIndex(review_columns(table))
-        groups = extract_candidate_groups(graph, assignment, index, config)
+        groups = extract_candidate_groups(
+            graph, assignment, index, config.train.assign_threshold, config.group.min_support
+        )
         return attach_precision(score_groups(groups))
 
     scored = benchmark(extract_and_score)

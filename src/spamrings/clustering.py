@@ -457,27 +457,14 @@ def gradient_check(adj, features, config: TrainConfig, seed: int = 0, step: floa
     return worst
 
 
-def _memberships(assignment, threshold: float) -> np.ndarray:
-    """Node × cluster mask: each node's argmax cluster and every cluster
-    whose probability (compared in float64) reaches the threshold."""
+def memberships(assignment, threshold: float) -> np.ndarray:
+    """Node × cluster mask of overlapping hard clusters: each node's argmax
+    cluster and every cluster whose probability (compared in float64)
+    reaches the threshold."""
     c = np.asarray(assignment, dtype=np.float64)
     mask = c >= threshold
     mask[np.arange(c.shape[0]), c.argmax(axis=1)] = True
     return mask
-
-
-def assign_clusters(assignment, threshold: float) -> dict[int, set[int]]:
-    """Overlapping hard clusters from a soft assignment.
-
-    Each node joins its argmax cluster plus every cluster whose
-    probability reaches the threshold; clusters that attract nobody are
-    dropped. Keys ascend.
-    """
-    clusters, nodes = np.nonzero(_memberships(assignment, threshold).T)
-    ids, starts = np.unique(clusters, return_index=True)
-    return {
-        j: set(part.tolist()) for j, part in zip(ids.tolist(), np.split(nodes, starts[1:]))
-    }
 
 
 def save_checkpoint(path, result: TrainResult) -> None:
@@ -512,7 +499,7 @@ def load_checkpoint(path) -> tuple[GCNParams, TrainConfig, float]:
 def write_assignment(path, node_ids, assignment, threshold: float) -> None:
     """Per-node CSV export, ids quoted as needed: id, argmax cluster, memberships, max prob."""
     c = np.asarray(assignment, dtype=np.float64)
-    mask = _memberships(c, threshold)
+    mask = memberships(c, threshold)
     clusters = np.nonzero(mask)[1].tolist()  # row-major: each node's clusters ascending
     ends = np.cumsum(mask.sum(axis=1)).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -19,7 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from ._lazy import lazy_import
 from .reviews import ReviewColumns
@@ -196,29 +196,3 @@ def write_graph(graph: PRGraph, edges_path, nodes_path) -> None:
             (*key, size) for key, size in zip(keys, graph.sizes.tolist())
         )
 
-
-def connected_components(graph: PRGraph, node_subset: Iterable[int]) -> list[set[int]]:
-    """Connected components of the subgraph induced by a node subset.
-
-    Components come back ordered by their smallest node index; isolated
-    nodes form singleton components. The search visits only the edges of
-    the subset's nodes, read from the rows of ``graph.co_review``.
-    """
-    subset = set(node_subset)
-    indptr, indices = graph.co_review.indptr, graph.co_review.indices
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    for root in sorted(subset):  # every smaller node is seen, so root is its component's minimum
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in indices[indptr[u] : indptr[u + 1]].tolist():
-                if v in subset and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        comps.append(comp)
-    return comps

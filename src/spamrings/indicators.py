@@ -1,10 +1,10 @@
 """Candidate reviewer groups and their anomaly indicators.
 
-A candidate group is extracted from one cluster of the product-rating
-graph: its members are the reviewers that appear in enough of the
-cluster's node reviewer sets. Group-level indicators (review tightness,
-product tightness, neighbor tightness and their product, the group
-compactness) measure how coordinated the members' product sets look;
+A candidate group is extracted from one connected piece of a cluster of
+the product-rating graph: its members are the reviewers that appear in
+enough of the piece's node reviewer sets. Group-level indicators (review
+tightness, product tightness, neighbor tightness and their product, the
+group compactness) measure how coordinated the members' product sets look;
 individual-level indicators (rating deviation, burstness) measure how
 abnormal each member's own history is. All indicators live in [0, 1].
 
@@ -21,10 +21,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
-from typing import Collection, Iterable, Sequence
+from itertools import compress
+from typing import Iterable, Sequence
 
 from ._lazy import lazy_import
+from .clustering import memberships
 from .graph import PRGraph
 from .reviews import LABEL_CODES, LABEL_FAKE, ReviewColumns
 
@@ -170,36 +171,72 @@ class CandidateGroup:
         return len(self.product_counts)
 
 
-def extract_groups(
-    pieces: Sequence[Collection[int]], graph: PRGraph, index: ScoringIndex, min_support: int = 2
-) -> list[CandidateGroup | None]:
-    """Per node set, the group of reviewers present in >= min_support of its nodes.
+def extract_candidate_groups(
+    graph: PRGraph, assignment, index: ScoringIndex, threshold: float, min_support: int
+) -> list[CandidateGroup]:
+    """Candidate groups of a soft assignment: one per connected piece of each cluster.
 
-    min_support generalizes intersecting all the node reviewer sets
-    (pass a piece's size for the strict intersection). Product sets come
-    from the full review table, not just the piece. One sparse product of
-    the piece × node 0/1 matrix with the graph's incidence Bᵀ counts every
-    piece's support at once. A piece where nobody qualifies gives None.
+    The clusters are the columns of :func:`clustering.memberships`. A
+    cluster that mixes disconnected subgraphs cannot describe one
+    collusive group (no co-review relation crosses the gap, and such a
+    mixture always has zero compactness), so each is split into its
+    connected components: a breadth-first search over the rows of
+    ``graph.co_review`` from each of the cluster's nodes in ascending
+    order, so pieces come by their smallest node. At each node it reaches,
+    one numpy mask picks the neighbours in the cluster that no piece
+    holds yet, and the search writes each piece straight into the index
+    list of the piece × node 0/1 matrix.
+
+    A piece's group is the reviewers present in >= min_support of its
+    nodes; min_support generalizes intersecting all the node reviewer
+    sets. Product sets come from the full review table, not just the
+    piece. One sparse product of the piece × node matrix with the graph's
+    incidence Bᵀ counts every piece's support at once. A piece where
+    nobody qualifies gives no group, nor does a member set seen before,
+    which overlapping clusters can produce; group ids count the groups kept.
     """
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
     if graph.reviewers != index.reviewers:
         raise ValueError("graph and scoring index come from different tables")
-    indptr = np.cumsum([0] + [len(p) for p in pieces])
-    nodes = np.fromiter(chain.from_iterable(pieces), np.int32, indptr[-1])
+    indptr, neighbors = graph.co_review.indptr.tolist(), graph.co_review.indices
+    nodes: list[int] = []  # the pieces' nodes, piece after piece
+    starts, sources = [0], []
+    for cluster, column in enumerate(memberships(assignment, threshold).T):
+        waiting = column.copy()  # the cluster's nodes that no piece holds yet
+        for root in np.flatnonzero(column).tolist():
+            if not waiting[root]:
+                continue
+            waiting[root] = False
+            head = len(nodes)
+            nodes.append(root)
+            while head < len(nodes):  # nodes[head:] is the queue
+                u = nodes[head]
+                head += 1
+                near = neighbors[indptr[u] : indptr[u + 1]]
+                near = near[waiting[near]]
+                waiting[near] = False
+                nodes += near.tolist()
+            starts.append(len(nodes))
+            sources.append(cluster)
     in_piece = sp.csr_array(
-        (np.ones(len(nodes), dtype=np.int32), nodes, indptr),
-        shape=(len(pieces), len(graph.node_keys)),
+        (np.ones(len(nodes), dtype=np.int32), np.array(nodes, dtype=np.int32), starts),
+        shape=(len(sources), len(graph.node_keys)),
     )
     support = in_piece @ graph.incidence.T
     support.data[support.data < min_support] = 0
     support.eliminate_zeros()
     support.sort_indices()
     bounds = support.indptr.tolist()
-    return [
-        CandidateGroup(index, support.indices[a:b]) if b > a else None
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    groups: list[CandidateGroup] = []
+    seen: set[bytes] = set()  # member rows
+    for cluster, a, b in zip(sources, bounds, bounds[1:]):
+        rows = support.indices[a:b]
+        if a == b or rows.tobytes() in seen:
+            continue
+        seen.add(rows.tobytes())
+        groups.append(CandidateGroup(index, rows, cluster, len(groups)))
+    return groups
 
 
 def penalty(group: CandidateGroup) -> float:

@@ -20,28 +20,12 @@ from typing import Iterable, NamedTuple, Sequence, get_args, get_origin, get_typ
 
 from . import __version__
 from ._lazy import lazy_import
-from .clustering import (
-    TrainConfig,
-    TrainResult,
-    assign_clusters,
-    save_checkpoint,
-    train,
-    write_assignment,
-)
-from .graph import (
-    PRGraph,
-    adjacency_sparse,
-    build_graph,
-    connected_components,
-    node_features,
-    node_id_str,
-    write_graph,
-)
+from .clustering import TrainConfig, TrainResult, save_checkpoint, train, write_assignment
+from .graph import PRGraph, adjacency_sparse, build_graph, node_features, node_id_str, write_graph
 from .indicators import (
     DEFAULT_BURST_THRESHOLD_DAYS,
-    CandidateGroup,
     ScoringIndex,
-    extract_groups,
+    extract_candidate_groups,
     write_indicators,
 )
 from .modularity import modularity
@@ -243,37 +227,6 @@ def load_table(config: PipelineConfig) -> tuple[ReviewTable, list, dict[str, int
     }
 
 
-def extract_candidate_groups(
-    graph: PRGraph, assignment, index: ScoringIndex, config: PipelineConfig
-) -> list[CandidateGroup]:
-    """Clusters -> candidate groups, one per connected cluster piece.
-
-    A cluster that mixes disconnected subgraphs cannot describe one
-    collusive group (no co-review relation crosses the gap, and such a
-    mixture always has zero compactness), so each cluster is split into
-    its connected components before member extraction. Duplicate member
-    sets, which overlapping assignments can produce, keep only their
-    first occurrence. Every piece of every cluster is extracted at once.
-    """
-    pieces: list[set[int]] = []
-    sources: list[int] = []
-    clusters = assign_clusters(assignment, threshold=config.train.assign_threshold)
-    for cluster_id, nodes in clusters.items():
-        split = connected_components(graph, nodes)
-        pieces += split
-        sources += [cluster_id] * len(split)
-    extracted = extract_groups(pieces, graph, index, config.group.min_support)
-    groups: list[CandidateGroup] = []
-    seen: set[bytes] = set()  # member rows
-    for cluster_id, group in zip(sources, extracted):
-        if group is None or group.member_products.tobytes() in seen:
-            continue
-        seen.add(group.member_products.tobytes())
-        group.source_cluster, group.group_id = cluster_id, len(groups)
-        groups.append(group)
-    return groups
-
-
 def _graph_stage(table: ReviewColumns, config: PipelineConfig):
     """The graph of a table, with the adjacency and node features training reads."""
     with _stage("graph"):
@@ -308,7 +261,9 @@ def detect(table: ReviewColumns, config: PipelineConfig) -> DetectResult:
     result = _train_stage(adj, feats, config, config.train.n_clusters)
     with _stage("score"):
         index = ScoringIndex(table)  # after training, into the memory training freed
-        groups = extract_candidate_groups(graph, result.assignment, index, config)
+        groups = extract_candidate_groups(
+            graph, result.assignment, index, config.train.assign_threshold, config.group.min_support
+        )
         if not groups:
             raise ValueError("no candidate groups were extracted from the clusters")
         scored = score_groups(groups, tau_days=config.burst_tau_days)
@@ -345,7 +300,10 @@ def sweep(table: ReviewColumns, config: PipelineConfig, k_list: Sequence[int]) -
     for k in k_list:
         result = _train_stage(adj, feats, config, k)
         with _stage("score"):
-            groups = extract_candidate_groups(graph, result.assignment, index, config)
+            groups = extract_candidate_groups(
+                graph, result.assignment, index, config.train.assign_threshold,
+                config.group.min_support,
+            )
         precisions = sorted(
             (p for p in map(group_precision, groups) if p is not None), reverse=True
         )

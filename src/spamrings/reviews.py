@@ -2,13 +2,15 @@
 
 Input files are delimited text with columns
 ``reviewer_id, product_id, rating, label, date`` (the label column may be
-absent, giving 4-column rows). Ratings are whole stars in 1..5, dates are
-ISO ``YYYY-MM-DD``.
+absent, giving 4-column rows). Ratings are whole stars in 1..5, written
+as ASCII digits with an optional "." and zero fraction ("5", "05", "4.0");
+dates are ISO ``YYYY-MM-DD``.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from array import array
 from datetime import date as _date
 from functools import partial
@@ -35,6 +37,9 @@ DEFAULT_LABEL_TOKENS = {LABEL_FAKE: "-1", LABEL_GENUINE: "1", LABEL_UNKNOWN: ""}
 
 # The int8 code of each label in ReviewColumns.labels: 0 is unlabeled.
 LABEL_CODES = {LABEL_UNKNOWN: 0, LABEL_GENUINE: 1, LABEL_FAKE: 2}
+
+# A rating token: ASCII digits, then optionally "." and more ASCII digits.
+_RATING = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
 
 # Rows that write_reviews joins into one string and writes at once.
 WRITE_BLOCK_ROWS = 8192
@@ -91,13 +96,13 @@ class ReviewTable:
 
 def _parse_rating(text: str) -> int:
     text = text.strip()
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"rating {text!r} is not a number") from None
-    if not value.is_integer():
+    match = _RATING.fullmatch(text)
+    if match is None:
+        raise ValueError(f"rating {text!r} is not a number")
+    whole, fraction = match.groups()
+    if fraction and fraction.strip("0"):
         raise ValueError(f"rating {text!r} is not a whole star")
-    rating = int(value)
+    rating = int(whole)
     if not 1 <= rating <= 5:
         raise ValueError(f"rating {rating} outside 1..5")
     return rating

@@ -16,8 +16,11 @@ were before both read the graph's int32 co-reviewer counts in place: the
 one sums over a COO copy of the adjacency, the other over a float64 copy.
 ``train_reference`` propagates with the latter.
 
-``connected_components_edge_scan`` is the union-find over every edge of
-the graph that ``graph.connected_components`` replaced.
+``connected_components_edge_scan`` is a union-find over every edge of the
+graph. It splits the clusters in ``extract_candidate_groups_reference``,
+the oracle of the breadth-first search that
+``indicators.extract_candidate_groups`` runs over the rows of the graph's
+co-reviewer counts.
 
 ``build_edges_pair_count`` is the reviewer-by-reviewer pair count that
 ``graph.co_review_matrix`` replaced. ``co_review_matrix_masked`` is
@@ -64,9 +67,9 @@ scoring that ``indicators.ScoringIndex`` replaced: each member's product
 set a frozenset taken from ``reviews_by(table, "reviewer_id")``, reviewer support
 counted per cluster piece, one sparse incidence built per group, and
 per-member loops for rating deviation, burstness and precision.
-``assign_clusters_loop`` and ``write_assignment_loop`` are the per-node
-loops that ``clustering.assign_clusters`` and ``write_assignment``
-replaced.
+``assign_clusters_loop`` is the per-node loop of the clusters that
+``clustering.memberships`` marks, and ``write_assignment_loop`` the one
+that ``clustering.write_assignment`` replaced.
 """
 
 from __future__ import annotations
@@ -98,13 +101,7 @@ from spamrings.clustering import (
     _seeded_init,
     _softmax_backward,
 )
-from spamrings.graph import (
-    NUM_RATING_LEVELS,
-    PRGraph,
-    PRNode,
-    co_review_matrix,
-    connected_components,
-)
+from spamrings.graph import NUM_RATING_LEVELS, PRGraph, PRNode, co_review_matrix
 from spamrings.indicators import (
     DEFAULT_BURST_THRESHOLD_DAYS,
     MAX_RATING_SPAN,
@@ -650,16 +647,16 @@ def extract_group(cluster_nodes, graph, table, min_support=2, source_cluster=-1)
     return group_from_table(members, table, source_cluster=source_cluster)
 
 
-def extract_candidate_groups_reference(graph, assignment, table, config) -> list[SetGroup]:
-    """pipeline.extract_candidate_groups, one piece and one group at a time."""
-    clusters = assign_clusters_loop(assignment, threshold=config.train.assign_threshold)
+def extract_candidate_groups_reference(
+    graph, assignment, table, threshold, min_support
+) -> list[SetGroup]:
+    """indicators.extract_candidate_groups, one piece and one group at a time."""
+    clusters = assign_clusters_loop(assignment, threshold)
     groups: list[SetGroup] = []
     seen: set[frozenset[str]] = set()
     for cluster_id in sorted(clusters):
-        for piece in connected_components(graph, clusters[cluster_id]):
-            group = extract_group(
-                piece, graph, table, min_support=config.group.min_support, source_cluster=cluster_id
-            )
+        for piece in connected_components_edge_scan(graph, clusters[cluster_id]):
+            group = extract_group(piece, graph, table, min_support, source_cluster=cluster_id)
             if group is None or group.members in seen:
                 continue
             seen.add(group.members)

@@ -408,6 +408,19 @@ def test_detect_unreachable_graph_is_graph_stage_error(dataset, tmp_path, capsys
     assert "graph" in err
 
 
+def test_detect_with_no_candidate_group_is_score_stage_error(dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(
+        ["detect", "--input", str(dataset / "reviews.csv"), "--out", str(out),
+         *FAST_DETECT, "--min-support", "10000"]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: score: no candidate groups were extracted from the clusters\n"
+    )
+    assert not (out / "ranked_groups.jsonl").exists()
+
+
 def test_sweep_table_shape(dataset, tmp_path):
     out = tmp_path / "sweep"
     rc = main(

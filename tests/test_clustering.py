@@ -35,9 +35,9 @@ from spamrings.clustering import (
     _seeded_init,
     _selu_grad,
     _softmax_backward,
-    assign_clusters,
     gradient_check,
     load_checkpoint,
+    memberships,
     normalized_adjacency,
     save_checkpoint,
     selu,
@@ -656,8 +656,9 @@ def test_float32_and_float64_training_give_one_partition(detect_seed):
     double = train(adj, feats.astype(np.float64), cfg, seed=seed)
     assert single.assignment.dtype == np.float32 and double.assignment.dtype == np.float64
     np.testing.assert_array_equal(single.assignment.argmax(axis=1), double.assignment.argmax(axis=1))
-    assert assign_clusters(single.assignment, cfg.assign_threshold) == assign_clusters(
-        double.assignment, cfg.assign_threshold
+    np.testing.assert_array_equal(
+        memberships(single.assignment, cfg.assign_threshold),
+        memberships(double.assignment, cfg.assign_threshold),
     )
     assert single.final_loss == pytest.approx(double.final_loss, rel=FLOAT32_FINAL_LOSS_RTOL)
 
@@ -702,22 +703,25 @@ def test_gradient_check_covers_both_weight_blocks():
 # ------------------------------------------------------------- hard clusters
 
 
-def test_assign_clusters_threshold_rules():
+def clusters_of(mask):
+    """The node set of each cluster that has a node, as ``assign_clusters_loop`` gives them."""
+    nonempty = np.flatnonzero(mask.any(axis=0)).tolist()
+    return {j: set(np.flatnonzero(mask[:, j]).tolist()) for j in nonempty}
+
+
+def test_memberships_threshold_rules():
     c = np.array([[0.7, 0.3], [0.95, 0.05]])
-    clusters = assign_clusters(c, threshold=0.2)
-    assert clusters == {0: {0, 1}, 1: {0}}
+    np.testing.assert_array_equal(memberships(c, threshold=0.2), [[True, True], [True, False]])
 
 
-def test_assign_clusters_uniform_row_joins_everything():
+def test_memberships_uniform_row_joins_everything():
     c = np.full((1, 4), 0.25)
-    clusters = assign_clusters(c, threshold=0.2)
-    assert clusters == {0: {0}, 1: {0}, 2: {0}, 3: {0}}
+    np.testing.assert_array_equal(memberships(c, threshold=0.2), np.ones((1, 4), dtype=bool))
 
 
-def test_assign_clusters_drops_empty_clusters():
+def test_memberships_leave_unattractive_clusters_empty():
     c = np.array([[0.9, 0.05, 0.05], [0.85, 0.1, 0.05]])
-    clusters = assign_clusters(c, threshold=0.2)
-    assert set(clusters) == {0}
+    np.testing.assert_array_equal(memberships(c, threshold=0.2).any(axis=0), [True, False, False])
 
 
 def random_assignments(rng):
@@ -732,10 +736,10 @@ def random_assignments(rng):
             yield c.astype(dtype)
 
 
-def test_assign_clusters_equals_per_node_loop():
+def test_memberships_equal_per_node_loop():
     for c in random_assignments(np.random.default_rng(12)):
         for threshold in (0.05, 0.2, 0.5):
-            got = assign_clusters(c, threshold)
+            got = clusters_of(memberships(c, threshold))
             expected = assign_clusters_loop(c, threshold)
             assert got == expected and list(got) == list(expected)
 

@@ -24,12 +24,11 @@ from spamrings.graph import (
     adjacency_sparse,
     build_graph,
     co_review_matrix,
-    connected_components,
     node_features,
     node_id_str,
     write_graph,
 )
-from spamrings.indicators import ScoringIndex
+from spamrings.indicators import ScoringIndex, extract_candidate_groups
 from spamrings.reviews import Review, ReviewTable, dedupe, review_columns
 from spamrings.synth import SynthConfig, generate
 
@@ -303,23 +302,26 @@ def test_sparse_adjacency_matches_dense():
     np.testing.assert_array_equal(sparse.toarray(), dense_adjacency(graph))
 
 
-def test_connected_components_of_subset():
+def test_extraction_splits_a_cluster_into_its_components():
     table = table_from(
         [("u1", "p1", 5), ("u2", "p1", 5), ("u1", "p2", 5), ("u2", "p2", 5),
          ("u3", "p3", 4), ("u4", "p3", 4), ("u3", "p4", 4), ("u4", "p4", 4),
          ("u9", "p5", 2)]
     )
-    graph = build_graph(review_columns(table), min_co_review=2)
-    comps = connected_components(graph, range(len(graph.nodes)))
-    sizes = sorted(len(c) for c in comps)
-    assert sizes == [1, 2, 2]
-    # restricting the subset restricts the components
-    index = node_index(graph)
-    sub = connected_components(graph, [index[("p1", 5)]])
-    assert sub == [{index[("p1", 5)]}]
+    columns = review_columns(table)
+    graph = build_graph(columns, min_co_review=2)
+    index = ScoringIndex(columns)
+    one_cluster = np.ones((len(graph.nodes), 1))
+    groups = extract_candidate_groups(graph, one_cluster, index, 0.5, min_support=1)
+    assert [g.members for g in groups] == [{"u1", "u2"}, {"u3", "u4"}, {"u9"}]
+    # restricting the cluster restricts the components: p1#5 alone in
+    # cluster 1 leaves p2#5 alone in cluster 0, neither with support 2
+    labels = [int(key(node) == ("p1", 5)) for node in graph.nodes]
+    groups = extract_candidate_groups(graph, np.eye(2)[labels], index, 0.5, min_support=2)
+    assert [(g.members, g.source_cluster) for g in groups] == [({"u3", "u4"}, 0)]
 
 
-def test_connected_components_match_edge_scan_oracle():
+def test_extraction_pieces_match_edge_scan_oracle():
     rng = random.Random(8)
     for _ in range(200):
         n = rng.randint(2, 40)
@@ -332,10 +334,19 @@ def test_connected_components_match_edge_scan_oracle():
         nodes = [PRNode(f"p{i}", 5, frozenset(reviewers[i])) for i in range(n)]
         graph = graph_from_nodes(nodes)
         assert [(e.u, e.v) for e in graph.edges] == sorted(pairs)
+        table = ReviewTable([Review(r, node.product_id, 5, D) for node in nodes for r in node.reviewers])
+        index = ScoringIndex(review_columns(table))
         for subset in (range(n), rng.sample(range(n), rng.randint(0, n))):
-            got = connected_components(graph, subset)
-            assert got == connected_components_edge_scan(graph, subset)
-            assert [min(c) for c in got] == sorted(min(c) for c in got)
+            inside = np.isin(np.arange(n), list(subset))
+            mask = np.stack([~inside, inside], axis=1)  # cluster 1 is the subset
+            groups = extract_candidate_groups(graph, mask.astype(float), index, 0.5, min_support=1)
+            # node i's own reviewer u<i> names it in the group of its piece
+            got = [{int(m[1:]) for m in g.members if m[0] == "u"} for g in groups]
+            outside, within = (
+                connected_components_edge_scan(graph, np.flatnonzero(c).tolist()) for c in mask.T
+            )
+            assert got == outside + within
+            assert [g.source_cluster for g in groups] == [0] * len(outside) + [1] * len(within)
 
 
 def test_min_co_review_must_be_positive():

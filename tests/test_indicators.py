@@ -15,7 +15,7 @@ from spamrings.indicators import (
     CandidateGroup,
     ReviewerIndex,
     ScoringIndex,
-    extract_groups,
+    extract_candidate_groups,
     group_indicators,
     neighbor_tightness,
     penalty,
@@ -78,6 +78,12 @@ def value_of(index, values, reviewer):
 # ----------------------------------------------------------------- extraction
 
 
+def extract_one_hot(graph, index, labels, min_support=2):
+    """The candidate groups when node i sits in cluster labels[i] alone."""
+    assignment = np.eye(max(labels) + 1)[labels]
+    return extract_candidate_groups(graph, assignment, index, 0.5, min_support)
+
+
 def extraction_fixture():
     rows = [
         ("a", "p1", 5),
@@ -90,23 +96,27 @@ def extraction_fixture():
     table = ReviewTable([Review(u, p, r, day(i)) for i, (u, p, r) in enumerate(rows)])
     columns = review_columns(table)
     graph = build_graph(columns, min_co_review=1)
-    node = {(node.product_id, node.rating): i for i, node in enumerate(graph.nodes)}
-    cluster = [node[("p1", 5)], node[("p2", 5)]]
-    return ScoringIndex(columns), graph, cluster
+    # cluster 0 is p1#5 and p2#5, cluster 1 is p9#1
+    labels = [int(node.product_id == "p9") for node in graph.nodes]
+    return ScoringIndex(columns), graph, labels
 
 
 def test_extract_group_min_support_two():
-    index, graph, cluster = extraction_fixture()
-    (group,) = extract_groups([cluster], graph, index, min_support=2)
+    index, graph, labels = extraction_fixture()
+    (group,) = extract_one_hot(graph, index, labels, min_support=2)
     assert group.members == {"a", "b"}
+    assert (group.source_cluster, group.group_id) == (0, 0)
     assert products_of(index, "a") == {"p1", "p2", "p9"}
     assert group.n_products == 3
 
 
 def test_extract_group_min_support_one():
-    index, graph, cluster = extraction_fixture()
-    (group,) = extract_groups([cluster], graph, index, min_support=1)
-    assert group.members == {"a", "b", "c"}
+    index, graph, labels = extraction_fixture()
+    groups = extract_one_hot(graph, index, labels, min_support=1)
+    assert [(g.members, g.source_cluster, g.group_id) for g in groups] == [
+        ({"a", "b", "c"}, 0, 0),
+        ({"a"}, 1, 1),
+    ]
 
 
 def test_extract_group_disjoint_sets_give_none():
@@ -114,22 +124,27 @@ def test_extract_group_disjoint_sets_give_none():
     table = ReviewTable([Review(u, p, r, D0) for (u, p, r) in rows])
     columns = review_columns(table)
     graph = build_graph(columns)
-    cluster = list(range(len(graph.nodes)))
-    assert extract_groups([cluster], graph, ScoringIndex(columns), min_support=2) == [None]
+    assert extract_one_hot(graph, ScoringIndex(columns), [0] * len(graph.nodes)) == []
 
 
 def test_extract_group_strict_intersection_mode():
-    index, graph, cluster = extraction_fixture()
-    (group,) = extract_groups([cluster], graph, index, min_support=len(cluster))
+    index, graph, labels = extraction_fixture()
+    (group,) = extract_one_hot(graph, index, labels, min_support=labels.count(0))
     assert group.members == {"a", "b"}
 
 
 def test_extract_groups_refuses_an_index_of_other_reviewers():
-    _, graph, cluster = extraction_fixture()
+    _, graph, labels = extraction_fixture()
     other = ScoringIndex(review_columns(table_of({"x": {"p1"}, "y": {"p2"}, "z": {"p9"}})))
     assert len(other.reviewers) == graph.incidence.shape[0]  # a count check would pass
     with pytest.raises(ValueError, match="different tables"):
-        extract_groups([cluster], graph, other)
+        extract_one_hot(graph, other, labels)
+
+
+def test_extract_groups_refuses_min_support_below_one():
+    index, graph, labels = extraction_fixture()
+    with pytest.raises(ValueError, match="min_support must be >= 1"):
+        extract_one_hot(graph, index, labels, min_support=0)
 
 
 def test_candidate_group_validation():
@@ -664,25 +679,26 @@ def test_extract_groups_equals_per_piece_oracle():
         graph = build_graph(columns, min_co_review=rng.choice((1, 2)))
         index = ScoringIndex(columns)
         n = len(graph.nodes)
-        pieces = [{i} for i in range(n)]  # single nodes: isolated reviewer sets
-        pieces += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(10)]
+        labels = [rng.randrange(rng.randint(1, 4)) for _ in range(n)]
         for min_support in (1, 2, 3):
-            got = extract_groups(pieces, graph, index, min_support)
-            for piece, group in zip(pieces, got, strict=True):
-                reference = oracles.extract_group(piece, graph, table, min_support)
-                if reference is None:
-                    assert group is None
-                else:
-                    assert group.members == reference.members
-                    assert group_indicators(group) == oracles.group_indicators(
-                        reference, table, oracles.product_stats(table)
-                    )
-        singles = extract_groups(pieces[:n], graph, index, min_support=1)
-        assert [g.members for g in singles] == [node.reviewers for node in graph.nodes]
+            got = extract_one_hot(graph, index, labels, min_support)
+            expected = oracles.extract_candidate_groups_reference(
+                graph, np.eye(max(labels) + 1)[labels], table, 0.5, min_support
+            )
+            assert len(got) == len(expected)
+            for group, reference in zip(got, expected):
+                assert (group.members, group.source_cluster, group.group_id) == (
+                    reference.members, reference.source_cluster, reference.group_id
+                )
+                assert group_indicators(group) == oracles.group_indicators(
+                    reference, table, oracles.product_stats(table)
+                )
+        # every node its own cluster: each distinct node reviewer set, first one first
+        singles = extract_one_hot(graph, index, list(range(n)), min_support=1)
+        assert [g.members for g in singles] == list(dict.fromkeys(v.reviewers for v in graph.nodes))
 
 
 def test_extract_candidate_groups_equals_per_piece_oracle():
-    from spamrings.pipeline import GroupConfig, PipelineConfig, extract_candidate_groups
     from spamrings.synth import SynthConfig, generate
 
     table, _ = generate(SynthConfig(n_reviewers=300, n_products=60, seed=3))
@@ -692,9 +708,10 @@ def test_extract_candidate_groups_equals_per_piece_oracle():
     logits = np.random.default_rng(5).normal(scale=2.0, size=(len(graph.nodes), 12))
     assignment = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     for min_support in (1, 2):
-        config = PipelineConfig(group=GroupConfig(min_support=min_support))
-        got = extract_candidate_groups(graph, assignment, index, config)
-        expected = oracles.extract_candidate_groups_reference(graph, assignment, table, config)
+        got = extract_candidate_groups(graph, assignment, index, 0.2, min_support)
+        expected = oracles.extract_candidate_groups_reference(
+            graph, assignment, table, 0.2, min_support
+        )
         assert len(got) == len(expected) > 10
         for g, e in zip(got, expected):
             assert (g.members, g.source_cluster, g.group_id) == (

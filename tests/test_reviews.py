@@ -41,13 +41,12 @@ def d(s):
 
 def _oracle_rating(text):
     text = text.strip()
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"rating {text!r} is not a number") from None
-    if not value.is_integer():
+    whole, point, fraction = text.partition(".")
+    if not whole or not set(whole + fraction) <= set("0123456789"):
+        raise ValueError(f"rating {text!r} is not a number")
+    if set(fraction) - {"0"}:
         raise ValueError(f"rating {text!r} is not a whole star")
-    rating = int(value)
+    rating = int(whole)
     if not 1 <= rating <= 5:
         raise ValueError(f"rating {rating} outside 1..5")
     return rating
@@ -127,7 +126,7 @@ def _dirty_rows(rng, n):
         elif kind == 7:
             rows.append([u, p, rating, "1", day, "extra"])
         elif kind == 8:
-            rows.append([u, p, rng.choice(["4.5", "0", "-1", ""]), day])
+            rows.append([u, p, rng.choice(["4.5", "0", "-1", "", "+5", "5e0", "٥"]), day])
         elif kind == 9:
             rows.append([u, p, rating, rng.choice(["maybe", "2"]), day])
         elif kind == 10:
@@ -208,6 +207,16 @@ def test_integral_float_rating_accepted(tmp_path):
     assert len(table) == 1
     assert table.reviews[0].rating == 4
     assert len(errors) == 1
+
+
+@pytest.mark.parametrize("token", ["0_5", "٥", "５", "5e0", "+5", ".5e1", "1_0", "nan", "inf"])
+def test_rating_other_than_ascii_digits_is_not_a_number(tmp_path, token):
+    # float() reads each of these, the first six as 5 and 1_0 as 10
+    p = tmp_path / "r.csv"
+    p.write_text(f"u1,p1,{token},2014-12-08\nu2,p1,05,2014-12-08\nu3,p1,5.,2014-12-08\n")
+    table, errors = parse_reviews(p)
+    assert [r.rating for r in table.reviews] == [5, 5]
+    assert errors == [RowError(1, f"rating {token!r} is not a number")]
 
 
 def test_well_formed_file_parses_row_for_row(tmp_path):
