@@ -42,5 +42,4 @@ def test_train_big_groups(benchmark):
     assert (len(graph.nodes), result.n_train_nodes) == (1176, 511)
     assert len(result.loss_trace) == EPOCHS
     # the float32 path a detect run trains on
-    blocks = result.params.weights + result.params.skip_weights
-    assert {w.dtype for w in blocks} == {np.dtype(np.float32)}
+    assert {w.dtype for w in result.params} == {np.dtype(np.float32)}

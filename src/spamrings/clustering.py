@@ -20,12 +20,13 @@ in float32, anything else in float64. The two weight gradients, the only
 products that sum over the nodes, add fixed row blocks in block order, so
 the result does not depend on how many threads BLAS uses.
 
-An epoch of ``train`` evaluates the same math in fewer array passes than
-a plain per-layer epoch: Â X is computed once, the weight blocks and their
-gradients are views into one flat array that Adam updates in one pass per
-step, and SeLU and its derivative need no ``np.where``. Each step gives
-the same bits as the plain form, which ``tests/oracles.py`` keeps as
-``train_reference``.
+The weights are one flat array from the seeded draw on: W₀, W_s0, W₁
+and W_s1 are drawn into it in that order, and ``GCNParams`` holds the four
+blocks as named views of it. Their gradients are views of a second flat
+array, so Adam updates every weight in one elementwise pass per step. An
+epoch of ``train`` also computes Â X once, and SeLU and its derivative need
+no ``np.where``. Each step gives the same bits as a plain per-layer epoch,
+which ``tests/oracles.py`` keeps as ``train_reference``.
 """
 
 from __future__ import annotations
@@ -113,29 +114,23 @@ def normalized_adjacency(adj, dtype="float64") -> sp.csr_array:
     return sp.csr_array((data, a.indices, a.indptr), shape=a.shape)
 
 
-@dataclass
-class GCNParams:
-    """The propagation weights [W₀, W₁] and skip weights [W_s0, W_s1] of the
-    two layers; W₀ and W_s0 are in × hidden, W₁ and W_s1 hidden × k."""
+class GCNParams(NamedTuple):
+    """The propagation and skip weights of the two layers, in the order they
+    are drawn and laid out in the flat array (see _views); W₀ and W_s0 are
+    in × hidden, W₁ and W_s1 hidden × k."""
 
-    weights: list[np.ndarray]
-    skip_weights: list[np.ndarray]
+    w0: np.ndarray
+    ws0: np.ndarray
+    w1: np.ndarray
+    ws1: np.ndarray
 
-    def __post_init__(self):
-        if len(self.weights) != 2 or len(self.skip_weights) != 2:
-            raise ValueError("need two weight and two skip-weight matrices")
-        shapes = [w.shape for w in self.weights + self.skip_weights]
-        if shapes[:2] != shapes[2:] or shapes[0][1] != shapes[1][0]:
-            raise ValueError(f"weight and skip-weight shapes {shapes} do not chain")
 
-    @classmethod
-    def init(cls, n_in: int, hidden: int, k: int, rng: np.random.Generator) -> "GCNParams":
-        """Fan-in scaled uniform init, drawn in the order W₀, W_s0, W₁, W_s1."""
-        drawn = []
-        for fan_in, fan_out in ((n_in, hidden), (hidden, k)):
-            bound = 1.0 / np.sqrt(fan_in)
-            drawn += [rng.uniform(-bound, bound, size=(fan_in, fan_out)) for _ in range(2)]
-        return cls(drawn[0::2], drawn[1::2])
+def _views(flat, n_in: int, config: TrainConfig) -> GCNParams:
+    """The 1-D array flat as the four weight blocks, consecutive in GCNParams order."""
+    h, k = config.hidden_width, config.n_clusters
+    shapes = ((n_in, h), (n_in, h), (h, k), (h, k))
+    parts = np.split(flat, np.cumsum([a * b for a, b in shapes])[:-1])
+    return GCNParams(*(part.reshape(shape) for part, shape in zip(parts, shapes)))
 
 
 @dataclass
@@ -150,17 +145,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.n_clusters < 2:
-            raise ValueError("n_clusters must be >= 2")
+            raise ValueError("train.n_clusters must be >= 2")
+        if self.hidden_width < 1:
+            raise ValueError("train.hidden_width must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
+            raise ValueError("train.learning_rate must be in (0, 1]")
+        if self.epochs < 1:
+            raise ValueError("train.epochs must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+            raise ValueError("train.dropout_rate must be in [0, 1)")
         if self.collapse_weight < 0.0:
-            raise ValueError("collapse_weight must be >= 0")
+            raise ValueError("train.collapse_weight must be >= 0")
         if not 0.0 < self.assign_threshold < 1.0:
-            raise ValueError("assign_threshold must be in (0, 1)")
-        if self.epochs < 1 or self.hidden_width < 1:
-            raise ValueError("epochs and hidden_width must be positive")
+            raise ValueError("train.assign_threshold must be in (0, 1)")
 
 
 def _row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -177,7 +174,7 @@ def _forward(propagate, feats, params: GCNParams, mask=None, agg0=None):
     caller. Returns (C, cache), the cache (Â X, the hidden pre-activation,
     H, Â H) being what _backward reads.
     """
-    (w0, w1), (ws0, ws1) = params.weights, params.skip_weights
+    w0, ws0, w1, ws1 = params
     agg0 = propagate(feats) if agg0 is None else agg0
     z0 = agg0 @ w0 + feats @ ws0
     hidden = selu(z0)
@@ -207,19 +204,21 @@ def _blocked_gram(a, b, out=None):
     return out
 
 
-def _backward(propagate, feats, params: GCNParams, cache, d_logits, mask=None, out=(None,) * 4):
-    """Gradients of [W₀, W₁, W_s0, W_s1] from the logits' gradient and the
-    cache of the _forward pass that took feats and mask; each is written
-    into the array at its place in out if given."""
+def _backward(propagate, feats, params: GCNParams, cache, d_logits, mask=None, out=None):
+    """Gradients of the four weight blocks, as a GCNParams, from the logits'
+    gradient and the cache of the _forward pass that took feats and mask;
+    each is written into its block of out, a GCNParams, if given."""
+    out = out or GCNParams(None, None, None, None)
     agg0, z0, hidden, agg1 = cache
-    g_w1 = _blocked_gram(agg1, d_logits, out[1])
-    g_ws1 = _blocked_gram(hidden, d_logits, out[3])
+    g_w1 = _blocked_gram(agg1, d_logits, out.w1)
+    g_ws1 = _blocked_gram(hidden, d_logits, out.ws1)
     # adjacency is symmetric, so Âᵀ = Â
-    dh = propagate(d_logits @ params.weights[1].T) + d_logits @ params.skip_weights[1].T
+    dh = propagate(d_logits @ params.w1.T) + d_logits @ params.ws1.T
     if mask is not None:
         dh *= mask
     dh *= _selu_grad(z0)
-    return [_blocked_gram(agg0, dh, out[0]), g_w1, _blocked_gram(feats, dh, out[2]), g_ws1]
+    g_w0, g_ws0 = _blocked_gram(agg0, dh, out.w0), _blocked_gram(feats, dh, out.ws0)
+    return GCNParams(g_w0, g_ws0, g_w1, g_ws1)
 
 
 def _loss_and_assignment_grad(assignment, adj, deg, two_m, collapse_weight):
@@ -322,18 +321,20 @@ def _assign_all(prob: _Problem, feats, params: GCNParams) -> np.ndarray:
     return _forward(propagate, feats, params)[0]
 
 
-def _seeded_init(feats, config: TrainConfig, seed: int) -> tuple[GCNParams, np.random.Generator]:
-    """Initial parameters in the features' dtype and the dropout stream, split
-    from the one training seed. The weights are drawn in float64 whatever
-    that dtype, so one seed starts both dtypes from the same values."""
+def _seeded_init(
+    n_in: int, config: TrainConfig, seed: int, dtype
+) -> tuple[np.ndarray, np.random.Generator]:
+    """The initial weights as one flat array of dtype (see _views), and the
+    dropout stream, split from the one training seed. The blocks W₀, W_s0,
+    W₁, W_s1 are drawn in that order, fan-in scaled uniform, in float64
+    whatever dtype, so one seed starts both dtypes from the same values."""
     init_seq, drop_seq = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.Generator(np.random.PCG64(init_seq))
-    drawn = GCNParams.init(feats.shape[1], config.hidden_width, config.n_clusters, rng)
-    params = GCNParams(
-        [w.astype(feats.dtype, copy=False) for w in drawn.weights],
-        [w.astype(feats.dtype, copy=False) for w in drawn.skip_weights],
-    )
-    return params, np.random.Generator(np.random.PCG64(drop_seq))
+    flat = np.empty(2 * config.hidden_width * (n_in + config.n_clusters))
+    for block in _views(flat, n_in, config):
+        bound = 1.0 / np.sqrt(block.shape[0])
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
+    return flat.astype(dtype, copy=False), np.random.Generator(np.random.PCG64(drop_seq))
 
 
 def _loss_at(prob: _Problem, params: GCNParams, config: TrainConfig) -> float:
@@ -343,12 +344,6 @@ def _loss_at(prob: _Problem, params: GCNParams, config: TrainConfig) -> float:
         assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
     )
     return loss
-
-
-def _views(flat, like) -> list[np.ndarray]:
-    """The 1-D array flat as consecutive blocks shaped like the arrays in like."""
-    parts = np.split(flat, np.cumsum([a.size for a in like])[:-1])
-    return [part.reshape(a.shape) for part, a in zip(parts, like)]
 
 
 def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
@@ -362,18 +357,14 @@ def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
     finite.
     """
     prob = _prepare(adj, features)
-    n = prob.feats.shape[0]
+    n, n_in = prob.feats.shape
     dtype = prob.feats.dtype
-    drawn, drop_rng = _seeded_init(prob.feats, config, seed)
-    initial_loss = _loss_at(prob, drawn, config)
-
     # The weight blocks, and their gradients, are views into one flat array
     # each, so an Adam step is one pass over all parameters.
-    blocks = drawn.weights + drawn.skip_weights
-    flat = np.concatenate([b.ravel() for b in blocks])
+    flat, drop_rng = _seeded_init(n_in, config, seed, dtype)
     grad = np.empty_like(flat)
-    views, grads = _views(flat, blocks), _views(grad, blocks)
-    params = GCNParams(views[:2], views[2:])
+    params, grads = _views(flat, n_in, config), _views(grad, n_in, config)
+    initial_loss = _loss_at(prob, params, config)
     m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     keep = 1.0 - config.dropout_rate
@@ -420,7 +411,7 @@ def gradient_check(adj, features, config: TrainConfig, seed: int = 0, step: floa
 
     Runs the dropout-free loss that train optimizes, on the same active
     subgraph, at the seeded initial parameters and perturbs every entry
-    of every weight block. It always runs in float64, whatever the
+    of the flat weight array. It always runs in float64, whatever the
     features' dtype: a central difference at step 1e-5 needs that
     precision. Intended for small instances; cost is two forward passes
     per parameter. Note the SeLU kink: an instance with a pre-activation
@@ -428,32 +419,28 @@ def gradient_check(adj, features, config: TrainConfig, seed: int = 0, step: floa
     branches, inflating the reported error for that entry.
     """
     prob = _prepare(adj, np.asarray(features, dtype=np.float64))
-    params, _ = _seeded_init(prob.feats, config, seed)
+    n_in = prob.feats.shape[1]
+    flat, _ = _seeded_init(n_in, config, seed, np.float64)
+    grad = np.empty_like(flat)
+    params = _views(flat, n_in, config)
 
     assignment, cache = _forward(prob.propagate, prob.feats, params)
     _, d_assign = _loss_and_assignment_grad(
         assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
     )
-    grads = _backward(
-        prob.propagate, prob.feats, params, cache, _softmax_backward(assignment, d_assign)
-    )
+    d_logits = _softmax_backward(assignment, d_assign)
+    _backward(prob.propagate, prob.feats, params, cache, d_logits, out=_views(grad, n_in, config))
 
     worst = 0.0
-    for block, grad in zip(params.weights + params.skip_weights, grads):
-        it = np.nditer(block, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = block[idx]
-            block[idx] = orig + step
-            up = _loss_at(prob, params, config)
-            block[idx] = orig - step
-            down = _loss_at(prob, params, config)
-            block[idx] = orig
-            fd = (up - down) / (2 * step)
-            a = grad[idx]
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-            worst = max(worst, rel)
-            it.iternext()
+    for i, orig in enumerate(flat.tolist()):
+        flat[i] = orig + step
+        up = _loss_at(prob, params, config)
+        flat[i] = orig - step
+        down = _loss_at(prob, params, config)
+        flat[i] = orig
+        fd = (up - down) / (2 * step)
+        a = grad[i]
+        worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
     return worst
 
 
@@ -468,7 +455,7 @@ def memberships(assignment, threshold: float) -> np.ndarray:
 
 
 def save_checkpoint(path, result: TrainResult) -> None:
-    (w0, w1), (ws0, ws1) = result.params.weights, result.params.skip_weights
+    w0, ws0, w1, ws1 = result.params
     config = {**dataclasses.asdict(result.config), "seed": result.seed}
     np.savez(
         path,
@@ -478,22 +465,6 @@ def save_checkpoint(path, result: TrainResult) -> None:
         final_loss=np.float64(result.final_loss),
         weight_0=w0, skip_weight_0=ws0, weight_1=w1, skip_weight_1=ws1,
     )
-
-
-def load_checkpoint(path) -> tuple[GCNParams, TrainConfig, float]:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        if int(data["n_layers"]) != 2:
-            raise ValueError(f"unsupported checkpoint with {int(data['n_layers'])} layers")
-        weights = [data["weight_0"], data["weight_1"]]
-        skips = [data["skip_weight_0"], data["skip_weight_1"]]
-        fields = json.loads(str(data["config_json"]))
-        fields.pop("seed", None)  # the seed training took, not a TrainConfig field
-        config = TrainConfig(**fields)
-        final_loss = float(data["final_loss"])
-    return GCNParams(weights, skips), config, final_loss
 
 
 def write_assignment(path, node_ids, assignment, threshold: float) -> None:

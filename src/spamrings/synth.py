@@ -33,13 +33,13 @@ class PlantedGroupConfig:
 
     def __post_init__(self):
         if self.size < 2:
-            raise ValueError("planted group size must be >= 2")
+            raise ValueError("synth.planted.size must be >= 2")
         if self.n_targets < 1:
-            raise ValueError("planted group needs at least one target product")
+            raise ValueError("synth.planted.n_targets must be >= 1")
         if not 1 <= self.rating <= 5:
-            raise ValueError("planted rating must be in 1..5")
+            raise ValueError("synth.planted.rating must be in 1..5")
         if self.burst_window_days < 0:
-            raise ValueError("burst window must be >= 0 days")
+            raise ValueError("synth.planted.burst_window_days must be >= 0")
 
 
 def _default_planted() -> list[PlantedGroupConfig]:
@@ -58,8 +58,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_reviewers < 0 or self.n_products < 1:
-            raise ValueError("synth.n_reviewers must be >= 0 and synth.n_products >= 1")
+        if self.n_reviewers < 0:
+            raise ValueError("synth.n_reviewers must be >= 0")
+        if self.n_products < 1:
+            raise ValueError("synth.n_products must be >= 1")
         if self.reviews_per_reviewer < 1 or self.reviews_per_reviewer > self.n_products:
             raise ValueError("synth.reviews_per_reviewer must be in 1..n_products")
         if self.horizon_days < 1:

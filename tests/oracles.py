@@ -100,6 +100,7 @@ from spamrings.clustering import (
     _row_softmax,
     _seeded_init,
     _softmax_backward,
+    _views,
 )
 from spamrings.graph import NUM_RATING_LEVELS, PRGraph, PRNode, co_review_matrix
 from spamrings.indicators import (
@@ -426,12 +427,18 @@ def selu_grad_where(x):
     return np.where(x > 0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
 
 
+def _layers(params: GCNParams):
+    """The (propagation weight, skip weight) pair of each layer, first to last."""
+    return [(params.w0, params.ws0), (params.w1, params.ws1)]
+
+
 def _forward_reference(adj_norm, feats, params: GCNParams, masks=None):
     """(assignment, per-layer cache of (input, propagated input, pre-activation))."""
     h = feats
     cache = []
-    last = len(params.weights) - 1
-    for t, (w, ws) in enumerate(zip(params.weights, params.skip_weights)):
+    layers = _layers(params)
+    last = len(layers) - 1
+    for t, (w, ws) in enumerate(layers):
         agg = adj_norm @ h
         z = agg @ w + h @ ws
         cache.append((h, agg, z))
@@ -445,9 +452,10 @@ def _forward_reference(adj_norm, feats, params: GCNParams, masks=None):
 
 
 def _backward_reference(adj_norm, params: GCNParams, cache, d_logits, masks=None):
-    n_layers = len(params.weights)
-    grads_w = [None] * n_layers
-    grads_ws = [None] * n_layers
+    """Gradients of the weight blocks, as a GCNParams, layer by layer from the last."""
+    layers = _layers(params)
+    n_layers = len(layers)
+    grads = [None] * n_layers
     dh = d_logits
     for t in reversed(range(n_layers)):
         h_in, agg, z = cache[t]
@@ -455,11 +463,11 @@ def _backward_reference(adj_norm, params: GCNParams, cache, d_logits, masks=None
             if masks is not None:
                 dh = dh * masks[t]
             dh = dh * selu_grad_where(z)
-        grads_w[t] = _blocked_gram(agg, dh)
-        grads_ws[t] = _blocked_gram(h_in, dh)
+        grads[t] = (_blocked_gram(agg, dh), _blocked_gram(h_in, dh))
         if t > 0:
-            dh = adj_norm @ (dh @ params.weights[t].T) + dh @ params.skip_weights[t].T
-    return grads_w, grads_ws
+            w, ws = layers[t]
+            dh = adj_norm @ (dh @ w.T) + dh @ ws.T
+    return GCNParams(*grads[0], *grads[1])
 
 
 def train_reference(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
@@ -480,8 +488,9 @@ def train_reference(adj, features, config: TrainConfig, seed: int = 0) -> TrainR
     deg = deg_all[active].astype(dtype, copy=False)
     adj_norm = normalized_adjacency_float64(sub).astype(dtype, copy=False)
     feats = feats_all[active]
-    n = feats.shape[0]
-    params, drop_rng = _seeded_init(feats, config, seed)
+    n, n_in = feats.shape
+    flat, drop_rng = _seeded_init(n_in, config, seed, dtype)
+    params = _views(flat, n_in, config)
 
     def loss_at():
         assignment, _ = _forward_reference(adj_norm, feats, params)
@@ -490,9 +499,8 @@ def train_reference(adj, features, config: TrainConfig, seed: int = 0) -> TrainR
         )[0]
 
     initial_loss = loss_at()
-    flat = params.weights + params.skip_weights
-    m_state = [np.zeros_like(p) for p in flat]
-    v_state = [np.zeros_like(p) for p in flat]
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     loss_trace = []
     for epoch in range(config.epochs):
@@ -501,7 +509,7 @@ def train_reference(adj, features, config: TrainConfig, seed: int = 0) -> TrainR
             keep = 1.0 - config.dropout_rate
             masks = [
                 (drop_rng.random(size=(n, w.shape[1])) < keep).astype(dtype) / keep
-                for w in params.weights[:-1]
+                for w, _ in _layers(params)[:-1]
             ]
         assignment, cache = _forward_reference(adj_norm, feats, params, masks)
         loss, d_assign = _loss_and_assignment_grad(
@@ -509,9 +517,9 @@ def train_reference(adj, features, config: TrainConfig, seed: int = 0) -> TrainR
         )
         loss_trace.append(float(loss))
         d_logits = _softmax_backward(assignment, d_assign)
-        grads_w, grads_ws = _backward_reference(adj_norm, params, cache, d_logits, masks)
+        grads = _backward_reference(adj_norm, params, cache, d_logits, masks)
         step = epoch + 1
-        for p, g, m, v in zip(flat, grads_w + grads_ws, m_state, v_state):
+        for p, g, m, v in zip(params, grads, m_state, v_state):
             m *= beta1
             m += (1 - beta1) * g
             v *= beta2

@@ -158,6 +158,33 @@ def test_ingest_empty_file_fails(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: ingest: {src}: no valid reviews\n"
 
 
+MALFORMED_ROWS = {  # the four kinds of malformed row the benchmark injects
+    "u9,p1,6,-1,2014-01-01": "rating 6 outside 1..5",
+    ",p1,5,-1,2014-01-01": "empty reviewer or product id",
+    "u9,p1,5,-1,2014-02-30": "unparseable date '2014-02-30'",
+    "u9,p1,five,-1,2014-01-01": "rating 'five' is not a number",
+}
+
+
+def test_ingest_summary_lists_the_first_20_row_errors_in_file_order(tmp_path):
+    bad = list(MALFORMED_ROWS.items())
+    rows, expected = [], []
+    for i in range(25):
+        rows.append(f"u{i},p{i % 7},{1 + i % 5},1,2014-01-{1 + i:02d}")
+        row, message = bad[i % 4]
+        rows.append(row)
+        expected.append(f"row_error line {len(rows)}: {message}")
+    rows.append("u30,p1,4,-1,2014-03-01")
+    src = tmp_path / "reviews.csv"
+    src.write_text("".join(r + "\n" for r in rows))
+    assert main(["ingest", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+    summary = (tmp_path / "out" / "ingest_summary.txt").read_text().splitlines()
+    assert "row_errors: 25" in summary
+    listed = [line for line in summary if line.startswith("row_error line ")]
+    assert listed == expected[:20]
+    assert listed == [f"row_error line {e.line}: {e.message}" for e in parse_reviews(src)[1][:20]]
+
+
 def test_ingest_missing_file_fails(tmp_path, capsys):
     src = tmp_path / "nope.csv"
     rc = main(["ingest", "--input", str(src), "--out", str(tmp_path / "out")])
@@ -519,6 +546,29 @@ def test_eval_command(dataset, tmp_path):
     assert evaluated[evaluated.index("bucket\tcount"):] == histogram
 
 
+def test_eval_ranked_file_of_blank_lines_has_no_records(dataset, tmp_path, capsys):
+    ranked = tmp_path / "ranked.jsonl"
+    ranked.write_text("\n  \n\t\n")
+    out = tmp_path / "o"
+    rc = main(["eval", "--input", str(dataset / "reviews.csv"), "--ranked", str(ranked),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: eval: {ranked}: no records\n"
+    assert not (out / "eval_summary.txt").exists()
+
+
+def test_eval_skips_a_blank_line_between_records(dataset, tmp_path):
+    member = (dataset / "reviews.csv").read_text().split(",", 1)[0]
+    records = [{"rank": r, "group_id": r, "members": [member]} for r in (1, 2)]
+    ranked = tmp_path / "ranked.jsonl"
+    ranked.write_text(f"{json.dumps(records[0])}\n\n{json.dumps(records[1])}\n")
+    out = tmp_path / "o"
+    rc = main(["eval", "--input", str(dataset / "reviews.csv"), "--ranked", str(ranked),
+               "--out", str(out)])
+    assert rc == 0
+    assert (out / "eval_summary.txt").read_text().splitlines()[0] == "groups: 2"
+
+
 @pytest.mark.parametrize(
     "bad_line, named",
     [
@@ -756,6 +806,9 @@ def test_missing_input_is_config_error(capsys):
         (["--burst-tau-days", "-5"], "burst_tau_days"),
         (["--burst-tau-days", "0"], "burst_tau_days"),
         (["--min-co-review", "0"], "min_co_review"),
+        (["--epochs", "0"], "train.epochs must be >= 1"),
+        (["--hidden-width", "0"], "train.hidden_width must be >= 1"),
+        (["--collapse-weight", "-1"], "train.collapse_weight must be >= 0"),
     ],
 )
 def test_bad_flag_fails_at_config_before_any_report(dataset, tmp_path, capsys, flags, field):
@@ -846,6 +899,13 @@ def test_config_value_of_wrong_type_or_range_fails_at_config(
         ({"synth": {"product_mean_range": [1, 2, 3]}}, [], "product_mean_range must be a [low,"),
         ({"synth": {"product_mean_range": [4, 1]}}, [], "product_mean_range must be a [low, high]"),
         ({"synth": {"rating_noise_sd": -1}}, [], "rating_noise_sd must be >= 0"),
+        (
+            {"synth": {"planted": [{"size": 5, "n_targets": 0}]}}, [],
+            "synth.planted.n_targets must be >= 1",
+        ),
+        ({"synth": {"reviews_per_reviewer": 0}}, [], "synth.reviews_per_reviewer must be in 1.."),
+        ({"synth": {"horizon_days": 0}}, [], "synth.horizon_days must be >= 1"),
+        ({"synth": {"n_products": 0}}, [], "synth.n_products must be >= 1"),
     ],
 )
 def test_synth_config_value_of_wrong_type_or_range_fails_before_generating(

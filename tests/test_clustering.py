@@ -35,8 +35,8 @@ from spamrings.clustering import (
     _seeded_init,
     _selu_grad,
     _softmax_backward,
+    _views,
     gradient_check,
-    load_checkpoint,
     memberships,
     normalized_adjacency,
     save_checkpoint,
@@ -199,11 +199,17 @@ def test_the_run_holds_one_copy_of_the_graph():
 # ------------------------------------------------------------------- forward
 
 
+def random_params(rng, n_in, hidden, k):
+    """Fan-in scaled uniform weights, drawn in GCNParams order."""
+    shapes = [(n_in, hidden)] * 2 + [(hidden, k)] * 2
+    return GCNParams(*(rng.uniform(-1.0, 1.0, size=s) / np.sqrt(s[0]) for s in shapes))
+
+
 def test_forward_rows_sum_to_one():
     rng = np.random.default_rng(0)
     adj = random_adjacency(rng, 8)
     feats = rng.normal(size=(8, 5))
-    params = GCNParams.init(5, 7, 3, rng)
+    params = random_params(rng, 5, 7, 3)
     assignment, _ = _forward(normalized_adjacency(adj).__matmul__, feats, params)
     np.testing.assert_allclose(assignment.sum(axis=1), np.ones(8), atol=1e-9)
     assert (assignment >= 0).all()
@@ -213,7 +219,7 @@ def test_forward_zero_weights_give_uniform():
     rng = np.random.default_rng(1)
     adj = random_adjacency(rng, 6)
     feats = rng.normal(size=(6, 4))
-    params = GCNParams([np.zeros((4, 5)), np.zeros((5, 3))], [np.zeros((4, 5)), np.zeros((5, 3))])
+    params = GCNParams(np.zeros((4, 5)), np.zeros((4, 5)), np.zeros((5, 3)), np.zeros((5, 3)))
     assignment, _ = _forward(normalized_adjacency(adj).__matmul__, feats, params)
     np.testing.assert_allclose(assignment, np.full((6, 3), 1 / 3))
 
@@ -223,7 +229,7 @@ def test_forward_permutation_equivariance():
     n = 9
     adj = random_adjacency(rng, n, weighted=True)
     feats = rng.normal(size=(n, 4))
-    params = GCNParams.init(4, 6, 3, rng)
+    params = random_params(rng, 4, 6, 3)
     perm = rng.permutation(n)
     c1, _ = _forward(normalized_adjacency(adj).__matmul__, feats, params)
     c2, _ = _forward(normalized_adjacency(adj[np.ix_(perm, perm)]).__matmul__, feats[perm], params)
@@ -232,21 +238,9 @@ def test_forward_permutation_equivariance():
 
 def test_forward_rejects_feature_width_mismatch():
     rng = np.random.default_rng(3)
-    params = GCNParams.init(4, 6, 3, rng)
+    params = random_params(rng, 4, 6, 3)
     with pytest.raises(ValueError):  # numpy's matmul refuses the 7-wide features
         _forward(np.zeros((5, 5)).__matmul__, np.zeros((5, 7)), params)
-
-
-def test_params_shape_chain_validated():
-    with pytest.raises(ValueError):
-        GCNParams([np.zeros((4, 6)), np.zeros((5, 3))], [np.zeros((4, 6)), np.zeros((5, 3))])
-    with pytest.raises(ValueError):
-        GCNParams([np.zeros((4, 6))], [np.zeros((4, 5))])
-    with pytest.raises(ValueError):  # one layer
-        GCNParams([np.zeros((4, 3))], [np.zeros((4, 3))])
-    three = [np.zeros((4, 6)), np.zeros((6, 5)), np.zeros((5, 3))]
-    with pytest.raises(ValueError):  # three layers
-        GCNParams(three, [w.copy() for w in three])
 
 
 # ---------------------------------------------------------------------- loss
@@ -410,10 +404,7 @@ def test_isolated_nodes_leave_training_unchanged():
     assert result.initial_loss == base.initial_loss
     assert result.final_loss == base.final_loss
     assert (result.n_train_nodes, base.n_train_nodes) == (12, 12)
-    for a, b in zip(
-        result.params.weights + result.params.skip_weights,
-        base.params.weights + base.params.skip_weights,
-    ):
+    for a, b in zip(result.params, base.params):
         np.testing.assert_array_equal(a, b)
     assert result.assignment.shape == (16, 3)
     np.testing.assert_allclose(result.assignment[keep], base.assignment, rtol=0, atol=1e-12)
@@ -430,8 +421,7 @@ def check_isolated_rows_come_from_a_full_forward_pass(dtype):
     isolated = np.setdiff1d(np.arange(12), keep)
     np.testing.assert_array_equal(result.assignment[isolated], full[isolated])
     # no neighbours: an isolated row is the skip path alone
-    ws = result.params.skip_weights
-    skip_only = selu(feats[isolated] @ ws[0]) @ ws[1]
+    skip_only = selu(feats[isolated] @ result.params.ws0) @ result.params.ws1
     skip_only = np.exp(skip_only - skip_only.max(axis=1, keepdims=True))
     skip_only /= skip_only.sum(axis=1, keepdims=True)
     assert skip_only.dtype == dtype
@@ -507,13 +497,7 @@ def test_train_bit_equal_to_reference_epoch(dtype):
         assert got.loss_trace == want.loss_trace
         assert (got.initial_loss, got.final_loss) == (want.initial_loss, want.final_loss)
         pairs = [("assignment", got.assignment, want.assignment)] + [
-            (f"weight_{i}", a, b)
-            for i, (a, b) in enumerate(
-                zip(
-                    got.params.weights + got.params.skip_weights,
-                    want.params.weights + want.params.skip_weights,
-                )
-            )
+            (name, a, b) for name, a, b in zip(GCNParams._fields, got.params, want.params)
         ]
         for name, a, b in pairs:
             assert a.dtype == b.dtype == dtype, (n_isolated, name)
@@ -537,13 +521,29 @@ def test_graph_and_training_matrices_carry_int32_indices():
     assert np.shares_memory(prob.adj.indptr, prob.adj_norm.indptr)
 
 
+def test_seeded_init_draws_the_blocks_in_order_in_float64_then_casts():
+    cfg = TrainConfig(n_clusters=3, hidden_width=4)
+    init_seq, drop_seq = np.random.SeedSequence(7).spawn(2)
+    rng = np.random.Generator(np.random.PCG64(init_seq))
+    shapes = [(5, 4), (5, 4), (4, 3), (4, 3)]
+    drawn = [rng.uniform(-1.0 / np.sqrt(a), 1.0 / np.sqrt(a), size=(a, b)) for a, b in shapes]
+    for dtype in (np.float64, np.float32):
+        flat, drop_rng = _seeded_init(5, cfg, 7, dtype)
+        assert flat.dtype == dtype and flat.shape == (sum(a * b for a, b in shapes),)
+        for name, view, want in zip(GCNParams._fields, _views(flat, 5, cfg), drawn):
+            assert np.shares_memory(view, flat), name
+            assert view.tobytes() == want.astype(dtype).tobytes(), name
+        assert drop_rng.random() == np.random.Generator(np.random.PCG64(drop_seq)).random()
+
+
 def test_float32_training_arrays_stay_float32():
     rng = np.random.default_rng(24)
     adj = connected_random_graph(rng, 12)
     padded, feats, _ = pad_with_isolated(adj, rng.normal(size=(12, 5)), rng, [4])
     cfg = TrainConfig(n_clusters=3, hidden_width=8)
     prob = _prepare(padded, feats.astype(np.float32))
-    params, drop_rng = _seeded_init(prob.feats, cfg, 1)
+    flat, drop_rng = _seeded_init(5, cfg, 1, np.float32)
+    params = _views(flat, 5, cfg)
     mask = (drop_rng.random(size=(12, 8)) < 0.5).astype(np.float32) / 0.5
     assignment, cache = _forward(prob.propagate, prob.feats, params, mask)
     loss, d_assign = _loss_and_assignment_grad(
@@ -553,20 +553,15 @@ def test_float32_training_arrays_stay_float32():
     grads = _backward(prob.propagate, prob.feats, params, cache, d_logits, mask)
     arrays = {
         "adj": prob.adj, "deg": prob.deg, "adj_norm": prob.adj_norm, "feats": prob.feats,
-        "assignment": assignment, "d_assign": d_assign, "d_logits": d_logits,
+        "assignment": assignment, "d_assign": d_assign, "d_logits": d_logits, "flat": flat,
     }
-    for name, group in (
-        ("weight", params.weights), ("skip_weight", params.skip_weights), ("grad", grads),
-        ("cache", cache),
-    ):
+    for name, group in (("weight", params), ("grad", grads), ("cache", cache)):
         arrays.update((f"{name}_{i}", a) for i, a in enumerate(group))
     assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float32)
     assert type(loss) is float and np.isfinite(loss)
     result = train(padded, feats.astype(np.float32), dataclasses.replace(cfg, epochs=3), seed=1)
     assert result.assignment.dtype == np.float32
-    assert {w.dtype for w in result.params.weights + result.params.skip_weights} == {
-        np.dtype(np.float32)
-    }
+    assert {w.dtype for w in result.params} == {np.dtype(np.float32)}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -608,8 +603,7 @@ result = train(adj, feats, TrainConfig(epochs=20), seed=5)
 assert result.n_train_nodes == n
 np.savez(
     out,
-    *result.params.weights,
-    *result.params.skip_weights,
+    *result.params,
     loss_trace=np.array(result.loss_trace),
     assignment=result.assignment,
 )
@@ -682,7 +676,7 @@ def test_gradient_check_zero_weight_symmetric_point():
     adj = random_adjacency(rng, 8)
     adj_norm = normalized_adjacency(adj)
     feats = rng.normal(size=(8, 4))
-    params = GCNParams([np.zeros((4, 6)), np.zeros((6, 3))], [np.zeros((4, 6)), np.zeros((6, 3))])
+    params = GCNParams(np.zeros((4, 6)), np.zeros((4, 6)), np.zeros((6, 3)), np.zeros((6, 3)))
     # loss is flat to first order here: analytic gradients must be finite
     assignment, _ = _forward(adj_norm.__matmul__, feats, params)
     assert np.isfinite(assignment).all()
@@ -762,28 +756,15 @@ def test_checkpoint_round_trip(tmp_path):
     assert result.seed == 5
     path = tmp_path / "model.npz"
     save_checkpoint(path, result)
+    weight_keys = ["weight_0", "skip_weight_0", "weight_1", "skip_weight_1"]
     with np.load(path, allow_pickle=False) as data:
+        assert data.files == ["version", "n_layers", "config_json", "final_loss", *weight_keys]
+        assert (int(data["version"]), int(data["n_layers"])) == (1, 2)
         assert json.loads(str(data["config_json"])) == {**dataclasses.asdict(cfg), "seed": 5}
-    params, config, final_loss = load_checkpoint(path)
-    assert config == cfg
-    assert final_loss == pytest.approx(result.final_loss)
-    for a, b in zip(params.weights, result.params.weights):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(params.skip_weights, result.params.skip_weights):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_load_checkpoint_refuses_three_layers(tmp_path):
-    result = train(two_cliques_bridged(), np.eye(10), TrainConfig(n_clusters=2, epochs=3), seed=5)
-    path = tmp_path / "model.npz"
-    save_checkpoint(path, result)
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {name: data[name] for name in data.files}
-    assert arrays["n_layers"] == 2
-    arrays.update(n_layers=np.int64(3), weight_2=np.zeros((2, 2)), skip_weight_2=np.zeros((2, 2)))
-    np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="3 layers"):
-        load_checkpoint(path)
+        assert float(data["final_loss"]) == result.final_loss
+        for key, w in zip(weight_keys, result.params):
+            assert data[key].dtype == w.dtype
+            np.testing.assert_array_equal(data[key], w)
 
 
 def test_assignment_export(tmp_path):
