@@ -15,6 +15,7 @@ import gc
 import json
 import os
 import sys
+from collections import Counter
 from operator import itemgetter
 from pathlib import Path
 
@@ -34,7 +35,14 @@ from .pipeline import (
     write_eval_summary,
     write_lines,
 )
-from .reviews import ReviewColumns, review_columns, write_reviews
+from .reviews import (
+    LABEL_FAKE,
+    LABEL_GENUINE,
+    LABEL_UNKNOWN,
+    ReviewColumns,
+    review_columns,
+    write_reviews,
+)
 from .synth import SynthConfig, generate, write_ground_truth
 
 
@@ -160,7 +168,7 @@ def cmd_ingest(args) -> int:
     table, errors, ingest = load_table(config)
     out = _out_dir(config)
     write_reviews(table, out / "reviews_clean.csv")
-    counts = table.label_counts()
+    counts = Counter(map(itemgetter(4), table.reviews))
     lines = [
         f"rows_parsed: {ingest['n_rows_parsed']}",
         f"row_errors: {ingest['n_row_errors']}",
@@ -169,10 +177,9 @@ def cmd_ingest(args) -> int:
         f"reviewers: {len(set(map(itemgetter(0), table.reviews)))}",
         f"products: {len(set(map(itemgetter(1), table.reviews)))}",
     ]
-    if table.has_labels():
-        lines.append(
-            f"labels: fake={counts['fake']} genuine={counts['genuine']} unknown={counts['unknown']}"
-        )
+    fake, genuine = counts[LABEL_FAKE], counts[LABEL_GENUINE]
+    if fake or genuine:
+        lines.append(f"labels: fake={fake} genuine={genuine} unknown={counts[LABEL_UNKNOWN]}")
     else:
         lines.append("labels: none; evaluation disabled")
     for err in errors[:20]:
@@ -260,18 +267,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _ranked_rows(path, table: ReviewColumns) -> list[tuple[int, int, int, float | None]]:
-    """(rank, group_id, size, precision) of each record in a ranked-groups file.
+def _ranked_records(path) -> list[tuple[int, int, int, list[str]]]:
+    """(line, rank, group_id, member names) of each record in a ranked-groups file.
 
-    A line that is not a JSON object with an int rank and group_id and a
-    list of member names, or that names a member with no review in the
-    table, is an "eval" StageError naming the file and the 1-based line.
+    A file that cannot be read or holds no record is an "eval" StageError
+    naming the file; a line that is not a JSON object with an int rank and
+    group_id and a list of member names is one naming the file and the
+    1-based line.
     """
     with _stage("eval", path):
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    index = ReviewerIndex(table)
-    rows = []
+    records = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -288,19 +295,24 @@ def _ranked_rows(path, table: ReviewColumns) -> list[tuple[int, int, int, float 
                     raise ValueError(f"{key} must be an int, not {value!r}")
             if not isinstance(names, list) or not all(isinstance(m, str) for m in names):
                 raise ValueError(f"members must be a list of strings, not {names!r}")
-            members = index.rows(names)
-            rows.append((rank, group_id, len(members), index.precision(members)))
-    if not rows:
+            records.append((lineno, rank, group_id, names))
+    if not records:
         raise StageError("eval", ValueError("no records"), path)
-    return rows
+    return records
 
 
 def cmd_eval(args) -> int:
     config = _pipeline_config(args)
+    records = _ranked_records(args.ranked)  # before the review file, as sweep checks --k-list
     table, _ = _load_columns(config)
     if not table.has_labels():
         raise StageError("eval", ValueError("dataset has no labels; evaluation needs them"))
-    rows = _ranked_rows(args.ranked, table)
+    index = ReviewerIndex(table)
+    rows = []
+    for lineno, rank, group_id, names in records:
+        with _stage("eval", f"{args.ranked} line {lineno}"):
+            members = index.rows(names)
+        rows.append((rank, group_id, len(members), index.precision(members)))
     text = write_eval_summary(_out_dir(config) / "eval_summary.txt", rows, config.rank.size_floor)
     sys.stdout.write(text)
     return 0

@@ -23,10 +23,10 @@ the result does not depend on how many threads BLAS uses.
 The weights are one flat array from the seeded draw on: W₀, W_s0, W₁
 and W_s1 are drawn into it in that order, and ``GCNParams`` holds the four
 blocks as named views of it. Their gradients are views of a second flat
-array, so Adam updates every weight in one elementwise pass per step. An
-epoch of ``train`` also computes Â X once, and SeLU and its derivative need
-no ``np.where``. Each step gives the same bits as a plain per-layer epoch,
-which ``tests/oracles.py`` keeps as ``train_reference``.
+array, so Adam updates every weight in one elementwise pass per step.
+``_prepare`` computes Â X once for every loss pass, and SeLU and its
+derivative need no ``np.where``. Each step gives the same bits as a plain
+per-layer epoch, which ``tests/oracles.py`` keeps as ``train_reference``.
 """
 
 from __future__ import annotations
@@ -258,10 +258,23 @@ class _Problem(NamedTuple):
     two_m: float
     adj_norm: sp.csr_array  # propagation matrix among active nodes
     feats: np.ndarray  # feature rows of the active nodes
+    agg0: np.ndarray  # Â X of the active nodes
     active: np.ndarray  # indices of the active nodes in the full graph
 
     def propagate(self, x):
         return self.adj_norm @ x
+
+    def loss(self, params: GCNParams, collapse_weight: float, grads=None, mask=None) -> float:
+        """The loss at params, with the dropout mask if given; the gradient
+        of each weight block is written into grads, a GCNParams, if given."""
+        assignment, cache = _forward(self.propagate, self.feats, params, mask, self.agg0)
+        loss, d_assign = _loss_and_assignment_grad(
+            assignment, self.adj, self.deg, self.two_m, collapse_weight
+        )
+        if grads is not None:
+            d_logits = _softmax_backward(assignment, d_assign)
+            _backward(self.propagate, self.feats, params, cache, d_logits, mask, out=grads)
+        return loss
 
 
 def _prepare(adj, features) -> _Problem:
@@ -292,12 +305,14 @@ def _prepare(adj, features) -> _Problem:
     def on_sub_pattern(data):
         return sp.csr_array((data.astype(dtype, copy=False), sub.indices, sub.indptr), sub.shape)
 
+    adj_norm, active_feats = on_sub_pattern(normalized_adjacency(sub, dtype).data), feats[active]
     return _Problem(
         adj=on_sub_pattern(sub.data),
         deg=deg[active].astype(dtype, copy=False),
         two_m=two_m,
-        adj_norm=on_sub_pattern(normalized_adjacency(sub, dtype).data),
-        feats=feats[active],
+        adj_norm=adj_norm,
+        feats=active_feats,
+        agg0=adj_norm @ active_feats,
         active=active,
     )
 
@@ -337,15 +352,6 @@ def _seeded_init(
     return flat.astype(dtype, copy=False), np.random.Generator(np.random.PCG64(drop_seq))
 
 
-def _loss_at(prob: _Problem, params: GCNParams, config: TrainConfig) -> float:
-    """Dropout-free loss of the active subgraph."""
-    assignment, _ = _forward(prob.propagate, prob.feats, params)
-    loss, _ = _loss_and_assignment_grad(
-        assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
-    )
-    return loss
-
-
 def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
     """Full-batch Adam on the clustering loss; deterministic per seed.
 
@@ -364,27 +370,21 @@ def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
     flat, drop_rng = _seeded_init(n_in, config, seed, dtype)
     grad = np.empty_like(flat)
     params, grads = _views(flat, n_in, config), _views(grad, n_in, config)
-    initial_loss = _loss_at(prob, params, config)
+    initial_loss = prob.loss(params, config.collapse_weight)
     m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     keep = 1.0 - config.dropout_rate
     mask_scale = dtype.type(1) / dtype.type(keep)
-    agg0 = prob.propagate(prob.feats)
 
     loss_trace: list[float] = []
     for epoch in range(config.epochs):
         mask = None
         if config.dropout_rate > 0:
             mask = (drop_rng.random(size=(n, config.hidden_width)) < keep) * mask_scale
-        assignment, cache = _forward(prob.propagate, prob.feats, params, mask, agg0)
-        loss, d_assign = _loss_and_assignment_grad(
-            assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
-        )
+        loss = prob.loss(params, config.collapse_weight, grads, mask)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={loss!r}")
         loss_trace.append(float(loss))
-        d_logits = _softmax_backward(assignment, d_assign)
-        _backward(prob.propagate, prob.feats, params, cache, d_logits, mask, out=grads)
         step = epoch + 1
         m_state *= beta1
         m_state += (1 - beta1) * grad
@@ -401,7 +401,7 @@ def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
         config=config,
         seed=seed,
         initial_loss=float(initial_loss),
-        final_loss=float(_loss_at(prob, params, config)),
+        final_loss=float(prob.loss(params, config.collapse_weight)),
         n_train_nodes=n,
     )
 
@@ -423,20 +423,14 @@ def gradient_check(adj, features, config: TrainConfig, seed: int = 0, step: floa
     flat, _ = _seeded_init(n_in, config, seed, np.float64)
     grad = np.empty_like(flat)
     params = _views(flat, n_in, config)
-
-    assignment, cache = _forward(prob.propagate, prob.feats, params)
-    _, d_assign = _loss_and_assignment_grad(
-        assignment, prob.adj, prob.deg, prob.two_m, config.collapse_weight
-    )
-    d_logits = _softmax_backward(assignment, d_assign)
-    _backward(prob.propagate, prob.feats, params, cache, d_logits, out=_views(grad, n_in, config))
+    prob.loss(params, config.collapse_weight, _views(grad, n_in, config))
 
     worst = 0.0
     for i, orig in enumerate(flat.tolist()):
         flat[i] = orig + step
-        up = _loss_at(prob, params, config)
+        up = prob.loss(params, config.collapse_weight)
         flat[i] = orig - step
-        down = _loss_at(prob, params, config)
+        down = prob.loss(params, config.collapse_weight)
         flat[i] = orig
         fd = (up - down) / (2 * step)
         a = grad[i]

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from ._lazy import lazy_import
 from .clustering import memberships
 from .graph import PRGraph
-from .reviews import LABEL_CODES, LABEL_FAKE, ReviewColumns
+from .reviews import LABEL_FAKE, ReviewColumns
 
 np = lazy_import("numpy")
 sp = lazy_import("scipy.sparse")
@@ -57,7 +57,7 @@ class ReviewerIndex:
         self.labeled = bytearray(len(self.reviewers))
         for row in set(compress(table.rows, table.labels)):
             self.labeled[row] = 1
-        for row in set(compress(table.rows, map(LABEL_CODES[LABEL_FAKE].__eq__, table.labels))):
+        for row in set(compress(table.rows, map(LABEL_FAKE.__eq__, table.labels))):
             self.fake[row] = 1
 
     def rows(self, names: Iterable[str]) -> list[int]:

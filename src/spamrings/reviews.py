@@ -18,10 +18,8 @@ from itertools import repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple
 
-LABEL_FAKE = "fake"
-LABEL_GENUINE = "genuine"
-LABEL_UNKNOWN = "unknown"
-VALID_LABELS = (LABEL_FAKE, LABEL_GENUINE, LABEL_UNKNOWN)
+# A label's code, in a Review and in ReviewColumns.labels alike: 0 is unlabeled.
+LABEL_UNKNOWN, LABEL_GENUINE, LABEL_FAKE = 0, 1, 2
 
 # Yelp metadata uses -1 / 1 label tokens; an empty field means unlabeled.
 DEFAULT_LABEL_MAP = {
@@ -33,10 +31,8 @@ DEFAULT_LABEL_MAP = {
     "unknown": LABEL_UNKNOWN,
 }
 
-DEFAULT_LABEL_TOKENS = {LABEL_FAKE: "-1", LABEL_GENUINE: "1", LABEL_UNKNOWN: ""}
-
-# The int8 code of each label in ReviewColumns.labels: 0 is unlabeled.
-LABEL_CODES = {LABEL_UNKNOWN: 0, LABEL_GENUINE: 1, LABEL_FAKE: 2}
+# The written token of each label, indexed by its code.
+DEFAULT_LABEL_TOKENS = ("", "1", "-1")
 
 # A rating token: ASCII digits, then optionally "." and more ASCII digits.
 _RATING = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
@@ -52,7 +48,7 @@ class Review(NamedTuple):
     product_id: str
     rating: int
     date: _date
-    label: str = LABEL_UNKNOWN
+    label: int = LABEL_UNKNOWN
 
 
 # tuple.__new__ builds a Review in C; the NamedTuple's generated __new__
@@ -77,21 +73,6 @@ class ReviewTable:
 
     def __len__(self) -> int:
         return len(self.reviews)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReviewTable):
-            return NotImplemented
-        return self.reviews == other.reviews
-
-    def label_counts(self) -> dict[str, int]:
-        counts = {label: 0 for label in VALID_LABELS}
-        for r in self.reviews:
-            counts[r.label] += 1
-        return counts
-
-    def has_labels(self) -> bool:
-        """True if any review carries a fake/genuine label."""
-        return any(r.label != LABEL_UNKNOWN for r in self.reviews)
 
 
 def _parse_rating(text: str) -> int:
@@ -118,7 +99,7 @@ def _parse_date(text: str) -> _date:
         raise ValueError(f"unparseable date {text!r}") from None
 
 
-def _parse_label(text: str) -> str:
+def _parse_label(text: str) -> int:
     label = DEFAULT_LABEL_MAP.get(text.strip())
     if label is None:
         raise ValueError(f"unmapped label token {text.strip()!r}")
@@ -148,7 +129,7 @@ def parse_reviews(
     products: dict[str, str] = {}
     ratings: dict[str, int] = {}
     days: dict[str, _date] = {}
-    labels: dict[str, str] = {}
+    labels: dict[str, int] = {}
     reviews: list[Review] = []
     errors: list[RowError] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -276,7 +257,7 @@ class ReviewColumns:
 
     Review k is reviewer ``reviewer_ids[rows[k]]``'s rating ``ratings[k]``
     of product ``product_ids[columns[k]]`` on day ``days[k]`` (a
-    ``date.toordinal``), labeled ``labels[k]`` (a LABEL_CODES value). The
+    ``date.toordinal``), labeled ``labels[k]`` (a label code). The
     ids are the distinct ones, sorted: row i of every reviewer matrix of the
     table is ``reviewer_ids[i]``. The columns are stdlib arrays, int32 or
     int8, so building them loads no numpy, and numpy reads them in place.
@@ -341,5 +322,5 @@ def review_columns(table: ReviewTable) -> ReviewColumns:
         array("i", columns),
         array("b", bytes(map(itemgetter(2), reviews))),
         array("i", list(map(days.__getitem__, map(itemgetter(3), reviews)))),
-        array("b", bytes(map(LABEL_CODES.__getitem__, map(itemgetter(4), reviews)))),
+        array("b", bytes(map(itemgetter(4), reviews))),
     )

@@ -109,7 +109,7 @@ from spamrings.indicators import (
     PAIR_BLOCK_ELEMENTS,
     IndicatorVector,
 )
-from spamrings.reviews import DEFAULT_LABEL_TOKENS, LABEL_FAKE, Review, ReviewTable
+from spamrings.reviews import DEFAULT_LABEL_TOKENS, LABEL_FAKE, LABEL_UNKNOWN, Review, ReviewTable
 
 BRUTE_FORCE_MAX_NODES = 12
 
@@ -786,7 +786,7 @@ def group_precision(group: SetGroup, table: ReviewTable) -> float | None:
     fake = 0
     for member in group.members:
         labels = {r.label for r in by_reviewer.get(member, ())}
-        if labels - {"unknown"}:
+        if labels - {LABEL_UNKNOWN}:
             any_label = True
         if LABEL_FAKE in labels:
             fake += 1

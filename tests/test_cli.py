@@ -52,6 +52,16 @@ def dataset(tmp_path_factory):
 FAST_DETECT = ["--epochs", "120", "--n-clusters", "20"]
 
 
+@pytest.fixture
+def parse_fails(monkeypatch):
+    """pipeline.parse_reviews raises, so a command that reaches the review file fails there."""
+
+    def parse_reviews(*args, **kwargs):
+        raise AssertionError("parse_reviews ran")
+
+    monkeypatch.setattr(pipeline, "parse_reviews", parse_reviews)
+
+
 def test_synth_then_ingest_round_trip(tmp_path):
     out = tmp_path / "synth"
     rc = main(
@@ -141,13 +151,39 @@ def test_synth_zero_planted_empty_ground_truth(tmp_path):
     assert (tmp_path / "o" / "ground_truth.tsv").read_text() == ""
 
 
-def test_ingest_without_label_column_notes_disabled(tmp_path):
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "u1,p1,5,2014-01-01\nu2,p1,4,2014-01-02\n",
+        "u1,p1,5,,2014-01-01\nu2,p1,4,unknown,2014-01-02\nu3,p2,3, unknown ,2014-01-03\n",
+    ],
+    ids=["no_label_column", "only_unknown_labels"],
+)
+def test_ingest_without_label_column_notes_disabled(tmp_path, rows):
     src = tmp_path / "r.csv"
-    src.write_text("u1,p1,5,2014-01-01\nu2,p1,4,2014-01-02\n")
+    src.write_text(rows)
     rc = main(["ingest", "--input", str(src), "--out", str(tmp_path / "out")])
     assert rc == 0
     summary = (tmp_path / "out" / "ingest_summary.txt").read_text()
     assert "labels: none; evaluation disabled" in summary
+
+
+def test_ingest_summary_counts_the_deduped_labels(tmp_path):
+    src = tmp_path / "r.csv"
+    src.write_text(
+        "u1,p1,5,-1,2014-01-01\n"
+        "u2,p1,4,1,2014-01-02\n"
+        "u3,p2,3,,2014-01-03\n"
+        "u4,p2,2,fake,2014-01-04\n"
+        "u5,p3,1,unknown,2014-01-05\n"
+        "u6,p3,4, genuine ,2014-01-06\n"
+        "u2,p1,5,-1,2014-01-09\n"  # re-rates (u2, p1), now as fake
+    )
+    assert main(["ingest", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+    summary = (tmp_path / "out" / "ingest_summary.txt").read_text().splitlines()
+    assert [line for line in summary if line.startswith("labels:")] == [
+        "labels: fake=3 genuine=1 unknown=2"
+    ]
 
 
 def test_ingest_empty_file_fails(tmp_path, capsys):
@@ -546,7 +582,7 @@ def test_eval_command(dataset, tmp_path):
     assert evaluated[evaluated.index("bucket\tcount"):] == histogram
 
 
-def test_eval_ranked_file_of_blank_lines_has_no_records(dataset, tmp_path, capsys):
+def test_eval_ranked_file_of_blank_lines_has_no_records(dataset, tmp_path, capsys, parse_fails):
     ranked = tmp_path / "ranked.jsonl"
     ranked.write_text("\n  \n\t\n")
     out = tmp_path / "o"
@@ -579,8 +615,10 @@ def test_eval_skips_a_blank_line_between_records(dataset, tmp_path):
     ],
 )
 def test_eval_malformed_ranked_line_names_file_and_line(
-    dataset, tmp_path, capsys, bad_line, named
+    dataset, tmp_path, request, capsys, bad_line, named
 ):
+    if "nobody" not in bad_line:  # a malformed record fails before the review file is read
+        request.getfixturevalue("parse_fails")
     member = (dataset / "reviews.csv").read_text().split(",", 1)[0]
     ranked = tmp_path / "ranked.jsonl"
     good = json.dumps({"rank": 1, "group_id": 0, "members": [member]})
@@ -605,7 +643,9 @@ def test_eval_malformed_ranked_line_names_file_and_line(
         ({"rank": 1, "group_id": 7, "members": ["a", 2]}, "members must be a list of strings"),
     ],
 )
-def test_eval_rejects_ranked_fields_of_the_wrong_type(tmp_path, capsys, record, named):
+def test_eval_rejects_ranked_fields_of_the_wrong_type(
+    tmp_path, capsys, parse_fails, record, named
+):
     """A string or object of members is not read as its characters or keys."""
     reviews = tmp_path / "reviews.csv"
     reviews.write_text("a,p1,5,-1,2014-01-01\nb,p1,5,-1,2014-01-02\nc,p2,3,1,2014-01-03\n")
@@ -619,17 +659,23 @@ def test_eval_rejects_ranked_fields_of_the_wrong_type(tmp_path, capsys, record, 
     assert not out.exists()
 
 
-def test_eval_unknown_member_is_eval_stage_error_naming_the_line(dataset, tmp_path):
+def test_eval_unknown_member_is_eval_stage_error_naming_the_line(dataset, tmp_path, capsys):
     table, _, _ = load_table(PipelineConfig(input=str(dataset / "reviews.csv")))
     known = table.reviews[0].reviewer_id
     ranked = tmp_path / "ranked.jsonl"
     records = [{"rank": 1, "group_id": 0, "members": [known]},
                {"rank": 2, "group_id": 1, "members": [known, "nobody"]}]
     ranked.write_text("".join(json.dumps(r) + "\n" for r in records))
-    with pytest.raises(StageError) as exc:
-        cli._ranked_rows(ranked, review_columns(table))
-    assert exc.value.stage == "eval"
-    assert str(exc.value) == f"eval: {ranked} line 2: member 'nobody' has no reviewed product"
+    args = ["eval", "--input", str(dataset / "reviews.csv"), "--ranked", str(ranked),
+            "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    want = f"error: eval: {ranked} line 2: member 'nobody' has no reviewed product\n"
+    assert capsys.readouterr().err == want
+    # every record is read before any member is looked up: a later malformed line wins
+    with open(ranked, "a") as fh:
+        fh.write("[3, 2]\n")
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: eval: {ranked} line 3: expected a JSON")
 
 
 def test_eval_refuses_unlabeled(dataset, tmp_path, capsys):
@@ -1005,22 +1051,35 @@ def test_unreadable_input_fails_at_ingest_naming_the_file(tmp_path, capsys, comm
     src = tmp_path / "reviews.csv"
     src.write_bytes(UNREADABLE_INPUTS[content])
     out = tmp_path / "out"
-    rc = main([command, "--input", str(src), "--out", str(out)] + COMMAND_EXTRA_ARGS[command])
+    extra = COMMAND_EXTRA_ARGS[command]
+    if command == "eval":  # eval reads its ranked file first, so that one must be readable
+        ranked = tmp_path / "ranked.jsonl"
+        ranked.write_text('{"rank": 1, "group_id": 0, "members": ["u1"]}\n')
+        extra = ["--ranked", str(ranked)]
+    rc = main([command, "--input", str(src), "--out", str(out)] + extra)
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: ingest: {src}: "), err
     assert not out.exists()
 
 
-def test_eval_unreadable_ranked_file_fails_at_eval_naming_it(dataset, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content, named",
+    [(b"\xff\xfe{}\n", "{}: 'utf-8' codec"), (None, "[Errno 2] No such file or directory: '{}'")],
+    ids=["not_utf8", "missing"],
+)
+def test_eval_unreadable_ranked_file_fails_at_eval_naming_it(
+    dataset, tmp_path, capsys, parse_fails, content, named
+):
     ranked = tmp_path / "ranked.jsonl"
-    ranked.write_bytes(b"\xff\xfe{}\n")
+    if content is not None:
+        ranked.write_bytes(content)
     out = tmp_path / "out"
     rc = main(["eval", "--input", str(dataset / "reviews.csv"), "--ranked", str(ranked),
                "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: eval: {ranked}: 'utf-8' codec"), err
+    assert err.startswith("error: eval: " + named.format(ranked)), err
     assert not out.exists()
 
 
@@ -1028,12 +1087,8 @@ def test_eval_unreadable_ranked_file_fails_at_eval_naming_it(dataset, tmp_path, 
 @pytest.mark.parametrize("below_a_file", [False, True])
 @pytest.mark.parametrize("dangling_link", [False, True])
 def test_out_that_cannot_be_a_directory_fails_at_config_before_ingest(
-    dataset, tmp_path, monkeypatch, capsys, command, below_a_file, dangling_link
+    dataset, tmp_path, capsys, parse_fails, command, below_a_file, dangling_link
 ):
-    def parse_reviews(*args, **kwargs):
-        raise AssertionError("parse_reviews ran")
-
-    monkeypatch.setattr(pipeline, "parse_reviews", parse_reviews)
     blocker = tmp_path / "out.txt"
     if dangling_link:  # a link to a missing path: Path.exists follows it and reads False
         blocker.symlink_to(tmp_path / "missing")

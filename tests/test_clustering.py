@@ -347,8 +347,10 @@ def test_train_reduces_dropout_free_loss():
 
 
 def test_train_rejects_edgeless_graph():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no edges"):
         train(np.zeros((4, 4)), np.eye(4), TrainConfig(n_clusters=2))
+    with pytest.raises(ValueError, match="disagree on node count"):
+        train(two_cliques_bridged(), np.eye(9), TrainConfig(n_clusters=2))
 
 
 def test_train_aborts_on_non_finite_loss():
@@ -553,6 +555,7 @@ def test_float32_training_arrays_stay_float32():
     grads = _backward(prob.propagate, prob.feats, params, cache, d_logits, mask)
     arrays = {
         "adj": prob.adj, "deg": prob.deg, "adj_norm": prob.adj_norm, "feats": prob.feats,
+        "agg0": prob.agg0,
         "assignment": assignment, "d_assign": d_assign, "d_logits": d_logits, "flat": flat,
     }
     for name, group in (("weight", params), ("grad", grads), ("cache", cache)):
