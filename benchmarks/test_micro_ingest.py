@@ -12,6 +12,9 @@ built here from fixed seeds: ``synth`` data at 16x the default scale
 (32,000 reviewers, 4,800 products), plus a re-rated duplicate dated 1-30
 days later for 5% of the rows and a malformed copy of 1% of them (bad
 rating, empty reviewer, impossible date, non-numeric rating in turn).
+The quoted write case appends ",x" to every product id of the deduped
+table, so every block takes ``write_reviews``' ``csv.writer`` path, which
+no benchmark workload takes.
 """
 
 import datetime
@@ -26,7 +29,7 @@ pytest.importorskip("pytest_benchmark")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import write_reviews_reference
 
-from spamrings.reviews import dedupe, parse_reviews, write_reviews
+from spamrings.reviews import ReviewTable, dedupe, parse_reviews, write_reviews
 from spamrings.synth import SynthConfig, generate
 
 BAD_FIELDS = ((2, "6"), (0, ""), (4, "2014-02-30"), (2, "five"))
@@ -75,4 +78,15 @@ def test_write_reviews_dirty_16x(benchmark, dirty, tmp_path):
     benchmark(write_reviews, deduped, out)
     want = tmp_path / "reference.csv"
     write_reviews_reference(deduped, want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_write_reviews_quoted_dirty_16x(benchmark, dirty, tmp_path):
+    """Every product id holds the delimiter, so every block goes through the row writer."""
+    _, table, _, _ = dirty
+    quoted = ReviewTable(r._replace(product_id=r.product_id + ",x") for r in dedupe(table).reviews)
+    out = tmp_path / "reviews_clean.csv"
+    benchmark(write_reviews, quoted, out)
+    want = tmp_path / "reference.csv"
+    write_reviews_reference(quoted, want)
     assert out.read_bytes() == want.read_bytes()

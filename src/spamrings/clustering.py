@@ -31,7 +31,6 @@ per-layer epoch, which ``tests/oracles.py`` keeps as ``train_reference``.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -39,6 +38,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import lazy_import
+from .reviews import row_writer
 
 np = lazy_import("numpy")
 sp = lazy_import("scipy.sparse")
@@ -468,7 +468,7 @@ def write_assignment(path, node_ids, assignment, threshold: float) -> None:
     clusters = np.nonzero(mask)[1].tolist()  # row-major: each node's clusters ascending
     ends = np.cumsum(mask.sum(axis=1)).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = row_writer(fh)
         writer.writerow(("node_id", "argmax_cluster", "memberships", "max_prob"))
         writer.writerows(
             (node_id, j, "|".join(map(str, clusters[start:end])), f"{top:.6f}")

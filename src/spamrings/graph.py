@@ -15,14 +15,13 @@ edge joins two ratings of one product.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from ._lazy import lazy_import
-from .reviews import ReviewColumns
+from .reviews import ReviewColumns, row_writer
 
 np = lazy_import("numpy")
 sp = lazy_import("scipy.sparse")
@@ -187,12 +186,12 @@ def write_graph(graph: PRGraph, edges_path, nodes_path) -> None:
     keys = graph.keys
     ids = list(map(node_id_str, keys))
     with open(edges_path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(
+        row_writer(fh, "\t").writerows(
             (ids[u], ids[v], weight)
             for u, v, weight in zip(*_upper_triangle(graph.co_review))
         )
     with open(nodes_path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(
+        row_writer(fh, "\t").writerows(
             (*key, size) for key, size in zip(keys, graph.sizes.tolist())
         )
 

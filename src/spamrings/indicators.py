@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from ._lazy import lazy_import
 from .clustering import memberships
 from .graph import PRGraph
-from .reviews import LABEL_FAKE, ReviewColumns
+from .reviews import LABEL_FAKE, ReviewColumns, row_writer
 
 np = lazy_import("numpy")
 sp = lazy_import("scipy.sparse")
@@ -351,15 +351,10 @@ def group_indicators(
 
 def write_indicators(path, rows: Iterable[tuple[CandidateGroup, IndicatorVector]]) -> None:
     """Per-group dump of raw indicator values as tab-separated text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "group_id\tcluster\tsize\tn_products\treview_tightness\tproduct_tightness"
-            "\tneighbor_tightness\tcompactness\tavg_rating_deviation\tavg_burstness\n"
-        )
-        for group, vec in rows:
-            fh.write(
-                f"{group.group_id}\t{group.source_cluster}\t{group.size}\t{group.n_products}"
-                f"\t{vec.review_tightness:.6f}\t{vec.product_tightness:.6f}"
-                f"\t{vec.neighbor_tightness:.6f}\t{vec.compactness:.6f}"
-                f"\t{vec.avg_rating_deviation:.6f}\t{vec.avg_burstness:.6f}\n"
-            )
+    names = [f.name for f in fields(IndicatorVector)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = row_writer(fh, "\t")
+        writer.writerow(("group_id", "cluster", "size", "n_products", *names))
+        for g, vec in rows:
+            values = [f"{getattr(vec, name):.6f}" for name in names]
+            writer.writerow((g.group_id, g.source_cluster, g.size, g.n_products, *values))

@@ -190,8 +190,8 @@ def _fields(block: list[Review], ratings: dict, iso: dict) -> Iterable[tuple[str
 
 
 class _LineFeedRows:
-    """The file write_reviews' ``csv.writer`` writes to. csv hands over each
-    row in one call, ending in the "\\r\\n" terminator; fh gets it ending in "\\n"."""
+    """The file a row_writer writes to. csv hands over each row in one call,
+    ending in the "\\r\\n" terminator; fh gets it ending in "\\n"."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -200,18 +200,22 @@ class _LineFeedRows:
         return self.fh.write(row[:-2] + "\n")
 
 
+def row_writer(fh, delimiter: str = ","):
+    """The ``csv.writer`` of every delimited table: minimal quoting, "\\n" line
+    ends, and a field holding a carriage return quoted like one holding a
+    line feed, so that it survives a second read (the "\\r\\n" terminator
+    makes ``csv`` quote both on every Python version)."""
+    return csv.writer(_LineFeedRows(fh), delimiter=delimiter, lineterminator="\r\n")
+
+
 def write_reviews(table: ReviewTable, path, delimiter: str = ",") -> None:
     """Serialize a table back to the 5-column delimited layout.
 
-    The bytes are those of ``csv.writer`` with minimal quoting and "\\n"
-    line ends, except that a field holding a carriage return is quoted like
-    one holding a line feed, so that it survives a second read (Python
-    3.11's ``csv`` quotes only the terminator's characters). Each block of
+    The bytes are those of :func:`row_writer`. Each block of
     WRITE_BLOCK_ROWS rows is joined into one string and written at once. A
     block whose text holds a quote, a carriage return, or more delimiters
     or line breaks than its rows' own separators has a field that may need
-    quoting, so that block is written by ``csv.writer`` instead, with a
-    "\\r\\n" terminator that makes it quote both line-break characters.
+    quoting, so that block is written by the row writer instead.
     """
     reviews = table.reviews
     # str and date.isoformat cost more than a dict lookup, and ratings and
@@ -220,7 +224,7 @@ def write_reviews(table: ReviewTable, path, delimiter: str = ",") -> None:
     iso = {day: day.isoformat() for day in set(map(itemgetter(3), reviews))}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         # Built before any block, so a delimiter csv rejects fails as before.
-        writer = csv.writer(_LineFeedRows(fh), delimiter=delimiter, lineterminator="\r\n")
+        writer = row_writer(fh, delimiter)
         for start in range(0, len(reviews), WRITE_BLOCK_ROWS):
             block = reviews[start : start + WRITE_BLOCK_ROWS]
             text = "\n".join(map(delimiter.join, _fields(block, ratings, iso))) + "\n"

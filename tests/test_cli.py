@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +110,16 @@ def test_ingest_output_with_carriage_return_ids_reads_back(tmp_path):
     table, errors = parse_reviews(clean)
     assert errors == []
     assert [(r.reviewer_id, r.product_id) for r in table.reviews] == [("cr\rid", "p1"), ("u2", "p\r2")]
+
+
+def test_ingest_writes_the_checked_in_quoting_fixture(tmp_path):
+    """Ids holding a comma, a carriage return, a line feed or a quote, a padded id, a fake
+    label and a "1.0" rating. CI runs the same ingest, without numpy, on Python 3.10 and
+    3.13 and compares the same file."""
+    data = Path(__file__).with_name("data")
+    out = tmp_path / "ing"
+    assert main(["ingest", "--input", str(data / "quoting.csv"), "--out", str(out)]) == 0
+    assert (out / "reviews_clean.csv").read_bytes() == (data / "quoting_clean.csv").read_bytes()
 
 
 def test_synth_writes_the_reference_bytes(tmp_path):

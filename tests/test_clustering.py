@@ -781,12 +781,13 @@ def test_assignment_export(tmp_path):
 
 
 def test_assignment_export_quotes_ids_holding_a_comma_or_quote(tmp_path):
-    c = np.array([[0.7, 0.3], [0.1, 0.9], [0.5, 0.5]])
-    node_ids = ["shop, north#5", 'the "best"#4', "plain#1"]
+    """An id holding a line feed or a carriage return is quoted too, so every row reads back."""
+    c = np.array([[0.7, 0.3], [0.1, 0.9], [0.5, 0.5], [0.2, 0.8], [0.6, 0.4]])
+    node_ids = ["shop, north#5", 'the "best"#4', "plain#1", "two\nlines#3", "old\rmac#2"]
     path = tmp_path / "assign.csv"
     write_assignment(path, node_ids, c, threshold=0.2)
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert [len(row) for row in rows] == [4] * 4
+    assert [len(row) for row in rows] == [4] * 6
     assert [row[0] for row in rows[1:]] == node_ids
     assert path.read_text().splitlines()[1] == '"shop, north#5",0,0|1,0.700000'

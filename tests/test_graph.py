@@ -367,15 +367,17 @@ def test_graph_dump_format(tmp_path):
     assert node_id_str(graph.nodes[0]) == "p1#5"
 
 
-def test_graph_dump_quotes_ids_holding_a_tab(tmp_path):
-    table = table_from([("u1", "p\t1", 5), ("u2", "p\t1", 5), ("u1", "p2", 5), ("u2", "p2", 5)])
+@pytest.mark.parametrize("product", ["p\t1", 'p"1', "p\n1", "p\r1"])
+def test_graph_dump_quotes_ids_holding_a_tab(tmp_path, product):
+    """An id holding the delimiter, a quote, a line feed or a carriage return reads back whole."""
+    table = table_from([("u1", product, 5), ("u2", product, 5), ("u1", "p2", 5), ("u2", "p2", 5)])
     graph = build_graph(review_columns(table), min_co_review=2)
     edges_path, nodes_path = tmp_path / "edges.tsv", tmp_path / "nodes.tsv"
     write_graph(graph, edges_path, nodes_path)
     with open(edges_path, encoding="utf-8", newline="") as fh:
-        assert list(csv.reader(fh, delimiter="\t")) == [["p\t1#5", "p2#5", "2"]]
+        assert list(csv.reader(fh, delimiter="\t")) == [[f"{product}#5", "p2#5", "2"]]
     with open(nodes_path, encoding="utf-8", newline="") as fh:
-        assert list(csv.reader(fh, delimiter="\t")) == [["p\t1", "5", "2"], ["p2", "5", "2"]]
+        assert list(csv.reader(fh, delimiter="\t")) == [[product, "5", "2"], ["p2", "5", "2"]]
 
 
 def test_graph_dump_writes_counts_as_integers(tmp_path):
