@@ -72,7 +72,7 @@ def test_graph_memory_heavy_tailed(capsys):
     columns = review_columns(heavy_tailed_table(16_000, 923, cap=400))
     graph, *build_mib = _traced(build_graph, columns)
     adj, *adj_mib = _traced(adjacency_sparse, graph)
-    prob, *prepare_mib = _traced(_prepare, adj, node_features(graph, adj))
+    prob, *prepare_mib = _traced(_prepare, adj, node_features(graph))
     labels = np.random.default_rng(0).integers(0, 50, size=adj.shape[0])  # as argmax gives
     q, *modularity_mib = _traced(modularity, adj, labels)
     with capsys.disabled():

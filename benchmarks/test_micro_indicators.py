@@ -82,7 +82,7 @@ def big_groups_run():
     config = PipelineConfig(input="synthetic", seed=0)
     graph = build_graph(review_columns(table))
     adj = adjacency_sparse(graph)
-    feats = node_features(graph, adj)
+    feats = node_features(graph)
     result = train(adj, feats, config.train, seed=derive_train_seed(config.seed))
     return table, graph, result.assignment, config
 

@@ -35,7 +35,7 @@ def test_train_big_groups(benchmark):
     )
     graph = build_graph(review_columns(table))
     adj = adjacency_sparse(graph)
-    feats = node_features(graph, adj)
+    feats = node_features(graph)
     defaults = PipelineConfig().train
     config = dataclasses.replace(defaults, epochs=EPOCHS)
     result = benchmark(train, adj, feats, config, seed=derive_train_seed(0))

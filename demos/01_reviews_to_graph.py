@@ -66,4 +66,4 @@ adj = adjacency_sparse(graph)
 print("\nweighted adjacency:")
 print(adj.toarray())
 print("\nnode features (one-hot rating, log reviewer count, log degree):")
-print(node_features(graph, adj).round(3))
+print(node_features(graph).round(3))

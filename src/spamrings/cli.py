@@ -71,10 +71,7 @@ def _add_detect_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--n-clusters", dest="train.n_clusters", type=int, help="cluster count k")
     parser.add_argument("--hidden-width", dest="train.hidden_width", type=int)
-    parser.add_argument("--learning-rate", dest="train.learning_rate", type=float)
     parser.add_argument("--epochs", dest="train.epochs", type=int)
-    parser.add_argument("--dropout-rate", dest="train.dropout_rate", type=float)
-    parser.add_argument("--collapse-weight", dest="train.collapse_weight", type=float)
     parser.add_argument(
         "--assign-threshold", dest="train.assign_threshold", type=float,
         help="extra-membership probability cutoff",
@@ -86,7 +83,6 @@ def _add_detect_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--size-floor", dest="rank.size_floor", type=int, help="smallest headline group size"
     )
-    parser.add_argument("--burst-tau-days", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,17 +2,17 @@
 
 A two-layer graph convolutional network with skip connections maps node
 features to k cluster logits; row-softmax gives a soft assignment C. The
-training objective is negative modularity, -(1/2m) Tr(Cᵀ B C), plus a
-collapse regularizer (sqrt(k)/n) * ||column sums of C||₂ - 1 that is zero
-at the uniform assignment and sqrt(k) - 1 when everything lands in one
-cluster. Training runs on the active subgraph, the nodes with at least
-one edge, so n counts active nodes. The network has exactly two layers,
-and one straight-line ``_forward`` serves every pass: each epoch, the
-dropout-free loss, the gradient check, and the final assignment of every
-node, where an isolated node takes the skip path alone. ``_backward`` is
-its straight-line reverse. Everything is plain numpy with hand-written
-gradients so runs are bit-reproducible for a fixed seed; a
-finite-difference check guards the backward pass.
+training objective is negative modularity, -(1/2m) Tr(Cᵀ B C), plus
+COLLAPSE_WEIGHT times a collapse regularizer (sqrt(k)/n) * ||column sums
+of C||₂ - 1 that is zero at the uniform assignment and sqrt(k) - 1 when
+everything lands in one cluster. Training runs on the active subgraph,
+the nodes with at least one edge, so n counts active nodes. The network
+has exactly two layers, and one straight-line ``_forward`` serves every
+pass: each epoch, the dropout-free loss, the gradient check, and the
+final assignment of every node, where an isolated node takes the skip
+path alone. ``_backward`` is its straight-line reverse. Everything is
+plain numpy with hand-written gradients so runs are bit-reproducible for
+a fixed seed; a finite-difference check guards the backward pass.
 
 Training computes in the floating dtype of the features: float32 features
 (what ``graph.node_features`` returns, as in DMoN and the GCN paper) train
@@ -54,6 +54,12 @@ GRAD_BLOCK_ROWS = 256
 
 # Entries per block of rows that normalized_adjacency scales in float64 at once.
 NORM_BLOCK_ENTRIES = 1 << 20
+
+# Adam's step size, the share of hidden units each epoch drops, and the
+# weight of the collapse regularizer in the loss.
+LEARNING_RATE = 1e-3
+DROPOUT_RATE = 0.5
+COLLAPSE_WEIGHT = 0.5
 
 
 def _float_array(x):
@@ -137,10 +143,7 @@ def _views(flat, n_in: int, config: TrainConfig) -> GCNParams:
 class TrainConfig:
     n_clusters: int = 50
     hidden_width: int = 64
-    learning_rate: float = 1e-3
     epochs: int = 500
-    dropout_rate: float = 0.5
-    collapse_weight: float = 0.5
     assign_threshold: float = 0.2
 
     def __post_init__(self):
@@ -148,14 +151,8 @@ class TrainConfig:
             raise ValueError("train.n_clusters must be >= 2")
         if self.hidden_width < 1:
             raise ValueError("train.hidden_width must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("train.learning_rate must be in (0, 1]")
         if self.epochs < 1:
             raise ValueError("train.epochs must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("train.dropout_rate must be in [0, 1)")
-        if self.collapse_weight < 0.0:
-            raise ValueError("train.collapse_weight must be >= 0")
         if not 0.0 < self.assign_threshold < 1.0:
             raise ValueError("train.assign_threshold must be in (0, 1)")
 
@@ -221,7 +218,7 @@ def _backward(propagate, feats, params: GCNParams, cache, d_logits, mask=None, o
     return GCNParams(g_w0, g_ws0, g_w1, g_ws1)
 
 
-def _loss_and_assignment_grad(assignment, adj, deg, two_m, collapse_weight):
+def _loss_and_assignment_grad(assignment, adj, deg, two_m):
     """Loss and dLoss/dC without materializing B: BC = AC - d (dᵀC) / 2m."""
     ac = adj @ assignment
     dc = deg @ assignment
@@ -232,9 +229,9 @@ def _loss_and_assignment_grad(assignment, adj, deg, two_m, collapse_weight):
     # a Python float scale keeps float32 arrays float32; np.sqrt would give a float64 scalar
     scale = math.sqrt(k) / n
     collapse = scale * col_norm - 1.0
-    loss = -trace / two_m + collapse_weight * collapse
+    loss = -trace / two_m + COLLAPSE_WEIGHT * collapse
     d_assign = (-2.0 / two_m) * (ac - np.outer(deg, dc) / two_m)
-    d_assign += collapse_weight * scale * (col / col_norm)
+    d_assign += COLLAPSE_WEIGHT * scale * (col / col_norm)
     return loss, d_assign
 
 
@@ -264,13 +261,11 @@ class _Problem(NamedTuple):
     def propagate(self, x):
         return self.adj_norm @ x
 
-    def loss(self, params: GCNParams, collapse_weight: float, grads=None, mask=None) -> float:
+    def loss(self, params: GCNParams, grads=None, mask=None) -> float:
         """The loss at params, with the dropout mask if given; the gradient
         of each weight block is written into grads, a GCNParams, if given."""
         assignment, cache = _forward(self.propagate, self.feats, params, mask, self.agg0)
-        loss, d_assign = _loss_and_assignment_grad(
-            assignment, self.adj, self.deg, self.two_m, collapse_weight
-        )
+        loss, d_assign = _loss_and_assignment_grad(assignment, self.adj, self.deg, self.two_m)
         if grads is not None:
             d_logits = _softmax_backward(assignment, d_assign)
             _backward(self.propagate, self.feats, params, cache, d_logits, mask, out=grads)
@@ -370,18 +365,16 @@ def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
     flat, drop_rng = _seeded_init(n_in, config, seed, dtype)
     grad = np.empty_like(flat)
     params, grads = _views(flat, n_in, config), _views(grad, n_in, config)
-    initial_loss = prob.loss(params, config.collapse_weight)
+    initial_loss = prob.loss(params)
     m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    keep = 1.0 - config.dropout_rate
+    keep = 1.0 - DROPOUT_RATE
     mask_scale = dtype.type(1) / dtype.type(keep)
 
     loss_trace: list[float] = []
     for epoch in range(config.epochs):
-        mask = None
-        if config.dropout_rate > 0:
-            mask = (drop_rng.random(size=(n, config.hidden_width)) < keep) * mask_scale
-        loss = prob.loss(params, config.collapse_weight, grads, mask)
+        mask = (drop_rng.random(size=(n, config.hidden_width)) < keep) * mask_scale
+        loss = prob.loss(params, grads, mask)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={loss!r}")
         loss_trace.append(float(loss))
@@ -392,7 +385,7 @@ def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
         v_state += (1 - beta2) * grad * grad
         m_hat = m_state / (1 - beta1**step)
         v_hat = v_state / (1 - beta2**step)
-        flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        flat -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
 
     return TrainResult(
         assignment=_assign_all(prob, _float_array(features), params),
@@ -401,7 +394,7 @@ def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
         config=config,
         seed=seed,
         initial_loss=float(initial_loss),
-        final_loss=float(prob.loss(params, config.collapse_weight)),
+        final_loss=float(prob.loss(params)),
         n_train_nodes=n,
     )
 
@@ -423,14 +416,14 @@ def gradient_check(adj, features, config: TrainConfig, seed: int = 0, step: floa
     flat, _ = _seeded_init(n_in, config, seed, np.float64)
     grad = np.empty_like(flat)
     params = _views(flat, n_in, config)
-    prob.loss(params, config.collapse_weight, _views(grad, n_in, config))
+    prob.loss(params, _views(grad, n_in, config))
 
     worst = 0.0
     for i, orig in enumerate(flat.tolist()):
         flat[i] = orig + step
-        up = prob.loss(params, config.collapse_weight)
+        up = prob.loss(params)
         flat[i] = orig - step
-        down = prob.loss(params, config.collapse_weight)
+        down = prob.loss(params)
         flat[i] = orig
         fd = (up - down) / (2 * step)
         a = grad[i]

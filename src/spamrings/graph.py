@@ -165,19 +165,19 @@ def adjacency_sparse(graph: PRGraph) -> sp.csr_array:
     return graph.co_review
 
 
-def node_features(graph: PRGraph, adj: sp.csr_array) -> np.ndarray:
+def node_features(graph: PRGraph) -> np.ndarray:
     """Per-node float32 feature rows: one-hot rating, log reviewer count, log degree.
 
-    ``adj`` is the graph's :func:`adjacency_sparse`. Columns 0..4 one-hot
-    encode the rating level, column 5 is log(1 + |reviewers|) and column 6
-    is log(1 + weighted degree), an integer row sum of ``adj``. float32 is the
-    precision training runs in (see ``clustering``).
+    Columns 0..4 one-hot encode the rating level, column 5 is
+    log(1 + |reviewers|) and column 6 is log(1 + weighted degree), an
+    integer row sum of ``graph.co_review``. float32 is the precision
+    training runs in (see ``clustering``).
     """
     n = len(graph.node_keys)
     feats = np.zeros((n, FEATURE_DIM), dtype=np.float32)
     feats[np.arange(n), graph.node_keys % NUM_RATING_LEVELS] = 1.0
     feats[:, NUM_RATING_LEVELS] = list(map(math.log1p, graph.sizes.tolist()))
-    feats[:, NUM_RATING_LEVELS + 1] = list(map(math.log1p, adj.sum(axis=1).tolist()))
+    feats[:, NUM_RATING_LEVELS + 1] = list(map(math.log1p, graph.co_review.sum(axis=1).tolist()))
     return feats
 
 

@@ -32,7 +32,8 @@ from .reviews import LABEL_FAKE, ReviewColumns, row_writer
 np = lazy_import("numpy")
 sp = lazy_import("scipy.sparse")
 
-DEFAULT_BURST_THRESHOLD_DAYS = 30
+# τ: the activity span, in days, at which a reviewer's burstness reaches 0
+BURST_THRESHOLD_DAYS = 30
 
 # dense intersection block size in elements (rows x distinct product sets):
 # 512 KiB of float64, so scoring a 2,000-member group adds a few MiB at most
@@ -119,16 +120,14 @@ class ScoringIndex(ReviewerIndex):
             shape=(n_rows, len(self.product_ids)),
         )
 
-    def burstness(self, tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS, rows=slice(None)):
+    def burstness(self, rows=slice(None)):
         """How compressed each reviewer's activity window is, for the given rows.
 
         1 when first and last review share a day, falling linearly to 0 at
-        a span of tau_days; longer spans score 0.
+        a span of BURST_THRESHOLD_DAYS; longer spans score 0.
         """
-        if tau_days < 1:
-            raise ValueError(f"tau_days must be >= 1, got {tau_days}")
         span = self.span_days[rows]
-        return np.where(span > tau_days, 0.0, 1.0 - span / tau_days)
+        return np.where(span > BURST_THRESHOLD_DAYS, 0.0, 1.0 - span / BURST_THRESHOLD_DAYS)
 
     def group(self, members: Iterable[str], source_cluster: int = -1) -> CandidateGroup:
         """The candidate group of the named reviewers (see :meth:`ReviewerIndex.rows`)."""
@@ -326,9 +325,7 @@ class IndicatorVector:
     avg_burstness: float
 
 
-def group_indicators(
-    group: CandidateGroup, tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS
-) -> IndicatorVector:
+def group_indicators(group: CandidateGroup) -> IndicatorVector:
     """All six indicator values for one candidate group (unnormalized).
 
     The member means add the members' values in sorted member order.
@@ -338,7 +335,7 @@ def group_indicators(
     nt = neighbor_tightness(group)
     rows = group.member_products
     avd = sum(group.index.deviation[rows].tolist()) / group.size
-    bst = sum(group.index.burstness(tau_days, rows).tolist()) / group.size
+    bst = sum(group.index.burstness(rows).tolist()) / group.size
     return IndicatorVector(
         review_tightness=rt,
         product_tightness=pt,

@@ -22,12 +22,7 @@ from . import __version__
 from ._lazy import lazy_import
 from .clustering import TrainConfig, TrainResult, save_checkpoint, train, write_assignment
 from .graph import PRGraph, adjacency_sparse, build_graph, node_features, node_id_str, write_graph
-from .indicators import (
-    DEFAULT_BURST_THRESHOLD_DAYS,
-    ScoringIndex,
-    extract_candidate_groups,
-    write_indicators,
-)
+from .indicators import ScoringIndex, extract_candidate_groups, write_indicators
 from .modularity import modularity
 from .reviews import ReviewColumns, ReviewTable, dedupe, parse_reviews
 from .scoring import (
@@ -104,7 +99,6 @@ class PipelineConfig:
     has_header: bool = False
     seed: int = 0
     out: str = "out"
-    burst_tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS
     graph: GraphConfig = field(default_factory=GraphConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     group: GroupConfig = field(default_factory=GroupConfig)
@@ -117,8 +111,6 @@ class PipelineConfig:
             )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.burst_tau_days < 1:
-            raise ValueError("burst_tau_days must be >= 1")
 
     def delimiter(self) -> str:
         return INPUT_DELIMITERS[self.format]
@@ -236,7 +228,7 @@ def _graph_stage(table: ReviewColumns, config: PipelineConfig):
                 "product-rating graph has no edges; lower min_co_review or check the data"
             )
         adj = adjacency_sparse(graph)
-        return graph, adj, node_features(graph, adj)
+        return graph, adj, node_features(graph)
 
 
 def _train_stage(adj, feats, config: PipelineConfig, n_clusters: int) -> TrainResult:
@@ -266,7 +258,7 @@ def detect(table: ReviewColumns, config: PipelineConfig) -> DetectResult:
         )
         if not groups:
             raise ValueError("no candidate groups were extracted from the clusters")
-        scored = score_groups(groups, tau_days=config.burst_tau_days)
+        scored = score_groups(groups)
         scored = attach_precision(scored)
         ranking = rank_groups(scored, size_floor=config.rank.size_floor)
     return DetectResult(

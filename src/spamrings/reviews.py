@@ -115,13 +115,13 @@ def parse_reviews(
 ) -> tuple[ReviewTable, list[RowError]]:
     """Read a review metadata file.
 
-    Malformed rows are collected as :class:`RowError` with their 1-based
-    line number; they never silently disappear. Blank rows are skipped and
-    a leading UTF-8 byte-order mark is ignored. Each distinct product,
-    rating, date and label token is converted once per call, so every row
-    of a product shares one id string; only tokens that convert are
-    remembered, so every bad row is still reported. Reviewer ids repeat
-    too rarely for a cache to pay.
+    Malformed rows are collected as :class:`RowError` with the 1-based
+    number of the line their record starts on; they never silently
+    disappear. Blank rows are skipped and a leading UTF-8 byte-order
+    mark is ignored. Each distinct product, rating, date and label token
+    is converted once per call, so every row of a product shares one id
+    string; only tokens that convert are remembered, so every bad row is
+    still reported. Reviewer ids repeat too rarely for a cache to pay.
 
     Returns:
         (table of valid reviews, list of row errors)
@@ -133,10 +133,14 @@ def parse_reviews(
     reviews: list[Review] = []
     errors: list[RowError] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = enumerate(csv.reader(fh, delimiter=delimiter), start=1)
+        reader = csv.reader(fh, delimiter=delimiter)
         if has_header:
-            next(rows, None)
-        for lineno, fields in rows:
+            next(reader, None)
+        # A record starts on the line after the last one its predecessor took:
+        # a quoted field may hold line breaks, so records and lines can differ.
+        start = reader.line_num + 1
+        for fields in reader:
+            lineno, start = start, reader.line_num + 1
             # A blank row fails the column or the id check, so only such a
             # row is tested for blankness.
             try:

@@ -12,12 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
-from .indicators import (
-    DEFAULT_BURST_THRESHOLD_DAYS,
-    CandidateGroup,
-    IndicatorVector,
-    group_indicators,
-)
+from .indicators import CandidateGroup, IndicatorVector, group_indicators
 
 COMPACTNESS_WEIGHT = 3.0
 DEFAULT_SIZE_FLOOR = 20
@@ -112,9 +107,7 @@ def size_distribution(sizes: Iterable[int]) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def score_groups(
-    groups: Sequence[CandidateGroup], tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS
-) -> list[ScoredGroup]:
+def score_groups(groups: Sequence[CandidateGroup]) -> list[ScoredGroup]:
     """Indicators + normalization + anomaly scores for a set of candidates."""
-    items = [(g, group_indicators(g, tau_days=tau_days)) for g in groups]
+    items = [(g, group_indicators(g)) for g in groups]
     return normalize_scores(items)

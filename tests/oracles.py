@@ -89,6 +89,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from spamrings.clustering import (
+    DROPOUT_RATE,
+    LEARNING_RATE,
     SELU_ALPHA,
     SELU_SCALE,
     GCNParams,
@@ -104,7 +106,7 @@ from spamrings.clustering import (
 )
 from spamrings.graph import NUM_RATING_LEVELS, PRGraph, PRNode, co_review_matrix
 from spamrings.indicators import (
-    DEFAULT_BURST_THRESHOLD_DAYS,
+    BURST_THRESHOLD_DAYS,
     MAX_RATING_SPAN,
     PAIR_BLOCK_ELEMENTS,
     IndicatorVector,
@@ -494,27 +496,21 @@ def train_reference(adj, features, config: TrainConfig, seed: int = 0) -> TrainR
 
     def loss_at():
         assignment, _ = _forward_reference(adj_norm, feats, params)
-        return _loss_and_assignment_grad(
-            assignment, loss_adj, deg, two_m, config.collapse_weight
-        )[0]
+        return _loss_and_assignment_grad(assignment, loss_adj, deg, two_m)[0]
 
     initial_loss = loss_at()
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     loss_trace = []
+    keep = 1.0 - DROPOUT_RATE
     for epoch in range(config.epochs):
-        masks = None
-        if config.dropout_rate > 0:
-            keep = 1.0 - config.dropout_rate
-            masks = [
-                (drop_rng.random(size=(n, w.shape[1])) < keep).astype(dtype) / keep
-                for w, _ in _layers(params)[:-1]
-            ]
+        masks = [
+            (drop_rng.random(size=(n, w.shape[1])) < keep).astype(dtype) / keep
+            for w, _ in _layers(params)[:-1]
+        ]
         assignment, cache = _forward_reference(adj_norm, feats, params, masks)
-        loss, d_assign = _loss_and_assignment_grad(
-            assignment, loss_adj, deg, two_m, config.collapse_weight
-        )
+        loss, d_assign = _loss_and_assignment_grad(assignment, loss_adj, deg, two_m)
         loss_trace.append(float(loss))
         d_logits = _softmax_backward(assignment, d_assign)
         grads = _backward_reference(adj_norm, params, cache, d_logits, masks)
@@ -526,7 +522,7 @@ def train_reference(adj, features, config: TrainConfig, seed: int = 0) -> TrainR
             v += (1 - beta2) * g * g
             m_hat = m / (1 - beta1**step)
             v_hat = v / (1 - beta2**step)
-            p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            p -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
 
     full_adj_norm = normalized_adjacency_float64(adj_sp).astype(dtype, copy=False)
     final_assignment, _ = _forward_reference(full_adj_norm, feats_all, params)
@@ -748,28 +744,23 @@ def avg_rating_deviation(reviewer: str, table: ReviewTable, stats: Mapping[str, 
     return total / (len(reviews) * MAX_RATING_SPAN)
 
 
-def burstness(reviewer: str, table: ReviewTable, tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS) -> float:
-    if tau_days < 1:
-        raise ValueError(f"tau_days must be >= 1, got {tau_days}")
+def burstness(reviewer: str, table: ReviewTable) -> float:
     days = [r.date for r in _reviews_of(reviewer, table)]
     span = (max(days) - min(days)).days
-    if span > tau_days:
+    if span > BURST_THRESHOLD_DAYS:
         return 0.0
-    return 1.0 - span / tau_days
+    return 1.0 - span / BURST_THRESHOLD_DAYS
 
 
 def group_indicators(
-    group: SetGroup,
-    table: ReviewTable,
-    stats: Mapping[str, ProductStats],
-    tau_days: int = DEFAULT_BURST_THRESHOLD_DAYS,
+    group: SetGroup, table: ReviewTable, stats: Mapping[str, ProductStats]
 ) -> IndicatorVector:
     rt = review_tightness(group)
     pt = product_tightness(group)
     nt = neighbor_tightness(group)
     members = sorted(group.members)
     avd = sum(avg_rating_deviation(m, table, stats) for m in members) / len(members)
-    bst = sum(burstness(m, table, tau_days) for m in members) / len(members)
+    bst = sum(burstness(m, table) for m in members) / len(members)
     return IndicatorVector(
         review_tightness=rt,
         product_tightness=pt,

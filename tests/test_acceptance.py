@@ -18,7 +18,13 @@ import scipy.sparse as sp
 
 from oracles import brute_force_best_partition, clustering_loss, modularity_matrix, one_hot
 from oracles import modularity as dense_modularity
-from spamrings.clustering import TrainConfig, _loss_and_assignment_grad, gradient_check, train
+from spamrings.clustering import (
+    COLLAPSE_WEIGHT,
+    TrainConfig,
+    _loss_and_assignment_grad,
+    gradient_check,
+    train,
+)
 from spamrings.indicators import ScoringIndex, group_indicators, penalty, product_tightness
 from spamrings.modularity import modularity
 from spamrings.pipeline import PipelineConfig, detect, load_table
@@ -92,13 +98,13 @@ def test_criterion_1_modularity_oracle():
     )
 
 
-def loss_error(adj, assignment, lam, expected):
+def loss_error(adj, assignment, expected):
     """Worst gap to expected of the sparse training loss and the dense oracle loss."""
     two_m = adj.sum()
     sparse_loss, _ = _loss_and_assignment_grad(
-        assignment, sp.csr_array(adj), adj.sum(axis=1), two_m, lam
+        assignment, sp.csr_array(adj), adj.sum(axis=1), two_m
     )
-    dense_loss = clustering_loss(assignment, modularity_matrix(adj), two_m, lam)
+    dense_loss = clustering_loss(assignment, modularity_matrix(adj), two_m, COLLAPSE_WEIGHT)
     return max(abs(sparse_loss - expected), abs(dense_loss - expected))
 
 
@@ -106,7 +112,6 @@ def test_criterion_2_loss_endpoints():
     rng = np.random.default_rng(202)
     worst_uniform = 0.0
     worst_single = 0.0
-    lam = 0.5
     for k in range(2, 9):
         for _ in range(5):
             n = int(rng.integers(4, 12))
@@ -114,11 +119,11 @@ def test_criterion_2_loss_endpoints():
             if adj.sum() == 0:
                 continue
             uniform = np.full((n, k), 1.0 / k)
-            worst_uniform = max(worst_uniform, loss_error(adj, uniform, lam, 0.0))
+            worst_uniform = max(worst_uniform, loss_error(adj, uniform, 0.0))
             single = np.zeros((n, k))
             single[:, 0] = 1.0
-            expected = lam * (np.sqrt(k) - 1.0)
-            worst_single = max(worst_single, loss_error(adj, single, lam, expected))
+            expected = COLLAPSE_WEIGHT * (np.sqrt(k) - 1.0)
+            worst_single = max(worst_single, loss_error(adj, single, expected))
     report(
         "2 loss endpoints",
         worst_uniform <= 1e-9 and worst_single <= 1e-9,
@@ -217,7 +222,7 @@ def test_criterion_5_indicator_correctness():
     pt_err = abs(product_tightness(pt_group) - 1.0 / 3.0)
 
     bst_index = index_of([Review("w", "a", 5, day(0)), Review("w", "b", 5, day(15))])
-    bst_err = abs(bst_index.burstness(30, bst_index.rows(["w"]))[0] - 0.5)
+    bst_err = abs(bst_index.burstness(bst_index.rows(["w"]))[0] - 0.5)
 
     pen_group = index_of(
         [Review("u", "a", 5, day(0)), Review("v", "a", 4, day(1))]

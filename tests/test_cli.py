@@ -22,6 +22,7 @@ from spamrings.pipeline import (
     detect,
     load_config_file,
     load_table,
+    synth_config,
     write_detect_report,
 )
 from spamrings.reviews import dedupe, parse_reviews, review_columns
@@ -120,6 +121,17 @@ def test_ingest_writes_the_checked_in_quoting_fixture(tmp_path):
     out = tmp_path / "ing"
     assert main(["ingest", "--input", str(data / "quoting.csv"), "--out", str(out)]) == 0
     assert (out / "reviews_clean.csv").read_bytes() == (data / "quoting_clean.csv").read_bytes()
+
+
+def test_eval_writes_the_checked_in_quoting_summary(tmp_path):
+    """Precision of two ranked groups whose members hold a comma and a line feed. CI runs the
+    same eval, without numpy, on Python 3.10 and 3.13 and compares the same file."""
+    data = Path(__file__).with_name("data")
+    out = tmp_path / "ev"
+    argv = ["eval", "--input", str(data / "quoting.csv"), "--ranked",
+            str(data / "quoting_ranked.jsonl"), "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "eval_summary.txt").read_bytes() == (data / "quoting_eval_summary.txt").read_bytes()
 
 
 def test_synth_writes_the_reference_bytes(tmp_path):
@@ -860,12 +872,10 @@ def test_missing_input_is_config_error(capsys):
         (["--n-clusters", "0"], "n_clusters"),
         (["--min-support", "0"], "min_support"),
         (["--size-floor", "-1"], "size_floor"),
-        (["--burst-tau-days", "-5"], "burst_tau_days"),
-        (["--burst-tau-days", "0"], "burst_tau_days"),
         (["--min-co-review", "0"], "min_co_review"),
         (["--epochs", "0"], "train.epochs must be >= 1"),
         (["--hidden-width", "0"], "train.hidden_width must be >= 1"),
-        (["--collapse-weight", "-1"], "train.collapse_weight must be >= 0"),
+        (["--assign-threshold", "1"], "train.assign_threshold must be in (0, 1)"),
     ],
 )
 def test_bad_flag_fails_at_config_before_any_report(dataset, tmp_path, capsys, flags, field):
@@ -886,7 +896,10 @@ def test_bad_flag_fails_at_config_before_any_report(dataset, tmp_path, capsys, f
         ({"graph": {"weighting": "binary"}}, "unknown config key graph.weighting"),
         ({"dedupe_policy": "keep_any"}, "unknown config key dedupe_policy"),
         ({"group": {"split_components": False}}, "unknown config key group.split_components"),
-        ({"burst_tau_days": 0}, "burst_tau_days"),
+        ({"burst_tau_days": 30}, "unknown config key burst_tau_days"),
+        ({"train": {"learning_rate": 1e-3}}, "unknown config key train.learning_rate"),
+        ({"train": {"dropout_rate": 0.5}}, "unknown config key train.dropout_rate"),
+        ({"train": {"collapse_weight": 0.5}}, "unknown config key train.collapse_weight"),
         ({"format": "xml"}, "format"),
         ({"train": {"add_self_loops": True}}, "unknown config key train.add_self_loops"),
     ],
@@ -916,13 +929,13 @@ def test_bad_config_file_fails_at_config_before_any_report(
         ({"seed": True}, [], "seed must be int"),
         ({"train": {"n_clusters": 5.0}}, [], "train.n_clusters must be int"),
         ({"train": {"hidden_width": 8.5}}, [], "train.hidden_width must be int"),
-        ({"train": {"learning_rate": True}}, [], "train.learning_rate must be float"),
+        ({"synth": {"rating_noise_sd": True}}, [], "synth.rating_noise_sd must be float"),
         ({"has_header": "no"}, [], "has_header must be bool"),
         ({"graph": {"dump": 1}}, [], "graph.dump must be bool"),
         ({"group": {"min_support": 1.5}}, [], "group.min_support must be int"),
         ({"graph": {"min_co_review": 2.5}}, [], "graph.min_co_review must be int"),
         ({"rank": {"compactness_weight": float("nan")}}, [], "unknown config key rank.compactness_weight"),
-        ({"train": {"collapse_weight": float("inf")}}, [], "train.collapse_weight must be finite"),
+        ({"train": {"assign_threshold": float("inf")}}, [], "train.assign_threshold must be finite"),
         ({"seed": -1, "synth": {"bogus": 1}}, [], "seed must be >= 0"),  # top level first
     ],
 )
@@ -1133,7 +1146,15 @@ def test_detect_runs_with_a_synth_section_that_synth_accepts(dataset, tmp_path):
 
 @pytest.mark.parametrize(
     "command, flags",
-    [("synth", ["--format", "tsv"]), ("detect", ["--input", "x.csv", "--weighting", "binary"])],
+    [
+        ("synth", ["--format", "tsv"]),
+        ("detect", ["--input", "x.csv", "--weighting", "binary"]),
+        # flags of settings that are now constants
+        ("detect", ["--input", "x.csv", "--learning-rate", "0.01"]),
+        ("detect", ["--input", "x.csv", "--dropout-rate", "0"]),
+        ("sweep", ["--input", "x.csv", "--k-list", "10", "--collapse-weight", "0.1"]),
+        ("sweep", ["--input", "x.csv", "--k-list", "10", "--burst-tau-days", "7"]),
+    ],
 )
 def test_command_rejects_a_flag_it_does_not_take(tmp_path, capsys, command, flags):
     with pytest.raises(SystemExit) as exc:
@@ -1178,12 +1199,11 @@ def test_every_config_flag_reaches_its_config_field(command, required):
         args = build_parser().parse_args([command, "--input", "x.csv", *required, *flag])
         assert _config_field(_pipeline_config(args), action.dest) == value != default
         reached.append(action.option_strings[0])
-    assert len(reached) == {"detect": 17, "sweep": 17, "eval": 6}[command], reached
+    assert len(reached) == {"detect": 13, "sweep": 13, "eval": 6}[command], reached
 
 
 def test_float_config_fields_accept_ints():
-    config = PipelineConfig.from_dict({"input": "x.csv", "train": {"learning_rate": 1}})
-    assert config.train.learning_rate == 1
+    assert synth_config({"synth": {"rating_noise_sd": 1}}).rating_noise_sd == 1
 
 
 @pytest.mark.parametrize(
@@ -1287,7 +1307,7 @@ def test_detect_stage_error_carries_stage(dataset):
 
 
 def test_node_feature_failure_is_graph_stage_error(dataset, monkeypatch):
-    def node_features(graph, adj):
+    def node_features(graph):
         raise RuntimeError("no features")
 
     monkeypatch.setattr(pipeline, "node_features", node_features)

@@ -189,7 +189,7 @@ def test_the_run_holds_one_copy_of_the_graph():
     every = ReviewTable([Review(f"u{i}", f"p{j}", 5, datetime.date(2014, 1, 1)) for i in range(3) for j in range(4)])
     graph = build_graph(review_columns(every))
     adj = adjacency_sparse(graph)
-    prob = _prepare(adj, node_features(graph, adj))
+    prob = _prepare(adj, node_features(graph))
     assert prob.active.size == len(graph.node_keys) == 4
     for matrix in (prob.adj, prob.adj_norm):
         assert np.shares_memory(matrix.indices, graph.co_review.indices)
@@ -365,10 +365,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(n_clusters=1)
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(dropout_rate=1.0)
-    with pytest.raises(ValueError):
         TrainConfig(assign_threshold=0.0)
 
 
@@ -490,7 +486,7 @@ def test_train_bit_equal_to_reference_epoch(dtype):
         positions = sorted(rng.choice(n, size=n_isolated, replace=False).tolist())
         padded, feats, _ = pad_with_isolated(adj, rng.normal(size=(n, 7)), rng, positions)
         feats = feats.astype(dtype)
-        cfg = TrainConfig(epochs=15, dropout_rate=0.5)
+        cfg = TrainConfig(epochs=15)
         adj_sp = sp.csr_array(padded)
         if not n_isolated:
             assert np.shares_memory(_prepare(adj_sp, feats).adj.indices, adj_sp.indices)
@@ -511,7 +507,7 @@ def test_graph_and_training_matrices_carry_int32_indices():
     table, _ = generate(SynthConfig(seed=0))
     graph = build_graph(review_columns(table))
     adj = adjacency_sparse(graph)
-    prob = _prepare(adj, node_features(graph, adj))
+    prob = _prepare(adj, node_features(graph))
     matrices = {
         "incidence": graph.incidence, "co_review": graph.co_review, "adjacency": adj,
         "train_adj": prob.adj, "train_adj_norm": prob.adj_norm,
@@ -548,9 +544,7 @@ def test_float32_training_arrays_stay_float32():
     params = _views(flat, 5, cfg)
     mask = (drop_rng.random(size=(12, 8)) < 0.5).astype(np.float32) / 0.5
     assignment, cache = _forward(prob.propagate, prob.feats, params, mask)
-    loss, d_assign = _loss_and_assignment_grad(
-        assignment, prob.adj, prob.deg, prob.two_m, cfg.collapse_weight
-    )
+    loss, d_assign = _loss_and_assignment_grad(assignment, prob.adj, prob.deg, prob.two_m)
     d_logits = _softmax_backward(assignment, d_assign)
     grads = _backward(prob.propagate, prob.feats, params, cache, d_logits, mask)
     arrays = {
@@ -646,7 +640,7 @@ def test_float32_and_float64_training_give_one_partition(detect_seed):
     config = PipelineConfig(input="synthetic", seed=detect_seed)
     graph = build_graph(review_columns(dedupe(table)))
     adj = adjacency_sparse(graph)
-    feats = node_features(graph, adj)
+    feats = node_features(graph)
     assert feats.dtype == np.float32
     cfg, seed = config.train, derive_train_seed(detect_seed)
     single = train(adj, feats, cfg, seed=seed)

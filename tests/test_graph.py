@@ -55,10 +55,6 @@ def adjacency(graph):
     return adjacency_sparse(graph).toarray()
 
 
-def features(graph):
-    return node_features(graph, adjacency_sparse(graph))
-
-
 def key(node):
     return (node.product_id, node.rating)
 
@@ -243,7 +239,7 @@ def test_adjacency_edgeless_graph_is_zero():
 def test_node_features_recipe():
     table = table_from([("u1", "p1", 3)])
     graph = build_graph(review_columns(table))
-    feats = features(graph)
+    feats = node_features(graph)
     expected = np.array([[0, 0, 1, 0, 0, math.log(2), 0]], dtype=float)
     np.testing.assert_allclose(feats, expected)
 
@@ -251,7 +247,7 @@ def test_node_features_recipe():
 def test_identical_nodes_get_identical_features():
     table = table_from([("u1", "p1", 2), ("u2", "p2", 2)])
     graph = build_graph(review_columns(table))
-    feats = features(graph)
+    feats = node_features(graph)
     np.testing.assert_array_equal(feats[0], feats[1])
 
 
@@ -259,7 +255,7 @@ def test_one_hot_block_never_all_zero():
     rng = random.Random(9)
     rows = {(f"u{rng.randrange(30)}", f"p{rng.randrange(8)}"): rng.randrange(1, 6) for _ in range(120)}
     table = ReviewTable([Review(u, p, r, D) for (u, p), r in rows.items()])
-    feats = features(build_graph(review_columns(table)))
+    feats = node_features(build_graph(review_columns(table)))
     assert (feats[:, :5].sum(axis=1) == 1.0).all()
 
 
@@ -276,7 +272,7 @@ def test_shuffle_invariance():
         (e.u, e.v, e.n_co_reviewers) for e in g2.edges
     ]
     np.testing.assert_array_equal(adjacency(g1), adjacency(g2))
-    np.testing.assert_array_equal(features(g1), features(g2))
+    np.testing.assert_array_equal(node_features(g1), node_features(g2))
 
 
 def test_co_reviewers_subset_of_both_endpoints_and_exact():

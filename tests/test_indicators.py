@@ -11,6 +11,7 @@ from scipy.special import expit
 import oracles
 from spamrings.graph import build_graph
 from spamrings.indicators import (
+    BURST_THRESHOLD_DAYS,
     PAIR_BLOCK_ELEMENTS,
     CandidateGroup,
     ReviewerIndex,
@@ -489,17 +490,9 @@ def test_burstness_examples():
 
 
 def test_burstness_boundary_span_equals_tau():
+    assert BURST_THRESHOLD_DAYS == 30
     index = index_of([Review("edge", "p1", 5, day(0)), Review("edge", "p2", 5, day(30))])
-    assert value_of(index, index.burstness(tau_days=30), "edge") == 0.0
-
-
-@pytest.mark.parametrize("tau", [0, -5])
-def test_burstness_rejects_tau_below_one(tau):
-    index = index_of([Review("one_day", "p1", 5, day(3)), Review("one_day", "p2", 5, day(3))])
-    with pytest.raises(ValueError, match="tau_days"):
-        index.burstness(tau_days=tau)
-    with pytest.raises(ValueError, match="tau_days"):
-        group_indicators(index.group(["one_day"]), tau_days=tau)
+    assert value_of(index, index.burstness(), "edge") == 0.0
 
 
 # ------------------------------------------------------------- property suite
@@ -627,13 +620,11 @@ def labeled_table(rng, n_reviewers=12, n_products=8, n_reviews=60):
     return ReviewTable({r[:2]: r for r in reviews}.values())
 
 
-def assert_group_matches_oracle(group, table, stats, tau_days):
+def assert_group_matches_oracle(group, table, stats):
     reference = oracles.group_from_table(group.members, table)
     assert group.members == reference.members
     assert (group.size, group.n_products) == (reference.size, reference.n_products)
-    assert group_indicators(group, tau_days) == oracles.group_indicators(
-        reference, table, stats, tau_days
-    )
+    assert group_indicators(group) == oracles.group_indicators(reference, table, stats)
     assert group_precision(group) == oracles.group_precision(reference, table)
 
 
@@ -643,16 +634,15 @@ def test_scoring_index_equals_per_member_oracles_on_random_tables():
         table = labeled_table(rng, n_reviews=rng.randrange(1, 80))
         index = ScoringIndex(review_columns(table))
         stats = oracles.product_stats(table)
-        for tau in (1, 7, 30):
-            burst = index.burstness(tau)
-            for reviewer in index.reviewers:
-                assert value_of(index, burst, reviewer) == oracles.burstness(reviewer, table, tau)
+        burst = index.burstness()
+        for reviewer in index.reviewers:
+            assert value_of(index, burst, reviewer) == oracles.burstness(reviewer, table)
         for reviewer in index.reviewers:
             expected = oracles.avg_rating_deviation(reviewer, table, stats)
             assert value_of(index, index.deviation, reviewer) == expected
         for _ in range(5):
             members = rng.sample(index.reviewers, rng.randint(1, len(index.reviewers)))
-            assert_group_matches_oracle(index.group(members), table, stats, rng.choice((1, 7, 30)))
+            assert_group_matches_oracle(index.group(members), table, stats)
 
 
 def test_neighbor_tightness_equals_oracle_when_sets_repeat_across_blocks():

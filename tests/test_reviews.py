@@ -79,13 +79,20 @@ def _oracle_row(fields, label_map):
 
 
 def _parse_reviews_oracle(path, delimiter=",", has_header=False, label_map=DEFAULT_LABEL_MAP):
-    """Row-at-a-time reference parser: every token converted on every row."""
+    """Row-at-a-time reference parser: every token converted on every row.
+
+    A record starts on the line after the last one the reader had read
+    before it, so an error names that line even when an earlier record's
+    quoted field spans lines.
+    """
     reviews = []
     errors = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        for lineno, fields in enumerate(reader, start=1):
-            if has_header and lineno == 1:
+        start = 1  # the line the next record starts on
+        for record, fields in enumerate(reader):
+            lineno, start = start, reader.line_num + 1
+            if has_header and record == 0:
                 continue
             if not fields or all(not f.strip() for f in fields):
                 continue
@@ -178,6 +185,36 @@ def test_bad_date_and_bad_column_count_reported_with_line(tmp_path):
     table, errors = parse_reviews(p)
     assert len(table) == 1
     assert [e.line for e in errors] == [1, 2]
+
+
+@pytest.mark.parametrize("has_header", [False, True])
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+def test_row_error_names_the_line_its_record_starts_on(tmp_path, newline, has_header):
+    """Records whose quoted ids hold line breaks, as write_reviews quotes them,
+    shift every later record down by those breaks."""
+    rows = [
+        f'"u{newline}1",p1,5,-1,2014-01-02',  # lines 1-2
+        "u2,p2,9,1,2014-01-03",  # line 3
+        f'u3,"p{newline}{newline}3",5,,2014-01-04',  # lines 4-6
+        f'"u{newline}4","p{newline}4",0,1,2014-01-05',  # lines 7-9
+        "u5,p5,4,1,2014-01-06,x",  # line 10
+        '"u6,p6,5,1,2014-01-07',  # line 11: a quote left open takes the file's last line break
+    ]
+    if has_header:
+        rows.insert(0, f'"reviewer{newline}id",product,rating,label,date')
+    p = tmp_path / "r.csv"
+    p.write_bytes(newline.join(rows).encode() + b"\n")
+    table, errors = parse_reviews(p, has_header=has_header)
+    shift = 2 if has_header else 0
+    assert [r.reviewer_id for r in table.reviews] == [f"u{newline}1", "u3"]
+    assert errors == [
+        RowError(3 + shift, "rating 9 outside 1..5"),
+        RowError(7 + shift, "rating 0 outside 1..5"),
+        RowError(10 + shift, "expected 4 or 5 columns, got 6"),
+        RowError(11 + shift, "expected 4 or 5 columns, got 1"),
+    ]
+    want_table, want_errors = _parse_reviews_oracle(p, has_header=has_header)
+    assert (want_table.reviews, want_errors) == (table.reviews, errors)
 
 
 @pytest.mark.parametrize("token", ["20140102", "2014W013", "2014-W01-3"])
