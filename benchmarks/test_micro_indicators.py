@@ -84,19 +84,17 @@ def big_groups_run():
     adj = adjacency_sparse(graph)
     feats = node_features(graph)
     result = train(adj, feats, config.train, seed=derive_train_seed(config.seed))
-    return table, graph, result.assignment, config
+    return table, graph, result.clusters, config
 
 
 def test_extract_and_score_big_groups(benchmark, big_groups_run):
     # what detect runs between training and ranking: index, extraction,
     # indicators and precision
-    table, graph, assignment, config = big_groups_run
+    table, graph, clusters, config = big_groups_run
 
     def extract_and_score():
         index = ScoringIndex(review_columns(table))
-        groups = extract_candidate_groups(
-            graph, assignment, index, config.train.assign_threshold, config.group.min_support
-        )
+        groups = extract_candidate_groups(graph, clusters, index, config.group.min_support)
         return attach_precision(score_groups(groups))
 
     scored = benchmark(extract_and_score)

@@ -9,7 +9,7 @@ pass.
 
 import numpy as np
 
-from spamrings.clustering import TrainConfig, gradient_check, memberships, train
+from spamrings.clustering import TrainConfig, gradient_check, train
 from spamrings.modularity import modularity
 
 adj = np.zeros((10, 10))
@@ -37,8 +37,8 @@ print("\nsoft assignment rows (node: p(cluster 0), p(cluster 1)):")
 for i, row in enumerate(result.assignment):
     print(f"  node {i}: {row[0]:.3f}  {row[1]:.3f}")
 
-mask = memberships(result.assignment, threshold=config.assign_threshold)
-for cid, column in enumerate(mask.T):
+# each node's argmax cluster and any other cluster at or above assign_threshold
+for cid, column in enumerate(result.clusters.T):
     if column.any():
         print(f"cluster {cid}: nodes {np.flatnonzero(column).tolist()}")
 print("(the bridge endpoints may hold enough probability to sit in both)")

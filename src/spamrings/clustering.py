@@ -245,6 +245,7 @@ class TrainResult:
     initial_loss: float
     final_loss: float
     n_train_nodes: int  # active nodes, the ones the epochs ran on
+    clusters: np.ndarray  # node × cluster bool mask: memberships at assign_threshold
 
 
 class _Problem(NamedTuple):
@@ -354,7 +355,8 @@ def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
     Every epoch runs on the active subgraph (see _prepare). Dropout masks
     are drawn each epoch from a dedicated stream; the returned assignment
     is a dropout-free forward pass of the final parameters over every
-    node (see _assign_all). Raises RuntimeError if the loss stops being
+    node (see _assign_all), and its clusters are the memberships at
+    config.assign_threshold. Raises RuntimeError if the loss stops being
     finite.
     """
     prob = _prepare(adj, features)
@@ -387,8 +389,9 @@ def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
         v_hat = v_state / (1 - beta2**step)
         flat -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
 
+    assignment = _assign_all(prob, _float_array(features), params)
     return TrainResult(
-        assignment=_assign_all(prob, _float_array(features), params),
+        assignment=assignment,
         loss_trace=loss_trace,
         params=params,
         config=config,
@@ -396,6 +399,7 @@ def train(adj, features, config: TrainConfig, seed: int = 0) -> TrainResult:
         initial_loss=float(initial_loss),
         final_loss=float(prob.loss(params)),
         n_train_nodes=n,
+        clusters=memberships(assignment, config.assign_threshold),
     )
 
 
@@ -454,17 +458,17 @@ def save_checkpoint(path, result: TrainResult) -> None:
     )
 
 
-def write_assignment(path, node_ids, assignment, threshold: float) -> None:
-    """Per-node CSV export, ids quoted as needed: id, argmax cluster, memberships, max prob."""
+def write_assignment(path, node_ids, assignment, clusters) -> None:
+    """Per-node CSV export, ids quoted as needed: id, argmax cluster, the
+    node's columns of the clusters mask, max prob."""
     c = np.asarray(assignment, dtype=np.float64)
-    mask = memberships(c, threshold)
-    clusters = np.nonzero(mask)[1].tolist()  # row-major: each node's clusters ascending
-    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    columns = np.nonzero(clusters)[1].tolist()  # row-major: each node's clusters ascending
+    ends = np.cumsum(clusters.sum(axis=1)).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = row_writer(fh)
         writer.writerow(("node_id", "argmax_cluster", "memberships", "max_prob"))
         writer.writerows(
-            (node_id, j, "|".join(map(str, clusters[start:end])), f"{top:.6f}")
+            (node_id, j, "|".join(map(str, columns[start:end])), f"{top:.6f}")
             for node_id, j, start, end, top in zip(
                 node_ids, c.argmax(axis=1).tolist(), [0] + ends, ends, c.max(axis=1).tolist()
             )

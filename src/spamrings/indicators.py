@@ -25,7 +25,6 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from ._lazy import lazy_import
-from .clustering import memberships
 from .graph import PRGraph
 from .reviews import LABEL_FAKE, ReviewColumns, row_writer
 
@@ -171,11 +170,13 @@ class CandidateGroup:
 
 
 def extract_candidate_groups(
-    graph: PRGraph, assignment, index: ScoringIndex, threshold: float, min_support: int
+    graph: PRGraph, clusters, index: ScoringIndex, min_support: int
 ) -> list[CandidateGroup]:
-    """Candidate groups of a soft assignment: one per connected piece of each cluster.
+    """Candidate groups of a partition: one per connected piece of each cluster.
 
-    The clusters are the columns of :func:`clustering.memberships`. A
+    ``clusters`` is a node × cluster bool mask whose columns are the
+    clusters, overlapping or not: a run passes ``TrainResult.clusters``,
+    but one all-True column or a one-hot partition serves as well. A
     cluster that mixes disconnected subgraphs cannot describe one
     collusive group (no co-review relation crosses the gap, and such a
     mixture always has zero compactness), so each is split into its
@@ -201,7 +202,7 @@ def extract_candidate_groups(
     indptr, neighbors = graph.co_review.indptr.tolist(), graph.co_review.indices
     nodes: list[int] = []  # the pieces' nodes, piece after piece
     starts, sources = [0], []
-    for cluster, column in enumerate(memberships(assignment, threshold).T):
+    for cluster, column in enumerate(clusters.T):
         waiting = column.copy()  # the cluster's nodes that no piece holds yet
         for root in np.flatnonzero(column).tolist():
             if not waiting[root]:

@@ -112,12 +112,6 @@ class PipelineConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
-    def delimiter(self) -> str:
-        return INPUT_DELIMITERS[self.format]
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         """Build and validate a config; any bad key or value is a "config" StageError."""
@@ -128,7 +122,7 @@ class PipelineConfig:
             return config
 
     def config_hash(self) -> str:
-        payload = self.to_dict()
+        payload = dataclasses.asdict(self)
         payload.pop("out", None)  # output location does not affect results
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
@@ -207,7 +201,7 @@ def load_table(config: PipelineConfig) -> tuple[ReviewTable, list, dict[str, int
     """
     with _stage("ingest", config.input):
         raw, errors = parse_reviews(
-            config.input, delimiter=config.delimiter(), has_header=config.has_header
+            config.input, delimiter=INPUT_DELIMITERS[config.format], has_header=config.has_header
         )
         if len(raw) == 0:
             raise ValueError("no valid reviews")
@@ -253,9 +247,7 @@ def detect(table: ReviewColumns, config: PipelineConfig) -> DetectResult:
     result = _train_stage(adj, feats, config, config.train.n_clusters)
     with _stage("score"):
         index = ScoringIndex(table)  # after training, into the memory training freed
-        groups = extract_candidate_groups(
-            graph, result.assignment, index, config.train.assign_threshold, config.group.min_support
-        )
+        groups = extract_candidate_groups(graph, result.clusters, index, config.group.min_support)
         if not groups:
             raise ValueError("no candidate groups were extracted from the clusters")
         scored = score_groups(groups)
@@ -293,8 +285,7 @@ def sweep(table: ReviewColumns, config: PipelineConfig, k_list: Sequence[int]) -
         result = _train_stage(adj, feats, config, k)
         with _stage("score"):
             groups = extract_candidate_groups(
-                graph, result.assignment, index, config.train.assign_threshold,
-                config.group.min_support,
+                graph, result.clusters, index, config.group.min_support
             )
         precisions = sorted(
             (p for p in map(group_precision, groups) if p is not None), reverse=True
@@ -309,7 +300,7 @@ def write_manifest(path, result: DetectResult, ingest: dict[str, int]) -> None:
     manifest = {
         **ingest,
         "package_version": __version__,
-        "config": result.config.to_dict(),
+        "config": dataclasses.asdict(result.config),
         "config_hash": result.config.config_hash(),
         "seed": result.config.seed,
         "derived_train_seed": result.train_result.seed,
@@ -437,10 +428,7 @@ def write_detect_report(result: DetectResult, out_dir, ingest: dict[str, int]) -
     )
     node_ids = list(map(node_id_str, result.graph.keys))
     write_assignment(
-        paths["assignment"],
-        node_ids,
-        result.train_result.assignment,
-        result.config.train.assign_threshold,
+        paths["assignment"], node_ids, result.train_result.assignment, result.train_result.clusters
     )
     save_checkpoint(paths["checkpoint"], result.train_result)
     if result.config.graph.dump:

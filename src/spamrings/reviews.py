@@ -10,6 +10,7 @@ dates are ISO ``YYYY-MM-DD``.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from array import array
 from datetime import date as _date
@@ -118,10 +119,14 @@ def parse_reviews(
     Malformed rows are collected as :class:`RowError` with the 1-based
     number of the line their record starts on; they never silently
     disappear. Blank rows are skipped and a leading UTF-8 byte-order
-    mark is ignored. Each distinct product, rating, date and label token
-    is converted once per call, so every row of a product shares one id
-    string; only tokens that convert are remembered, so every bad row is
-    still reported. Reviewer ids repeat too rarely for a cache to pay.
+    mark is ignored. A file holding a NUL byte is not text and fails as a
+    whole, with the line of its first NUL, on every Python version (the
+    csv module of 3.11 and later would read the NUL into a field). The
+    file is read once, from the start, so a pipe serves as well. Each
+    distinct product, rating, date and label token is converted once per
+    call, so every row of a product shares one id string; only tokens
+    that convert are remembered, so every bad row is still reported.
+    Reviewer ids repeat too rarely for a cache to pay.
 
     Returns:
         (table of valid reviews, list of row errors)
@@ -133,51 +138,57 @@ def parse_reviews(
     reviews: list[Review] = []
     errors: list[RowError] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        if has_header:
-            next(reader, None)
-        # A record starts on the line after the last one its predecessor took:
-        # a quoted field may hold line breaks, so records and lines can differ.
-        start = reader.line_num + 1
-        for fields in reader:
-            lineno, start = start, reader.line_num + 1
-            # A blank row fails the column or the id check, so only such a
-            # row is tested for blankness.
-            try:
-                if len(fields) == 5:
-                    reviewer, product, rating_s, label_s, date_s = fields
-                elif len(fields) == 4:
-                    reviewer, product, rating_s, date_s = fields
-                    label_s = ""
-                elif _is_blank(fields):
-                    continue
-                else:
-                    raise ValueError(f"expected 4 or 5 columns, got {len(fields)}")
-                reviewer = reviewer.strip()
-                try:
-                    product = products[product]
-                except KeyError:
-                    product = products[product] = product.strip()
-                if not reviewer or not product:
-                    if _is_blank(fields):
-                        continue
-                    raise ValueError("empty reviewer or product id")
-                try:
-                    rating = ratings[rating_s]
-                except KeyError:
-                    rating = ratings[rating_s] = _parse_rating(rating_s)
-                try:
-                    day = days[date_s]
-                except KeyError:
-                    day = days[date_s] = _parse_date(date_s)
-                try:
-                    label = labels[label_s]
-                except KeyError:
-                    label = labels[label_s] = _parse_label(label_s)
-            except ValueError as err:
-                errors.append(RowError(lineno, str(err)))
+        text = fh.read()
+    nul = text.find("\0")
+    if nul >= 0:  # CRLF, CR and LF are one line break each
+        breaks = text.count("\r", 0, nul) + text.count("\n", 0, nul) - text.count("\r\n", 0, nul)
+        raise ValueError(f"line {breaks + 1} contains NUL")
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    del text  # the StringIO holds its own copy
+    if has_header:
+        next(reader, None)
+    # A record starts on the line after the last one its predecessor took:
+    # a quoted field may hold line breaks, so records and lines can differ.
+    start = reader.line_num + 1
+    for fields in reader:
+        lineno, start = start, reader.line_num + 1
+        # A blank row fails the column or the id check, so only such a
+        # row is tested for blankness.
+        try:
+            if len(fields) == 5:
+                reviewer, product, rating_s, label_s, date_s = fields
+            elif len(fields) == 4:
+                reviewer, product, rating_s, date_s = fields
+                label_s = ""
+            elif _is_blank(fields):
                 continue
-            reviews.append(_new_review((reviewer, product, rating, day, label)))
+            else:
+                raise ValueError(f"expected 4 or 5 columns, got {len(fields)}")
+            reviewer = reviewer.strip()
+            try:
+                product = products[product]
+            except KeyError:
+                product = products[product] = product.strip()
+            if not reviewer or not product:
+                if _is_blank(fields):
+                    continue
+                raise ValueError("empty reviewer or product id")
+            try:
+                rating = ratings[rating_s]
+            except KeyError:
+                rating = ratings[rating_s] = _parse_rating(rating_s)
+            try:
+                day = days[date_s]
+            except KeyError:
+                day = days[date_s] = _parse_date(date_s)
+            try:
+                label = labels[label_s]
+            except KeyError:
+                label = labels[label_s] = _parse_label(label_s)
+        except ValueError as err:
+            errors.append(RowError(lineno, str(err)))
+            continue
+        reviews.append(_new_review((reviewer, product, rating, day, label)))
     return ReviewTable(reviews), errors
 
 

@@ -154,15 +154,3 @@ def write_ground_truth(path, groups: list[frozenset[str]]) -> None:
         for gi, members in enumerate(groups):
             for member in sorted(members):
                 fh.write(f"{gi}\t{member}\n")
-
-
-def read_ground_truth(path) -> list[frozenset[str]]:
-    groups: dict[int, set[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            gi, member = line.split("\t")
-            groups.setdefault(int(gi), set()).add(member)
-    return [frozenset(groups[gi]) for gi in sorted(groups)]

@@ -68,8 +68,9 @@ set a frozenset taken from ``reviews_by(table, "reviewer_id")``, reviewer suppor
 counted per cluster piece, one sparse incidence built per group, and
 per-member loops for rating deviation, burstness and precision.
 ``assign_clusters_loop`` is the per-node loop of the clusters that
-``clustering.memberships`` marks, and ``write_assignment_loop`` the one
-that ``clustering.write_assignment`` replaced.
+``clustering.memberships`` marks (``cluster_mask_loop`` gives them as
+``train_reference``'s mask), and ``write_assignment_loop`` the one that
+``clustering.write_assignment`` replaced.
 """
 
 from __future__ import annotations
@@ -535,6 +536,7 @@ def train_reference(adj, features, config: TrainConfig, seed: int = 0) -> TrainR
         initial_loss=float(initial_loss),
         final_loss=float(loss_at()),
         n_train_nodes=n,
+        clusters=cluster_mask_loop(final_assignment, config.assign_threshold),
     )
 
 
@@ -795,6 +797,15 @@ def assign_clusters_loop(assignment, threshold: float) -> dict[int, set[int]]:
         for j in targets:
             members.setdefault(j, set()).add(i)
     return {j: members[j] for j in sorted(members)}
+
+
+def cluster_mask_loop(assignment, threshold: float) -> np.ndarray:
+    """The node × cluster bool mask of assign_clusters_loop's clusters."""
+    c = np.asarray(assignment)
+    mask = np.zeros(c.shape, dtype=bool)
+    for j, nodes in assign_clusters_loop(c, threshold).items():
+        mask[sorted(nodes), j] = True
+    return mask
 
 
 def write_assignment_loop(path, node_ids, assignment, threshold: float) -> None:

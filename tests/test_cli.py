@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -121,6 +122,21 @@ def test_ingest_writes_the_checked_in_quoting_fixture(tmp_path):
     out = tmp_path / "ing"
     assert main(["ingest", "--input", str(data / "quoting.csv"), "--out", str(out)]) == 0
     assert (out / "reviews_clean.csv").read_bytes() == (data / "quoting_clean.csv").read_bytes()
+
+
+def test_ingest_of_a_file_holding_a_nul_writes_the_checked_in_error(tmp_path):
+    """The file fails as a whole, naming its line. CI runs the same ingest, without numpy, on
+    Python 3.10 and 3.13 and compares the same stderr."""
+    root = Path(__file__).parents[1]
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-m", "spamrings.cli", "ingest", "--input", "tests/data/nul.csv",
+         "--out", str(tmp_path / "ing")],
+        cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), capture_output=True,
+    )
+    assert proc.returncode == 1
+    assert (proc.stdout, proc.stderr) == (b"", (root / "tests/data/nul_stderr.txt").read_bytes())
+    assert not (tmp_path / "ing").exists()
 
 
 def test_eval_writes_the_checked_in_quoting_summary(tmp_path):
@@ -457,24 +473,40 @@ GOLDEN_REPORT_DIGESTS = {
     "assignment.csv": "2903f6bde3cb19e422c687038998b4484530ed88ab86156a4b073589b2507bc0",
 }
 
+# SHA-256 of sweep.tsv from `sweep --seed 3 --k-list 10,20 --epochs 100` on the
+# same input with one BLAS thread: "10 0.3000 48 0" and "20 0.3000 49 0".
+GOLDEN_SWEEP_DIGEST = "7c63c18eaa2229bdac6a5db23b8f7858d03ce4730cfbbc61cba5ec3e741c8154"
 
-def test_detect_reports_match_golden_digests(tmp_path):
+
+def _on_criterion_7_input(tmp_path, *argv: str) -> Path:
+    """Run a command on the synth seed-0 reviews with one BLAS thread; returns its --out."""
     table, _ = generate(SynthConfig(seed=0))
     write_reviews(table, tmp_path / "reviews.csv")
     one_thread = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     proc = subprocess.run(
-        [sys.executable, "-m", "spamrings.cli", "detect", "--input", str(tmp_path / "reviews.csv"),
-         "--out", str(tmp_path / "out"), "--seed", "21"],
+        [sys.executable, "-m", "spamrings.cli", argv[0], "--input", str(tmp_path / "reviews.csv"),
+         "--out", str(tmp_path / "out"), *argv[1:]],
         env=dict(os.environ, **one_thread),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    return tmp_path / "out"
+
+
+def test_detect_reports_match_golden_digests(tmp_path):
+    out = _on_criterion_7_input(tmp_path, "detect", "--seed", "21")
     digests = {
-        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in GOLDEN_REPORT_DIGESTS
     }
     assert digests == GOLDEN_REPORT_DIGESTS
+
+
+def test_sweep_table_matches_golden_digest(tmp_path):
+    argv = ["sweep", "--seed", "3", "--k-list", "10,20", "--epochs", "100"]
+    out = _on_criterion_7_input(tmp_path, *argv)
+    assert hashlib.sha256((out / "sweep.tsv").read_bytes()).hexdigest() == GOLDEN_SWEEP_DIGEST
 
 
 def test_detect_unreachable_graph_is_graph_stage_error(dataset, tmp_path, capsys):
@@ -1292,9 +1324,9 @@ def test_pipeline_config_round_trip(tmp_path):
     cfg = PipelineConfig(input="x.csv", seed=4)
     cfg.train.epochs = 77
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     loaded = PipelineConfig.from_dict(load_config_file(path))
-    assert loaded.to_dict() == cfg.to_dict()
+    assert dataclasses.asdict(loaded) == dataclasses.asdict(cfg)
 
 
 def test_detect_stage_error_carries_stage(dataset):

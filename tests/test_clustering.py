@@ -494,6 +494,8 @@ def test_train_bit_equal_to_reference_epoch(dtype):
         assert got.n_train_nodes == want.n_train_nodes == n
         assert got.loss_trace == want.loss_trace
         assert (got.initial_loss, got.final_loss) == (want.initial_loss, want.final_loss)
+        assert got.clusters.dtype == want.clusters.dtype == np.bool_
+        assert np.array_equal(got.clusters, want.clusters), n_isolated
         pairs = [("assignment", got.assignment, want.assignment)] + [
             (name, a, b) for name, a, b in zip(GCNParams._fields, got.params, want.params)
         ]
@@ -647,10 +649,7 @@ def test_float32_and_float64_training_give_one_partition(detect_seed):
     double = train(adj, feats.astype(np.float64), cfg, seed=seed)
     assert single.assignment.dtype == np.float32 and double.assignment.dtype == np.float64
     np.testing.assert_array_equal(single.assignment.argmax(axis=1), double.assignment.argmax(axis=1))
-    np.testing.assert_array_equal(
-        memberships(single.assignment, cfg.assign_threshold),
-        memberships(double.assignment, cfg.assign_threshold),
-    )
+    np.testing.assert_array_equal(single.clusters, double.clusters)
     assert single.final_loss == pytest.approx(double.final_loss, rel=FLOAT32_FINAL_LOSS_RTOL)
 
 
@@ -715,6 +714,20 @@ def test_memberships_leave_unattractive_clusters_empty():
     np.testing.assert_array_equal(memberships(c, threshold=0.2).any(axis=0), [True, False, False])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("threshold", [0.05, 0.15])
+def test_train_result_clusters_are_memberships_at_assign_threshold(dtype, threshold):
+    rng = np.random.default_rng(21)
+    adj = random_adjacency(rng, 30, p=0.2, weighted=True)
+    cfg = TrainConfig(n_clusters=6, epochs=20, assign_threshold=threshold)
+    result = train(adj, rng.normal(size=(30, 5)).astype(dtype), cfg, seed=4)
+    assert result.clusters.dtype == np.bool_
+    assert result.clusters.shape == result.assignment.shape
+    assert np.array_equal(result.clusters, memberships(result.assignment, threshold))
+    # some node sits in more than its argmax cluster, so the threshold was read
+    assert result.clusters.sum() > result.clusters.shape[0]
+
+
 def random_assignments(rng):
     """Soft assignments of float32 and float64 rows, with values on the threshold and ties."""
     for n, k in ((0, 3), (1, 1), (7, 4), (300, 12), (1176, 50)):
@@ -738,7 +751,7 @@ def test_memberships_equal_per_node_loop():
 def test_write_assignment_bytes_equal_per_node_loop(tmp_path):
     for i, c in enumerate(random_assignments(np.random.default_rng(13))):
         node_ids = [f"p{j}#5" for j in range(c.shape[0])]
-        write_assignment(tmp_path / "fast.csv", node_ids, c, threshold=0.2)
+        write_assignment(tmp_path / "fast.csv", node_ids, c, memberships(c, 0.2))
         write_assignment_loop(tmp_path / "loop.csv", node_ids, c, threshold=0.2)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes(), i
 
@@ -767,7 +780,7 @@ def test_checkpoint_round_trip(tmp_path):
 def test_assignment_export(tmp_path):
     c = np.array([[0.7, 0.3], [0.1, 0.9]])
     path = tmp_path / "assign.csv"
-    write_assignment(path, ["p1#5", "p2#4"], c, threshold=0.2)
+    write_assignment(path, ["p1#5", "p2#4"], c, memberships(c, 0.2))
     lines = path.read_text().splitlines()
     assert lines[0] == "node_id,argmax_cluster,memberships,max_prob"
     assert lines[1] == "p1#5,0,0|1,0.700000"
@@ -779,7 +792,7 @@ def test_assignment_export_quotes_ids_holding_a_comma_or_quote(tmp_path):
     c = np.array([[0.7, 0.3], [0.1, 0.9], [0.5, 0.5], [0.2, 0.8], [0.6, 0.4]])
     node_ids = ["shop, north#5", 'the "best"#4', "plain#1", "two\nlines#3", "old\rmac#2"]
     path = tmp_path / "assign.csv"
-    write_assignment(path, node_ids, c, threshold=0.2)
+    write_assignment(path, node_ids, c, memberships(c, 0.2))
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert [len(row) for row in rows] == [4] * 6

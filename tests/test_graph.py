@@ -307,13 +307,13 @@ def test_extraction_splits_a_cluster_into_its_components():
     columns = review_columns(table)
     graph = build_graph(columns, min_co_review=2)
     index = ScoringIndex(columns)
-    one_cluster = np.ones((len(graph.nodes), 1))
-    groups = extract_candidate_groups(graph, one_cluster, index, 0.5, min_support=1)
+    one_cluster = np.ones((len(graph.nodes), 1), dtype=bool)
+    groups = extract_candidate_groups(graph, one_cluster, index, min_support=1)
     assert [g.members for g in groups] == [{"u1", "u2"}, {"u3", "u4"}, {"u9"}]
     # restricting the cluster restricts the components: p1#5 alone in
     # cluster 1 leaves p2#5 alone in cluster 0, neither with support 2
     labels = [int(key(node) == ("p1", 5)) for node in graph.nodes]
-    groups = extract_candidate_groups(graph, np.eye(2)[labels], index, 0.5, min_support=2)
+    groups = extract_candidate_groups(graph, np.eye(2, dtype=bool)[labels], index, min_support=2)
     assert [(g.members, g.source_cluster) for g in groups] == [({"u3", "u4"}, 0)]
 
 
@@ -335,7 +335,7 @@ def test_extraction_pieces_match_edge_scan_oracle():
         for subset in (range(n), rng.sample(range(n), rng.randint(0, n))):
             inside = np.isin(np.arange(n), list(subset))
             mask = np.stack([~inside, inside], axis=1)  # cluster 1 is the subset
-            groups = extract_candidate_groups(graph, mask.astype(float), index, 0.5, min_support=1)
+            groups = extract_candidate_groups(graph, mask, index, min_support=1)
             # node i's own reviewer u<i> names it in the group of its piece
             got = [{int(m[1:]) for m in g.members if m[0] == "u"} for g in groups]
             outside, within = (

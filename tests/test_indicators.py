@@ -1,6 +1,8 @@
 import datetime
 import math
 import random
+import subprocess
+import sys
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -9,6 +11,7 @@ import pytest
 from scipy.special import expit
 
 import oracles
+from spamrings.clustering import memberships
 from spamrings.graph import build_graph
 from spamrings.indicators import (
     BURST_THRESHOLD_DAYS,
@@ -79,10 +82,23 @@ def value_of(index, values, reviewer):
 # ----------------------------------------------------------------- extraction
 
 
+def test_indicators_loads_no_clustering_code():
+    """Extraction takes a cluster mask, so it needs nothing that makes one."""
+    code = (
+        "import sys, spamrings.indicators; "
+        "print(sorted(m for m in sys.modules if m.startswith('spamrings')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ["spamrings", "spamrings._lazy", "spamrings.graph", "spamrings.indicators",
+              "spamrings.reviews"]
+    assert proc.stdout.strip() == repr(loaded)
+
+
 def extract_one_hot(graph, index, labels, min_support=2):
     """The candidate groups when node i sits in cluster labels[i] alone."""
-    assignment = np.eye(max(labels) + 1)[labels]
-    return extract_candidate_groups(graph, assignment, index, 0.5, min_support)
+    one_hot = np.eye(max(labels) + 1, dtype=bool)[labels]
+    return extract_candidate_groups(graph, one_hot, index, min_support)
 
 
 def extraction_fixture():
@@ -698,7 +714,7 @@ def test_extract_candidate_groups_equals_per_piece_oracle():
     logits = np.random.default_rng(5).normal(scale=2.0, size=(len(graph.nodes), 12))
     assignment = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     for min_support in (1, 2):
-        got = extract_candidate_groups(graph, assignment, index, 0.2, min_support)
+        got = extract_candidate_groups(graph, memberships(assignment, 0.2), index, min_support)
         expected = oracles.extract_candidate_groups_reference(
             graph, assignment, table, 0.2, min_support
         )

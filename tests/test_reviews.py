@@ -217,6 +217,24 @@ def test_row_error_names_the_line_its_record_starts_on(tmp_path, newline, has_he
     assert (want_table.reviews, want_errors) == (table.reviews, errors)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+def test_file_holding_a_nul_fails_with_the_line_of_its_first_nul(tmp_path, newline):
+    """csv reads a NUL into a field from Python 3.11 on, and 3.10 refuses the row without a
+    line number; every version refuses the file and names the line of the first NUL."""
+    rows = ['"u', '1",p1,5,1,2014-01-01', "u2,p2,4,1,2014-01-02", 'u3,"p\x003",4,,2014-01-03',
+            "u\x004,p4,4,1,2014-01-04"]
+    p = tmp_path / "r.csv"
+    p.write_bytes(newline.join(rows).encode() + b"\n")
+    with pytest.raises(ValueError, match="^line 4 contains NUL$"):
+        parse_reviews(p, has_header=True)
+    p.write_bytes(b"\x00u1,p1,5,2014-01-01\n")
+    with pytest.raises(ValueError, match="^line 1 contains NUL$"):
+        parse_reviews(p)
+    p.write_bytes(newline.encode().join([b"u1,p1,5,2014-01-01", b"u2,p1,4,2014-01-02\x00"]))
+    with pytest.raises(ValueError, match="^line 2 contains NUL$"):
+        parse_reviews(p)
+
+
 @pytest.mark.parametrize("token", ["20140102", "2014W013", "2014-W01-3"])
 def test_date_other_than_yyyy_mm_dd_is_row_error(tmp_path, token):
     # Python 3.11's fromisoformat reads these basic and week dates and 3.10
